@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 import threading
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy import special as _sp
@@ -116,9 +116,6 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def backward(self) -> None:
         backward(self)
 
@@ -174,11 +171,16 @@ def from_op(
     gradient or inside ``no_grad``.
     """
     out = Tensor(value)
-    if _recording() and any(p.requires_grad for p in parents):
+    if needs_grad(parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._vjp = vjp
     return out
+
+
+def needs_grad(parents: Sequence[Tensor]) -> bool:
+    """Whether an op on ``parents`` is recorded, so its backward will run."""
+    return _recording() and any(p.requires_grad for p in parents)
 
 
 def accumulate(t: Tensor, g: np.ndarray) -> None:
@@ -367,15 +369,31 @@ def gelu(a: Tensor) -> Tensor:
     return from_op(a.data * phi_cdf, (a,), vjp)
 
 
-def _exprel_val(x: np.ndarray) -> np.ndarray:
-    # (e^x - 1) / x with the series limit at small |x|
-    out = np.empty_like(x)
+def exprel(x: np.ndarray) -> np.ndarray:
+    """(e^x - 1) / x elementwise, with the series limit at small |x|."""
+    with np.errstate(invalid="ignore"):  # 0/0 at x = 0, replaced below
+        out = np.expm1(x)
+        out /= x
     small = np.abs(x) < 1e-8
-    xs = x[small]
-    out[small] = 1.0 + 0.5 * xs + xs * xs / 6.0
-    xb = x[~small]
-    out[~small] = np.expm1(xb) / xb
+    if small.any():
+        xs = x[small]
+        out[small] = 1.0 + 0.5 * xs + xs * xs / 6.0
     return out
+
+
+def exprel_grad(x: np.ndarray) -> np.ndarray:
+    """d/dx (e^x - 1) / x elementwise, with the series limit at small |x|."""
+    # 0/0 and c/0 only where |x| is small, replaced below
+    with np.errstate(invalid="ignore", divide="ignore"):
+        d = np.exp(x)
+        d *= x - 1.0
+        d += 1.0
+        d /= x * x
+    small = np.abs(x) < 1e-4
+    if small.any():
+        xs = x[small]
+        d[small] = 0.5 + xs / 3.0 + xs * xs / 8.0
+    return d
 
 
 def expm1_over_x(a: Tensor) -> Tensor:
@@ -384,19 +402,11 @@ def expm1_over_x(a: Tensor) -> Tensor:
     This is the zero-order-hold input factor: exp(dA) applied through one
     step integrates to this times dB.
     """
-    x = a.data
 
     def vjp(g):
-        d = np.empty_like(x)
-        small = np.abs(x) < 1e-4
-        xs = x[small]
-        # series of d/dx (e^x-1)/x around 0
-        d[small] = 0.5 + xs / 3.0 + xs * xs / 8.0
-        xb = x[~small]
-        d[~small] = (np.exp(xb) * (xb - 1.0) + 1.0) / (xb * xb)
-        accumulate(a, g * d)
+        accumulate(a, g * exprel_grad(a.data))
 
-    return from_op(_exprel_val(x), (a,), vjp)
+    return from_op(exprel(a.data), (a,), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -583,11 +593,6 @@ def backward(loss: Tensor) -> None:
     for node in reversed(tape):
         if node._vjp is not None and node.grad is not None:
             node._vjp(node.grad)
-
-
-def zero_grads(params: Iterable[Tensor]) -> None:
-    for p in params:
-        p.grad = None
 
 
 def check_gradients(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5) -> float:

@@ -31,9 +31,8 @@ from .autodiff import (
     swapaxes,
 )
 from .blocks import DIRECTIONS, ORDER_MODES, DirectionalEncoderCD, _uniform_weight
+from .losses import REG_METRICS
 from .ssm import DISCRETIZATIONS
-
-REG_METRICS = ("l2", "l1", "cosine")
 
 CHECKPOINT_FORMAT = 1
 

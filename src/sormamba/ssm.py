@@ -1,8 +1,8 @@
 """Input-dependent (selective) state-space layer.
 
 The continuous system h' = A h + B x, y = C h + D x is discretized per step
-with a step size produced from the input itself, then unrolled by the fused
-scan kernel. Two discretizations are supported:
+with a step size produced from the input itself. Two discretizations are
+supported:
 
 * ``euler-b``  (default): A_bar = exp(delta * A), B_bar = delta * B
 * ``zoh-exact``: A_bar = exp(delta * A),
@@ -11,6 +11,14 @@ scan kernel. Two discretizations are supported:
 
 ``A`` is diagonal and kept strictly negative by parameterizing its log
 magnitude, so every discrete transition factor lies in (0, 1).
+
+On the model's path the discretization never becomes part of the graph:
+:func:`scan_core` is one differentiable op that takes (delta, A, B_t, C_t, x)
+and builds the per-step factors inside the recurrence, keeping only a
+checkpoint state every ~sqrt(S) steps for its backward, which recomputes the
+states in between (see ``scan_kernels``). :func:`discretize` gives the same
+factors as graph tensors for inspection; :func:`naive_scan` is the
+independent per-step reference.
 """
 
 from __future__ import annotations
@@ -29,7 +37,9 @@ from .autodiff import (
     from_op,
     matmul,
     mul,
+    needs_grad,
     neg,
+    reshape,
     softplus,
 )
 
@@ -55,10 +65,7 @@ class SSMParams:
     mode: str = "euler-b"
 
     def __post_init__(self):
-        if self.mode not in DISCRETIZATIONS:
-            raise ValueError(
-                f"unknown discretization {self.mode!r}, expected one of {DISCRETIZATIONS}"
-            )
+        _check_mode(self.mode)
 
     @property
     def dim(self) -> int:
@@ -135,31 +142,22 @@ def discretize(delta: Tensor, a: Tensor, b_t: Tensor, mode: str) -> tuple[Tensor
 
     Returns A_bar, B_bar with shape [batch, steps, dim, state].
     """
-    if mode not in DISCRETIZATIONS:
-        raise ValueError(
-            f"unknown discretization {mode!r}, expected one of {DISCRETIZATIONS}"
-        )
-    d4 = reshape_last(delta)  # [B, S, dim, 1]
+    _check_mode(mode)
+    d4 = reshape(delta, delta.shape + (1,))  # [B, S, dim, 1]
     da = mul(d4, a)  # [B, S, dim, state]
     a_bar = exp(da)
-    b4 = expand_state(b_t)  # [B, S, 1, state]
+    b4 = reshape(b_t, b_t.shape[:2] + (1,) + b_t.shape[2:])  # [B, S, 1, state]
     db = mul(d4, b4)
     if mode == "euler-b":
         return a_bar, db
     return a_bar, mul(expm1_over_x(da), db)
 
 
-def reshape_last(t: Tensor) -> Tensor:
-    from .autodiff import reshape
-
-    return reshape(t, t.shape + (1,))
-
-
-def expand_state(t: Tensor) -> Tensor:
-    from .autodiff import reshape
-
-    b, s, n = t.shape
-    return reshape(t, (b, s, 1, n))
+def _check_mode(mode: str) -> None:
+    if mode not in DISCRETIZATIONS:
+        raise ValueError(
+            f"unknown discretization {mode!r}, expected one of {DISCRETIZATIONS}"
+        )
 
 
 def _projections(x: Tensor, params: SSMParams) -> tuple[Tensor, Tensor, Tensor]:
@@ -171,22 +169,29 @@ def _projections(x: Tensor, params: SSMParams) -> tuple[Tensor, Tensor, Tensor]:
     return delta, b_t, c_t
 
 
-def scan_core(a_bar: Tensor, b_bar: Tensor, c_t: Tensor, x: Tensor) -> Tensor:
-    """Differentiable wrapper around the fused recurrence kernels."""
-    y, hs = scan_kernels.scan_forward(a_bar.data, b_bar.data, c_t.data, x.data)
+def scan_core(
+    delta: Tensor, a: Tensor, b_t: Tensor, c_t: Tensor, x: Tensor, mode: str
+) -> Tensor:
+    """Fused discretize-and-scan as one differentiable op.
+
+    delta [B, S, dim], a [dim, state], b_t and c_t [B, S, state],
+    x [B, S, dim]; returns y [B, S, dim] without the skip term. The backward
+    recomputes states from checkpoints and returns gradients for all five
+    inputs; nothing is kept for it when no gradient will be taken.
+    """
+    _check_mode(mode)
+    parents = (delta, a, b_t, c_t, x)
+    y, checkpoints = scan_kernels.scan_forward(
+        *(p.data for p in parents), mode, needs_grad(parents)
+    )
     _raise_on_nonfinite(y, "scan output")
-    _raise_on_nonfinite(hs, "scan state")
 
     def vjp(g):
-        ga, gb, gc, gx = scan_kernels.scan_backward(
-            a_bar.data, b_bar.data, c_t.data, x.data, hs, g
-        )
-        accumulate(a_bar, ga)
-        accumulate(b_bar, gb)
-        accumulate(c_t, gc)
-        accumulate(x, gx)
+        grads = scan_kernels.scan_backward(*(p.data for p in parents), mode, checkpoints, g)
+        for p, gp in zip(parents, grads):
+            accumulate(p, gp)
 
-    return from_op(y, (a_bar, b_bar, c_t, x), vjp)
+    return from_op(y, parents, vjp)
 
 
 def _raise_on_nonfinite(arr: np.ndarray, what: str) -> None:
@@ -210,8 +215,7 @@ def selective_scan(x: Tensor, params: SSMParams) -> Tensor:
         )
     delta, b_t, c_t = _projections(x, params)
     a = neg(exp(params.a_log))
-    a_bar, b_bar = discretize(delta, a, b_t, params.mode)
-    y = scan_core(a_bar, b_bar, c_t, x)
+    y = scan_core(delta, a, b_t, c_t, x, params.mode)
     return y + mul(x, params.d_skip)
 
 

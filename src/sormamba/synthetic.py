@@ -101,10 +101,5 @@ def lagged_series(
     return x * scale + offset
 
 
-def random_walk(n_channels: int, length: int, seed: int = 0) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    return np.cumsum(rng.normal(size=(length, n_channels)), axis=0)
-
-
 def independent_noise(n_channels: int, length: int, seed: int = 0) -> np.ndarray:
     return np.random.default_rng(seed).normal(size=(length, n_channels))

@@ -1,5 +1,7 @@
-"""Discretization oracles and fused-scan/naive-scan agreement."""
+"""Discretization oracles, the fused discretize-and-scan op, and its
+agreement with the naive per-step scan."""
 
+import itertools
 import math
 
 import numpy as np
@@ -9,6 +11,7 @@ from sormamba import autodiff as ad
 from sormamba import scan_kernels
 from sormamba.autodiff import Tensor
 from sormamba.ssm import (
+    DISCRETIZATIONS,
     SSMParams,
     discretize,
     init_ssm_params,
@@ -80,47 +83,58 @@ class TestDiscretize:
         assert np.all(a_bar.data > 0.0) and np.all(a_bar.data < 1.0)
 
 
+def _scan_inputs(rng, batch, steps, dim, state):
+    """Positive step sizes, a strictly negative A, and free B_t, C_t, x."""
+    return (
+        Tensor(rng.uniform(0.05, 0.8, size=(batch, steps, dim))),
+        Tensor(-rng.uniform(0.3, 2.0, size=(dim, state))),
+        Tensor(rng.normal(size=(batch, steps, state))),
+        Tensor(rng.normal(size=(batch, steps, state))),
+        Tensor(rng.normal(size=(batch, steps, dim))),
+    )
+
+
 class TestScanCore:
     def test_two_step_hand_computed(self):
-        # a_bar = 0.5, b_bar = 1, c = 1, x = [1, 2] -> y = [1, 2.5]
-        a_bar = Tensor(np.full((1, 2, 1, 1), 0.5))
-        b_bar = Tensor(np.ones((1, 2, 1, 1)))
-        c = Tensor(np.ones((1, 2, 1)))
+        # delta = 1, A = -ln 2 -> A_bar = 0.5; B_bar = delta * B_t = 1
+        delta = Tensor(np.ones((1, 2, 1)))
+        a = Tensor(np.full((1, 1), -math.log(2.0)))
+        b_t = Tensor(np.ones((1, 2, 1)))
+        c_t = Tensor(np.ones((1, 2, 1)))
         x = Tensor(np.array([[[1.0], [2.0]]]))
-        y = scan_core(a_bar, b_bar, c, x)
+        y = scan_core(delta, a, b_t, c_t, x, "euler-b")
         np.testing.assert_allclose(y.data.reshape(-1), [1.0, 2.5], atol=1e-15)
 
-    def test_backends_agree(self):
-        rng = np.random.default_rng(4)
-        shapes = dict(a=(3, 7, 5, 4), c=(3, 7, 4), x=(3, 7, 5))
-        a_bar = rng.uniform(0.1, 0.95, size=shapes["a"])
-        b_bar = rng.normal(size=shapes["a"])
-        c = rng.normal(size=shapes["c"])
-        x = rng.normal(size=shapes["x"])
-        y_np, hs_np = scan_kernels.scan_forward_numpy(a_bar, b_bar, c, x)
-        y_nb, hs_nb = scan_kernels.scan_forward_numba(a_bar, b_bar, c, x)
-        np.testing.assert_allclose(y_np, y_nb, atol=1e-13)
-        np.testing.assert_allclose(hs_np, hs_nb, atol=1e-13)
-        gy = rng.normal(size=shapes["x"])
-        out_np = scan_kernels.scan_backward_numpy(a_bar, b_bar, c, x, hs_np, gy)
-        out_nb = scan_kernels.scan_backward_numba(a_bar, b_bar, c, x, hs_nb, gy)
-        for g_np, g_nb in zip(out_np, out_nb):
-            np.testing.assert_allclose(g_np, g_nb, atol=1e-13)
-
     def test_gradient_against_finite_differences(self):
-        rng = np.random.default_rng(5)
-        a_bar = Tensor(rng.uniform(0.2, 0.9, size=(2, 4, 3, 2)))
-        b_bar = Tensor(rng.normal(size=(2, 4, 3, 2)))
-        c = Tensor(rng.normal(size=(2, 4, 2)))
-        x = Tensor(rng.normal(size=(2, 4, 3)))
-        for target, rebuild in [
-            (x, lambda t: scan_core(a_bar, b_bar, c, t)),
-            (c, lambda t: scan_core(a_bar, b_bar, t, x)),
-            (a_bar, lambda t: scan_core(t, b_bar, c, x)),
-            (b_bar, lambda t: scan_core(a_bar, t, c, x)),
-        ]:
-            err = ad.check_gradients(lambda t: ad.tsum(rebuild(t)), target)
-            assert err < 1e-6
+        # wrt each of delta, A, B_t, C_t and x; 7 and 10 steps leave a short
+        # last segment (checkpoint intervals 3 and 4)
+        for mode, steps in itertools.product(DISCRETIZATIONS, (1, 2, 7, 10)):
+            inputs = _scan_inputs(np.random.default_rng(5 + steps), 2, steps, 3, 2)
+            weights = Tensor(np.random.default_rng(6).normal(size=(2, steps, 3)))
+            for i, target in enumerate(inputs):
+
+                def f(t, i=i):
+                    args = list(inputs)
+                    args[i] = t
+                    return ad.tsum(ad.mul(scan_core(*args, mode), weights))
+
+                err = ad.check_gradients(f, target)
+                assert err < 1e-6, (mode, steps, i, err)
+
+    @pytest.mark.parametrize("steps", [1, 7, 137])
+    def test_checkpoints_only_when_a_gradient_is_taken(self, steps):
+        inputs = [t.data for t in _scan_inputs(np.random.default_rng(7), 2, steps, 3, 2)]
+        y_kept, kept = scan_kernels.scan_forward(*inputs, "euler-b", True)
+        y_none, none = scan_kernels.scan_forward(*inputs, "euler-b", False)
+        np.testing.assert_array_equal(y_kept, y_none)
+        interval = math.ceil(math.sqrt(steps))
+        assert kept.shape == (math.ceil(steps / interval), 2, 2, 3)
+        assert none.size == 0
+
+    def test_unknown_mode_rejected(self):
+        inputs = _scan_inputs(np.random.default_rng(8), 1, 2, 1, 1)
+        with pytest.raises(ValueError, match="discretization"):
+            scan_core(*inputs, "zoh")
 
 
 class TestSelectiveScan:
@@ -181,6 +195,14 @@ class TestSelectiveScan:
         x[0, 3, 0] = np.nan
         with pytest.raises(FloatingPointError, match="step 3"):
             naive_scan(x, params)
+
+    @pytest.mark.parametrize("mode", ["euler-b", "zoh-exact"])
+    def test_nan_input_reports_step_index_on_fused_path(self, mode):
+        params = make_params(seed=21, mode=mode)
+        x = np.zeros((1, 6, 6))
+        x[0, 3, 0] = np.nan
+        with pytest.raises(FloatingPointError, match="step 3"):
+            selective_scan(Tensor(x), params)
 
 
 def _param_gradient_error(params: SSMParams, target: Tensor, x: Tensor) -> float:
