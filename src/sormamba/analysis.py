@@ -9,6 +9,7 @@ loses observations.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -206,22 +207,17 @@ def correlation_preservation(
     }
 
 
-# reference component sizes for the 862-channel benchmark configuration
-# (lookback 96, horizon 96, width 512, two layers, state 32, hidden 1024)
-LARGE_CONFIG_REFERENCE = {
-    "uni": {
-        "in_projector": 49_664,
-        "encoder_cd": 3_477_504,
-        "encoder_td": 2_104_320,
-        "out_projector": 49_248,
-    },
-    "bi": {
-        "in_projector": 49_664,
-        "encoder_cd": 6_955_008,
-        "encoder_td": 2_104_320,
-        "out_projector": 49_248,
-    },
-}
+@functools.cache
+def large_config_reference(direction: str) -> dict[str, int]:
+    """Component sizes of the 862-channel benchmark configuration (lookback
+    96, horizon 96, width 512, two layers, state 32, hidden 1024), counted
+    on that model once per direction, on first use."""
+    cfg = ModelConfig(
+        lookback=96, horizon=96, n_channels=862, d_model=512, n_layers=2,
+        d_state=32, direction=direction,
+    )
+    counts = count_parameters(SORMambaModel(cfg, seed=0))
+    return {k: counts[k] for k in ("in_projector", "encoder_cd", "encoder_td", "out_projector")}
 
 
 def efficiency_report(model: SORMambaModel) -> dict:
@@ -232,7 +228,7 @@ def efficiency_report(model: SORMambaModel) -> dict:
         "components": counts,
         "direction": model.config.direction,
         "conv": model.config.conv,
-        "reference_large_config": LARGE_CONFIG_REFERENCE[model.config.direction],
+        "reference_large_config": large_config_reference(model.config.direction),
     }
 
 

@@ -188,8 +188,10 @@ def accumulate(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        # fresh, as add's vjp hands one g to both parents; 0 + g maps -0 to +0
+        t.grad = np.add(0.0, g, out=np.empty_like(t.data))
+    else:
+        t.grad += g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -311,23 +313,33 @@ def absolute(a: Tensor) -> Tensor:
     return from_op(np.abs(a.data), (a,), vjp)
 
 
+def _exp_neg_abs(x: np.ndarray) -> np.ndarray:
+    e = np.abs(x, out=np.empty_like(x))  # an array even when x is 0-d
+    np.negative(e, out=e)
+    return np.exp(e, out=e)
+
+
 def _softplus_val(x: np.ndarray) -> np.ndarray:
     # max(x, 0) + log1p(exp(-|x|)) never overflows
-    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+    out = _exp_neg_abs(x)
+    np.log1p(out, out=out)
+    out += np.maximum(x, 0.0)
+    return out
 
 
 def _sigmoid_val(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    # 1 / (1 + e^-x) at x >= 0, e^x / (1 + e^x) below; e = exp(-|x|) never overflows
+    e = _exp_neg_abs(x)
+    out = np.where(x >= 0, 1.0, e)
+    e += 1.0
+    out /= e
     return out
 
 
 def softplus(a: Tensor) -> Tensor:
     """softplus(x) = log(1 + e^x), evaluated overflow-safely."""
-    sig = _sigmoid_val(a.data)
+    # the gradient's sigmoid is built only when the backward will run
+    sig = _sigmoid_val(a.data) if needs_grad((a,)) else None
 
     def vjp(g):
         accumulate(a, g * sig)
@@ -369,15 +381,24 @@ def gelu(a: Tensor) -> Tensor:
     return from_op(a.data * phi_cdf, (a,), vjp)
 
 
-def exprel(x: np.ndarray) -> np.ndarray:
-    """(e^x - 1) / x elementwise, with the series limit at small |x|."""
+def _series_near_zero(x: np.ndarray, out: np.ndarray, tol: float, series) -> None:
+    """Write ``series(x)`` into ``out`` where |x| < tol. The mask is built
+    only when x's range reaches into (-tol, tol); fmin/fmax skip NaN."""
+    if x.size and np.fmin.reduce(x, axis=None) < tol and np.fmax.reduce(x, axis=None) > -tol:
+        small = np.abs(x) < tol
+        out[small] = series(x[small])
+
+
+def exprel(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """(e^x - 1) / x elementwise, with the series limit at small |x|.
+
+    With ``out`` (shaped like ``x``) the result is written there and
+    ``out`` is returned, so a caller can reuse one buffer across calls.
+    """
     with np.errstate(invalid="ignore"):  # 0/0 at x = 0, replaced below
-        out = np.expm1(x)
+        out = np.expm1(x, out=out)
         out /= x
-    small = np.abs(x) < 1e-8
-    if small.any():
-        xs = x[small]
-        out[small] = 1.0 + 0.5 * xs + xs * xs / 6.0
+    _series_near_zero(x, out, 1e-8, lambda xs: 1.0 + 0.5 * xs + xs * xs / 6.0)
     return out
 
 
@@ -389,10 +410,7 @@ def exprel_grad(x: np.ndarray) -> np.ndarray:
         d *= x - 1.0
         d += 1.0
         d /= x * x
-    small = np.abs(x) < 1e-4
-    if small.any():
-        xs = x[small]
-        d[small] = 0.5 + xs / 3.0 + xs * xs / 8.0
+    _series_near_zero(x, d, 1e-4, lambda xs: 0.5 + xs / 3.0 + xs * xs / 8.0)
     return d
 
 

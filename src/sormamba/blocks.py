@@ -238,30 +238,6 @@ class DirectionalEncoderCD:
         return items
 
 
-def count_parameters(obj) -> dict[str, int]:
-    """Per-component scalar counts for a block or encoder, plus the total."""
-    if isinstance(obj, DirectionalEncoderCD):
-        items = obj.param_items()
-    elif isinstance(obj, CDMambaBlock):
-        items = obj.param_items()
-    else:
-        raise TypeError(f"count_parameters: unsupported object {type(obj).__name__}")
-    out: dict[str, int] = {}
-    for name, t in items:
-        root = name.split(".")[0] if not name.startswith("block") else name.split(".")[1]
-        if root in ("in_proj",):
-            key = "in_proj"
-        elif root.startswith("conv"):
-            key = "conv"
-        elif root == "ssm":
-            key = "ssm"
-        else:
-            key = "out_proj"
-        out[key] = out.get(key, 0) + t.size
-    out["total"] = sum(v for k, v in out.items() if k != "total")
-    return out
-
-
 def conv_removal_saving(d_inner: int, conv_kernel: int = 4) -> int:
     """Scalars saved per block by deleting the conv: weights + bias."""
     return d_inner * (conv_kernel + 1)

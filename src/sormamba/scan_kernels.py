@@ -23,8 +23,10 @@ of O(S), for one extra pass over the factors.
 Shapes: delta and x [B, S, D], a [D, N], b_t and c_t [B, S, N]. Inside, the
 step axis leads and dim is last ([L, B, N, D] per segment), so one step's
 slab is contiguous and the broadcasts run along the long axis. Segment
-arrays are allocated once per call and reused: on these sizes a fresh
-array costs more in page faults than the arithmetic written into it.
+arrays (delta A, exp(delta A), the input term, the zero-order-hold factor
+that ``exprel`` writes in place, and the states) are allocated once per
+call and reused for every segment: on these sizes a fresh array costs more
+in page faults than the arithmetic written into it.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ class _Segments:
         shape = (size, batch, a.shape[1], dim)
         self.da, self.a_bar, self.bx = np.empty(shape), np.empty(shape), np.empty(shape)
         self.hs = np.empty((size + 1,) + shape[1:])
-        self.factor = None
+        self.factor = np.empty(shape) if self.zoh else None
 
     def run(self, seg, h0):
         """Factors and states [h0, h_1, ..., h_n] of the steps in ``seg``,
@@ -62,8 +64,7 @@ class _Segments:
         # the input term B_bar * x, without the zero-order-hold factor
         np.multiply(self.dx[seg, :, None, :], self.b_t[seg, :, :, None], out=bx)
         if self.zoh:
-            self.factor = exprel(da)
-            bx *= self.factor
+            bx *= exprel(da, out=self.factor[:n])
         hs[0] = h0
         for k in range(n):
             np.multiply(a_bar[k], hs[k], out=hs[k + 1])
@@ -120,7 +121,7 @@ def scan_backward(delta, a, b_t, c_t, x, mode, checkpoints, gy):
         if segs.zoh:
             dxb = segs.dx[seg, :, None, :] * segs.b_t[seg, :, :, None]
             work += gh * exprel_grad(segs.da[:n]) * dxb
-            gh *= segs.factor
+            gh *= segs.factor[:n]
         # gh is now d loss / d (delta x B) elementwise
         s = np.matmul(segs.b_t[seg, :, None, :], gh)[:, :, 0, :]
         g_x[seg] = segs.delta[seg] * s

@@ -127,6 +127,7 @@ def _fit(
     n_train: int,
 ) -> FitResult:
     opt = Adam(params, lr=cfg.lr)
+    names = {id(t): n for n, t in model.param_items()}
     rng_shuffle = np.random.default_rng(cfg.seed)
     rng_views = np.random.default_rng(cfg.seed + 7919)
     best = float("inf")
@@ -148,6 +149,12 @@ def _fit(
                     f"non-finite training loss at epoch {epoch}, batch {n_batches}"
                 )
             backward(loss)
+            for p in params:
+                if p.grad is not None and not np.isfinite(p.grad).all():
+                    raise FloatingPointError(
+                        f"non-finite gradient for {names[id(p)]} at epoch {epoch}, "
+                        f"batch {n_batches}"
+                    )
             opt.step()
             total += value
             n_batches += 1

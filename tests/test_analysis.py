@@ -121,6 +121,11 @@ class TestEfficiency:
         rep = an.efficiency_report(model)
         assert rep["reference_large_config"]["encoder_cd"] == 6_955_008
 
+    def test_large_config_reference_is_counted_on_the_862_channel_model(self):
+        trunk = {"in_projector": 49_664, "encoder_td": 2_104_320, "out_projector": 49_248}
+        assert an.large_config_reference("uni") == {**trunk, "encoder_cd": 3_477_504}
+        assert an.large_config_reference("bi") == {**trunk, "encoder_cd": 6_955_008}
+
 
 class TestMissingnessPieces:
     def test_count_inversions(self):

@@ -65,6 +65,80 @@ class TestElementwise:
             ad.backward(ad.mul(x, x))
 
 
+def _masked_sigmoid(x):
+    """The boolean-mask form ``_sigmoid_val`` replaced, kept as its oracle."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def _same_bits(got, want):
+    """Equal bit for bit, except that any NaN matches any NaN."""
+    nan = np.isnan(want)
+    return np.array_equal(np.isnan(got), nan) and np.array_equal(
+        got[~nan].view(np.int64), want[~nan].view(np.int64)
+    )
+
+
+class TestHotPathBitIdentity:
+    def test_sigmoid_matches_masked_form(self):
+        edge = np.array([
+            0.0, -0.0, 1e-300, -1e-300, 709.0, -709.0, 745.0, -745.0,
+            800.0, -800.0, np.inf, -np.inf, np.nan,
+        ])
+        for x in (edge, _rng(20).normal(size=(8, 21, 16)) * 50):
+            got = ad._sigmoid_val(x)
+            want = _masked_sigmoid(x)
+            assert np.array_equal(got, want, equal_nan=True)
+            assert _same_bits(got, want)
+
+    def test_exprel_out_buffer_and_series_branch(self):
+        cases = [
+            np.array([0.0, 1e-9, -1e-9, 2.0, -3.0]),
+            np.array([-1e-9, -0.5, -2.0]),  # the series is reached at the max
+            np.array([1e-9, 0.5, 2.0]),  # and here at the min
+            np.array([np.nan, 0.0, -4.0]),  # a NaN must not hide the 0
+            -_rng(21).uniform(0.01, 3.0, size=(3, 4, 5)),  # nothing small
+        ]
+        for x in cases:
+            buf = np.empty_like(x)
+            got = ad.exprel(x, out=buf)
+            assert got is buf
+            assert _same_bits(got, ad.exprel(x))
+            small = np.abs(x) < 1e-8
+            xs = x[small]
+            np.testing.assert_array_equal(got[small], 1.0 + 0.5 * xs + xs * xs / 6.0)
+            assert np.all(np.isfinite(got[~np.isnan(x)]))
+
+    def test_softplus_value_same_with_and_without_recording(self):
+        x = _rng(22).normal(size=(4, 6)) * 30
+        leaf = Tensor(x, requires_grad=True)
+        recorded = ad.softplus(leaf)
+        with ad.no_grad():
+            plain = ad.softplus(leaf)
+        assert recorded.requires_grad and not plain.requires_grad
+        assert _same_bits(plain.data, recorded.data)
+        ad.backward(ad.tsum(recorded))
+        assert _same_bits(leaf.grad, _masked_sigmoid(x))
+
+    def test_first_gradient_does_not_alias_upstream(self):
+        # add's vjp hands one array to both parents
+        p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+        out = ad.add(p, p)
+        ad.backward(ad.tsum(out))
+        assert not np.shares_memory(p.grad, out.grad)
+        np.testing.assert_array_equal(out.grad, [1.0, 1.0])
+        np.testing.assert_array_equal(p.grad, [2.0, 2.0])
+
+    def test_first_gradient_of_negative_zero_is_positive_zero(self):
+        t = Tensor(np.ones(2), requires_grad=True)
+        ad.accumulate(t, np.array([-0.0, 3.0]))
+        assert not np.signbit(t.grad[0])
+
+
 class TestFiniteDifference:
     @pytest.mark.parametrize(
         "fn",

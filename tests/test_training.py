@@ -8,7 +8,7 @@ from sormamba import losses as ls
 from sormamba import model as md
 from sormamba import synthetic as syn
 from sormamba import training as tr
-from sormamba.autodiff import Tensor, backward, tsum, mul, sub
+from sormamba.autodiff import Tensor, backward, tsum, mul, sqrt, sub
 
 
 def tiny_bundle(seed=0, t=400, c=3, lookback=16, horizon=4, seasonal=False):
@@ -118,6 +118,24 @@ class TestSupervised:
         penalized = tiny_model(seed=1, reg_weight=0.5)
         tr.train_supervised(penalized, bundle.train, bundle.val, FAST)
         assert md.parameter_fingerprint(plain) != md.parameter_fingerprint(penalized)
+
+    def test_nonfinite_gradient_names_parameter_before_the_step(self):
+        # sqrt at 0: the loss is a finite 0, its gradient infinite
+        model = tiny_model()
+        named = dict(model.param_items())
+        bias = named["head.b"]
+        bias.data = np.zeros_like(bias.data)
+        before = md.parameter_fingerprint(model)
+        cfg = tr.TrainConfig(max_epochs=1, batch_size=8, seed=0)
+        with np.errstate(divide="ignore"):
+            with pytest.raises(
+                FloatingPointError, match=r"head\.b at epoch 0, batch 0"
+            ):
+                tr._fit(
+                    model, list(named.values()), cfg,
+                    lambda idx, rng: tsum(sqrt(bias)), lambda: 0.0, n_train=16,
+                )
+        assert md.parameter_fingerprint(model) == before
 
 
 class TestFreezeRules:
