@@ -10,7 +10,8 @@ loses observations.
 from __future__ import annotations
 
 import functools
-from dataclasses import asdict, dataclass
+from collections.abc import Sequence
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -21,7 +22,6 @@ from .data import (
     WindowedDataset,
     build_splits,
     inject_missingness,
-    permute_channels,
     series_from_windows,
 )
 from .losses import mse_np, pearson_matrix, pearson_matrix_np, reg_distance
@@ -76,20 +76,18 @@ def _permuted_view(
     return pds, pnorm
 
 
-def evaluate_channel_orders(
+def _order_mses(
     model: SORMambaModel,
     ds: WindowedDataset,
-    normalizer: Normalizer | None = None,
-    denormalize: bool = True,
-    modes: tuple[str, ...] = ("identity", "reverse"),
-    seed: int = 0,
-) -> dict[str, dict]:
-    """Test metrics under each channel ordering of the same windows."""
-    out = {}
-    for mode in modes:
-        _, perm = permute_channels(ds.x[:1], mode, seed=seed)
-        pds, pnorm = _permuted_view(ds, perm, normalizer)
-        out[mode] = evaluate(model, pds, pnorm, denormalize=denormalize)
+    normalizer: Normalizer | None,
+    denormalize: bool,
+    perms: Sequence[np.ndarray],
+) -> list[float]:
+    """Test MSE of the same windows under each channel ordering."""
+    out = []
+    for perm in perms:
+        pds, pnorm = _permuted_view(ds, np.asarray(perm), normalizer)
+        out.append(evaluate(model, pds, pnorm, denormalize=denormalize)["mse"])
     return out
 
 
@@ -99,10 +97,9 @@ def reversal_bias(
     normalizer: Normalizer | None = None,
     denormalize: bool = True,
 ) -> BiasReport:
-    both = evaluate_channel_orders(
-        model, ds, normalizer, denormalize, modes=("identity", "reverse")
-    )
-    return bias_metric(both["identity"]["mse"], both["reverse"]["mse"])
+    fwd = np.arange(ds.x.shape[-1])
+    mse_fwd, mse_rev = _order_mses(model, ds, normalizer, denormalize, (fwd, fwd[::-1]))
+    return bias_metric(mse_fwd, mse_rev)
 
 
 def permutation_robustness(
@@ -119,11 +116,7 @@ def permutation_robustness(
     if perms is None:
         rng = np.random.default_rng(seed)
         perms = [rng.permutation(c) for _ in range(n_perms)]
-    values = []
-    for perm in perms:
-        pds, pnorm = _permuted_view(ds, np.asarray(perm), normalizer)
-        values.append(evaluate(model, pds, pnorm, denormalize=denormalize)["mse"])
-    values = np.asarray(values)
+    values = np.asarray(_order_mses(model, ds, normalizer, denormalize, perms))
     return {
         "mse_values": values.tolist(),
         "mean": float(values.mean()),
@@ -261,13 +254,7 @@ def missingness_sweep(
                 series, family, model_config.lookback, model_config.horizon
             )
             model = SORMambaModel(model_config, seed=seed)
-            cfg = TrainConfig(
-                max_epochs=train_config.max_epochs,
-                batch_size=train_config.batch_size,
-                lr=train_config.lr,
-                patience=train_config.patience,
-                seed=seed,
-            )
+            cfg = replace(train_config, seed=seed)
             train_supervised(model, bundle.train, bundle.val, cfg)
             metrics = evaluate(model, bundle.test, bundle.normalizer)
             rows.append(

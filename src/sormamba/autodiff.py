@@ -51,7 +51,6 @@ __all__ = [
     "tmean",
     "reshape",
     "swapaxes",
-    "reverse_axis",
     "shift_axis",
     "take_axis",
     "layer_norm",
@@ -395,8 +394,10 @@ def exprel(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     With ``out`` (shaped like ``x``) the result is written there and
     ``out`` is returned, so a caller can reuse one buffer across calls.
     """
+    if out is None:  # a 0-d input would otherwise come back as a scalar
+        out = np.empty_like(x)
     with np.errstate(invalid="ignore"):  # 0/0 at x = 0, replaced below
-        out = np.expm1(x, out=out)
+        np.expm1(x, out=out)
         out /= x
     _series_near_zero(x, out, 1e-8, lambda xs: 1.0 + 0.5 * xs + xs * xs / 6.0)
     return out
@@ -406,7 +407,7 @@ def exprel_grad(x: np.ndarray) -> np.ndarray:
     """d/dx (e^x - 1) / x elementwise, with the series limit at small |x|."""
     # 0/0 and c/0 only where |x| is small, replaced below
     with np.errstate(invalid="ignore", divide="ignore"):
-        d = np.exp(x)
+        d = np.exp(x, out=np.empty_like(x))
         d *= x - 1.0
         d += 1.0
         d /= x * x
@@ -498,15 +499,6 @@ def swapaxes(a: Tensor, ax1: int, ax2: int) -> Tensor:
     return from_op(np.ascontiguousarray(np.swapaxes(a.data, ax1, ax2)), (a,), vjp)
 
 
-def reverse_axis(a: Tensor, axis: int) -> Tensor:
-    """Flip one axis; its own inverse, so the gradient is the same flip."""
-
-    def vjp(g):
-        accumulate(a, np.flip(g, axis=axis))
-
-    return from_op(np.ascontiguousarray(np.flip(a.data, axis=axis)), (a,), vjp)
-
-
 def shift_axis(a: Tensor, offset: int, axis: int) -> Tensor:
     """Shift values toward higher indices by ``offset``, zero-filling.
 
@@ -538,16 +530,20 @@ def shift_axis(a: Tensor, offset: int, axis: int) -> Tensor:
 
 
 def take_axis(a: Tensor, indices: np.ndarray, axis: int) -> Tensor:
-    """Permute (or gather) along one axis by an index vector.
+    """Gather along one axis by indices naming distinct positions: a
+    permutation reorders the axis, a subset selects from it.
 
-    With a permutation the gradient is the inverse permutation scatter.
+    Since no position is taken twice, the gradient is a plain scatter.
     """
     idx = np.asarray(indices, dtype=np.intp)
     n = a.data.shape[axis]
+    if len(np.unique(idx % n)) != len(idx):
+        raise ValueError(f"take_axis: indices repeat a position of axis {axis}: {idx}")
+    sel = _axis_index(idx, axis, a.data.ndim)
 
     def vjp(g):
         gg = np.zeros_like(a.data)
-        np.add.at(gg, _axis_index(idx, axis, a.data.ndim), g)
+        gg[sel] = g
         accumulate(a, gg)
 
     return from_op(np.take(a.data, idx, axis=axis), (a,), vjp)

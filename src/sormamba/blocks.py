@@ -22,7 +22,6 @@ from .autodiff import (
     Tensor,
     matmul,
     mul,
-    reverse_axis,
     shift_axis,
     silu,
     take_axis,
@@ -40,8 +39,6 @@ def _uniform_weight(n_in: int, n_out: int, rng: np.random.Generator) -> Tensor:
 
 class CDMambaBlock:
     """Convolution-free gated scan block over a token axis."""
-
-    has_conv = False
 
     def __init__(
         self,
@@ -84,8 +81,6 @@ class CDMambaBlock:
 
 class MambaBlock(CDMambaBlock):
     """The same gated scan block with a depthwise causal conv before the scan."""
-
-    has_conv = True
 
     def __init__(
         self,
@@ -182,6 +177,7 @@ class DirectionalEncoderCD:
             )
 
         self.blocks = [make()] if direction == "uni" else [make(), make()]
+        self._reverse = np.arange(n_tokens)[::-1]
         # frozen fallback permutations so the random modes stay deterministic
         # at evaluation time
         self._fixed_perm = np.random.default_rng(0x5EED).permutation(n_tokens)
@@ -191,10 +187,10 @@ class DirectionalEncoderCD:
         )
 
     def _views(self, rng: np.random.Generator | None):
-        """The two token orderings for this pass: None means identity,
-        'reverse' the flip, otherwise an index permutation."""
+        """The two token orderings for this pass as index permutations;
+        None means the identity."""
         if self.order_mode == "fixed-reverse":
-            return None, "reverse"
+            return None, self._reverse
         if self.order_mode == "fixed-random":
             return None, self._fixed_perm
         if self.order_mode == "random-pair":
@@ -209,8 +205,6 @@ class DirectionalEncoderCD:
     def _apply_view(block: CDMambaBlock, z: Tensor, view) -> Tensor:
         if view is None:
             return block(z)
-        if isinstance(view, str):  # "reverse"
-            return reverse_axis(block(reverse_axis(z, 1)), 1)
         inverse = np.argsort(view)
         return take_axis(block(take_axis(z, view, axis=1)), inverse, axis=1)
 

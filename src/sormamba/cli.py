@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import functools
 import hashlib
 import json
 import os
@@ -161,13 +162,17 @@ class RunContext:
         self.series, self.family = build_series(cfg)
         self.model_config = build_model_config(cfg, self.series.n_channels)
         self.train_config = build_train_config(cfg)
-        self.bundle = dt.build_splits(
+        self.denormalize = bool(cfg.get("eval", {}).get("denormalize", True))
+
+    @functools.cached_property
+    def bundle(self) -> dt.SplitBundle:
+        """The windowed splits, built on first use: some commands need none."""
+        return dt.build_splits(
             self.series,
             self.family,
             self.model_config.lookback,
             self.model_config.horizon,
         )
-        self.denormalize = bool(cfg.get("eval", {}).get("denormalize", True))
 
     def ensure_out_dir(self) -> str:
         os.makedirs(self.out_dir, exist_ok=True)
@@ -375,7 +380,6 @@ def cmd_analyze(ctx: RunContext, args) -> int:
     kind = args.kind
     ctx.ensure_out_dir()
     ctx.write_resolved_config()
-    norm = ctx.bundle.normalizer if ctx.denormalize else None
 
     if kind == "efficiency":
         model = SORMambaModel(ctx.model_config, seed=ctx.train_config.seed)
@@ -414,6 +418,7 @@ def cmd_analyze(ctx: RunContext, args) -> int:
         return 0
 
     model = _load_required_checkpoint(args.checkpoint, f"analyze {kind}")
+    norm = ctx.bundle.normalizer if ctx.denormalize else None
 
     if kind == "bias":
         rep = an.reversal_bias(model, ctx.bundle.test, norm, denormalize=ctx.denormalize)

@@ -27,7 +27,6 @@ import numpy as np
 from .losses import pearson_matrix_np
 
 SPLIT_FAMILIES = ("ett-h", "ett-m", "ett-pems-solar", "other")
-PERMUTE_MODES = ("identity", "reverse", "fixed-random", "fresh-random")
 
 _ETT_HOUR_BORDERS = (8640, 11520, 14400)
 
@@ -262,34 +261,6 @@ def build_splits(
 
 
 # ---- experimental transforms ----------------------------------------------
-
-
-def permute_channels(x: np.ndarray, mode: str, seed: int | None = None):
-    """Reorder the channel (last) axis. Returns (x reordered, permutation).
-
-    ``identity`` and ``reverse`` are parameter-free; ``fixed-random``
-    derives one permutation from the required seed; ``fresh-random`` draws
-    a new one each call (from the seed only if given).
-    """
-    x = np.asarray(x)
-    c = x.shape[-1]
-    if mode == "identity":
-        perm = np.arange(c)
-    elif mode == "reverse":
-        perm = np.arange(c)[::-1].copy()
-    elif mode == "fixed-random":
-        if seed is None:
-            raise ValueError("fixed-random permutation requires a seed")
-        perm = np.random.default_rng(seed).permutation(c)
-    elif mode == "fresh-random":
-        perm = np.random.default_rng(seed).permutation(c)
-    else:
-        raise ValueError(f"mode must be one of {PERMUTE_MODES}, got {mode!r}")
-    return x[..., perm], perm
-
-
-def inverse_permutation(perm: np.ndarray) -> np.ndarray:
-    return np.argsort(perm)
 
 
 def inject_missingness(

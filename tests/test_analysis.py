@@ -56,10 +56,8 @@ class TestOrderEvaluation:
     def test_identity_mode_matches_plain_evaluate(self):
         bundle, model = bundle_and_model()
         plain = tr.evaluate(model, bundle.test, bundle.normalizer)
-        ordered = an.evaluate_channel_orders(
-            model, bundle.test, bundle.normalizer, modes=("identity",)
-        )
-        assert ordered["identity"]["mse"] == plain["mse"]
+        rep = an.reversal_bias(model, bundle.test, bundle.normalizer)
+        assert rep.mse_fwd == plain["mse"]
 
     def test_robustness_on_identity_perms_has_zero_std(self):
         bundle, model = bundle_and_model()
@@ -148,3 +146,17 @@ class TestMissingnessPieces:
         assert len(out["averaged"]) == 2
         assert out["averaged"][0]["rate"] == 0.0
         assert all(np.isfinite(r["mse"]) for r in out["rows"])
+
+    def test_sweep_passes_every_train_setting(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(an, "train_supervised", lambda m, tr_ds, va_ds, cfg: seen.append(cfg))
+        mcfg = md.ModelConfig(
+            lookback=16, horizon=4, n_channels=3, d_model=8, n_layers=1,
+            d_state=4, dt_rank=2,
+        )
+        tcfg = tr.TrainConfig(max_epochs=1, restore_best=False, mask_ratio=0.3, seed=9)
+        an.missingness_sweep(
+            syn.seasonal_series(3, 300, seed=2), mcfg, tcfg, rates=(0.0,), seeds=(4, 5),
+        )
+        assert [c.seed for c in seen] == [4, 5]
+        assert all(not c.restore_best and c.mask_ratio == 0.3 for c in seen)

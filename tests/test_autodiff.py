@@ -155,6 +155,13 @@ class TestFiniteDifference:
         err = ad.check_gradients(lambda t: ad.tsum(ad.expm1_over_x(t)), x)
         assert err < 1e-6
 
+    def test_expm1_over_x_on_0d_input(self):
+        x = Tensor(0.0, requires_grad=True)
+        out = ad.expm1_over_x(x)
+        assert out.data.shape == () and out.data == 1.0
+        ad.backward(out)
+        assert x.grad == 0.5
+
     def test_expm1_over_x_value_near_zero_hits_series_limit(self):
         out = ad.expm1_over_x(Tensor(np.array([0.0, 1e-12, -1e-12])))
         np.testing.assert_allclose(out.data, 1.0, atol=1e-11)
@@ -191,19 +198,46 @@ class TestFiniteDifference:
 
     def test_nonfinite_probe_raises(self):
         x = Tensor(np.array([0.0]))
-        with pytest.raises(FloatingPointError):
+        with pytest.raises(FloatingPointError), np.errstate(divide="ignore"):
             ad.check_gradients(lambda t: ad.log(t), x)
 
 
 class TestShapeOps:
-    def test_reverse_axis_involution_and_grad(self):
+    def test_take_axis_reversed_indices_involution_and_grad(self):
         x = Tensor(_rng(8).normal(size=(2, 5, 3)), requires_grad=True)
-        twice = ad.reverse_axis(ad.reverse_axis(x, 1), 1)
+        rev = np.arange(5)[::-1]
+        twice = ad.take_axis(ad.take_axis(x, rev, 1), rev, 1)
         np.testing.assert_array_equal(twice.data, x.data)
         weights = Tensor(_rng(9).normal(size=(2, 5, 3)))
-        loss = ad.tsum(ad.mul(ad.reverse_axis(x, 1), weights))
+        loss = ad.tsum(ad.mul(ad.take_axis(x, rev, 1), weights))
         ad.backward(loss)
         np.testing.assert_allclose(x.grad, np.flip(weights.data, axis=1), atol=1e-15)
+
+    def test_take_axis_gradient_matches_add_at(self):
+        # the scatter gradient against the accumulate-at form it replaced
+        rng = _rng(23)
+        shape = (3, 4, 5)
+        cases = [(rng.permutation(shape[axis]), axis) for axis in range(3)]
+        cases += [(np.array([2]), 0), (np.array([-1, 0]), 2)]
+        for idx, axis in cases:
+            x = Tensor(rng.normal(size=shape), requires_grad=True)
+            out = ad.take_axis(x, idx, axis)
+            g = rng.normal(size=out.shape)
+            g.flat[::3] = -0.0  # backward never hands a vjp -0; call it directly
+            sel = [slice(None)] * 3
+            sel[axis] = idx
+            want = np.zeros(shape)
+            np.add.at(want, tuple(sel), g)
+            out._vjp(g)
+            assert _same_bits(x.grad, 0.0 + want)
+            out._vjp(g)
+            assert _same_bits(x.grad, 0.0 + want + want)
+
+    def test_take_axis_rejects_repeated_positions(self):
+        x = Tensor(np.arange(12.0).reshape(3, 4))
+        for idx in ([0, 0], [1, 2, 1], [-1, 3]):
+            with pytest.raises(ValueError, match="repeat"):
+                ad.take_axis(x, np.array(idx), axis=1)
 
     def test_shift_axis_forward(self):
         x = Tensor(np.array([[1.0, 2.0, 3.0]]))
@@ -295,10 +329,11 @@ class TestProperties:
         )
     )
     @settings(max_examples=40, deadline=None)
-    def test_reverse_axis_is_involution(self, x):
+    def test_take_axis_reversed_indices_is_involution(self, x):
         t = Tensor(x)
+        rev = np.arange(x.shape[0])[::-1]
         np.testing.assert_array_equal(
-            ad.reverse_axis(ad.reverse_axis(t, 0), 0).data, x
+            ad.take_axis(ad.take_axis(t, rev, 0), rev, 0).data, x
         )
 
     @given(st.integers(0, 2**31 - 1))

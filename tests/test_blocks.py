@@ -125,7 +125,8 @@ class TestDirectionalEncoder:
         z = Tensor(_rng(1).normal(size=(2, 5, 6)))
         z1, z2 = enc.forward_pair(z)
         np.testing.assert_array_equal(z1.data, enc.blocks[0](z).data)
-        manual = ad.reverse_axis(enc.blocks[0](ad.reverse_axis(z, 1)), 1)
+        rev = np.arange(5)[::-1]
+        manual = ad.take_axis(enc.blocks[0](ad.take_axis(z, rev, 1)), rev, 1)
         np.testing.assert_array_equal(z2.data, manual.data)
 
     def test_apply_view_realigns_permutation(self):

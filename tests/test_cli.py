@@ -301,6 +301,16 @@ def test_analyze_efficiency_needs_no_checkpoint(tmp_path):
     assert {"encoder_cd", "encoder_td", "total"} <= components
 
 
+def test_analyze_efficiency_builds_no_windows(tmp_path, capsys):
+    # 50 steps leave a split too short for lookback 32 + horizon 8
+    config = write_config(tmp_path / "exp.yaml", lambda c: c["dataset"].update(length=50))
+    out_root = str(tmp_path / "o")
+    assert cli.main(["prepare-data", "--config", config, "--out-root", out_root]) == 2
+    assert "short" in capsys.readouterr().err
+    assert cli.main(["analyze", "efficiency", "--config", config, "--out-root", out_root]) == 0
+    assert (tmp_path / "o" / "run" / "efficiency.csv").exists()
+
+
 def test_analyze_requires_checkpoint_for_bias(tmp_path):
     config = write_config(tmp_path / "exp.yaml")
     rc = cli.main(

@@ -153,33 +153,6 @@ class TestNormalizer:
         np.testing.assert_array_equal(again.std, norm.std)
 
 
-class TestPermuteChannels:
-    def test_reverse_twice_is_identity(self):
-        x = np.random.default_rng(2).normal(size=(5, 4))
-        once, perm = dt.permute_channels(x, "reverse")
-        twice, _ = dt.permute_channels(once, "reverse")
-        np.testing.assert_array_equal(twice, x)
-
-    def test_fixed_random_is_deterministic(self):
-        x = np.random.default_rng(3).normal(size=(5, 6))
-        _, p1 = dt.permute_channels(x, "fixed-random", seed=7)
-        _, p2 = dt.permute_channels(x, "fixed-random", seed=7)
-        np.testing.assert_array_equal(p1, p2)
-        with pytest.raises(ValueError, match="seed"):
-            dt.permute_channels(x, "fixed-random")
-
-    def test_inverse_restores_alignment(self):
-        x = np.random.default_rng(4).normal(size=(3, 5, 8))
-        xp, perm = dt.permute_channels(x, "fixed-random", seed=9)
-        back = xp[..., dt.inverse_permutation(perm)]
-        np.testing.assert_array_equal(back, x)
-
-    def test_rows_keep_their_multiset(self):
-        x = np.random.default_rng(5).normal(size=(4, 6))
-        xp, _ = dt.permute_channels(x, "fresh-random", seed=11)
-        np.testing.assert_array_equal(np.sort(xp, axis=1), np.sort(x, axis=1))
-
-
 class TestMissingness:
     def test_rate_zero_is_identity(self):
         vals = np.random.default_rng(6).normal(size=(20, 3))
