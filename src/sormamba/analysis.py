@@ -114,6 +114,8 @@ def permutation_robustness(
     """Spread of test error across random channel orderings."""
     c = ds.x.shape[-1]
     if perms is None:
+        if n_perms < 1:
+            raise ValueError(f"n_perms must be at least 1, got {n_perms}")
         rng = np.random.default_rng(seed)
         perms = [rng.permutation(c) for _ in range(n_perms)]
     values = np.asarray(_order_mses(model, ds, normalizer, denormalize, perms))

@@ -22,11 +22,21 @@ of O(S), for one extra pass over the factors.
 
 Shapes: delta and x [B, S, D], a [D, N], b_t and c_t [B, S, N]. Inside, the
 step axis leads and dim is last ([L, B, N, D] per segment), so one step's
-slab is contiguous and the broadcasts run along the long axis. Segment
-arrays (delta A, exp(delta A), the input term, the zero-order-hold factor
-that ``exprel`` writes in place, and the states) are allocated once per
-call and reused for every segment: on these sizes a fresh array costs more
-in page faults than the arithmetic written into it.
+slab is contiguous and the broadcasts run along the long axis.
+
+Batch rows never interact, so each call walks the batch in equal tiles of
+rows, all segments of one tile before the next. The tile size follows from
+the array shapes alone: the fewest tiles that keep one segment buffer
+within ``_TILE_ELEMS`` elements (2 MiB), split as evenly as whole rows
+allow. Every 4-D array of a call (delta A, exp(delta A), the input term,
+the zero-order-hold factor that ``exprel`` writes in place, the states,
+and the backward's gradients wrt the states and their products) lives in
+one workspace sized for one tile and reused by every tile and segment: on
+these sizes a fresh array costs more in page faults than the arithmetic
+written into it, and a small workspace stays allocated and cached. Outputs
+are written straight into the [B, ...] results. Tiling leaves every value
+bit for bit as a single tile computes it, except the gradient wrt A, which
+sums over the batch and so depends on the tile count by reduction order.
 """
 
 from __future__ import annotations
@@ -37,39 +47,59 @@ import numpy as np
 
 from .autodiff import exprel, exprel_grad
 
+# Elements of one segment buffer of a batch tile: 2 MiB of float64, the
+# size of a per-core L2 cache, so a tile's buffers are reused while cached.
+_TILE_ELEMS = 1 << 18
 
-class _Segments:
-    """Step-major views of the inputs plus the buffers of one segment."""
 
-    def __init__(self, delta, a, b_t, x, mode):
+def _tile_rows(batch, row_elems):
+    """Rows per batch tile when one row of a segment buffer holds
+    ``row_elems`` elements: the fewest equal tiles within ``_TILE_ELEMS``,
+    at least one row each."""
+    count = max(1, -(-batch // max(1, _TILE_ELEMS // max(1, row_elems))))
+    return -(-batch // count)
+
+
+class _Scan:
+    """Step-major views of the inputs, the segments and batch tiles, and the
+    workspace of one call: buffers [segment, tile rows, N, D]."""
+
+    def __init__(self, delta, a, b_t, x, mode, backward=False):
         self.zoh = mode == "zoh-exact"
         self.delta, self.b_t, self.x = (np.swapaxes(v, 0, 1) for v in (delta, b_t, x))
         self.dx = self.delta * self.x
         self.a_t = a.T
-        steps, batch, dim = self.x.shape
+        steps, batch, _ = self.x.shape
+        self.state = self.a_t.shape
         size = math.isqrt(max(steps - 1, 0)) + 1  # ceil(sqrt(steps))
         self.segments = [slice(s0, min(s0 + size, steps)) for s0 in range(0, steps, size)]
-        shape = (size, batch, a.shape[1], dim)
+        rows = _tile_rows(batch, size * a.size)
+        self.tiles = [slice(b0, min(b0 + rows, batch)) for b0 in range(0, batch, max(rows, 1))]
+        shape = (size, rows) + self.state
         self.da, self.a_bar, self.bx = np.empty(shape), np.empty(shape), np.empty(shape)
         self.hs = np.empty((size + 1,) + shape[1:])
         self.factor = np.empty(shape) if self.zoh else None
+        # the input term before the zero-order-hold factor: the forward
+        # scales it in place, the backward reads it again
+        self.dxb = np.empty(shape) if self.zoh and backward else self.bx
+        self.gh, self.work = (np.empty(shape), np.empty(shape)) if backward else (None, None)
 
-    def run(self, seg, h0):
-        """Factors and states [h0, h_1, ..., h_n] of the steps in ``seg``,
-        starting from state ``h0`` [B, N, D]; returns n."""
-        n = seg.stop - seg.start
-        da, a_bar, bx, hs = self.da[:n], self.a_bar[:n], self.bx[:n], self.hs[: n + 1]
-        np.multiply(self.delta[seg, :, None, :], self.a_t, out=da)
+    def run(self, seg, tile, h0):
+        """Factors and states [h0, h_1, ..., h_n] of the steps in ``seg`` for
+        the rows in ``tile``, starting from state ``h0`` [rows, N, D]; the
+        buffers hold them in [:n + 1, :rows]. Returns (n, rows)."""
+        n, r = seg.stop - seg.start, tile.stop - tile.start
+        da, a_bar, bx, hs = self.da[:n, :r], self.a_bar[:n, :r], self.bx[:n, :r], self.hs[:, :r]
+        np.multiply(self.delta[seg, tile, None, :], self.a_t, out=da)
         np.exp(da, out=a_bar)
-        # the input term B_bar * x, without the zero-order-hold factor
-        np.multiply(self.dx[seg, :, None, :], self.b_t[seg, :, :, None], out=bx)
+        np.multiply(self.dx[seg, tile, None, :], self.b_t[seg, tile, :, None], out=self.dxb[:n, :r])
         if self.zoh:
-            bx *= exprel(da, out=self.factor[:n])
+            np.multiply(self.dxb[:n, :r], exprel(da, out=self.factor[:n, :r]), out=bx)
         hs[0] = h0
         for k in range(n):
             np.multiply(a_bar[k], hs[k], out=hs[k + 1])
             hs[k + 1] += bx[k]
-        return n
+        return n, r
 
 
 def scan_forward(delta, a, b_t, c_t, x, mode, keep_checkpoints):
@@ -78,57 +108,61 @@ def scan_forward(delta, a, b_t, c_t, x, mode, keep_checkpoints):
     The checkpoints, [segments, B, N, D], are the states entering each
     segment; with ``keep_checkpoints`` false none are kept (shape [0, ...]).
     """
-    segs = _Segments(delta, a, b_t, x, mode)
+    scan = _Scan(delta, a, b_t, x, mode)
     c_t = np.swapaxes(c_t, 0, 1)
-    state = segs.hs.shape[1:]
-    checkpoints = np.empty(((len(segs.segments) if keep_checkpoints else 0),) + state)
-    y = np.empty(segs.x.shape)
-    h = np.zeros(state)
-    for j, seg in enumerate(segs.segments):
-        if keep_checkpoints:
-            checkpoints[j] = h
-        n = segs.run(seg, h)
-        y[seg] = np.matmul(c_t[seg, :, None, :], segs.hs[1 : n + 1])[:, :, 0, :]
-        h = segs.hs[n]
-    return np.ascontiguousarray(np.swapaxes(y, 0, 1)), checkpoints
+    count = len(scan.segments) if keep_checkpoints else 0
+    checkpoints = np.empty((count, x.shape[0]) + scan.state)
+    y = np.empty(x.shape)
+    y_steps = np.swapaxes(y, 0, 1)
+    for tile in scan.tiles:
+        h = np.zeros((tile.stop - tile.start,) + scan.state)
+        for j, seg in enumerate(scan.segments):
+            if keep_checkpoints:
+                checkpoints[j, tile] = h
+            n, r = scan.run(seg, tile, h)
+            y_steps[seg, tile] = np.matmul(c_t[seg, tile, None, :], scan.hs[1 : n + 1, :r])[:, :, 0, :]
+            h = scan.hs[n, :r]
+    return y, checkpoints
 
 
 def scan_backward(delta, a, b_t, c_t, x, mode, checkpoints, gy):
     """Vector-Jacobian product wrt (delta, a, b_t, c_t, x), recomputing the
     states segment by segment from the forward's checkpoints."""
-    segs = _Segments(delta, a, b_t, x, mode)
+    scan = _Scan(delta, a, b_t, x, mode, backward=True)
     c_t, gy = np.swapaxes(c_t, 0, 1), np.swapaxes(gy, 0, 1)
-    g_delta, g_x = np.empty(segs.x.shape), np.empty(segs.x.shape)
-    g_b, g_c = np.empty(segs.b_t.shape), np.empty(c_t.shape)
-    g_a_t = np.zeros(segs.a_t.shape)
-    gh_buf, work_buf = np.empty(segs.bx.shape), np.empty(segs.bx.shape)
-    # d loss / d h entering the segment after this one, through its steps
-    carry = np.zeros(checkpoints.shape[1:])
-    for seg, h0 in zip(reversed(segs.segments), checkpoints[::-1], strict=True):
-        n = segs.run(seg, h0)
-        a_bar, hs, gh, work = segs.a_bar[:n], segs.hs[: n + 1], gh_buf[:n], work_buf[:n]
-        # d loss / d h_k: its own readout plus what flows back from step k+1
-        np.multiply(gy[seg, :, None, :], c_t[seg, :, :, None], out=gh)
-        gh[-1] += carry
-        for k in range(n - 2, -1, -1):
-            np.multiply(a_bar[k + 1], gh[k + 1], out=work[k])
-            gh[k] += work[k]
-        np.multiply(a_bar[0], gh[0], out=carry)
-        g_c[seg] = np.matmul(hs[1:], gy[seg, :, :, None])[..., 0]
-        # d loss / d (delta A)
-        np.multiply(gh, hs[:-1], out=work)
-        work *= a_bar
-        if segs.zoh:
-            dxb = segs.dx[seg, :, None, :] * segs.b_t[seg, :, :, None]
-            work += gh * exprel_grad(segs.da[:n]) * dxb
-            gh *= segs.factor[:n]
-        # gh is now d loss / d (delta x B) elementwise
-        s = np.matmul(segs.b_t[seg, :, None, :], gh)[:, :, 0, :]
-        g_x[seg] = segs.delta[seg] * s
-        g_delta[seg] = segs.x[seg] * s + np.einsum("lbnd,nd->lbd", work, segs.a_t)
-        g_b[seg] = np.matmul(gh, segs.dx[seg, :, :, None])[..., 0]
-        g_a_t += np.einsum("lbnd,lbd->nd", work, segs.delta[seg])
-    g_delta, g_b, g_c, g_x = (
-        np.ascontiguousarray(np.swapaxes(g, 0, 1)) for g in (g_delta, g_b, g_c, g_x)
-    )
+    grads = g_delta, g_b, g_c, g_x = [np.empty(v.shape) for v in (delta, b_t, b_t, x)]
+    g_delta_s, g_b_s, g_c_s, g_x_s = (np.swapaxes(g, 0, 1) for g in grads)
+    g_a_t = np.zeros(scan.state)
+    for tile in scan.tiles:
+        # d loss / d h entering the segment after this one, through its steps
+        carry = np.zeros((tile.stop - tile.start,) + scan.state)
+        for seg, h0 in zip(reversed(scan.segments), checkpoints[::-1, tile], strict=True):
+            n, r = scan.run(seg, tile, h0)
+            a_bar, hs = scan.a_bar[:n, :r], scan.hs[: n + 1, :r]
+            gh, work = scan.gh[:n, :r], scan.work[:n, :r]
+            # d loss / d h_k: its own readout plus what flows back from step k+1
+            np.multiply(gy[seg, tile, None, :], c_t[seg, tile, :, None], out=gh)
+            gh[-1] += carry
+            for k in range(n - 2, -1, -1):
+                np.multiply(a_bar[k + 1], gh[k + 1], out=work[k])
+                gh[k] += work[k]
+            np.multiply(a_bar[0], gh[0], out=carry)
+            g_c_s[seg, tile] = np.matmul(hs[1:], gy[seg, tile, :, None])[..., 0]
+            # d loss / d (delta A)
+            np.multiply(gh, hs[:-1], out=work)
+            work *= a_bar
+            if scan.zoh:
+                # bx and a_bar are not read again for this segment; they take
+                # the factor's derivative and its intermediate
+                grad = exprel_grad(scan.da[:n, :r], out=scan.bx[:n, :r], scratch=a_bar)
+                grad *= gh
+                grad *= scan.dxb[:n, :r]
+                work += grad
+                gh *= scan.factor[:n, :r]
+            # gh is now d loss / d (delta x B) elementwise
+            s = np.matmul(scan.b_t[seg, tile, None, :], gh)[:, :, 0, :]
+            g_x_s[seg, tile] = scan.delta[seg, tile] * s
+            g_delta_s[seg, tile] = scan.x[seg, tile] * s + np.einsum("lbnd,nd->lbd", work, scan.a_t)
+            g_b_s[seg, tile] = np.matmul(gh, scan.dx[seg, tile, :, None])[..., 0]
+            g_a_t += np.einsum("lbnd,lbd->nd", work, scan.delta[seg, tile])
     return g_delta, np.ascontiguousarray(g_a_t.T), g_b, g_c, g_x

@@ -76,6 +76,12 @@ class TestOrderEvaluation:
         assert rep["std"] > 0.0
         assert len(rep["permutations"]) == 4
 
+    @pytest.mark.parametrize("n_perms", [0, -2])
+    def test_robustness_rejects_fewer_than_one_permutation(self, n_perms):
+        bundle, model = bundle_and_model()
+        with pytest.raises(ValueError, match=f"got {n_perms}"):
+            an.permutation_robustness(model, bundle.test, bundle.normalizer, n_perms=n_perms)
+
 
 class TestConsistencyGap:
     def test_zero_for_single_channel(self):

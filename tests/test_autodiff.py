@@ -113,6 +113,17 @@ class TestHotPathBitIdentity:
             np.testing.assert_array_equal(got[small], 1.0 + 0.5 * xs + xs * xs / 6.0)
             assert np.all(np.isfinite(got[~np.isnan(x)]))
 
+    def test_exprel_grad_buffers_keep_the_closed_form(self):
+        x = np.concatenate([[0.0, 1e-5, -1e-5, 2.0, -3.0], -_rng(23).uniform(0.01, 3.0, 20)])
+        buf, scratch = np.empty_like(x), np.empty_like(x)
+        got = ad.exprel_grad(x, out=buf, scratch=scratch)
+        assert got is buf
+        assert _same_bits(got, ad.exprel_grad(x))
+        small = np.abs(x) < 1e-4
+        xs, xl = x[small], x[~small]
+        np.testing.assert_array_equal(got[small], 0.5 + xs / 3.0 + xs * xs / 8.0)
+        assert _same_bits(got[~small], (np.exp(xl) * (xl - 1.0) + 1.0) / (xl * xl))
+
     def test_softplus_value_same_with_and_without_recording(self):
         x = _rng(22).normal(size=(4, 6)) * 30
         leaf = Tensor(x, requires_grad=True)

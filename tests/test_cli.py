@@ -290,6 +290,15 @@ def test_analyze_bias_two_view_gap_is_zero(trained, tmp_path):
     assert float(rows[0]["rel_gap"]) == 0.0
 
 
+def test_analyze_robustness_rejects_zero_permutations(trained, tmp_path, capsys):
+    out_root = tmp_path / "o"
+    argv = ["analyze", "robustness", "--config", trained["config"], "--out-root", str(out_root)]
+    rc = cli.main(argv + ["--checkpoint", trained["checkpoint"], "--n-perms", "0"])
+    assert rc == 2
+    assert "n_perms" in capsys.readouterr().err
+    assert not (out_root / "run" / "robustness.csv").exists()
+
+
 def test_analyze_efficiency_needs_no_checkpoint(tmp_path):
     config = write_config(tmp_path / "exp.yaml")
     rc = cli.main(

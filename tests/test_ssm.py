@@ -3,6 +3,7 @@ agreement with the naive per-step scan."""
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -135,6 +136,93 @@ class TestScanCore:
         inputs = _scan_inputs(np.random.default_rng(8), 1, 2, 1, 1)
         with pytest.raises(ValueError, match="discretization"):
             scan_core(*inputs, "zoh")
+
+
+def _scan_results(inputs, mode):
+    """Forward (with checkpoints) and backward of the kernels, as arrays."""
+    y, checkpoints = scan_kernels.scan_forward(*inputs, mode, True)
+    gy = np.random.default_rng(9).normal(size=y.shape)
+    return (y, checkpoints) + scan_kernels.scan_backward(*inputs, mode, checkpoints, gy)
+
+
+class TestScanTiles:
+    # 7 rows, 10 steps (segments of 4), dim 3, state 2: 24 elements per row
+    # of a segment buffer, so the cap sets the rows per tile
+    SHAPE = (7, 10, 3, 2)
+    TILINGS = {1: 1 << 40, 2: 24 * 4, 3: 24 * 3, 7: 1}  # tiles: cap
+
+    def test_tile_rows_follow_the_shapes(self):
+        # weather, etth1 and solar scans: (batch, segment * N * D) -> rows
+        assert scan_kernels._tile_rows(64, 5 * 16 * 128) == 22
+        assert scan_kernels._tile_rows(32, 3 * 16 * 256) == 16
+        assert scan_kernels._tile_rows(8, 12 * 16 * 128) == 8
+        for tiles, cap in self.TILINGS.items():
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(scan_kernels, "_TILE_ELEMS", cap)
+                rows = scan_kernels._tile_rows(7, 24)
+            assert math.ceil(7 / rows) == tiles  # 7 | 4+3 | 3+3+1 | 1 x 7
+
+    @pytest.mark.parametrize("mode", DISCRETIZATIONS)
+    def test_tiles_match_one_tile(self, mode, monkeypatch):
+        batch, steps, dim, state = self.SHAPE
+        inputs = [t.data for t in _scan_inputs(np.random.default_rng(10), batch, steps, dim, state)]
+        monkeypatch.setattr(scan_kernels, "_TILE_ELEMS", self.TILINGS[1])
+        want = _scan_results(inputs, mode)
+        for tiles in (2, 3, 7):
+            monkeypatch.setattr(scan_kernels, "_TILE_ELEMS", self.TILINGS[tiles])
+            got = _scan_results(inputs, mode)
+            # y, checkpoints and the gradients wrt delta, B_t, C_t and x
+            for i in (0, 1, 2, 4, 5, 6):
+                assert got[i].shape == want[i].shape
+                assert got[i].tobytes() == want[i].tobytes(), (tiles, i)
+            # the gradient wrt A sums over the batch, tile by tile
+            g_a, want_a = got[3], want[3]
+            assert np.max(np.abs(g_a - want_a)) <= 1e-14 * np.max(np.abs(want_a)), tiles
+
+    @pytest.mark.parametrize("mode", DISCRETIZATIONS)
+    def test_gradient_against_finite_differences_in_tiles(self, mode, monkeypatch):
+        # one-row tiles over a batch of 3, with a short last segment
+        monkeypatch.setattr(scan_kernels, "_TILE_ELEMS", 1)
+        inputs = _scan_inputs(np.random.default_rng(11), 3, 7, 3, 2)
+        weights = Tensor(np.random.default_rng(12).normal(size=(3, 7, 3)))
+        for i, target in enumerate(inputs):
+
+            def f(t, i=i):
+                args = list(inputs)
+                args[i] = t
+                return ad.tsum(ad.mul(scan_core(*args, mode), weights))
+
+            err = ad.check_gradients(f, target)
+            assert err < 1e-6, (mode, i, err)
+
+    @pytest.mark.parametrize("mode", DISCRETIZATIONS)
+    def test_tiled_scan_matches_naive_reference(self, mode, monkeypatch):
+        # 5 rows in tiles of 2, 2 and 1
+        params = make_params(mode=mode, seed=13)
+        x = Tensor(np.random.default_rng(14).normal(size=(5, 9, 6)))
+        monkeypatch.setattr(scan_kernels, "_TILE_ELEMS", 3 * 4 * 6 * 2)
+        fused = selective_scan(x, params).data
+        np.testing.assert_allclose(fused, naive_scan(x, params), atol=1e-12, rtol=0)
+
+    def test_workspace_memory_at_the_weather_shape(self):
+        # [B, S, D, N] = [64, 21, 128, 16], zoh-exact: one call's traced peak,
+        # inputs and checkpoints excluded
+        inputs = [t.data for t in _scan_inputs(np.random.default_rng(15), 64, 21, 128, 16)]
+        _, checkpoints = scan_kernels.scan_forward(*inputs, "zoh-exact", True)
+        gy = np.ones((64, 21, 128))
+        peaks = []
+        for call in (
+            lambda: scan_kernels.scan_forward(*inputs, "zoh-exact", False),
+            lambda: scan_kernels.scan_backward(*inputs, "zoh-exact", checkpoints, gy),
+        ):
+            tracemalloc.start()
+            try:
+                call()
+                peaks.append(tracemalloc.get_traced_memory()[1] / 2**20)
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= 16.0, peaks
+        assert peaks[1] <= 32.0, peaks
 
 
 class TestSelectiveScan:

@@ -1,0 +1,82 @@
+"""Print a checkout's benchmark results bit for bit, to compare two commits.
+
+    python3 tools/bitcheck.py <checkout> > a.txt
+
+Imports ``sormamba`` from ``<checkout>/src`` and the benchmark's workloads
+from ``<checkout>/perfbench/workloads.py`` (read, never changed), and runs
+each workload's ``setup`` and ``make_run`` at seed 3 with one BLAS thread:
+
+* train-solar, train-etth1: a sha256 of each parameter's gradient after one
+  ``step()``, then ``parameter_fingerprint`` after three steps;
+* analyze-weather: the ``reversal_bias`` MSEs and the
+  ``permutation_robustness(n_perms=2, seed=3)`` MSEs as ``float.hex()``.
+
+Two checkouts that compute the same numbers print the same lines; ``diff``
+the outputs to see which parameters or errors moved.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import sys
+from pathlib import Path
+
+SEED = 3
+TRAIN_STEPS = 3
+
+
+def _import_checkout(root: Path):
+    for part in ("perfbench", "src"):
+        sys.path.insert(0, str(root / part))
+    import sormamba
+    import workloads
+
+    for module, where in ((sormamba, root / "src"), (workloads, root / "perfbench")):
+        if not Path(module.__file__).resolve().is_relative_to(where.resolve()):
+            sys.exit(f"bitcheck: imported {module.__file__}, not from {where}")
+    return workloads
+
+
+def _digest(array) -> str:
+    import numpy as np
+
+    return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("checkout", type=Path, help="root of the checkout to run")
+    args = parser.parse_args(argv)
+    workloads = _import_checkout(args.checkout.resolve())
+    from sormamba import analysis
+    from sormamba import model as sm_model
+
+    for name in ("train-solar", "train-etth1"):
+        bundle, model = workloads.setup(workloads.WORKLOADS[name], SEED)
+        run = workloads.make_run(workloads.WORKLOADS[name], bundle, model, SEED)
+        run.step()
+        for param, t in model.param_items():
+            print(name, "grad", param, "none" if t.grad is None else _digest(t.grad))
+        for _ in range(TRAIN_STEPS - 1):
+            run.step()
+        print(name, "fingerprint", sm_model.parameter_fingerprint(model))
+
+    name = "analyze-weather"
+    bundle, model = workloads.setup(workloads.WORKLOADS[name], SEED)
+    run = workloads.make_run(workloads.WORKLOADS[name], bundle, model, SEED)
+    bias = analysis.reversal_bias(run.model, run.ds, run.normalizer)
+    print(name, "reversal_bias", bias.mse_fwd.hex(), bias.mse_rev.hex())
+    robust = analysis.permutation_robustness(
+        run.model, run.ds, run.normalizer, n_perms=2, seed=SEED
+    )
+    print(name, "permutation_robustness", *(v.hex() for v in robust["mse_values"]))
+    return 0
+
+
+if __name__ == "__main__":
+    # before numpy is first imported, which is when OpenBLAS reads them
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[_var] = "1"
+    sys.exit(main())
