@@ -118,6 +118,8 @@ def permutation_robustness(
             raise ValueError(f"n_perms must be at least 1, got {n_perms}")
         rng = np.random.default_rng(seed)
         perms = [rng.permutation(c) for _ in range(n_perms)]
+    elif len(perms) == 0:
+        raise ValueError("perms must hold at least 1 permutation, got 0")
     values = np.asarray(_order_mses(model, ds, normalizer, denormalize, perms))
     return {
         "mse_values": values.tolist(),

@@ -109,15 +109,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def item(self) -> float:
-        return float(self.data)
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
-    def backward(self) -> None:
-        backward(self)
-
     # operator sugar; scalars are wrapped as constant tensors
     def __add__(self, other):
         return add(self, _as_tensor(other))

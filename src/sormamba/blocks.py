@@ -2,19 +2,23 @@
 
 ``CDMambaBlock`` is the channel-dependency block: input projection into a
 scan branch and a gate branch, selective scan, SiLU gate, output projection.
-It deliberately has no convolution: channel tokens carry no temporal order,
+By default it has no convolution: channel tokens carry no temporal order,
 so the local smoothing a causal conv provides is both meaningless there and
-a source of order sensitivity. ``MambaBlock`` keeps the depthwise causal
-conv (kernel 4 by default) as the sequence-modeling baseline.
+a source of order sensitivity. A positive ``conv_kernel`` puts Mamba's
+depthwise causal conv back before the scan, as the sequence-modeling
+ablation.
 
-``DirectionalEncoderCD`` runs one block over two views of the token axis
-(or two independent blocks, for the bidirectional variant) and returns both
-view outputs so the caller can fuse them and penalize their disagreement.
+``DirectionalEncoderCD`` is built from a ``ModelConfig``. It runs one block
+over two views of the token axis (or two independent blocks, for the
+bidirectional variant) and returns both view outputs so the caller can fuse
+them and penalize their disagreement.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import fields
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -28,6 +32,9 @@ from .autodiff import (
 )
 from .ssm import init_ssm_params, selective_scan
 
+if TYPE_CHECKING:
+    from .model import ModelConfig
+
 ORDER_MODES = ("fixed-reverse", "fixed-random", "random-pair", "random-reverse")
 DIRECTIONS = ("uni", "bi")
 
@@ -38,7 +45,7 @@ def _uniform_weight(n_in: int, n_out: int, rng: np.random.Generator) -> Tensor:
 
 
 class CDMambaBlock:
-    """Convolution-free gated scan block over a token axis."""
+    """Gated scan block over a token axis, conv-free unless ``conv_kernel > 0``."""
 
     def __init__(
         self,
@@ -48,63 +55,25 @@ class CDMambaBlock:
         dt_rank: int,
         rng: np.random.Generator,
         mode: str = "euler-b",
+        conv_kernel: int = 0,
     ):
-        self.d_model = d_model
-        self.d_inner = d_inner
+        if conv_kernel < 0:
+            raise ValueError(f"conv_kernel must be >= 0, got {conv_kernel}")
         self.w_in_x = _uniform_weight(d_model, d_inner, rng)
         self.w_in_g = _uniform_weight(d_model, d_inner, rng)
         self.ssm = init_ssm_params(d_inner, d_state, dt_rank, rng, mode=mode)
         self.w_out = _uniform_weight(d_inner, d_model, rng)
-
-    def _pre_scan(self, u: Tensor) -> Tensor:
-        return u
-
-    def __call__(self, z: Tensor) -> Tensor:
-        """[batch, tokens, d_model] -> same shape."""
-        u = silu(self._pre_scan(matmul(z, self.w_in_x)))
-        gate = silu(matmul(z, self.w_in_g))
-        y = selective_scan(u, self.ssm)
-        return matmul(mul(y, gate), self.w_out)
-
-    def param_items(self) -> list[tuple[str, Tensor]]:
-        items = [
-            ("in_proj.x", self.w_in_x),
-            ("in_proj.gate", self.w_in_g),
-        ]
-        items += [(f"ssm.{n}", t) for n, t in zip(
-            ("a_log", "d_skip", "w_dt_down", "w_dt_up", "b_dt", "w_b", "w_c"),
-            self.ssm.tensors(),
-        )]
-        items.append(("out_proj", self.w_out))
-        return items
-
-
-class MambaBlock(CDMambaBlock):
-    """The same gated scan block with a depthwise causal conv before the scan."""
-
-    def __init__(
-        self,
-        d_model: int,
-        d_inner: int,
-        d_state: int,
-        dt_rank: int,
-        rng: np.random.Generator,
-        mode: str = "euler-b",
-        conv_kernel: int = 4,
-    ):
-        super().__init__(d_model, d_inner, d_state, dt_rank, rng, mode=mode)
-        if conv_kernel < 1:
-            raise ValueError(f"conv_kernel must be >= 1, got {conv_kernel}")
         self.conv_kernel = conv_kernel
-        # depthwise filters, fan-in = kernel width
-        bound = 1.0 / math.sqrt(conv_kernel)
-        self.w_conv = Tensor(
-            rng.uniform(-bound, bound, size=(conv_kernel, self.d_inner)),
-            requires_grad=True,
-        )
-        self.b_conv = Tensor(np.zeros(self.d_inner), requires_grad=True)
+        if conv_kernel:
+            # depthwise filters, fan-in = kernel width
+            bound = 1.0 / math.sqrt(conv_kernel)
+            self.w_conv = Tensor(
+                rng.uniform(-bound, bound, size=(conv_kernel, d_inner)),
+                requires_grad=True,
+            )
+            self.b_conv = Tensor(np.zeros(d_inner), requires_grad=True)
 
-    def _pre_scan(self, u: Tensor) -> Tensor:
+    def _conv(self, u: Tensor) -> Tensor:
         # causal: token k sees tokens k-kernel+1 .. k, zero-padded on the left
         k = self.conv_kernel
         acc = None
@@ -114,28 +83,30 @@ class MambaBlock(CDMambaBlock):
             acc = tap if acc is None else acc + tap
         return acc + self.b_conv
 
+    def __call__(self, z: Tensor) -> Tensor:
+        """[batch, tokens, d_model] -> same shape."""
+        u = matmul(z, self.w_in_x)
+        if self.conv_kernel:
+            u = self._conv(u)
+        u = silu(u)
+        gate = silu(matmul(z, self.w_in_g))
+        y = selective_scan(u, self.ssm)
+        return matmul(mul(y, gate), self.w_out)
+
     def param_items(self) -> list[tuple[str, Tensor]]:
-        items = super().param_items()
-        items.insert(2, ("conv.weight", self.w_conv))
-        items.insert(3, ("conv.bias", self.b_conv))
+        items = [
+            ("in_proj.x", self.w_in_x),
+            ("in_proj.gate", self.w_in_g),
+        ]
+        if self.conv_kernel:
+            items += [("conv.weight", self.w_conv), ("conv.bias", self.b_conv)]
+        items += [
+            (f"ssm.{f.name}", t)
+            for f in fields(self.ssm)
+            if isinstance(t := getattr(self.ssm, f.name), Tensor)
+        ]
+        items.append(("out_proj", self.w_out))
         return items
-
-
-def build_block(
-    d_model: int,
-    d_inner: int,
-    d_state: int,
-    dt_rank: int,
-    rng: np.random.Generator,
-    conv: bool,
-    conv_kernel: int = 4,
-    mode: str = "euler-b",
-) -> CDMambaBlock:
-    if conv:
-        return MambaBlock(
-            d_model, d_inner, d_state, dt_rank, rng, mode=mode, conv_kernel=conv_kernel
-        )
-    return CDMambaBlock(d_model, d_inner, d_state, dt_rank, rng, mode=mode)
 
 
 class DirectionalEncoderCD:
@@ -147,43 +118,28 @@ class DirectionalEncoderCD:
     the original token order.
     """
 
-    def __init__(
-        self,
-        d_model: int,
-        n_tokens: int,
-        direction: str,
-        rng: np.random.Generator,
-        d_inner: int | None = None,
-        d_state: int = 16,
-        dt_rank: int | None = None,
-        conv: bool = False,
-        conv_kernel: int = 4,
-        mode: str = "euler-b",
-        order_mode: str = "fixed-reverse",
-    ):
-        if direction not in DIRECTIONS:
-            raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
-        if order_mode not in ORDER_MODES:
-            raise ValueError(f"order_mode must be one of {ORDER_MODES}, got {order_mode!r}")
-        self.direction = direction
-        self.order_mode = order_mode
-        self.n_tokens = n_tokens
-        d_inner = 2 * d_model if d_inner is None else d_inner
-        dt_rank = max(1, math.ceil(d_model / 16)) if dt_rank is None else dt_rank
-
-        def make():
-            return build_block(
-                d_model, d_inner, d_state, dt_rank, rng, conv, conv_kernel, mode
+    def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
+        self.order_mode = cfg.order_mode
+        self.n_tokens = cfg.n_channels
+        self.blocks = [
+            CDMambaBlock(
+                cfg.d_model,
+                cfg.d_inner,
+                cfg.d_state,
+                cfg.resolved_dt_rank,
+                rng,
+                mode=cfg.discretization,
+                conv_kernel=cfg.conv_kernel if cfg.conv else 0,
             )
-
-        self.blocks = [make()] if direction == "uni" else [make(), make()]
-        self._reverse = np.arange(n_tokens)[::-1]
+            for _ in range(1 if cfg.direction == "uni" else 2)
+        ]
+        self._reverse = np.arange(self.n_tokens)[::-1]
         # frozen fallback permutations so the random modes stay deterministic
         # at evaluation time
-        self._fixed_perm = np.random.default_rng(0x5EED).permutation(n_tokens)
+        self._fixed_perm = np.random.default_rng(0x5EED).permutation(self.n_tokens)
         self._fixed_pair = (
-            np.random.default_rng(0x5EED + 1).permutation(n_tokens),
-            np.random.default_rng(0x5EED + 2).permutation(n_tokens),
+            np.random.default_rng(0x5EED + 1).permutation(self.n_tokens),
+            np.random.default_rng(0x5EED + 2).permutation(self.n_tokens),
         )
 
     def _views(self, rng: np.random.Generator | None):
@@ -221,17 +177,9 @@ class DirectionalEncoderCD:
         z2 = self._apply_view(second, z, v2)
         return z1, z2
 
-    def block_forward(self, z: Tensor) -> Tensor:
-        """The raw (direct-view) block pass; causal along the token axis."""
-        return self.blocks[0](z)
-
     def param_items(self) -> list[tuple[str, Tensor]]:
         items: list[tuple[str, Tensor]] = []
         for i, blk in enumerate(self.blocks):
             items += [(f"block{i}.{n}", t) for n, t in blk.param_items()]
         return items
 
-
-def conv_removal_saving(d_inner: int, conv_kernel: int = 4) -> int:
-    """Scalars saved per block by deleting the conv: weights + bias."""
-    return d_inner * (conv_kernel + 1)

@@ -222,9 +222,6 @@ class SplitBundle:
     val: WindowedDataset
     test: WindowedDataset
     normalizer: Normalizer
-    family: str
-    lookback: int
-    horizon: int
     channel_names: list[str] = field(default_factory=list)
 
     def __getitem__(self, split: str) -> WindowedDataset:
@@ -253,9 +250,6 @@ def build_splits(
         val=parts["val"],
         test=parts["test"],
         normalizer=normalizer,
-        family=family,
-        lookback=lookback,
-        horizon=horizon,
         channel_names=list(series.channel_names),
     )
 

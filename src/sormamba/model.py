@@ -118,19 +118,7 @@ def _bias(dim: int) -> Tensor:
 class _Layer:
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
         d, hidden = cfg.d_model, cfg.resolved_mlp_hidden
-        self.encoder = DirectionalEncoderCD(
-            d_model=d,
-            n_tokens=cfg.n_channels,
-            direction=cfg.direction,
-            rng=rng,
-            d_inner=cfg.d_inner,
-            d_state=cfg.d_state,
-            dt_rank=cfg.resolved_dt_rank,
-            conv=cfg.conv,
-            conv_kernel=cfg.conv_kernel,
-            mode=cfg.discretization,
-            order_mode=cfg.order_mode,
-        )
+        self.encoder = DirectionalEncoderCD(cfg, rng)
         self.g1, self.c1 = _ln_params(d)
         self.w_mlp1 = _uniform_weight(d, hidden, rng)
         self.b_mlp1 = _bias(hidden)
@@ -231,7 +219,7 @@ class SORMambaModel:
                 pairs.append((z1, z2))
                 z = (z1 + z2) + z
             else:
-                z = layer.encoder.block_forward(z) + z
+                z = layer.encoder.blocks[0](z) + z
             h = layer_norm(z, layer.g1, layer.c1)
             h = matmul(gelu(matmul(h, layer.w_mlp1) + layer.b_mlp1), layer.w_mlp2)
             h = h + layer.b_mlp2
@@ -244,17 +232,23 @@ class SORMambaModel:
         xn, _ = self.normalize_input(x)
         return self._encode_tokens(xn, rng)
 
-    def forecast(self, x: Tensor, rng: np.random.Generator | None = None):
-        """[B, L, C] -> (forecast [B, H, C] in input units, view pairs)."""
+    def _through_head(
+        self, x: Tensor, rng: np.random.Generator | None, w: Tensor, b: Tensor
+    ):
+        """Encode ``x`` [B, L, C], map each channel token through ``(w, b)``
+        and return ([B, out, C] in input units, view pairs)."""
         self._check_input(x)
         xn, stats = self.normalize_input(x)
         tokens, pairs = self._encode_tokens(xn, rng)
-        out = matmul(tokens, self.w_head) + self.b_head  # [B, C, H]
-        y = swapaxes(out, 1, 2)
+        out = swapaxes(matmul(tokens, w) + b, 1, 2)
         if stats is not None:
             mu, sd = stats
-            y = mul(y, Tensor(sd)) + Tensor(mu)
-        return y, pairs
+            out = mul(out, Tensor(sd)) + Tensor(mu)
+        return out, pairs
+
+    def forecast(self, x: Tensor, rng: np.random.Generator | None = None):
+        """[B, L, C] -> (forecast [B, H, C] in input units, view pairs)."""
+        return self._through_head(x, rng, self.w_head, self.b_head)
 
     def latent_for_ccm(self, x: Tensor, rng: np.random.Generator | None = None) -> Tensor:
         """Projected channel embeddings [B, C, D] for correlation matching."""
@@ -267,15 +261,7 @@ class SORMambaModel:
         When instance norm is on, the de-normalization uses stats of the
         given input (which may be a masked copy of the original series).
         """
-        self._check_input(x)
-        xn, stats = self.normalize_input(x)
-        tokens, _ = self._encode_tokens(xn, rng)
-        out = matmul(tokens, self.w_rec) + self.b_rec  # [B, C, L]
-        xhat = swapaxes(out, 1, 2)
-        if stats is not None:
-            mu, sd = stats
-            xhat = mul(xhat, Tensor(sd)) + Tensor(mu)
-        return xhat
+        return self._through_head(x, rng, self.w_rec, self.b_rec)[0]
 
 
 def count_parameters(model: SORMambaModel) -> dict[str, int]:

@@ -75,17 +75,6 @@ class SSMParams:
     def state(self) -> int:
         return self.a_log.shape[1]
 
-    def tensors(self) -> list[Tensor]:
-        return [
-            self.a_log,
-            self.d_skip,
-            self.w_dt_down,
-            self.w_dt_up,
-            self.b_dt,
-            self.w_b,
-            self.w_c,
-        ]
-
 
 def init_ssm_params(
     dim: int,

@@ -283,27 +283,22 @@ def pretrain(
         # overlapping windows
         corr_target = global_corr(series_from_windows(train.x))
 
-    def batch_loss(idx, rng_views):
-        x = Tensor(train.x[idx])
+    def pretext_loss(x: Tensor, rng_views, mask_rng) -> Tensor:
         if mode == "ccm":
-            z = model.latent_for_ccm(x, rng=rng_views)
-            return ccm_loss(z, corr_target)
+            return ccm_loss(model.latent_for_ccm(x, rng=rng_views), corr_target)
         if mode == "mm":
-            return masked_modeling_loss(model, x, cfg.mask_ratio, rng_mask)
+            return masked_modeling_loss(model, x, cfg.mask_ratio, mask_rng)
         return reconstruction_loss(model, x)
+
+    def batch_loss(idx, rng_views):
+        return pretext_loss(Tensor(train.x[idx]), rng_views, rng_mask)
 
     def val_loss() -> float:
         rng_val_mask = np.random.default_rng(cfg.seed + 224737)
         total, batches = 0.0, 0
         with no_grad():
             for idx in iterate_batches(len(val), cfg.batch_size, None):
-                x = Tensor(val.x[idx])
-                if mode == "ccm":
-                    loss = ccm_loss(model.latent_for_ccm(x), corr_target)
-                elif mode == "mm":
-                    loss = masked_modeling_loss(model, x, cfg.mask_ratio, rng_val_mask)
-                else:
-                    loss = reconstruction_loss(model, x)
+                loss = pretext_loss(Tensor(val.x[idx]), None, rng_val_mask)
                 total += float(loss.data)
                 batches += 1
         return total / max(1, batches)
@@ -357,18 +352,6 @@ def last_value_baseline(
 
 
 # ---- reporting ------------------------------------------------------------
-
-
-@dataclass
-class ExperimentReport:
-    """Per-seed metric rows plus their average."""
-
-    name: str
-    runs: list[dict]
-
-    def averaged(self) -> dict:
-        keys = sorted({k for run in self.runs for k in run if isinstance(run[k], (int, float))})
-        return {k: float(np.mean([run[k] for run in self.runs if k in run])) for k in keys}
 
 
 def write_jsonl(path: str, records: list[dict]) -> None:

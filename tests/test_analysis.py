@@ -76,11 +76,15 @@ class TestOrderEvaluation:
         assert rep["std"] > 0.0
         assert len(rep["permutations"]) == 4
 
-    @pytest.mark.parametrize("n_perms", [0, -2])
-    def test_robustness_rejects_fewer_than_one_permutation(self, n_perms):
+    @pytest.mark.parametrize(
+        "kwargs, got",
+        [(dict(n_perms=0), 0), (dict(n_perms=-2), -2), (dict(perms=[]), 0)],
+        ids=["0", "-2", "perms-empty"],
+    )
+    def test_robustness_rejects_fewer_than_one_permutation(self, kwargs, got):
         bundle, model = bundle_and_model()
-        with pytest.raises(ValueError, match=f"got {n_perms}"):
-            an.permutation_robustness(model, bundle.test, bundle.normalizer, n_perms=n_perms)
+        with pytest.raises(ValueError, match=f"got {got}"):
+            an.permutation_robustness(model, bundle.test, bundle.normalizer, **kwargs)
 
 
 class TestConsistencyGap:

@@ -6,6 +6,7 @@ import pytest
 from sormamba import autodiff as ad
 from sormamba import blocks as bl
 from sormamba.autodiff import Tensor, backward, mul, tsum
+from sormamba.model import ModelConfig, SORMambaModel
 
 
 def _rng(seed=0):
@@ -13,9 +14,16 @@ def _rng(seed=0):
 
 
 def make_block(conv, d_model=6, d_inner=12, d_state=4, dt_rank=2, seed=0, kernel=4):
-    return bl.build_block(
-        d_model, d_inner, d_state, dt_rank, _rng(seed), conv=conv, conv_kernel=kernel
+    return bl.CDMambaBlock(
+        d_model, d_inner, d_state, dt_rank, _rng(seed), conv_kernel=kernel if conv else 0
     )
+
+
+def make_config(**overrides):
+    # d_inner = expand * d_model = 12
+    kw = dict(lookback=8, horizon=3, n_channels=5, d_model=6, d_state=4, dt_rank=2)
+    kw.update(overrides)
+    return ModelConfig(**kw)
 
 
 class TestBlockForward:
@@ -42,7 +50,7 @@ class TestBlockForward:
     def test_conv_matches_reference(self):
         block = make_block(True, kernel=3, seed=5)
         u = _rng(6).normal(size=(2, 6, 12))
-        got = block._pre_scan(Tensor(u)).data
+        got = block._conv(Tensor(u)).data
         w = block.w_conv.data
         b = block.b_conv.data
         k = block.conv_kernel
@@ -65,6 +73,10 @@ class TestBlockForward:
                 assert np.any(t.grad != 0.0), f"zero gradient for {name}"
             assert z.grad is not None
 
+    def test_negative_conv_kernel_rejected(self):
+        with pytest.raises(ValueError, match="conv_kernel"):
+            bl.CDMambaBlock(6, 12, 4, 2, _rng(0), conv_kernel=-1)
+
 
 def _size(obj, prefix=""):
     """Scalars in the parameters of ``obj`` whose names start with ``prefix``."""
@@ -86,13 +98,12 @@ class TestParameterAccounting:
         for kernel in (2, 4, 7):
             with_conv = make_block(True, kernel=kernel)
             delta = _size(with_conv) - _size(make_block(False))
-            assert delta == bl.conv_removal_saving(12, kernel)
+            assert delta == 12 * (kernel + 1)
             assert _size(with_conv, "conv.") == 12 * (kernel + 1)
 
     def test_bi_is_exactly_double_uni(self):
-        kw = dict(d_model=6, n_tokens=5, d_inner=12, d_state=4, dt_rank=2)
-        uni = bl.DirectionalEncoderCD(direction="uni", rng=_rng(0), **kw)
-        bi = bl.DirectionalEncoderCD(direction="bi", rng=_rng(0), **kw)
+        uni = bl.DirectionalEncoderCD(make_config(direction="uni"), _rng(0))
+        bi = bl.DirectionalEncoderCD(make_config(direction="bi"), _rng(0))
         assert _size(bi) == 2 * _size(uni)
         assert len(uni.blocks) == 1
         assert len(bi.blocks) == 2
@@ -106,19 +117,67 @@ class TestParameterAccounting:
         assert 2 * per_block == 3_477_504          # two layers, uni
         assert 2 * 2 * per_block == 6_955_008      # two layers, bi
 
+    def test_encoder_sizes_come_from_the_config(self):
+        # d_inner = expand * d_model, dt_rank = ceil(d_model / 16) when unset
+        cfg = make_config(d_model=20, expand=3, dt_rank=None, conv=True, conv_kernel=2)
+        shapes = dict(bl.DirectionalEncoderCD(cfg, _rng(0)).param_items())
+        assert shapes["block0.in_proj.x"].shape == (20, 60)
+        assert shapes["block0.conv.weight"].shape == (2, 60)
+        assert shapes["block0.ssm.w_dt_down"].shape == (60, 2)
+        assert shapes["block0.out_proj"].shape == (60, 20)
+
+
+# The checkpoint contract: every parameter name and shape, in registry order.
+_BLOCK_ITEMS = [
+    ("in_proj.x", (6, 12)),
+    ("in_proj.gate", (6, 12)),
+    ("ssm.a_log", (12, 4)),
+    ("ssm.d_skip", (12,)),
+    ("ssm.w_dt_down", (12, 2)),
+    ("ssm.w_dt_up", (2, 12)),
+    ("ssm.b_dt", (12,)),
+    ("ssm.w_b", (12, 4)),
+    ("ssm.w_c", (12, 4)),
+    ("out_proj", (12, 6)),
+]
+_CONV_ITEMS = [("conv.weight", (3, 12)), ("conv.bias", (12,))]
+_LAYER_ITEMS = [
+    ("ln1.gain", (6,)),
+    ("ln1.bias", (6,)),
+    ("mlp.w1", (6, 12)),
+    ("mlp.b1", (12,)),
+    ("mlp.w2", (12, 6)),
+    ("mlp.b2", (6,)),
+    ("ln2.gain", (6,)),
+    ("ln2.bias", (6,)),
+]
+_HEAD_ITEMS = [
+    ("head.w", (6, 3)),
+    ("head.b", (3,)),
+    ("ccm.w", (6, 6)),
+    ("ccm.b", (6,)),
+    ("rec.w", (6, 8)),
+    ("rec.b", (8,)),
+]
+
+
+@pytest.mark.parametrize("direction", ["uni", "bi"])
+@pytest.mark.parametrize("conv", [False, True])
+def test_param_items_names_shapes_and_order(direction, conv):
+    cfg = make_config(direction=direction, conv=conv, conv_kernel=3)
+    block = _BLOCK_ITEMS[:2] + (_CONV_ITEMS if conv else []) + _BLOCK_ITEMS[2:]
+    want = [("embed.w", (8, 6)), ("embed.b", (6,))]
+    for i in range(1 if direction == "uni" else 2):
+        want += [(f"layer0.enc.block{i}.{n}", s) for n, s in block]
+    want += [(f"layer0.{n}", s) for n, s in _LAYER_ITEMS] + _HEAD_ITEMS
+    got = [(n, t.shape) for n, t in SORMambaModel(cfg, seed=0).param_items()]
+    assert got == want
+
 
 class TestDirectionalEncoder:
     def make(self, direction="uni", order_mode="fixed-reverse", seed=0, n_tokens=5):
-        return bl.DirectionalEncoderCD(
-            d_model=6,
-            n_tokens=n_tokens,
-            direction=direction,
-            rng=_rng(seed),
-            d_inner=12,
-            d_state=4,
-            dt_rank=2,
-            order_mode=order_mode,
-        )
+        cfg = make_config(n_channels=n_tokens, direction=direction, order_mode=order_mode)
+        return bl.DirectionalEncoderCD(cfg, _rng(seed))
 
     def test_fixed_reverse_views(self):
         enc = self.make()
@@ -172,6 +231,7 @@ class TestDirectionalEncoder:
         assert not np.array_equal(b0, b1)
 
     def test_shape_and_mode_validation(self):
+        # ModelConfig is the one place that checks direction and order_mode
         with pytest.raises(ValueError, match="direction"):
             self.make(direction="tri")
         with pytest.raises(ValueError, match="order_mode"):

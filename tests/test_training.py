@@ -219,14 +219,6 @@ class TestEvaluate:
 
 
 class TestReporting:
-    def test_averaged_is_columnwise_mean(self):
-        report = tr.ExperimentReport(
-            name="x",
-            runs=[{"mse": 1.0, "mae": 2.0, "seed": 0}, {"mse": 3.0, "mae": 4.0, "seed": 1}],
-        )
-        avg = report.averaged()
-        assert avg["mse"] == 2.0 and avg["mae"] == 3.0
-
     def test_jsonl_round_trip(self, tmp_path):
         path = str(tmp_path / "log.jsonl")
         records = [{"epoch": 0, "val": 1.5, "seconds": 0.01}, {"epoch": 1, "val": 1.2}]

@@ -9,7 +9,11 @@ each workload's ``setup`` and ``make_run`` at seed 3 with one BLAS thread:
 * train-solar, train-etth1: a sha256 of each parameter's gradient after one
   ``step()``, then ``parameter_fingerprint`` after three steps;
 * analyze-weather: the ``reversal_bias`` MSEs and the
-  ``permutation_robustness(n_perms=2, seed=3)`` MSEs as ``float.hex()``.
+  ``permutation_robustness(n_perms=2, seed=3)`` MSEs as ``float.hex()``;
+* 32 small model variants that no workload runs (uni/bi x conv on/off x the
+  four order modes x both discretizations, two layers, seed 7): after one
+  ``forecast``, ``total_loss`` and ``backward``, the loss as ``float.hex()``
+  and a sha256 over every parameter's name, value and gradient.
 
 Two checkouts that compute the same numbers print the same lines; ``diff``
 the outputs to see which parameters or errors moved.
@@ -25,6 +29,7 @@ from pathlib import Path
 
 SEED = 3
 TRAIN_STEPS = 3
+VARIANT_SEED = 7
 
 
 def _import_checkout(root: Path):
@@ -72,7 +77,46 @@ def main(argv=None) -> int:
         run.model, run.ds, run.normalizer, n_perms=2, seed=SEED
     )
     print(name, "permutation_robustness", *(v.hex() for v in robust["mse_values"]))
+
+    _print_variants()
     return 0
+
+
+def _print_variants() -> None:
+    import itertools
+
+    import numpy as np
+
+    from sormamba import autodiff, losses
+    from sormamba.model import ModelConfig, SORMambaModel
+
+    grid = itertools.product(
+        ("uni", "bi"),
+        (False, True),
+        ("fixed-reverse", "fixed-random", "random-pair", "random-reverse"),
+        ("euler-b", "zoh-exact"),
+    )
+    for direction, conv, order_mode, discretization in grid:
+        cfg = ModelConfig(
+            lookback=16, horizon=8, n_channels=5, d_model=8, n_layers=2, d_state=4,
+            reg_weight=0.1, direction=direction, conv=conv, order_mode=order_mode,
+            discretization=discretization,
+        )
+        model = SORMambaModel(cfg, seed=VARIANT_SEED)
+        rng = np.random.default_rng(VARIANT_SEED)
+        x = autodiff.Tensor(rng.normal(size=(3, cfg.lookback, cfg.n_channels)))
+        y = rng.normal(size=(3, cfg.horizon, cfg.n_channels))
+        pred, pairs = model.forecast(x, rng=rng)
+        loss = losses.total_loss(pred, y, pairs, cfg.reg_weight, cfg.reg_metric).total
+        autodiff.backward(loss)
+        h = hashlib.sha256()
+        for param, t in model.param_items():
+            h.update(param.encode())
+            h.update(np.ascontiguousarray(t.data).tobytes())
+            h.update(b"none" if t.grad is None else np.ascontiguousarray(t.grad).tobytes())
+        conv_tag = "conv" if conv else "noconv"
+        print("variant", direction, conv_tag, order_mode, discretization,
+              float(loss.data).hex(), h.hexdigest())
 
 
 if __name__ == "__main__":
