@@ -8,29 +8,45 @@ a source of order sensitivity. A positive ``conv_kernel`` puts Mamba's
 depthwise causal conv back before the scan, as the sequence-modeling
 ablation.
 
+A block runs in three stages, and only the middle one reads the order of
+the tokens:
+
+* ``pre`` works token by token: both input projections, the SiLUs, the
+  scan's step sizes, B_t and C_t, and A = -exp(a_log);
+* ``core`` scans the tokens in a given order (``ssm.scan_core`` with
+  ``order``) and returns y in the tokens' own order;
+* ``post`` works token by token again: the ``d_skip`` term, the gate and
+  the output projection.
+
 ``DirectionalEncoderCD`` is built from a ``ModelConfig``. It runs one block
 over two views of the token axis (or two independent blocks, for the
 bidirectional variant) and returns both view outputs so the caller can fuse
-them and penalize their disagreement.
+them and penalize their disagreement. A view is only an order for ``core``:
+with one shared block (``uni``) both views share one ``pre`` and every
+tensor it made, and no token is gathered or put back. With the conv on, the
+conv and the projections after it are order-dependent too, so they move
+into ``core``, which then gathers the tokens and puts y back.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import fields
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from .autodiff import (
     Tensor,
+    exp,
     matmul,
     mul,
+    neg,
     shift_axis,
     silu,
     take_axis,
 )
-from .ssm import init_ssm_params, selective_scan
+from .ssm import init_ssm_params, projections, scan_core
 
 if TYPE_CHECKING:
     from .model import ModelConfig
@@ -42,6 +58,20 @@ DIRECTIONS = ("uni", "bi")
 def _uniform_weight(n_in: int, n_out: int, rng: np.random.Generator) -> Tensor:
     bound = 1.0 / math.sqrt(n_in)
     return Tensor(rng.uniform(-bound, bound, size=(n_in, n_out)), requires_grad=True)
+
+
+class Tokens(NamedTuple):
+    """What a block's ``pre`` stage reads off its input, token by token.
+
+    ``u`` is the scan input, or the conv input when the block has a conv;
+    ``scan_in`` is (delta, b_t, c_t) read off ``u``, or None with a conv,
+    whose ``core`` reads them off the conv output instead.
+    """
+
+    u: Tensor
+    gate: Tensor
+    a: Tensor
+    scan_in: tuple[Tensor, Tensor, Tensor] | None
 
 
 class CDMambaBlock:
@@ -84,14 +114,39 @@ class CDMambaBlock:
         return acc + self.b_conv
 
     def __call__(self, z: Tensor) -> Tensor:
-        """[batch, tokens, d_model] -> same shape."""
+        """[batch, tokens, d_model] -> same shape, tokens in their given order."""
+        tokens = self.pre(z)
+        return self.post(tokens, *self.core(tokens))
+
+    def pre(self, z: Tensor) -> Tokens:
+        """The token-by-token work before the scan, on z [batch, tokens, d_model]."""
         u = matmul(z, self.w_in_x)
-        if self.conv_kernel:
-            u = self._conv(u)
-        u = silu(u)
+        if not self.conv_kernel:
+            u = silu(u)
         gate = silu(matmul(z, self.w_in_g))
-        y = selective_scan(u, self.ssm)
-        return matmul(mul(y, gate), self.w_out)
+        scan_in = None if self.conv_kernel else projections(u, self.ssm)
+        return Tokens(u, gate, neg(exp(self.ssm.a_log)), scan_in)
+
+    def core(self, tokens: Tokens, order: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
+        """Scan the tokens in ``order`` (None: as given). Returns (y before the
+        skip term, the scan input), both in the tokens' own order."""
+        if not self.conv_kernel:
+            delta, b_t, c_t = tokens.scan_in
+            y = scan_core(delta, tokens.a, b_t, c_t, tokens.u, self.ssm.mode, order)
+            return y, tokens.u
+        u = tokens.u if order is None else take_axis(tokens.u, order, axis=1)
+        u = silu(self._conv(u))
+        delta, b_t, c_t = projections(u, self.ssm)
+        y = scan_core(delta, tokens.a, b_t, c_t, u, self.ssm.mode)
+        if order is None:
+            return y, u
+        inverse = np.argsort(order)
+        return take_axis(y, inverse, axis=1), take_axis(u, inverse, axis=1)
+
+    def post(self, tokens: Tokens, y: Tensor, u: Tensor) -> Tensor:
+        """The token-by-token work after the scan: skip term, gate, out_proj."""
+        y = y + mul(u, self.ssm.d_skip)
+        return matmul(mul(y, tokens.gate), self.w_out)
 
     def param_items(self) -> list[tuple[str, Tensor]]:
         items = [
@@ -113,9 +168,9 @@ class DirectionalEncoderCD:
     """One or two scan blocks read the token axis in paired views.
 
     ``uni`` shares a single block between the direct view and the reordered
-    view; ``bi`` gives each view its own block (exactly doubling the
-    parameter count). ``forward_pair`` returns both view outputs aligned to
-    the original token order.
+    view, and with it the block's ``pre`` stage; ``bi`` gives each view its
+    own block (exactly doubling the parameter count). ``forward_pair``
+    returns both view outputs aligned to the original token order.
     """
 
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
@@ -157,13 +212,6 @@ class DirectionalEncoderCD:
         perm = self._fixed_pair[0] if rng is None else rng.permutation(self.n_tokens)
         return perm, perm[::-1].copy()
 
-    @staticmethod
-    def _apply_view(block: CDMambaBlock, z: Tensor, view) -> Tensor:
-        if view is None:
-            return block(z)
-        inverse = np.argsort(view)
-        return take_axis(block(take_axis(z, view, axis=1)), inverse, axis=1)
-
     def forward_pair(
         self, z: Tensor, rng: np.random.Generator | None = None
     ) -> tuple[Tensor, Tensor]:
@@ -171,10 +219,11 @@ class DirectionalEncoderCD:
             raise ValueError(
                 f"forward_pair: expected [batch, {self.n_tokens}, d_model], got {z.shape}"
             )
-        v1, v2 = self._views(rng)
-        first, second = (self.blocks * 2)[:2]
-        z1 = self._apply_view(first, z, v1)
-        z2 = self._apply_view(second, z, v2)
+        staged = [(blk, blk.pre(z)) for blk in self.blocks]
+        z1, z2 = (
+            blk.post(tokens, *blk.core(tokens, view))
+            for (blk, tokens), view in zip(staged * 2, self._views(rng))
+        )
         return z1, z2
 
     def param_items(self) -> list[tuple[str, Tensor]]:

@@ -59,9 +59,14 @@ class ModelConfig:
     instance_norm: bool = True
 
     def __post_init__(self):
-        for name in ("lookback", "horizon", "n_channels", "d_model", "n_layers"):
+        optional = ("dt_rank", "mlp_hidden")  # None resolves from d_model
+        required = ("lookback", "horizon", "n_channels", "d_model", "n_layers", "expand",
+                    "d_state", "conv_kernel")
+        for name in required + optional:
             v = getattr(self, name)
-            if not isinstance(v, int) or v < 1:
+            if v is None and name in optional:
+                continue
+            if isinstance(v, bool) or not isinstance(v, int) or v < 1:
                 raise ValueError(f"{name} must be a positive integer, got {v!r}")
         if self.reg_weight < 0:
             raise ValueError(f"reg_weight must be >= 0, got {self.reg_weight}")
@@ -75,8 +80,6 @@ class ModelConfig:
             raise ValueError(
                 f"discretization must be one of {DISCRETIZATIONS}, got {self.discretization!r}"
             )
-        if self.expand < 1 or self.d_state < 1 or self.conv_kernel < 1:
-            raise ValueError("expand, d_state and conv_kernel must be positive")
 
     @property
     def d_inner(self) -> int:

@@ -37,6 +37,15 @@ written into it, and a small workspace stays allocated and cached. Outputs
 are written straight into the [B, ...] results. Tiling leaves every value
 bit for bit as a single tile computes it, except the gradient wrt A, which
 sums over the batch and so depends on the tile count by reduction order.
+
+The steps may be walked in any order: with ``order``, an index vector over
+the S tokens, step k of the recurrence reads token ``order[k]``, and y and
+every gradient are written back to that token. A segment gathers only its
+own [n, rows, D] slices of the inputs, so scanning a reordering of the
+tokens makes no reordered copy of them, and the results come out in the
+tokens' own order. The scan is the one order-dependent part of a block; two
+orderings of the same tokens share every input. ``delta * x`` is formed per
+segment, into the workspace, like the 4-D buffers.
 """
 
 from __future__ import annotations
@@ -64,12 +73,12 @@ class _Scan:
     """Step-major views of the inputs, the segments and batch tiles, and the
     workspace of one call: buffers [segment, tile rows, N, D]."""
 
-    def __init__(self, delta, a, b_t, x, mode, backward=False):
+    def __init__(self, delta, a, b_t, x, mode, order, backward=False):
         self.zoh = mode == "zoh-exact"
         self.delta, self.b_t, self.x = (np.swapaxes(v, 0, 1) for v in (delta, b_t, x))
-        self.dx = self.delta * self.x
+        self.order = order
         self.a_t = a.T
-        steps, batch, _ = self.x.shape
+        steps, batch, dim = self.x.shape
         self.state = self.a_t.shape
         size = math.isqrt(max(steps - 1, 0)) + 1  # ceil(sqrt(steps))
         self.segments = [slice(s0, min(s0 + size, steps)) for s0 in range(0, steps, size)]
@@ -78,6 +87,7 @@ class _Scan:
         shape = (size, rows) + self.state
         self.da, self.a_bar, self.bx = np.empty(shape), np.empty(shape), np.empty(shape)
         self.hs = np.empty((size + 1,) + shape[1:])
+        self.dx = np.empty((size, rows, dim))
         self.factor = np.empty(shape) if self.zoh else None
         # the input term before the zero-order-hold factor: the forward
         # scales it in place, the backward reads it again
@@ -87,28 +97,39 @@ class _Scan:
     def run(self, seg, tile, h0):
         """Factors and states [h0, h_1, ..., h_n] of the steps in ``seg`` for
         the rows in ``tile``, starting from state ``h0`` [rows, N, D]; the
-        buffers hold them in [:n + 1, :rows]. Returns (n, rows)."""
+        buffers hold them in [:n + 1, :rows]. ``seg_delta``, ``seg_b`` and
+        ``seg_x`` are the segment's inputs [n, rows, ...] in step order, and
+        ``dx`` their delta * x. Returns (tokens, n, rows): what the steps
+        index in the [S, ...] inputs, a slice or the segment's part of
+        ``order``."""
+        tokens = seg if self.order is None else self.order[seg]
         n, r = seg.stop - seg.start, tile.stop - tile.start
         da, a_bar, bx, hs = self.da[:n, :r], self.a_bar[:n, :r], self.bx[:n, :r], self.hs[:, :r]
-        np.multiply(self.delta[seg, tile, None, :], self.a_t, out=da)
+        self.seg_delta, self.seg_b, self.seg_x = (
+            v[tokens, tile] for v in (self.delta, self.b_t, self.x)
+        )
+        dx = np.multiply(self.seg_delta, self.seg_x, out=self.dx[:n, :r])
+        np.multiply(self.seg_delta[:, :, None, :], self.a_t, out=da)
         np.exp(da, out=a_bar)
-        np.multiply(self.dx[seg, tile, None, :], self.b_t[seg, tile, :, None], out=self.dxb[:n, :r])
+        np.multiply(dx[:, :, None, :], self.seg_b[:, :, :, None], out=self.dxb[:n, :r])
         if self.zoh:
             np.multiply(self.dxb[:n, :r], exprel(da, out=self.factor[:n, :r]), out=bx)
         hs[0] = h0
         for k in range(n):
             np.multiply(a_bar[k], hs[k], out=hs[k + 1])
             hs[k + 1] += bx[k]
-        return n, r
+        return tokens, n, r
 
 
-def scan_forward(delta, a, b_t, c_t, x, mode, keep_checkpoints):
+def scan_forward(delta, a, b_t, c_t, x, mode, keep_checkpoints, order=None):
     """Run the recurrence; returns (y [B, S, D], checkpoints).
 
     The checkpoints, [segments, B, N, D], are the states entering each
     segment; with ``keep_checkpoints`` false none are kept (shape [0, ...]).
+    With ``order`` (an index vector over S), step k reads token ``order[k]``
+    and writes y there.
     """
-    scan = _Scan(delta, a, b_t, x, mode)
+    scan = _Scan(delta, a, b_t, x, mode, order)
     c_t = np.swapaxes(c_t, 0, 1)
     count = len(scan.segments) if keep_checkpoints else 0
     checkpoints = np.empty((count, x.shape[0]) + scan.state)
@@ -119,16 +140,17 @@ def scan_forward(delta, a, b_t, c_t, x, mode, keep_checkpoints):
         for j, seg in enumerate(scan.segments):
             if keep_checkpoints:
                 checkpoints[j, tile] = h
-            n, r = scan.run(seg, tile, h)
-            y_steps[seg, tile] = np.matmul(c_t[seg, tile, None, :], scan.hs[1 : n + 1, :r])[:, :, 0, :]
+            at, n, r = scan.run(seg, tile, h)
+            y_steps[at, tile] = np.matmul(c_t[at, tile][:, :, None, :], scan.hs[1 : n + 1, :r])[:, :, 0, :]
             h = scan.hs[n, :r]
     return y, checkpoints
 
 
-def scan_backward(delta, a, b_t, c_t, x, mode, checkpoints, gy):
+def scan_backward(delta, a, b_t, c_t, x, mode, checkpoints, gy, order=None):
     """Vector-Jacobian product wrt (delta, a, b_t, c_t, x), recomputing the
-    states segment by segment from the forward's checkpoints."""
-    scan = _Scan(delta, a, b_t, x, mode, backward=True)
+    states segment by segment from the forward's checkpoints; ``order`` is
+    the forward's."""
+    scan = _Scan(delta, a, b_t, x, mode, order, backward=True)
     c_t, gy = np.swapaxes(c_t, 0, 1), np.swapaxes(gy, 0, 1)
     grads = g_delta, g_b, g_c, g_x = [np.empty(v.shape) for v in (delta, b_t, b_t, x)]
     g_delta_s, g_b_s, g_c_s, g_x_s = (np.swapaxes(g, 0, 1) for g in grads)
@@ -137,17 +159,18 @@ def scan_backward(delta, a, b_t, c_t, x, mode, checkpoints, gy):
         # d loss / d h entering the segment after this one, through its steps
         carry = np.zeros((tile.stop - tile.start,) + scan.state)
         for seg, h0 in zip(reversed(scan.segments), checkpoints[::-1, tile], strict=True):
-            n, r = scan.run(seg, tile, h0)
+            at, n, r = scan.run(seg, tile, h0)
             a_bar, hs = scan.a_bar[:n, :r], scan.hs[: n + 1, :r]
             gh, work = scan.gh[:n, :r], scan.work[:n, :r]
+            seg_gy = gy[at, tile]
             # d loss / d h_k: its own readout plus what flows back from step k+1
-            np.multiply(gy[seg, tile, None, :], c_t[seg, tile, :, None], out=gh)
+            np.multiply(seg_gy[:, :, None, :], c_t[at, tile][:, :, :, None], out=gh)
             gh[-1] += carry
             for k in range(n - 2, -1, -1):
                 np.multiply(a_bar[k + 1], gh[k + 1], out=work[k])
                 gh[k] += work[k]
             np.multiply(a_bar[0], gh[0], out=carry)
-            g_c_s[seg, tile] = np.matmul(hs[1:], gy[seg, tile, :, None])[..., 0]
+            g_c_s[at, tile] = np.matmul(hs[1:], seg_gy[:, :, :, None])[..., 0]
             # d loss / d (delta A)
             np.multiply(gh, hs[:-1], out=work)
             work *= a_bar
@@ -160,9 +183,9 @@ def scan_backward(delta, a, b_t, c_t, x, mode, checkpoints, gy):
                 work += grad
                 gh *= scan.factor[:n, :r]
             # gh is now d loss / d (delta x B) elementwise
-            s = np.matmul(scan.b_t[seg, tile, None, :], gh)[:, :, 0, :]
-            g_x_s[seg, tile] = scan.delta[seg, tile] * s
-            g_delta_s[seg, tile] = scan.x[seg, tile] * s + np.einsum("lbnd,nd->lbd", work, scan.a_t)
-            g_b_s[seg, tile] = np.matmul(gh, scan.dx[seg, tile, :, None])[..., 0]
-            g_a_t += np.einsum("lbnd,lbd->nd", work, scan.delta[seg, tile])
+            s = np.matmul(scan.seg_b[:, :, None, :], gh)[:, :, 0, :]
+            g_x_s[at, tile] = scan.seg_delta * s
+            g_delta_s[at, tile] = scan.seg_x * s + np.einsum("lbnd,nd->lbd", work, scan.a_t)
+            g_b_s[at, tile] = np.matmul(gh, scan.dx[:n, :r, :, None])[..., 0]
+            g_a_t += np.einsum("lbnd,lbd->nd", work, scan.seg_delta)
     return g_delta, np.ascontiguousarray(g_a_t.T), g_b, g_c, g_x

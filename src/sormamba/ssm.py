@@ -16,9 +16,12 @@ On the model's path the discretization never becomes part of the graph:
 :func:`scan_core` is one differentiable op that takes (delta, A, B_t, C_t, x)
 and builds the per-step factors inside the recurrence, keeping only a
 checkpoint state every ~sqrt(S) steps for its backward, which recomputes the
-states in between (see ``scan_kernels``). :func:`discretize` gives the same
-factors as graph tensors for inspection; :func:`naive_scan` is the
-independent per-step reference.
+states in between (see ``scan_kernels``). Its inputs are per token, read
+off x by :func:`projections`; only the scan itself reads the order of the
+steps, and ``scan_core(..., order=v)`` walks them in the order ``v`` without
+reordering any input. :func:`discretize` gives the same factors as graph
+tensors for inspection; :func:`naive_scan` is the independent per-step
+reference.
 """
 
 from __future__ import annotations
@@ -149,8 +152,9 @@ def _check_mode(mode: str) -> None:
         )
 
 
-def _projections(x: Tensor, params: SSMParams) -> tuple[Tensor, Tensor, Tensor]:
-    """delta [B,S,dim], b_t [B,S,state], c_t [B,S,state] from the input."""
+def projections(x: Tensor, params: SSMParams) -> tuple[Tensor, Tensor, Tensor]:
+    """delta [B,S,dim], b_t [B,S,state], c_t [B,S,state] from the input,
+    token by token."""
     low = matmul(x, params.w_dt_down)
     delta = softplus(matmul(low, params.w_dt_up) + params.b_dt)
     b_t = matmul(x, params.w_b)
@@ -159,7 +163,13 @@ def _projections(x: Tensor, params: SSMParams) -> tuple[Tensor, Tensor, Tensor]:
 
 
 def scan_core(
-    delta: Tensor, a: Tensor, b_t: Tensor, c_t: Tensor, x: Tensor, mode: str
+    delta: Tensor,
+    a: Tensor,
+    b_t: Tensor,
+    c_t: Tensor,
+    x: Tensor,
+    mode: str,
+    order: np.ndarray | None = None,
 ) -> Tensor:
     """Fused discretize-and-scan as one differentiable op.
 
@@ -167,25 +177,37 @@ def scan_core(
     x [B, S, dim]; returns y [B, S, dim] without the skip term. The backward
     recomputes states from checkpoints and returns gradients for all five
     inputs; nothing is kept for it when no gradient will be taken.
+
+    ``order``, a permutation of the S steps, scans them in that order: the
+    result equals gathering every input with ``order``, scanning, and
+    putting y back with ``argsort(order)``, without the gathers.
     """
     _check_mode(mode)
+    if order is not None:
+        order = np.asarray(order, dtype=np.intp)
+        if not np.array_equal(np.sort(order), np.arange(x.shape[1])):
+            raise ValueError(f"scan_core: order is not a permutation of {x.shape[1]} steps")
     parents = (delta, a, b_t, c_t, x)
     y, checkpoints = scan_kernels.scan_forward(
-        *(p.data for p in parents), mode, needs_grad(parents)
+        *(p.data for p in parents), mode, needs_grad(parents), order
     )
-    _raise_on_nonfinite(y, "scan output")
+    _raise_on_nonfinite(y, "scan output", order)
 
     def vjp(g):
-        grads = scan_kernels.scan_backward(*(p.data for p in parents), mode, checkpoints, g)
+        grads = scan_kernels.scan_backward(
+            *(p.data for p in parents), mode, checkpoints, g, order
+        )
         for p, gp in zip(parents, grads):
             accumulate(p, gp)
 
     return from_op(y, parents, vjp)
 
 
-def _raise_on_nonfinite(arr: np.ndarray, what: str) -> None:
+def _raise_on_nonfinite(arr: np.ndarray, what: str, order=None) -> None:
     if np.all(np.isfinite(arr)):
         return
+    if order is not None:
+        arr = arr[:, order]  # steps in the order they were scanned
     bad = ~np.isfinite(arr).reshape(arr.shape[0], arr.shape[1], -1).all(axis=(0, 2))
     step = int(np.argmax(bad))
     raise FloatingPointError(f"{what} became non-finite at step {step}")
@@ -202,7 +224,7 @@ def selective_scan(x: Tensor, params: SSMParams) -> Tensor:
         raise ValueError(
             f"selective_scan: expected [batch, steps, {params.dim}], got {x.shape}"
         )
-    delta, b_t, c_t = _projections(x, params)
+    delta, b_t, c_t = projections(x, params)
     a = neg(exp(params.a_log))
     y = scan_core(delta, a, b_t, c_t, x, params.mode)
     return y + mul(x, params.d_skip)

@@ -174,6 +174,48 @@ def test_param_items_names_shapes_and_order(direction, conv):
     assert got == want
 
 
+def _two_call_pair(enc, z, rng):
+    """Each view as its own block call on gathered tokens, put back after."""
+    outs = []
+    for block, view in zip(enc.blocks * 2, enc._views(rng)):
+        if view is None:
+            outs.append(block(z))
+        else:
+            out = block(ad.take_axis(z, view, axis=1))
+            outs.append(ad.take_axis(out, np.argsort(view), axis=1))
+    return outs
+
+
+@pytest.mark.parametrize("direction", ["uni", "bi"])
+@pytest.mark.parametrize("conv", [False, True])
+@pytest.mark.parametrize("order_mode", bl.ORDER_MODES)
+@pytest.mark.parametrize("discretization", ["euler-b", "zoh-exact"])
+def test_shared_stages_match_two_block_calls(direction, conv, order_mode, discretization):
+    # forward_pair shares the per-token stages between the views; values match
+    # the two-call composition bit for bit, gradients up to reduction order
+    cfg = make_config(
+        n_channels=7, direction=direction, conv=conv, conv_kernel=3,
+        order_mode=order_mode, discretization=discretization,
+    )
+    enc = bl.DirectionalEncoderCD(cfg, _rng(0))
+    z = Tensor(_rng(1).normal(size=(3, 7, 6)), requires_grad=True)
+    weights = [Tensor(_rng(seed).normal(size=(3, 7, 6))) for seed in (2, 3)]
+    tensors = [t for _, t in enc.param_items()] + [z]
+    results = []
+    for pair in (enc.forward_pair, lambda t, rng: _two_call_pair(enc, t, rng)):
+        for t in tensors:
+            t.grad = None
+        outs = pair(z, _rng(4))
+        backward(tsum(mul(outs[0], weights[0])) + tsum(mul(outs[1], weights[1])))
+        results.append(([o.data for o in outs], [t.grad.copy() for t in tensors]))
+    (shared, shared_grads), (ref, ref_grads) = results
+    for got, want in zip(shared, ref):
+        assert got.tobytes() == want.tobytes()
+    names = [n for n, _ in enc.param_items()] + ["z"]
+    for name, got, want in zip(names, shared_grads, ref_grads):
+        assert np.max(np.abs(got - want)) <= 4e-15 * np.max(np.abs(want)), name
+
+
 class TestDirectionalEncoder:
     def make(self, direction="uni", order_mode="fixed-reverse", seed=0, n_tokens=5):
         cfg = make_config(n_channels=n_tokens, direction=direction, order_mode=order_mode)
@@ -187,15 +229,6 @@ class TestDirectionalEncoder:
         rev = np.arange(5)[::-1]
         manual = ad.take_axis(enc.blocks[0](ad.take_axis(z, rev, 1)), rev, 1)
         np.testing.assert_array_equal(z2.data, manual.data)
-
-    def test_apply_view_realigns_permutation(self):
-        # with a token-local stub block, permuting then unpermuting is exact
-        scale = Tensor(np.full((1, 1, 6), 2.0))
-        stub = lambda t: mul(t, scale)
-        z = Tensor(_rng(2).normal(size=(3, 5, 6)))
-        perm = _rng(3).permutation(5)
-        out = bl.DirectionalEncoderCD._apply_view(stub, z, perm)
-        np.testing.assert_array_equal(out.data, 2.0 * z.data)
 
     def test_random_modes_deterministic_without_rng(self):
         for mode in ("fixed-random", "random-pair", "random-reverse"):

@@ -145,6 +145,23 @@ class TestAccounting:
             md.ModelConfig.from_dict({"lookback": 8, "horizon": 4, "n_channels": 2, "bogus": 1})
 
 
+@pytest.mark.parametrize(
+    "field", ["expand", "d_state", "conv_kernel", "dt_rank", "mlp_hidden"]
+)
+@pytest.mark.parametrize("value", [0, -1, 1.5, 2.0, True])
+def test_size_fields_must_be_positive_ints(field, value):
+    # a bad size names its field before any array is built
+    with pytest.raises(ValueError, match=f"{field} must be a positive integer"):
+        md.ModelConfig(lookback=8, horizon=3, n_channels=2, d_model=4, **{field: value})
+
+
+def test_optional_sizes_resolve_when_unset():
+    cfg = md.ModelConfig(lookback=8, horizon=3, n_channels=2, d_model=40)
+    assert (cfg.resolved_dt_rank, cfg.resolved_mlp_hidden) == (3, 80)
+    cfg = md.ModelConfig(lookback=8, horizon=3, n_channels=2, d_model=40, dt_rank=1, mlp_hidden=5)
+    assert (cfg.resolved_dt_rank, cfg.resolved_mlp_hidden) == (1, 5)
+
+
 class TestGradients:
     def test_forecast_loss_reaches_trunk_but_not_side_heads(self):
         model = make_model(n_layers=1)

@@ -17,6 +17,7 @@ from sormamba.ssm import (
     discretize,
     init_ssm_params,
     naive_scan,
+    projections,
     scan_core,
     selective_scan,
 )
@@ -223,6 +224,78 @@ class TestScanTiles:
                 tracemalloc.stop()
         assert peaks[0] <= 16.0, peaks
         assert peaks[1] <= 32.0, peaks
+
+
+class TestScanOrder:
+    @pytest.mark.parametrize("mode", DISCRETIZATIONS)
+    def test_order_matches_gather_scan_scatter(self, mode, monkeypatch):
+        # 7 rows in tiles of 3, 3 and 1; 10 steps in segments of 4, 4 and 2
+        monkeypatch.setattr(scan_kernels, "_TILE_ELEMS", 24 * 3)
+        assert scan_kernels._tile_rows(7, 4 * 3 * 2) == 3
+        delta, a, b_t, c_t, x = (t.data for t in _scan_inputs(np.random.default_rng(20), 7, 10, 3, 2))
+        gy = np.random.default_rng(21).normal(size=x.shape)
+        for order in (np.arange(10)[::-1], np.random.default_rng(22).permutation(10)):
+            inverse = np.argsort(order)
+            y, checkpoints = scan_kernels.scan_forward(delta, a, b_t, c_t, x, mode, True, order)
+            got = scan_kernels.scan_backward(
+                delta, a, b_t, c_t, x, mode, checkpoints, gy, order
+            )
+            gathered = [v[:, order] for v in (delta, b_t, c_t, x)]
+            g_delta, g_b, g_c, g_x = gathered
+            want_y, want_checkpoints = scan_kernels.scan_forward(
+                g_delta, a, g_b, g_c, g_x, mode, True
+            )
+            want = scan_kernels.scan_backward(
+                g_delta, a, g_b, g_c, g_x, mode, want_checkpoints, gy[:, order]
+            )
+            assert y.tobytes() == want_y[:, inverse].tobytes()
+            assert checkpoints.tobytes() == want_checkpoints.tobytes()
+            # delta, B_t, C_t and x are put back in token order; A is shared
+            for i in (0, 2, 3, 4):
+                assert got[i].tobytes() == want[i][:, inverse].tobytes(), i
+            assert got[1].tobytes() == want[1].tobytes()
+
+    @pytest.mark.parametrize("mode", DISCRETIZATIONS)
+    def test_gradient_against_finite_differences_with_order(self, mode, monkeypatch):
+        monkeypatch.setattr(scan_kernels, "_TILE_ELEMS", 1)
+        inputs = _scan_inputs(np.random.default_rng(23), 3, 7, 3, 2)
+        weights = Tensor(np.random.default_rng(24).normal(size=(3, 7, 3)))
+        order = np.random.default_rng(25).permutation(7)
+        for i, target in enumerate(inputs):
+
+            def f(t, i=i):
+                args = list(inputs)
+                args[i] = t
+                return ad.tsum(ad.mul(scan_core(*args, mode, order), weights))
+
+            err = ad.check_gradients(f, target)
+            assert err < 1e-6, (mode, i, err)
+
+    @pytest.mark.parametrize("mode", DISCRETIZATIONS)
+    def test_ordered_scan_matches_naive_reference(self, mode, monkeypatch):
+        # the per-segment delta * x of the fused scan against the per-step loop
+        monkeypatch.setattr(scan_kernels, "_TILE_ELEMS", 3 * 4 * 6 * 2)
+        params = make_params(mode=mode, seed=26)
+        x = Tensor(np.random.default_rng(27).normal(size=(5, 9, 6)))
+        order = np.random.default_rng(28).permutation(9)
+        delta, b_t, c_t = projections(x, params)
+        a = ad.neg(ad.exp(params.a_log))
+        y = scan_core(delta, a, b_t, c_t, x, mode, order).data + x.data * params.d_skip.data
+        want = naive_scan(x.data[:, order], params)[:, np.argsort(order)]
+        np.testing.assert_allclose(y, want, atol=1e-12, rtol=0)
+
+    def test_order_must_permute_the_steps(self):
+        inputs = _scan_inputs(np.random.default_rng(29), 1, 4, 2, 2)
+        for order in ([0, 1, 2], [0, 1, 1, 3], [1, 2, 3, 4]):
+            with pytest.raises(ValueError, match="permutation"):
+                scan_core(*inputs, "euler-b", np.array(order))
+
+    def test_nan_reports_the_scanned_step(self):
+        inputs = _scan_inputs(np.random.default_rng(30), 1, 6, 2, 2)
+        inputs[4].data[0, 3, 0] = np.nan
+        # token 3 is scanned second
+        with pytest.raises(FloatingPointError, match="step 1"):
+            scan_core(*inputs, "euler-b", np.array([5, 3, 0, 1, 2, 4]))
 
 
 class TestSelectiveScan:

@@ -1,6 +1,8 @@
 """Print a checkout's benchmark results bit for bit, to compare two commits.
 
     python3 tools/bitcheck.py <checkout> > a.txt
+    python3 tools/bitcheck.py <old checkout> --grads old.npz > a.txt
+    python3 tools/bitcheck.py <new checkout> --against old.npz > b.txt
 
 Imports ``sormamba`` from ``<checkout>/src`` and the benchmark's workloads
 from ``<checkout>/perfbench/workloads.py`` (read, never changed), and runs
@@ -17,6 +19,14 @@ each workload's ``setup`` and ``make_run`` at seed 3 with one BLAS thread:
 
 Two checkouts that compute the same numbers print the same lines; ``diff``
 the outputs to see which parameters or errors moved.
+
+A hash only says that a gradient moved, not by how much. ``--grads PATH``
+saves every gradient hashed above (the train workloads' first step and the
+variants) to an ``.npz``. ``--against PATH`` reads such a file, made from
+another checkout, and appends one ``against`` line per train workload and
+per variant: the largest relative difference over its parameters, where a
+parameter's difference is max |g - g_ref| / max |g_ref|, and the parameter
+that has it.
 """
 
 from __future__ import annotations
@@ -53,15 +63,21 @@ def _digest(array) -> str:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("checkout", type=Path, help="root of the checkout to run")
+    parser.add_argument("--grads", type=Path, help="save the hashed gradients to this .npz")
+    parser.add_argument(
+        "--against", type=Path, help="compare the gradients with an .npz saved by --grads"
+    )
     args = parser.parse_args(argv)
     workloads = _import_checkout(args.checkout.resolve())
     from sormamba import analysis
     from sormamba import model as sm_model
 
+    grads: dict[str, dict] = {}
     for name in ("train-solar", "train-etth1"):
         bundle, model = workloads.setup(workloads.WORKLOADS[name], SEED)
         run = workloads.make_run(workloads.WORKLOADS[name], bundle, model, SEED)
         run.step()
+        grads[name] = {p: t.grad.copy() for p, t in model.param_items() if t.grad is not None}
         for param, t in model.param_items():
             print(name, "grad", param, "none" if t.grad is None else _digest(t.grad))
         for _ in range(TRAIN_STEPS - 1):
@@ -78,11 +94,15 @@ def main(argv=None) -> int:
     )
     print(name, "permutation_robustness", *(v.hex() for v in robust["mse_values"]))
 
-    _print_variants()
+    _print_variants(grads)
+    if args.grads:
+        _save_grads(args.grads, grads)
+    if args.against:
+        _print_against(args.against, grads)
     return 0
 
 
-def _print_variants() -> None:
+def _print_variants(grads: dict[str, dict]) -> None:
     import itertools
 
     import numpy as np
@@ -115,8 +135,38 @@ def _print_variants() -> None:
             h.update(np.ascontiguousarray(t.data).tobytes())
             h.update(b"none" if t.grad is None else np.ascontiguousarray(t.grad).tobytes())
         conv_tag = "conv" if conv else "noconv"
-        print("variant", direction, conv_tag, order_mode, discretization,
-              float(loss.data).hex(), h.hexdigest())
+        tag = " ".join(("variant", direction, conv_tag, order_mode, discretization))
+        grads[tag] = {p: t.grad for p, t in model.param_items() if t.grad is not None}
+        print(tag, float(loss.data).hex(), h.hexdigest())
+
+
+def _save_grads(path: Path, grads: dict[str, dict]) -> None:
+    import numpy as np
+
+    arrays = {f"{group}/{param}": g for group, items in grads.items() for param, g in items.items()}
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+def _print_against(path: Path, grads: dict[str, dict]) -> None:
+    """One line per group: the worst relative gradient difference and where."""
+    import numpy as np
+
+    with np.load(path, allow_pickle=False) as saved:
+        ref = {key: saved[key] for key in saved.files}
+    for group, items in grads.items():
+        worst, where = 0.0, "-"
+        for param, g in items.items():
+            want = ref.get(f"{group}/{param}")
+            if want is None or want.shape != g.shape:
+                worst, where = float("inf"), f"{param}(missing)"
+                break
+            scale = np.max(np.abs(want))
+            diff = np.max(np.abs(g - want))
+            rel = diff / scale if scale > 0 else (0.0 if diff == 0 else float("inf"))
+            if rel > worst:
+                worst, where = rel, param
+        print("against", group, f"{worst:.3g}", where)
 
 
 if __name__ == "__main__":
