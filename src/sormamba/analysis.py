@@ -12,10 +12,10 @@ from __future__ import annotations
 import functools
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, replace
+from operator import add
 
 import numpy as np
 
-from .autodiff import Tensor, no_grad
 from .data import (
     Normalizer,
     RawSeries,
@@ -26,7 +26,7 @@ from .data import (
 )
 from .losses import mse_np, pearson_matrix, pearson_matrix_np, reg_distance
 from .model import ModelConfig, SORMambaModel, count_parameters
-from .training import TrainConfig, evaluate, iterate_batches, train_supervised
+from .training import TrainConfig, evaluate, map_batches, train_supervised
 
 
 @dataclass
@@ -129,57 +129,40 @@ def permutation_robustness(
     }
 
 
-def view_embeddings(
-    model: SORMambaModel, ds: WindowedDataset, batch_size: int = 64
-) -> dict[str, np.ndarray]:
+def view_embeddings(model: SORMambaModel, ds: WindowedDataset) -> dict[str, np.ndarray]:
     """Window-averaged channel embeddings per view, each [C, d_model].
 
     Two-view models export the final layer's two view outputs; single-view
     models export the fused tokens under the key ``tokens``.
     """
-    sums: dict[str, np.ndarray] = {}
-    count = 0
-    with no_grad():
-        for idx in iterate_batches(len(ds), batch_size, None):
-            x = Tensor(ds.x[idx])
-            if model.config.two_view:
-                _, pairs = model.encode(x)
-                z1, z2 = pairs[-1]
-                parts = {"view1": z1.data, "view2": z2.data}
-            else:
-                tokens, _ = model.encode(x)
-                parts = {"tokens": tokens.data}
-            for key, arr in parts.items():
-                sums[key] = sums.get(key, 0.0) + arr.sum(axis=0)
-            count += len(idx)
-    return {key: arr / count for key, arr in sums.items()}
+
+    def batch_sums(x, idx) -> dict[str, np.ndarray]:
+        tokens, pairs = model.encode(x)
+        if model.config.two_view:
+            z1, z2 = pairs[-1]
+            return {"view1": z1.data.sum(axis=0), "view2": z2.data.sum(axis=0)}
+        return {"tokens": tokens.data.sum(axis=0)}
+
+    parts = map_batches(ds, batch_sums)
+    return {key: functools.reduce(add, (p[key] for p in parts), 0.0) / len(ds) for key in parts[0]}
 
 
-def consistency_gap(
-    model: SORMambaModel,
-    ds: WindowedDataset,
-    metric: str | None = None,
-    batch_size: int = 64,
-) -> float:
-    """Mean view disagreement per layer over a dataset (fixed views)."""
-    metric = metric or model.config.reg_metric
-    total, batches = 0.0, 0
-    with no_grad():
-        for idx in iterate_batches(len(ds), batch_size, None):
-            _, pairs = model.encode(Tensor(ds.x[idx]))
-            if not pairs:
-                raise ValueError("consistency_gap needs a two-view model")
-            layer_mean = np.mean(
-                [float(reg_distance(z1, z2, metric).data) for z1, z2 in pairs]
-            )
-            total += float(layer_mean)
-            batches += 1
-    return total / max(1, batches)
+def consistency_gap(model: SORMambaModel, ds: WindowedDataset) -> float:
+    """Mean view disagreement per layer over a dataset (fixed views), in the
+    model's ``reg_metric``."""
+
+    def layer_mean(x, idx) -> float:
+        _, pairs = model.encode(x)
+        if not pairs:
+            raise ValueError("consistency_gap needs a two-view model")
+        metric = model.config.reg_metric
+        return float(np.mean([float(reg_distance(z1, z2, metric).data) for z1, z2 in pairs]))
+
+    gaps = map_batches(ds, layer_mean)
+    return functools.reduce(add, gaps, 0.0) / max(1, len(gaps))
 
 
-def correlation_preservation(
-    model: SORMambaModel, ds: WindowedDataset, batch_size: int = 64
-) -> dict:
+def correlation_preservation(model: SORMambaModel, ds: WindowedDataset) -> dict:
     """Input channel correlations vs their image in embedding space.
 
     ``r_x`` comes from the contiguous series underlying the windows;
@@ -187,11 +170,7 @@ def correlation_preservation(
     channel embeddings.
     """
     r_x = pearson_matrix_np(series_from_windows(ds.x).T)
-    mats = []
-    with no_grad():
-        for idx in iterate_batches(len(ds), batch_size, None):
-            z = model.latent_for_ccm(Tensor(ds.x[idx]))
-            mats.append(pearson_matrix(z).data)
+    mats = map_batches(ds, lambda x, idx: pearson_matrix(model.latent_for_ccm(x)).data)
     r_z = np.concatenate(mats, axis=0).mean(axis=0)
     c = r_x.shape[0]
     off = ~np.eye(c, dtype=bool)

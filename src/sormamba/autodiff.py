@@ -178,7 +178,8 @@ def accumulate(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
     if t.grad is None:
-        # fresh, as add's vjp hands one g to both parents; 0 + g maps -0 to +0
+        # fresh, as add's vjp hands one g to both parents and sum/mean hand a
+        # read-only broadcast view; 0 + g maps -0 to +0
         t.grad = np.add(0.0, g, out=np.empty_like(t.data))
     else:
         t.grad += g
@@ -452,12 +453,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     def vjp(g):
         if axis is None:
-            accumulate(a, np.broadcast_to(g, a.data.shape).copy())
+            accumulate(a, np.broadcast_to(g, a.data.shape))
             return
         gg = g
         if not keepdims:
             gg = np.expand_dims(gg, axis)
-        accumulate(a, np.broadcast_to(gg, a.data.shape).copy())
+        accumulate(a, np.broadcast_to(gg, a.data.shape))
 
     return from_op(a.data.sum(axis=axis, keepdims=keepdims), (a,), vjp)
 
@@ -473,11 +474,11 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     def vjp(g):
         gg = g / count
         if axis is None:
-            accumulate(a, np.broadcast_to(gg, a.data.shape).copy())
+            accumulate(a, np.broadcast_to(gg, a.data.shape))
             return
         if not keepdims:
             gg = np.expand_dims(gg, axis)
-        accumulate(a, np.broadcast_to(gg, a.data.shape).copy())
+        accumulate(a, np.broadcast_to(gg, a.data.shape))
 
     return from_op(a.data.mean(axis=axis, keepdims=keepdims), (a,), vjp)
 

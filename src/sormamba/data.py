@@ -23,6 +23,7 @@ import csv
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .losses import pearson_matrix_np
 
@@ -162,7 +163,11 @@ def series_from_windows(x: np.ndarray) -> np.ndarray:
 
 
 def make_windows(values: np.ndarray, lookback: int, horizon: int):
-    """Stride-1 forecasting pairs: x [N, L, C], y [N, H, C], N = T-L-H+1."""
+    """Stride-1 forecasting pairs: x [N, L, C], y [N, H, C], N = T-L-H+1.
+
+    Both are read-only views of ``values`` (no window is copied), so they
+    change if ``values`` does; gather a batch with ``x[idx]``.
+    """
     values = np.asarray(values, dtype=np.float64)
     t = values.shape[0]
     n = t - lookback - horizon + 1
@@ -170,8 +175,8 @@ def make_windows(values: np.ndarray, lookback: int, horizon: int):
         raise ValueError(
             f"series of length {t} too short for lookback {lookback} + horizon {horizon}"
         )
-    x = np.stack([values[i : i + lookback] for i in range(n)])
-    y = np.stack([values[i + lookback : i + lookback + horizon] for i in range(n)])
+    x = sliding_window_view(values[: t - horizon], lookback, axis=0).swapaxes(1, 2)
+    y = sliding_window_view(values[lookback:], horizon, axis=0).swapaxes(1, 2)
     return x, y
 
 

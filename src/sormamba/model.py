@@ -74,6 +74,10 @@ class ModelConfig:
             raise ValueError(f"reg_metric must be one of {REG_METRICS}, got {self.reg_metric!r}")
         if self.direction not in DIRECTIONS:
             raise ValueError(f"direction must be one of {DIRECTIONS}, got {self.direction!r}")
+        if self.direction == "bi" and not self.two_view:
+            raise ValueError(
+                "direction='bi' needs two_view=True: with one view the second block never runs"
+            )
         if self.order_mode not in ORDER_MODES:
             raise ValueError(f"order_mode must be one of {ORDER_MODES}, got {self.order_mode!r}")
         if self.discretization not in DISCRETIZATIONS:

@@ -87,6 +87,17 @@ class TestOrderEvaluation:
             an.permutation_robustness(model, bundle.test, bundle.normalizer, **kwargs)
 
 
+def test_permuted_view_of_window_views_matches_copies():
+    bundle, _ = bundle_and_model()
+    ds = bundle.test
+    copied = dt.WindowedDataset(split="test", x=ds.x.copy(), y=ds.y.copy())
+    perm = np.array([2, 0, 3, 1])
+    got, got_norm = an._permuted_view(ds, perm, bundle.normalizer)
+    want, want_norm = an._permuted_view(copied, perm, bundle.normalizer)
+    for a, b in ((got.x, want.x), (got.y, want.y), (got_norm.mean, want_norm.mean)):
+        assert a.flags.c_contiguous and a.tobytes() == b.tobytes()
+
+
 class TestConsistencyGap:
     def test_zero_for_single_channel(self):
         bundle, model = bundle_and_model(c=1)

@@ -214,6 +214,15 @@ class TestFiniteDifference:
 
 
 class TestShapeOps:
+    def test_mean_backward_twice_leaves_an_owned_writeable_grad(self):
+        # tmean hands accumulate a read-only broadcast view of its gradient
+        x = Tensor(_rng(5).normal(size=(4, 3)), requires_grad=True)
+        ad.backward(ad.tmean(ad.tmean(x, axis=1)))
+        once = x.grad.copy()
+        ad.backward(ad.tmean(ad.tmean(x, axis=1)))
+        assert x.grad.flags.writeable and x.grad.flags.owndata
+        np.testing.assert_array_equal(x.grad, 2 * once)
+
     def test_take_axis_reversed_indices_involution_and_grad(self):
         x = Tensor(_rng(8).normal(size=(2, 5, 3)), requires_grad=True)
         rev = np.arange(5)[::-1]

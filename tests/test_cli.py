@@ -155,6 +155,15 @@ def test_unknown_model_key_is_usage_error(tmp_path, capsys):
     assert "dropout" in capsys.readouterr().err
 
 
+def test_bi_single_view_is_usage_error(tmp_path, capsys):
+    config = write_config(
+        tmp_path / "exp.yaml", lambda c: c["model"].update(direction="bi", two_view=False)
+    )
+    assert cli.main(["train", "--config", config, "--out-root", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "direction" in err and "two_view" in err
+
+
 def test_channel_mismatch_is_usage_error(tmp_path):
     config = write_config(tmp_path / "exp.yaml", lambda c: c["model"].update(n_channels=7))
     assert cli.main(["train", "--config", config]) == 2

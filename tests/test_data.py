@@ -113,11 +113,26 @@ class TestWindows:
         with pytest.raises(ValueError, match="too short"):
             dt.make_windows(np.zeros((4, 1)), 3, 2)
 
+    def test_windows_are_read_only_views_of_the_series(self):
+        vals = np.random.default_rng(11).normal(size=(30, 3))
+        x, y = dt.make_windows(vals, 5, 4)
+        n = 30 - 5 - 4 + 1
+        np.testing.assert_array_equal(x, np.stack([vals[i : i + 5] for i in range(n)]))
+        np.testing.assert_array_equal(y, np.stack([vals[i + 5 : i + 9] for i in range(n)]))
+        for windows in (x, y):
+            assert np.shares_memory(windows, vals) and not windows.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                windows[0, 0, 0] = 1.0
+        # a batch gather is a C-contiguous copy, as from stacked windows
+        idx = np.array([4, 0, 17])
+        assert x[idx].flags.c_contiguous and x[idx].tobytes() == x.copy()[idx].tobytes()
+
     def test_series_from_windows_inverts_windowing(self):
         vals = np.random.default_rng(10).normal(size=(40, 3))
         x, _ = dt.make_windows(vals, 7, 2)
         rebuilt = dt.series_from_windows(x)
         np.testing.assert_array_equal(rebuilt, vals[: 40 - 2])
+        assert rebuilt.tobytes() == dt.series_from_windows(x.copy()).tobytes()
 
 
 class TestNormalizer:

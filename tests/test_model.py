@@ -155,6 +155,12 @@ def test_size_fields_must_be_positive_ints(field, value):
         md.ModelConfig(lookback=8, horizon=3, n_channels=2, d_model=4, **{field: value})
 
 
+def test_bi_direction_needs_two_views():
+    # one view runs only the first block, so the second would never train
+    with pytest.raises(ValueError, match="direction='bi' needs two_view=True"):
+        md.ModelConfig(lookback=8, horizon=3, n_channels=2, direction="bi", two_view=False)
+
+
 def test_optional_sizes_resolve_when_unset():
     cfg = md.ModelConfig(lookback=8, horizon=3, n_channels=2, d_model=40)
     assert (cfg.resolved_dt_rank, cfg.resolved_mlp_hidden) == (3, 80)

@@ -139,6 +139,21 @@ class TestSupervised:
 
 
 class TestFreezeRules:
+    def test_fit_names_a_frozen_parameter_that_moved(self):
+        model = tiny_model()
+        named = dict(model.param_items())
+        bias = named["head.b"]
+        trunk = [t for n, t in named.items() if not n.startswith("head.")]
+        loss = tsum(mul(trunk[0], trunk[0]))
+
+        def batch_loss(idx, rng):
+            bias.data = bias.data + 1e-12  # behind the optimizer's back
+            return loss
+
+        cfg = tr.TrainConfig(max_epochs=1, batch_size=8, seed=0)
+        with pytest.raises(AssertionError, match=r"frozen parameters: head\.b$"):
+            tr._fit(model, trunk, cfg, batch_loss, lambda: 0.0, n_train=8)
+
     def test_linear_probe_freezes_trunk(self):
         bundle = tiny_bundle()
         model = tiny_model()

@@ -15,7 +15,14 @@ each workload's ``setup`` and ``make_run`` at seed 3 with one BLAS thread:
 * 32 small model variants that no workload runs (uni/bi x conv on/off x the
   four order modes x both discretizations, two layers, seed 7): after one
   ``forecast``, ``total_loss`` and ``backward``, the loss as ``float.hex()``
-  and a sha256 over every parameter's name, value and gradient.
+  and a sha256 over every parameter's name, value and gradient;
+* the read paths over a small synthetic split (5 channels, seed 7): the
+  validation losses and best epoch of a 2-epoch ``train_supervised``,
+  ``_val_forecast_mse`` and ``evaluate`` of the trained model, sha256s of
+  ``view_embeddings`` for a one-view and a two-view model,
+  ``consistency_gap``, ``correlation_preservation``'s ``gap_mse`` and a
+  sha256 of its ``r_z``, and the validation losses of a 2-epoch
+  ``pretrain`` in each pretext mode.
 
 Two checkouts that compute the same numbers print the same lines; ``diff``
 the outputs to see which parameters or errors moved.
@@ -95,6 +102,7 @@ def main(argv=None) -> int:
     print(name, "permutation_robustness", *(v.hex() for v in robust["mse_values"]))
 
     _print_variants(grads)
+    _print_read_paths()
     if args.grads:
         _save_grads(args.grads, grads)
     if args.against:
@@ -138,6 +146,42 @@ def _print_variants(grads: dict[str, dict]) -> None:
         tag = " ".join(("variant", direction, conv_tag, order_mode, discretization))
         grads[tag] = {p: t.grad for p, t in model.param_items() if t.grad is not None}
         print(tag, float(loss.data).hex(), h.hexdigest())
+
+
+def _print_read_paths() -> None:
+    from sormamba import analysis, data, synthetic, training
+    from sormamba.model import ModelConfig, SORMambaModel
+
+    values = synthetic.correlated_series(5, 400, seed=VARIANT_SEED)
+    series = data.RawSeries(
+        name="read", values=values, channel_names=[f"ch{i}" for i in range(5)]
+    )
+    bundle = data.build_splits(series, "other", 16, 8)
+    cfg = training.TrainConfig(max_epochs=2, batch_size=16, seed=VARIANT_SEED)
+
+    def small_model(two_view: bool = True) -> SORMambaModel:
+        mcfg = ModelConfig(
+            lookback=16, horizon=8, n_channels=5, d_model=8, n_layers=2, d_state=4,
+            reg_weight=0.1, two_view=two_view,
+        )
+        return SORMambaModel(mcfg, seed=VARIANT_SEED)
+
+    model = small_model()
+    fit = training.train_supervised(model, bundle.train, bundle.val, cfg)
+    print("read train_supervised", fit.best_epoch, *(e.val_loss.hex() for e in fit.epochs))
+    mse = training._val_forecast_mse(model, bundle.val, cfg.batch_size)
+    print("read _val_forecast_mse", mse.hex())
+    metrics = training.evaluate(model, bundle.test, bundle.normalizer)
+    print("read evaluate", metrics["mse"].hex(), metrics["mae"].hex())
+    for tag, m in (("one-view", small_model(two_view=False)), ("two-view", model)):
+        embeds = analysis.view_embeddings(m, bundle.test)
+        print("read view_embeddings", tag, *(f"{k}={_digest(v)}" for k, v in embeds.items()))
+    print("read consistency_gap", analysis.consistency_gap(model, bundle.test).hex())
+    corr = analysis.correlation_preservation(model, bundle.test)
+    print("read correlation_preservation", corr["gap_mse"].hex(), _digest(corr["r_z"]))
+    for mode in training.PRETEXT_MODES:
+        fit = training.pretrain(small_model(), bundle.train, bundle.val, cfg, mode=mode)
+        print("read pretrain", mode, *(e.val_loss.hex() for e in fit.epochs))
 
 
 def _save_grads(path: Path, grads: dict[str, dict]) -> None:
