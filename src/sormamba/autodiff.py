@@ -464,12 +464,7 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    if axis is None:
-        count = a.data.size
-    elif isinstance(axis, int):
-        count = a.data.shape[axis]
-    else:
-        count = int(np.prod([a.data.shape[ax] for ax in axis]))
+    count = a.data.size if axis is None else a.data.shape[axis]
 
     def vjp(g):
         gg = g / count

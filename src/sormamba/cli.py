@@ -2,9 +2,11 @@
 
 One YAML config describes one experiment: the dataset (a CSV path or a
 synthetic generator), the model, the optimization settings, and a run name.
-Every command materializes its inputs from that config, writes all outputs
-under ``<output root>/<run_name>/``, and stores the resolved config next to
-them so any artifact can be re-derived.
+``main`` resolves that config, loads and checks the ``--checkpoint`` model
+of the commands that run one, and only then creates
+``<output root>/<run_name>/`` and stores the resolved config there, so a
+rejected config or checkpoint writes nothing and any artifact can be
+re-derived from its own directory.
 
 Exit codes: 0 success, 2 configuration or usage error, 3 runtime failure.
 Wall-clock timings go only to the ``.jsonl`` logs; the ``.csv`` summaries
@@ -21,7 +23,6 @@ import json
 import os
 import sys
 
-import numpy as np
 import yaml
 
 from . import analysis as an
@@ -39,8 +40,12 @@ OVERRIDE_ALIASES = {
     "lr": "train.lr",
 }
 
+# commands that run the model read from --checkpoint, and analyze kinds that do
+CHECKPOINT_COMMANDS = ("probe", "finetune", "evaluate", "export-embeddings")
+CHECKPOINT_ANALYSES = ("bias", "robustness", "correlation")
 
-class ConfigError(Exception):
+
+class ConfigError(ValueError):
     pass
 
 
@@ -81,15 +86,20 @@ def apply_overrides(cfg: dict, sets: list[str]) -> dict:
     return cfg
 
 
-def _require(cfg: dict, key: str):
+def _section(cfg: dict, key: str, required: bool = False) -> dict:
     if key not in cfg:
-        raise ConfigError(f"config is missing the {key!r} section")
-    return cfg[key]
+        if required:
+            raise ConfigError(f"config is missing the {key!r} section")
+        return {}
+    section = cfg[key]
+    if not isinstance(section, dict):
+        raise ConfigError(f"config section {key!r} must be a mapping, got {section!r}")
+    return dict(section)
 
 
 def build_series(cfg: dict) -> tuple[dt.RawSeries, str]:
     """Returns the raw series and its split family."""
-    dcfg = dict(_require(cfg, "dataset"))
+    dcfg = _section(cfg, "dataset", required=True)
     kind = dcfg.get("kind", "csv")
     name = dcfg.get("name", kind)
     family = dcfg.get("family")
@@ -125,7 +135,7 @@ def build_series(cfg: dict) -> tuple[dt.RawSeries, str]:
 
 
 def build_model_config(cfg: dict, n_channels: int) -> ModelConfig:
-    mcfg = dict(_require(cfg, "model"))
+    mcfg = _section(cfg, "model", required=True)
     declared = mcfg.setdefault("n_channels", n_channels)
     if declared != n_channels:
         raise ConfigError(
@@ -138,9 +148,8 @@ def build_model_config(cfg: dict, n_channels: int) -> ModelConfig:
 
 
 def build_train_config(cfg: dict) -> tr.TrainConfig:
-    tcfg = dict(cfg.get("train", {}))
     try:
-        return tr.TrainConfig(**tcfg)
+        return tr.TrainConfig(**_section(cfg, "train"))
     except (TypeError, ValueError) as e:
         raise ConfigError(f"invalid train config: {e}") from None
 
@@ -162,7 +171,7 @@ class RunContext:
         self.series, self.family = build_series(cfg)
         self.model_config = build_model_config(cfg, self.series.n_channels)
         self.train_config = build_train_config(cfg)
-        self.denormalize = bool(cfg.get("eval", {}).get("denormalize", True))
+        self.denormalize = bool(_section(cfg, "eval").get("denormalize", True))
 
     @functools.cached_property
     def bundle(self) -> dt.SplitBundle:
@@ -174,16 +183,13 @@ class RunContext:
             self.model_config.horizon,
         )
 
-    def ensure_out_dir(self) -> str:
-        os.makedirs(self.out_dir, exist_ok=True)
-        return self.out_dir
-
     def path(self, name: str) -> str:
         return os.path.join(self.out_dir, name)
 
     def write_resolved_config(self) -> None:
+        """Creates the run directory and writes ``resolved_config.yaml``."""
+        os.makedirs(self.out_dir, exist_ok=True)
         resolved = copy.deepcopy(self.cfg)
-        resolved.setdefault("model", {})
         resolved["model"] = self.model_config.to_dict()
         resolved["dataset_resolved"] = {
             "name": self.series.name,
@@ -208,15 +214,31 @@ def _file_sha256(path: str) -> str:
     return h.hexdigest()
 
 
-def _load_required_checkpoint(path: str | None, purpose: str) -> SORMambaModel:
+def load_run_model(ctx: RunContext, args) -> SORMambaModel | None:
+    """The ``--checkpoint`` model of a command that runs one, checked against
+    the config's model section; None for every other command."""
+    kind = getattr(args, "kind", None)
+    if args.command not in CHECKPOINT_COMMANDS and kind not in CHECKPOINT_ANALYSES:
+        return None
+    path = args.checkpoint
     if not path:
-        raise ConfigError(f"{purpose} requires --checkpoint")
+        command = args.command if kind is None else f"analyze {kind}"
+        raise ConfigError(f"{command} requires --checkpoint")
     if not os.path.exists(path):
         raise ConfigError(f"checkpoint does not exist: {path}")
     try:
-        return load_checkpoint(path)
+        model = load_checkpoint(path)
     except Exception as e:
         raise ConfigError(f"{path} is not a readable checkpoint: {e}") from None
+    trained, wanted = model.config.to_dict(), ctx.model_config.to_dict()
+    differ = [f"{k} (checkpoint {trained[k]!r}, config {wanted[k]!r})"
+              for k in wanted if trained[k] != wanted[k]]
+    if differ:
+        raise ConfigError(
+            f"checkpoint {path} was trained with a different model section: "
+            + ", ".join(differ)
+        )
+    return model
 
 
 def _write_report(path: str, payload: dict) -> None:
@@ -228,9 +250,7 @@ def _write_report(path: str, payload: dict) -> None:
 # ---- commands ---------------------------------------------------------------
 
 
-def cmd_prepare_data(ctx: RunContext, args) -> int:
-    ctx.ensure_out_dir()
-    ctx.write_resolved_config()
+def cmd_prepare_data(ctx: RunContext, args, model) -> int:
     usable = dt.usable_sizes(ctx.series, ctx.family, ctx.model_config.lookback)
     rows = []
     for split in ("train", "val", "test"):
@@ -276,26 +296,39 @@ def _final_summary_rows(ctx: RunContext, model: SORMambaModel, result: tr.FitRes
     ]
 
 
-def cmd_train(ctx: RunContext, args) -> int:
-    ctx.ensure_out_dir()
-    ctx.write_resolved_config()
-    model = SORMambaModel(ctx.model_config, seed=ctx.train_config.seed)
-    result = tr.train_supervised(model, ctx.bundle.train, ctx.bundle.val, ctx.train_config)
-    save_checkpoint(model, ctx.path("checkpoint.npz"))
-    tr.write_jsonl(ctx.path("train_log.jsonl"), result.to_records())
-    tr.write_summary_csv(ctx.path("summary.csv"), _final_summary_rows(ctx, model, result))
-    print(f"trained: best val {result.best_val:.6f} at epoch {result.best_epoch}")
+def _fit(ctx: RunContext, model: SORMambaModel, fit_fn, artifact: str, label: str,
+         source: str | None = None) -> int:
+    """Fits ``model``, then writes its checkpoint, the JSONL log and the
+    summary; a model read from the ``source`` checkpoint also gets
+    ``lineage.json``."""
+    result = fit_fn(model, ctx.bundle.train, ctx.bundle.val, ctx.train_config)
+    save_checkpoint(model, ctx.path(artifact))
+    tr.write_jsonl(ctx.path(f"{label}_log.jsonl"), result.to_records())
+    rows = _final_summary_rows(ctx, model, result)
+    if source is not None:
+        rows[0]["source_checkpoint"] = os.path.basename(source)
+        lineage = {
+            "source_checkpoint": os.path.abspath(source),
+            "source_sha256": _file_sha256(source),
+            "produced": artifact,
+        }
+        _write_report(ctx.path("lineage.json"), lineage)
+    tr.write_summary_csv(ctx.path("summary.csv"), rows)
+    print(f"{label}: best val {result.best_val:.6f} at epoch {result.best_epoch}")
     return 0
 
 
-def cmd_pretrain(ctx: RunContext, args) -> int:
-    ctx.ensure_out_dir()
-    ctx.write_resolved_config()
-    model = SORMambaModel(ctx.model_config, seed=ctx.train_config.seed)
+def cmd_train(ctx: RunContext, args, model) -> int:
+    fresh = SORMambaModel(ctx.model_config, seed=ctx.train_config.seed)
+    return _fit(ctx, fresh, tr.train_supervised, "checkpoint.npz", "train")
+
+
+def cmd_pretrain(ctx: RunContext, args, model) -> int:
+    fresh = SORMambaModel(ctx.model_config, seed=ctx.train_config.seed)
     result = tr.pretrain(
-        model, ctx.bundle.train, ctx.bundle.val, ctx.train_config, mode=args.task
+        fresh, ctx.bundle.train, ctx.bundle.val, ctx.train_config, mode=args.task
     )
-    save_checkpoint(model, ctx.path("pretrained.npz"))
+    save_checkpoint(fresh, ctx.path("pretrained.npz"))
     tr.write_jsonl(ctx.path("pretrain_log.jsonl"), result.to_records())
     row = {
         "dataset": ctx.series.name,
@@ -311,43 +344,15 @@ def cmd_pretrain(ctx: RunContext, args) -> int:
     return 0
 
 
-def _transfer(ctx: RunContext, args, fit_fn, artifact: str, label: str) -> int:
-    model = _load_required_checkpoint(args.checkpoint, label)
-    if model.config != ctx.model_config:
-        raise ConfigError(
-            "checkpoint model configuration does not match this config; "
-            "run with the same model section"
-        )
-    ctx.ensure_out_dir()
-    ctx.write_resolved_config()
-    result = fit_fn(model, ctx.bundle.train, ctx.bundle.val, ctx.train_config)
-    save_checkpoint(model, ctx.path(artifact))
-    tr.write_jsonl(ctx.path(f"{label}_log.jsonl"), result.to_records())
-    rows = _final_summary_rows(ctx, model, result)
-    rows[0]["source_checkpoint"] = os.path.basename(args.checkpoint)
-    tr.write_summary_csv(ctx.path("summary.csv"), rows)
-    lineage = {
-        "source_checkpoint": os.path.abspath(args.checkpoint),
-        "source_sha256": _file_sha256(args.checkpoint),
-        "produced": artifact,
-    }
-    _write_report(ctx.path("lineage.json"), lineage)
-    print(f"{label}: best val {result.best_val:.6f} (from {args.checkpoint})")
-    return 0
+def cmd_probe(ctx: RunContext, args, model) -> int:
+    return _fit(ctx, model, tr.linear_probe, "probed.npz", "probe", args.checkpoint)
 
 
-def cmd_probe(ctx: RunContext, args) -> int:
-    return _transfer(ctx, args, tr.linear_probe, "probed.npz", "probe")
+def cmd_finetune(ctx: RunContext, args, model) -> int:
+    return _fit(ctx, model, tr.fine_tune, "finetuned.npz", "finetune", args.checkpoint)
 
 
-def cmd_finetune(ctx: RunContext, args) -> int:
-    return _transfer(ctx, args, tr.fine_tune, "finetuned.npz", "finetune")
-
-
-def cmd_evaluate(ctx: RunContext, args) -> int:
-    model = _load_required_checkpoint(args.checkpoint, "evaluate")
-    ctx.ensure_out_dir()
-    ctx.write_resolved_config()
+def cmd_evaluate(ctx: RunContext, args, model) -> int:
     metrics = ctx.evaluate_split(model, args.split)
     row = {
         "dataset": ctx.series.name,
@@ -361,29 +366,11 @@ def cmd_evaluate(ctx: RunContext, args) -> int:
     return 0
 
 
-def _export_embedding_csvs(ctx: RunContext, model: SORMambaModel) -> list[str]:
-    embeds = an.view_embeddings(model, ctx.bundle.test)
-    written = []
-    for key, mat in embeds.items():
-        path = ctx.path(f"embeddings_{key}.csv")
-        rows = []
-        for c in range(mat.shape[0]):
-            row = {"channel": ctx.bundle.channel_names[c]}
-            row.update({f"d{j}": mat[c, j] for j in range(mat.shape[1])})
-            rows.append(row)
-        tr.write_summary_csv(path, rows)
-        written.append(path)
-    return written
-
-
-def cmd_analyze(ctx: RunContext, args) -> int:
+def cmd_analyze(ctx: RunContext, args, model) -> int:
     kind = args.kind
-    ctx.ensure_out_dir()
-    ctx.write_resolved_config()
-
     if kind == "efficiency":
-        model = SORMambaModel(ctx.model_config, seed=ctx.train_config.seed)
-        rep = an.efficiency_report(model)
+        fresh = SORMambaModel(ctx.model_config, seed=ctx.train_config.seed)
+        rep = an.efficiency_report(fresh)
         rows = []
         for comp, count in rep["components"].items():
             rows.append(
@@ -417,7 +404,6 @@ def cmd_analyze(ctx: RunContext, args) -> int:
         print(f"missingness sweep ({len(out['rows'])} runs) -> {ctx.out_dir}")
         return 0
 
-    model = _load_required_checkpoint(args.checkpoint, f"analyze {kind}")
     norm = ctx.bundle.normalizer if ctx.denormalize else None
 
     if kind == "bias":
@@ -470,18 +456,19 @@ def cmd_analyze(ctx: RunContext, args) -> int:
             "mean_abs_offdiag_z": rep["mean_abs_offdiag_z"],
         },
     )
-    if args.export_embeddings:
-        for path in _export_embedding_csvs(ctx, model):
-            print(f"embeddings -> {path}")
     print(f"correlation gap {rep['gap_mse']:.6f}")
     return 0
 
 
-def cmd_export_embeddings(ctx: RunContext, args) -> int:
-    model = _load_required_checkpoint(args.checkpoint, "export-embeddings")
-    ctx.ensure_out_dir()
-    ctx.write_resolved_config()
-    for path in _export_embedding_csvs(ctx, model):
+def cmd_export_embeddings(ctx: RunContext, args, model) -> int:
+    names = ctx.bundle.channel_names
+    for key, mat in an.view_embeddings(model, ctx.bundle.test).items():
+        rows = [
+            {"channel": names[c], **{f"d{j}": mat[c, j] for j in range(mat.shape[1])}}
+            for c in range(mat.shape[0])
+        ]
+        path = ctx.path(f"embeddings_{key}.csv")
+        tr.write_summary_csv(path, rows)
         print(f"embeddings -> {path}")
     return 0
 
@@ -496,7 +483,8 @@ def make_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(name: str, summary: str):
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--config", required=True, help="YAML experiment config")
         p.add_argument(
             "--set",
@@ -507,32 +495,24 @@ def make_parser() -> argparse.ArgumentParser:
             help="override a config entry (dotted keys, YAML-typed values)",
         )
         p.add_argument("--out-root", default=None, help="output root directory")
+        if name in CHECKPOINT_COMMANDS or name == "analyze":
+            p.add_argument("--checkpoint", default=None)
         return p
 
-    common(sub.add_parser("prepare-data", help="split, window, and describe the dataset"))
-    common(sub.add_parser("train", help="supervised training"))
-
-    p = common(sub.add_parser("pretrain", help="self-supervised pretraining"))
+    common("prepare-data", "split, window, and describe the dataset")
+    common("train", "supervised training")
+    p = common("pretrain", "self-supervised pretraining")
     p.add_argument("--task", choices=tr.PRETEXT_MODES, default="ccm")
-
-    for name in ("probe", "finetune"):
-        p = common(sub.add_parser(name, help=f"{name} from a pretrained checkpoint"))
-        p.add_argument("--checkpoint", default=None)
-
-    p = common(sub.add_parser("evaluate", help="metrics for a trained checkpoint"))
-    p.add_argument("--checkpoint", default=None)
+    common("probe", "probe from a pretrained checkpoint")
+    common("finetune", "finetune from a pretrained checkpoint")
+    p = common("evaluate", "metrics for a trained checkpoint")
     p.add_argument("--split", choices=("val", "test"), default="test")
-
-    p = common(sub.add_parser("analyze", help="diagnostic reports"))
+    p = common("analyze", "diagnostic reports")
     p.add_argument("kind", choices=ANALYZE_KINDS)
-    p.add_argument("--checkpoint", default=None)
     p.add_argument("--rates", default="0,0.25,0.5,0.75")
     p.add_argument("--seeds", default="0,1,2")
     p.add_argument("--n-perms", type=int, default=5)
-    p.add_argument("--export-embeddings", action="store_true")
-
-    p = common(sub.add_parser("export-embeddings", help="per-channel embedding CSVs"))
-    p.add_argument("--checkpoint", default=None)
+    common("export-embeddings", "per-channel embedding CSVs")
 
     return parser
 
@@ -555,11 +535,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = apply_overrides(load_config(args.config), args.sets)
         ctx = RunContext(cfg, args.out_root)
-        return HANDLERS[args.command](ctx, args)
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
+        model = load_run_model(ctx, args)
+        ctx.write_resolved_config()
+        return HANDLERS[args.command](ctx, args, model)
+    except ValueError as e:  # ConfigError is one
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:  # runtime failure

@@ -47,6 +47,9 @@ from .autodiff import (
 )
 
 DISCRETIZATIONS = ("euler-b", "zoh-exact")
+# initial step sizes are drawn log-uniformly from [DT_MIN, DT_MAX]
+DT_MIN = 1e-3
+DT_MAX = 1e-1
 
 
 @dataclass
@@ -85,11 +88,9 @@ def init_ssm_params(
     dt_rank: int,
     rng: np.random.Generator,
     mode: str = "euler-b",
-    dt_min: float = 1e-3,
-    dt_max: float = 1e-1,
 ) -> SSMParams:
     """Standard initialization: A_n = -(n+1), softplus bias placing the
-    initial step sizes log-uniformly in [dt_min, dt_max], and small
+    initial step sizes log-uniformly in [DT_MIN, DT_MAX], and small
     fan-in-scaled projection weights."""
     a = np.tile(np.arange(1, state + 1, dtype=np.float64), (dim, 1))
     a_log = Tensor(np.log(a), requires_grad=True)
@@ -108,8 +109,8 @@ def init_ssm_params(
         requires_grad=True,
     )
     dt = np.exp(
-        rng.uniform(size=dim) * (math.log(dt_max) - math.log(dt_min))
-        + math.log(dt_min)
+        rng.uniform(size=dim) * (math.log(DT_MAX) - math.log(DT_MIN))
+        + math.log(DT_MIN)
     )
     # inverse softplus of the target step sizes
     b_dt = Tensor(dt + np.log(-np.expm1(-dt)), requires_grad=True)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, field
 from functools import reduce
@@ -34,6 +35,12 @@ from .model import SORMambaModel
 
 PRETEXT_MODES = ("ccm", "mm", "rec")
 EVAL_BATCH = 64
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 @dataclass
@@ -47,23 +54,24 @@ class TrainConfig:
     restore_best: bool = True  # False keeps the final-epoch parameters
 
     def __post_init__(self):
-        if self.max_epochs < 1 or self.batch_size < 1:
-            raise ValueError("max_epochs and batch_size must be positive")
-        if self.patience < 1:
-            raise ValueError(f"patience must be >= 1, got {self.patience}")
-        if not 0.0 < self.mask_ratio < 1.0:
-            raise ValueError(f"mask_ratio must be in (0, 1), got {self.mask_ratio}")
+        for name, low in (("max_epochs", 1), ("batch_size", 1), ("patience", 1), ("seed", 0)):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, int) or v < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {v!r}")
+        if not (_is_number(self.lr) and 0.0 < self.lr < math.inf):
+            raise ValueError(f"lr must be a positive finite number, got {self.lr!r}")
+        if not (_is_number(self.mask_ratio) and 0.0 < self.mask_ratio < 1.0):
+            raise ValueError(f"mask_ratio must be a number in (0, 1), got {self.mask_ratio!r}")
 
 
 class Adam:
     """Standard Adam with bias correction over an ordered parameter list."""
 
-    def __init__(self, params: list[Tensor], lr: float = 1e-3,
-                 betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8):
+    def __init__(self, params: list[Tensor], lr: float = 1e-3):
         self.params = list(params)
         self.lr = lr
-        self.b1, self.b2 = betas
-        self.eps = eps
+        self.b1, self.b2 = ADAM_BETAS
+        self.eps = ADAM_EPS
         self.step_count = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
@@ -357,17 +365,16 @@ def read_jsonl(path: str) -> list[dict]:
         return [json.loads(line) for line in fh if line.strip()]
 
 
-def write_summary_csv(path: str, rows: list[dict], fieldnames: list[str] | None = None) -> None:
-    """Deterministic summary table: stable field order, no timing columns
-    (wall-clock measurements belong in the JSONL logs)."""
+def write_summary_csv(path: str, rows: list[dict]) -> None:
+    """Deterministic summary table: columns in first-seen order, no timing
+    columns (wall-clock measurements belong in the JSONL logs)."""
     if not rows:
         raise ValueError("no rows to write")
-    if fieldnames is None:
-        fieldnames = list(rows[0].keys())
-        for row in rows[1:]:
-            for k in row:
-                if k not in fieldnames:
-                    fieldnames.append(k)
+    fieldnames = list(rows[0].keys())
+    for row in rows[1:]:
+        for k in row:
+            if k not in fieldnames:
+                fieldnames.append(k)
     banned = {"seconds", "wall_clock", "elapsed", "time"}
     leaked = banned & set(fieldnames)
     if leaked:

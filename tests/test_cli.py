@@ -329,12 +329,64 @@ def test_analyze_efficiency_builds_no_windows(tmp_path, capsys):
     assert (tmp_path / "o" / "run" / "efficiency.csv").exists()
 
 
-def test_analyze_requires_checkpoint_for_bias(tmp_path):
+def test_analyze_requires_checkpoint_for_bias(tmp_path, capsys):
     config = write_config(tmp_path / "exp.yaml")
     rc = cli.main(
         ["analyze", "bias", "--config", config, "--out-root", str(tmp_path / "o")]
     )
     assert rc == 2
+    assert "analyze bias requires --checkpoint" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+CHECKPOINT_COMMANDS = [
+    ["probe"],
+    ["finetune"],
+    ["evaluate"],
+    ["export-embeddings"],
+    ["analyze", "bias"],
+    ["analyze", "robustness"],
+    ["analyze", "correlation"],
+]
+
+
+@pytest.mark.parametrize("command", CHECKPOINT_COMMANDS, ids=" ".join)
+def test_checkpoint_commands_reject_a_mismatched_model(trained, tmp_path, capsys, command):
+    out_root = tmp_path / "o"
+    rc = cli.main(
+        command
+        + ["--config", trained["config"], "--set", "model.d_model=8"]
+        + ["--out-root", str(out_root), "--checkpoint", trained["checkpoint"]]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "d_model (checkpoint 16, config 8)" in err
+    assert "n_layers" not in err  # only the fields that differ
+    assert not out_root.exists()
+
+
+@pytest.mark.parametrize(
+    "override, field",
+    [
+        ("model=3", "model"),
+        ("dataset=[1, 2]", "dataset"),
+        ("train=3", "train"),
+        ("eval=1", "eval"),
+        ("train.lr=-1", "lr"),
+        ("train.lr=fast", "lr"),
+        ("train.seed=abc", "seed"),
+        ("train.max_epochs=true", "max_epochs"),
+        ("train.batch_size=8.5", "batch_size"),
+        ("train.patience=0", "patience"),
+    ],
+)
+def test_bad_config_value_is_usage_error_and_writes_nothing(tmp_path, capsys, override, field):
+    config = write_config(tmp_path / "exp.yaml")
+    out_root = tmp_path / "o"
+    rc = cli.main(["train", "--config", config, "--set", override, "--out-root", str(out_root)])
+    assert rc == 2
+    assert field in capsys.readouterr().err
+    assert not out_root.exists()
 
 
 def test_out_root_flag_beats_env(tmp_path, monkeypatch):

@@ -37,6 +37,35 @@ def tiny_model(seed=0, **kw):
 FAST = tr.TrainConfig(max_epochs=3, batch_size=64, lr=1e-3, patience=3, seed=0)
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("lr", -1.0),
+            ("lr", 0),
+            ("lr", "fast"),
+            ("lr", float("inf")),
+            ("lr", True),
+            ("seed", "abc"),
+            ("seed", -1),
+            ("seed", 1.5),
+            ("seed", False),
+            ("max_epochs", True),
+            ("max_epochs", 0),
+            ("batch_size", 2.0),
+            ("patience", "3"),
+            ("mask_ratio", "half"),
+            ("mask_ratio", 1.0),
+        ],
+    )
+    def test_rejects_bad_value_naming_the_field(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            tr.TrainConfig(**{field: value})
+
+    def test_accepts_an_int_lr(self):
+        assert tr.TrainConfig(lr=1).lr == 1
+
+
 class TestAdam:
     def test_single_step_matches_hand_calculation(self):
         p = Tensor(np.array([1.0]), requires_grad=True)

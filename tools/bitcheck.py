@@ -22,7 +22,15 @@ each workload's ``setup`` and ``make_run`` at seed 3 with one BLAS thread:
   ``view_embeddings`` for a one-view and a two-view model,
   ``consistency_gap``, ``correlation_preservation``'s ``gap_mse`` and a
   sha256 of its ``r_z``, and the validation losses of a 2-epoch
-  ``pretrain`` in each pretext mode.
+  ``pretrain`` in each pretext mode;
+* the CLI, in-process in a temporary directory on a small synthetic config
+  (5 channels, seed 7): prepare-data, train, pretrain ccm, probe and
+  finetune from the pretrained checkpoint, evaluate, the five analyze kinds
+  and export-embeddings from the trained one, each into its own run
+  directory. Each command's exit code, then a sha256 of every ``.csv``,
+  ``.json``, ``.npz`` and ``.yaml`` they wrote; the ``.jsonl`` logs hold
+  timings and are skipped, and of ``lineage.json``, which holds an absolute
+  path, only ``source_sha256`` and ``produced``.
 
 Two checkouts that compute the same numbers print the same lines; ``diff``
 the outputs to see which parameters or errors moved.
@@ -103,6 +111,7 @@ def main(argv=None) -> int:
 
     _print_variants(grads)
     _print_read_paths()
+    _print_cli()
     if args.grads:
         _save_grads(args.grads, grads)
     if args.against:
@@ -182,6 +191,68 @@ def _print_read_paths() -> None:
     for mode in training.PRETEXT_MODES:
         fit = training.pretrain(small_model(), bundle.train, bundle.val, cfg, mode=mode)
         print("read pretrain", mode, *(e.val_loss.hex() for e in fit.epochs))
+
+
+CLI_CONFIG = {
+    "run_name": "cli",
+    "dataset": {
+        "kind": "synthetic-correlated", "name": "cli", "channels": 5, "length": 400,
+        "seed": VARIANT_SEED, "family": "other",
+    },
+    "model": {
+        "lookback": 16, "horizon": 8, "d_model": 8, "n_layers": 2, "d_state": 4,
+        "reg_weight": 0.1,
+    },
+    "train": {"max_epochs": 2, "batch_size": 16, "seed": VARIANT_SEED},
+}
+CLI_HASHED = (".csv", ".json", ".npz", ".yaml")
+
+
+def _print_cli() -> None:
+    import contextlib
+    import io
+    import json
+    import tempfile
+
+    import yaml
+
+    from sormamba import cli
+
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        config = root / "exp.yaml"
+        config.write_text(yaml.safe_dump(CLI_CONFIG))
+        out = root / "out"
+        pretrained = str(out / "pretrain" / "pretrained.npz")
+        trained = str(out / "train" / "checkpoint.npz")
+        commands = [
+            ("prepare", ["prepare-data"]),
+            ("train", ["train"]),
+            ("pretrain", ["pretrain", "--task", "ccm"]),
+            ("probe", ["probe", "--checkpoint", pretrained]),
+            ("finetune", ["finetune", "--checkpoint", pretrained]),
+            ("evaluate", ["evaluate", "--checkpoint", trained]),
+            ("bias", ["analyze", "bias", "--checkpoint", trained]),
+            ("robustness", ["analyze", "robustness", "--checkpoint", trained, "--n-perms", "2"]),
+            ("correlation", ["analyze", "correlation", "--checkpoint", trained]),
+            ("efficiency", ["analyze", "efficiency"]),
+            ("missingness", ["analyze", "missingness", "--rates", "0,0.5", "--seeds", "0"]),
+            ("export", ["export-embeddings", "--checkpoint", trained]),
+        ]
+        for run_name, argv in commands:
+            argv = argv + ["--config", str(config), "--out-root", str(out)]
+            argv += ["--set", f"run_name={run_name}"]
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                rc = cli.main(argv)
+            print("cli", run_name, "exit", rc)
+        for path in sorted(out.rglob("*")):
+            rel = path.relative_to(out).as_posix()
+            if path.name == "lineage.json":
+                lineage = json.loads(path.read_text())
+                print("cli file", rel, lineage["source_sha256"], lineage["produced"])
+            elif path.suffix in CLI_HASHED:
+                print("cli file", rel, hashlib.sha256(path.read_bytes()).hexdigest())
 
 
 def _save_grads(path: Path, grads: dict[str, dict]) -> None:
