@@ -20,6 +20,7 @@ import copy
 import functools
 import hashlib
 import json
+import math
 import os
 import sys
 
@@ -385,8 +386,7 @@ def cmd_analyze(ctx: RunContext, args, model) -> int:
         return 0
 
     if kind == "missingness":
-        rates = tuple(float(r) for r in args.rates.split(","))
-        seeds = tuple(int(s) for s in args.seeds.split(","))
+        rates, seeds = args.rates, args.seeds
         out = an.missingness_sweep(
             ctx.series.values,
             ctx.model_config,
@@ -476,6 +476,23 @@ def cmd_export_embeddings(ctx: RunContext, args, model) -> int:
 # ---- argument parsing --------------------------------------------------------
 
 
+def _values(convert, low, high, want, listed=True):
+    """An argparse type: the value's comma-separated items (the whole value
+    unless ``listed``) through ``convert``, each in [low, high), else a usage
+    error that says ``want``."""
+
+    def parse(text: str):
+        try:
+            values = tuple(convert(v) for v in (text.split(",") if listed else [text]))
+        except ValueError:
+            values = ()
+        if not values or not all(low <= v < high for v in values):
+            raise argparse.ArgumentTypeError(f"{want}, got {text!r}")
+        return values if listed else values[0]
+
+    return parse
+
+
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sormamba",
@@ -509,9 +526,21 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", choices=("val", "test"), default="test")
     p = common("analyze", "diagnostic reports")
     p.add_argument("kind", choices=ANALYZE_KINDS)
-    p.add_argument("--rates", default="0,0.25,0.5,0.75")
-    p.add_argument("--seeds", default="0,1,2")
-    p.add_argument("--n-perms", type=int, default=5)
+    p.add_argument(
+        "--rates",
+        type=_values(float, 0.0, 1.0, "rates must be comma-separated numbers in [0, 1)"),
+        default="0,0.25,0.5,0.75",
+    )
+    p.add_argument(
+        "--seeds",
+        type=_values(int, 0, math.inf, "seeds must be comma-separated integers >= 0"),
+        default="0,1,2",
+    )
+    p.add_argument(
+        "--n-perms",
+        type=_values(int, 1, math.inf, "n_perms must be an integer >= 1", listed=False),
+        default=5,
+    )
     common("export-embeddings", "per-channel embedding CSVs")
 
     return parser
@@ -531,7 +560,10 @@ HANDLERS = {
 
 def main(argv: list[str] | None = None) -> int:
     parser = make_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as e:  # a usage error (2) or --help (0), already printed
+        return e.code
     try:
         cfg = apply_overrides(load_config(args.config), args.sets)
         ctx = RunContext(cfg, args.out_root)

@@ -308,6 +308,37 @@ def test_analyze_robustness_rejects_zero_permutations(trained, tmp_path, capsys)
     assert not (out_root / "run" / "robustness.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "kind, flag, value",
+    [
+        ("missingness", "--rates", "a,b"),
+        ("missingness", "--rates", "0,1"),
+        ("missingness", "--rates", ""),
+        ("missingness", "--seeds", "0,x"),
+        ("missingness", "--seeds", "-1"),
+        ("missingness", "--seeds", "1.5"),
+        ("robustness", "--n-perms", "0"),
+        ("robustness", "--n-perms", "two"),
+    ],
+)
+def test_bad_analyze_flag_is_usage_error_and_writes_nothing(tmp_path, capsys, kind, flag, value):
+    config = write_config(tmp_path / "exp.yaml")
+    out_root = tmp_path / "o"
+    rc = cli.main(["analyze", kind, "--config", config, "--out-root", str(out_root), flag, value])
+    assert rc == 2
+    assert f"argument {flag}:" in capsys.readouterr().err
+    assert not out_root.exists()
+
+
+def test_analyze_flags_parse_to_values():
+    args = cli.make_parser().parse_args(
+        ["analyze", "missingness", "--config", "c.yaml", "--rates", "0,0.5", "--seeds", "2"]
+    )
+    assert (args.rates, args.seeds, args.n_perms) == ((0.0, 0.5), (2,), 5)
+    defaults = cli.make_parser().parse_args(["analyze", "bias", "--config", "c.yaml"])
+    assert (defaults.rates, defaults.seeds) == ((0.0, 0.25, 0.5, 0.75), (0, 1, 2))
+
+
 def test_analyze_efficiency_needs_no_checkpoint(tmp_path):
     config = write_config(tmp_path / "exp.yaml")
     rc = cli.main(

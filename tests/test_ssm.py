@@ -3,6 +3,7 @@ agreement with the naive per-step scan."""
 
 import itertools
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -224,6 +225,107 @@ class TestScanTiles:
                 tracemalloc.stop()
         assert peaks[0] <= 16.0, peaks
         assert peaks[1] <= 32.0, peaks
+
+
+def _in_thread(fn):
+    """``fn()`` run in a new thread, which starts with an empty workspace."""
+    results = []
+    thread = threading.Thread(target=lambda: results.append(fn()))
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert results, "the scan raised in its thread"
+    return results[0]
+
+
+def _workspace_buffers():
+    return list(vars(scan_kernels._workspace).values())
+
+
+class TestScanWorkspace:
+    # with a cap of 512 elements per segment buffer, SMALL runs in one tile
+    # of 7 rows and segments 4+4+2, LARGE in tiles of 5+4 rows and segments
+    # 5+5+5+2; every LARGE buffer is bigger than the SMALL one of its role
+    CAP = 512
+    SMALL = (7, 10, 3, 2)
+    LARGE = (9, 17, 5, 4)
+
+    def _inputs(self, shape, seed):
+        return [t.data for t in _scan_inputs(np.random.default_rng(seed), *shape)]
+
+    @pytest.mark.parametrize("mode", DISCRETIZATIONS)
+    def test_reuse_after_a_larger_call_gives_the_same_bytes(self, mode, monkeypatch):
+        monkeypatch.setattr(scan_kernels, "_TILE_ELEMS", self.CAP)
+        other = next(m for m in DISCRETIZATIONS if m != mode)
+        small, large = self._inputs(self.SMALL, 30), self._inputs(self.LARGE, 31)
+
+        def small_large_small():
+            first = _scan_results(small, mode)  # grows the empty workspace
+            _scan_results(large, other)  # grows it again
+            return first, _scan_results(small, mode)  # reuses part of it
+
+        first, again = _in_thread(small_large_small)
+        assert [r.tobytes() for r in again] == [r.tobytes() for r in first]
+
+    @pytest.mark.parametrize("mode", DISCRETIZATIONS)
+    def test_outputs_share_no_memory_with_the_workspace(self, mode, monkeypatch):
+        monkeypatch.setattr(scan_kernels, "_TILE_ELEMS", self.CAP)
+        # y, the checkpoints and the five gradients
+        results = _scan_results(self._inputs(self.LARGE, 32), mode)
+        assert len(results) == 7
+        buffers = _workspace_buffers()
+        assert buffers
+        for i, r in enumerate(results):
+            assert not any(np.shares_memory(r, b) for b in buffers), i
+
+    def test_a_thread_scans_in_its_own_workspace(self, monkeypatch):
+        monkeypatch.setattr(scan_kernels, "_TILE_ELEMS", self.CAP)
+        inputs = self._inputs(self.LARGE, 33)
+        want = _scan_results(inputs, "zoh-exact")
+        got, buffers = _in_thread(
+            lambda: (_scan_results(inputs, "zoh-exact"), _workspace_buffers())
+        )
+        assert [r.tobytes() for r in got] == [r.tobytes() for r in want]
+        mine = _workspace_buffers()
+        assert buffers and not any(np.shares_memory(a, b) for a in buffers for b in mine)
+
+    def test_roles_start_at_distinct_page_offsets(self):
+        # a zoh-exact backward uses all nine roles
+        inputs = self._inputs(self.LARGE, 34)
+
+        def page_offsets():
+            _scan_results(inputs, "zoh-exact")
+            return [b.ctypes.data % 4096 for b in _workspace_buffers()]
+
+        offsets = _in_thread(page_offsets)
+        assert len(offsets) == len(scan_kernels._ROLES)
+        assert len(set(offsets)) == len(offsets), offsets
+
+    def test_a_warm_call_allocates_no_workspace(self):
+        # the weather shape of test_workspace_memory_at_the_weather_shape;
+        # after one forward and backward, a call's traced peak is its outputs
+        # plus at most four [rows, N, D] arrays per tile (the carried state
+        # and the gathered slices), less than one [segment, rows, N, D] buffer
+        batch, steps, dim, state = 64, 21, 128, 16
+        rng = np.random.default_rng(15)
+        inputs = [t.data for t in _scan_inputs(rng, batch, steps, dim, state)]
+        _, checkpoints = scan_kernels.scan_forward(*inputs, "zoh-exact", True)
+        gy = np.ones((batch, steps, dim))
+        scan_kernels.scan_backward(*inputs, "zoh-exact", checkpoints, gy)
+        rows = scan_kernels._tile_rows(batch, 5 * state * dim)
+        per_tile = 4 * rows * state * dim * 8
+        for call in (
+            lambda: scan_kernels.scan_forward(*inputs, "zoh-exact", False),
+            lambda: scan_kernels.scan_forward(*inputs, "zoh-exact", True),
+            lambda: scan_kernels.scan_backward(*inputs, "zoh-exact", checkpoints, gy),
+        ):
+            tracemalloc.start()
+            try:
+                outputs = call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= sum(o.nbytes for o in outputs) + per_tile, peak
 
 
 class TestScanOrder:

@@ -95,6 +95,46 @@ class TestAdam:
         assert a.data[0] != 1.0
         assert b.data[0] == 2.0
 
+    def test_three_steps_match_the_textbook_update_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        params = [Tensor(rng.normal(size=s), requires_grad=True) for s in ((4, 3), (5,), (1,))]
+        frozen = Tensor(rng.normal(size=3), requires_grad=True)  # its grad stays None
+        opt = tr.Adam(params + [frozen], lr=0.01)
+        frozen_bytes = frozen.data.tobytes()
+        b1, b2, eps = 0.9, 0.999, 1e-8
+        data = [p.data.copy() for p in params]
+        m = [np.zeros_like(d) for d in data]
+        v = [np.zeros_like(d) for d in data]
+        for t in (1, 2, 3):
+            grads = [rng.normal(size=d.shape) for d in data]
+            for p, g in zip(params, grads):
+                p.grad = g
+            opt.step()
+            # the textbook update, written out
+            for i, g in enumerate(grads):
+                m[i] = b1 * m[i] + (1 - b1) * g
+                v[i] = b2 * v[i] + (1 - b2) * (g * g)
+                m_hat, v_hat = m[i] / (1 - b1**t), v[i] / (1 - b2**t)
+                data[i] = data[i] - 0.01 * m_hat / (np.sqrt(v_hat) + eps)
+        for p, want in zip(params, data):
+            assert p.data.tobytes() == want.tobytes()
+        assert frozen.data.tobytes() == frozen_bytes
+
+    def test_restore_after_steps_gives_the_snapshot(self):
+        rng = np.random.default_rng(6)
+        params = [Tensor(rng.normal(size=(3, 2)), requires_grad=True) for _ in range(2)]
+        snap = tr._snapshot(params)
+        want = [s.tobytes() for s in snap]
+        opt = tr.Adam(params, lr=0.1)
+        for _ in range(3):
+            for p in params:
+                p.grad = rng.normal(size=p.shape)
+            opt.step()
+        assert all(p.data.tobytes() != w for p, w in zip(params, want))
+        assert [s.tobytes() for s in snap] == want  # the steps left the snapshot alone
+        tr._restore(params, snap)
+        assert [p.data.tobytes() for p in params] == want
+
 
 class TestBatching:
     def test_covers_every_index_once(self):

@@ -8,6 +8,13 @@ Imports ``sormamba`` from ``<checkout>/src`` and the benchmark's workloads
 from ``<checkout>/perfbench/workloads.py`` (read, never changed), and runs
 each workload's ``setup`` and ``make_run`` at seed 3 with one BLAS thread:
 
+* first, before anything else has scanned, the scan kernels alone on two
+  shapes in turn, a small one ([B, S, D, N] = [5, 9, 6, 4]) and the weather
+  shape ([64, 21, 128, 16], three batch tiles), alternating the two
+  discretizations and the token order (natural, reversed, a seeded
+  permutation), so that calls grow and shrink into what earlier calls left:
+  per call, a sha256 of y, of the checkpoints and of each of the five
+  gradients of ``scan_forward`` and ``scan_backward``;
 * train-solar, train-etth1: a sha256 of each parameter's gradient after one
   ``step()``, then ``parameter_fingerprint`` after three steps;
 * analyze-weather: the ``reversal_bias`` MSEs and the
@@ -84,6 +91,7 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
     workloads = _import_checkout(args.checkout.resolve())
+    _print_scan_reuse()
     from sormamba import analysis
     from sormamba import model as sm_model
 
@@ -117,6 +125,41 @@ def main(argv=None) -> int:
     if args.against:
         _print_against(args.against, grads)
     return 0
+
+
+SCAN_SHAPES = {"small": (5, 9, 6, 4), "weather": (64, 21, 128, 16)}
+# (shape, discretization, order): grow from empty, grow, shrink, reuse, ...
+SCAN_CALLS = (
+    ("small", "euler-b", "natural"),
+    ("weather", "zoh-exact", "natural"),
+    ("small", "zoh-exact", "reversed"),
+    ("weather", "euler-b", "permuted"),
+    ("small", "euler-b", "permuted"),
+    ("weather", "zoh-exact", "reversed"),
+    ("small", "euler-b", "natural"),
+)
+
+
+def _print_scan_reuse() -> None:
+    import numpy as np
+
+    from sormamba import scan_kernels
+
+    for shape_name, mode, order_name in SCAN_CALLS:
+        batch, steps, dim, state = SCAN_SHAPES[shape_name]
+        rng = np.random.default_rng(VARIANT_SEED)
+        delta = rng.uniform(0.05, 0.8, size=(batch, steps, dim))
+        a = -rng.uniform(0.3, 2.0, size=(dim, state))
+        b_t, c_t = rng.normal(size=(batch, steps, state)), rng.normal(size=(batch, steps, state))
+        x, gy = rng.normal(size=(batch, steps, dim)), rng.normal(size=(batch, steps, dim))
+        order = {
+            "natural": None,
+            "reversed": np.arange(steps)[::-1],
+            "permuted": rng.permutation(steps),
+        }[order_name]
+        y, checkpoints = scan_kernels.scan_forward(delta, a, b_t, c_t, x, mode, True, order)
+        grads = scan_kernels.scan_backward(delta, a, b_t, c_t, x, mode, checkpoints, gy, order)
+        print("scan", shape_name, mode, order_name, *(_digest(v) for v in (y, checkpoints, *grads)))
 
 
 def _print_variants(grads: dict[str, dict]) -> None:
