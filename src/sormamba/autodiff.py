@@ -8,11 +8,13 @@ feeds each node's accumulated gradient into its backward rule.
 
 Design points:
 
-* everything is float64, row-major; op outputs are fresh arrays
+* everything is float64, row-major; op outputs are fresh arrays, except
+  that ``reshape`` and ``unstack`` give views of their input's value
 * binary ops broadcast with numpy trailing-axis rules; gradients are summed
   back over broadcast axes so a parameter used across a batch accumulates
-* gradients accumulate additively across uses and across repeated
-  ``backward`` calls; callers zero them explicitly between steps
+* leaf gradients accumulate additively across uses and across repeated
+  ``backward`` calls; callers zero them explicitly between steps. An
+  interior node's gradient is dropped once it has been passed on
 * a custom fused op (e.g. the selective-scan kernel) plugs in through
   ``from_op`` with a hand-derived vector-Jacobian product
 """
@@ -53,6 +55,7 @@ __all__ = [
     "swapaxes",
     "shift_axis",
     "take_axis",
+    "unstack",
     "layer_norm",
     "check_gradients",
 ]
@@ -544,6 +547,21 @@ def take_axis(a: Tensor, indices: np.ndarray, axis: int) -> Tensor:
     return from_op(np.take(a.data, idx, axis=axis), (a,), vjp)
 
 
+def unstack(a: Tensor) -> tuple[Tensor, ...]:
+    """One Tensor per entry along the first axis, each a view of ``a``'s
+    value (nothing is copied); their gradients go to ``a``'s slots."""
+
+    def part(i: int) -> Tensor:
+        def vjp(g):
+            if a.grad is None:
+                a.grad = np.zeros_like(a.data)
+            a.grad[i] += g
+
+        return from_op(a.data[i], (a,), vjp)
+
+    return tuple(part(i) for i in range(a.shape[0]))
+
+
 def _axis_index(idx: np.ndarray, axis: int, ndim: int):
     sel: list = [slice(None)] * ndim
     sel[axis] = idx
@@ -587,7 +605,10 @@ def backward(loss: Tensor) -> None:
     """Propagate d(loss)/d(node) through every reachable node.
 
     The loss must be scalar (a single element). Gradients accumulate into
-    ``.grad``; repeated calls keep adding.
+    the leaves' ``.grad``; repeated calls keep adding. An interior node's
+    gradient is released once its backward rule has run, so each call starts
+    the interior nodes from nothing and a node's gradient lives only until
+    it has been passed on.
     """
     if loss.data.size != 1:
         raise ValueError(
@@ -602,6 +623,8 @@ def backward(loss: Tensor) -> None:
     for node in reversed(tape):
         if node._vjp is not None and node.grad is not None:
             node._vjp(node.grad)
+        if node._parents:
+            node.grad = None
 
 
 def check_gradients(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5) -> float:

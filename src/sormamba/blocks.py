@@ -13,8 +13,9 @@ the tokens:
 
 * ``pre`` works token by token: both input projections, the SiLUs, the
   scan's step sizes, B_t and C_t, and A = -exp(a_log);
-* ``core`` scans the tokens in a given order (``ssm.scan_core`` with
-  ``order``) and returns y in the tokens' own order;
+* ``core`` scans the tokens once in each of the given orders
+  (``ssm.scan_core`` with ``orders``) and returns each order's y in the
+  tokens' own order;
 * ``post`` works token by token again: the ``d_skip`` term, the gate and
   the output projection.
 
@@ -23,9 +24,13 @@ over two views of the token axis (or two independent blocks, for the
 bidirectional variant) and returns both view outputs so the caller can fuse
 them and penalize their disagreement. A view is only an order for ``core``:
 with one shared block (``uni``) both views share one ``pre`` and every
-tensor it made, and no token is gathered or put back. With the conv on, the
-conv and the projections after it are order-dependent too, so they move
-into ``core``, which then gathers the tokens and puts y back.
+tensor it made, both views are one ``core`` call and so one ``scan_core``
+call (which computes each token's discretized factors once for both orders
+when a row of the sequence fits the kernels' tile budget, see
+``scan_kernels``), and no token is gathered or put back. With the conv on,
+the conv and the projections after it are order-dependent too, so they move
+into ``core``, which then gathers the tokens, scans each view on its own
+and puts y back.
 """
 
 from __future__ import annotations
@@ -115,8 +120,22 @@ class CDMambaBlock:
 
     def __call__(self, z: Tensor) -> Tensor:
         """[batch, tokens, d_model] -> same shape, tokens in their given order."""
+        (out,) = self.forward_orders(z)
+        return out
+
+    def forward_orders(
+        self, z: Tensor, orders: tuple[np.ndarray | None, ...] = (None,)
+    ) -> list[Tensor]:
+        """The block's output on z once per order of its tokens, each in the
+        tokens' own order: ``pre`` once, ``core`` once for all the orders,
+        then ``post`` per order."""
         tokens = self.pre(z)
-        return self.post(tokens, *self.core(tokens))
+        scanned = self.core(tokens, orders)
+        gate = tokens.gate
+        # without a tape nothing else holds the scan's inputs; let them go
+        # before the outputs are built
+        del tokens
+        return [self.post(gate, y, u) for y, u in scanned]
 
     def pre(self, z: Tensor) -> Tokens:
         """The token-by-token work before the scan, on z [batch, tokens, d_model]."""
@@ -127,26 +146,33 @@ class CDMambaBlock:
         scan_in = None if self.conv_kernel else projections(u, self.ssm)
         return Tokens(u, gate, neg(exp(self.ssm.a_log)), scan_in)
 
-    def core(self, tokens: Tokens, order: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
-        """Scan the tokens in ``order`` (None: as given). Returns (y before the
-        skip term, the scan input), both in the tokens' own order."""
+    def core(
+        self, tokens: Tokens, orders: tuple[np.ndarray | None, ...] = (None,)
+    ) -> list[tuple[Tensor, Tensor]]:
+        """Scan the tokens once in each of ``orders`` (None: as given).
+        Returns, per order, (y before the skip term, the scan input), both in
+        the tokens' own order. Without a conv, all the orders are one
+        ``scan_core`` call."""
         if not self.conv_kernel:
             delta, b_t, c_t = tokens.scan_in
-            y = scan_core(delta, tokens.a, b_t, c_t, tokens.u, self.ssm.mode, order)
-            return y, tokens.u
+            ys = scan_core(delta, tokens.a, b_t, c_t, tokens.u, self.ssm.mode, orders)
+            return [(y, tokens.u) for y in ys]
+        return [self._conv_core(tokens, order) for order in orders]
+
+    def _conv_core(self, tokens: Tokens, order: np.ndarray | None) -> tuple[Tensor, Tensor]:
         u = tokens.u if order is None else take_axis(tokens.u, order, axis=1)
         u = silu(self._conv(u))
         delta, b_t, c_t = projections(u, self.ssm)
-        y = scan_core(delta, tokens.a, b_t, c_t, u, self.ssm.mode)
+        (y,) = scan_core(delta, tokens.a, b_t, c_t, u, self.ssm.mode)
         if order is None:
             return y, u
         inverse = np.argsort(order)
         return take_axis(y, inverse, axis=1), take_axis(u, inverse, axis=1)
 
-    def post(self, tokens: Tokens, y: Tensor, u: Tensor) -> Tensor:
+    def post(self, gate: Tensor, y: Tensor, u: Tensor) -> Tensor:
         """The token-by-token work after the scan: skip term, gate, out_proj."""
         y = y + mul(u, self.ssm.d_skip)
-        return matmul(mul(y, tokens.gate), self.w_out)
+        return matmul(mul(y, gate), self.w_out)
 
     def param_items(self) -> list[tuple[str, Tensor]]:
         items = [
@@ -168,9 +194,10 @@ class DirectionalEncoderCD:
     """One or two scan blocks read the token axis in paired views.
 
     ``uni`` shares a single block between the direct view and the reordered
-    view, and with it the block's ``pre`` stage; ``bi`` gives each view its
-    own block (exactly doubling the parameter count). ``forward_pair``
-    returns both view outputs aligned to the original token order.
+    view, and with it the block's ``pre`` stage and one ``core`` call for
+    both views; ``bi`` gives each view its own block (exactly doubling the
+    parameter count). ``forward_pair`` returns both view outputs aligned to
+    the original token order.
     """
 
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
@@ -219,11 +246,11 @@ class DirectionalEncoderCD:
             raise ValueError(
                 f"forward_pair: expected [batch, {self.n_tokens}, d_model], got {z.shape}"
             )
-        staged = [(blk, blk.pre(z)) for blk in self.blocks]
-        z1, z2 = (
-            blk.post(tokens, *blk.core(tokens, view))
-            for (blk, tokens), view in zip(staged * 2, self._views(rng))
-        )
+        views = self._views(rng)
+        if len(self.blocks) == 1:  # uni: one block scans both views
+            z1, z2 = self.blocks[0].forward_orders(z, views)
+        else:
+            (z1,), (z2,) = (blk.forward_orders(z, (v,)) for blk, v in zip(self.blocks, views))
         return z1, z2
 
     def param_items(self) -> list[tuple[str, Tensor]]:

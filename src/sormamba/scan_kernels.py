@@ -9,51 +9,73 @@ k, elementwise over [batch, dim, state] slabs:
     h_k     = A_bar_k * h_{k-1} + B_bar_k * x_k
     y_k     = sum_n C_k[n] * h_k[:, n]
 
-The discretized factors and the states are never held for the whole
-sequence. The steps are walked in segments of ceil(sqrt(S)) steps, and a
-segment's factors and states live only while it is processed. When a
-gradient will be taken, the forward keeps one checkpoint per segment: the
-state entering it. The backward walks the segments in reverse, recomputes
-each one's factors and states from its checkpoint, and accumulates the
-gradients wrt delta, A, B_t, C_t and x. This is the fusion and
-recomputation design of Mamba's ``selective_scan_fn`` (Gu & Dao 2023,
-arXiv 2312.00752, section 3.3) in numpy: O(sqrt(S)) slabs of memory instead
-of O(S), for one extra pass over the factors.
+A call scans the tokens once per order in a tuple of V orders. Each order
+is an index vector over the S tokens (None: the tokens in turn): step k of
+its recurrence reads token ``order[k]``, and its y (y[v] of a [V, B, S, D]
+result) and its share of every gradient are written back to that token, so
+results come out in the tokens' own order and no reordered copy of an input
+is made. The orders share every input; the scan is the one order-dependent
+part of a block.
+
+The work is done in blocks. A block is a set of tokens whose discretized
+factors (delta A, exp(delta A), the input term delta x B and, for
+zero-order hold, its factor) are computed once, in the block's order, plus
+one walk per order: the positions in the block that its steps read. The
+layout follows from the shapes alone:
+
+* Shared: with more than one order, when one batch row of the whole
+  sequence (S * N * D elements) fits within ``_TILE_ELEMS``, every order
+  walks one block of all S tokens in token order, reading ``a_bar[order[k]]``
+  and writing its states at those positions. The factors are computed once
+  for all the orders. No checkpoints are kept: the backward recomputes the
+  block from the zero state. This holds at the weather and etth1 shapes.
+* Segmented: otherwise (one order, or a long sequence such as solar's 137
+  steps, where whole-sequence tiles of one row ran slower than two segmented
+  scans), each order walks its own segments of ceil(sqrt(S)) steps, one
+  block each, gathered in step order, carrying its state from one segment
+  to the next. When a gradient will be taken, the forward keeps one
+  checkpoint per segment, the state entering it, and the backward walks the
+  segments in reverse, recomputing each one's factors and states from its
+  checkpoint: O(sqrt(S)) slabs of memory instead of O(S), for one extra
+  pass over the factors.
+
+Both layouts run the same recurrence loop over a block. The backward runs
+each walk's forward and reverse recurrence, sums the walks' gradients wrt
+the states (d loss / d (delta x B) before the zero-order-hold factor) and
+wrt delta A in token order, then does the zero-order-hold chain and the
+contractions for the gradients wrt x, delta, B_t and A once per block. This
+is the fusion and recomputation design of Mamba's ``selective_scan_fn`` (Gu
+& Dao 2023, arXiv 2312.00752, section 3.3) in numpy: the factors are built
+in a small workspace and consumed there, never held for a whole call.
 
 Shapes: delta and x [B, S, D], a [D, N], b_t and c_t [B, S, N]. Inside, the
-step axis leads and dim is last ([L, B, N, D] per segment), so one step's
+step axis leads and dim is last ([L, B, N, D] per block), so one step's
 slab is contiguous and the broadcasts run along the long axis.
 
 Batch rows never interact, so each call walks the batch in equal tiles of
-rows, all segments of one tile before the next. The tile size follows from
-the array shapes alone: the fewest tiles that keep one segment buffer
-within ``_TILE_ELEMS`` elements (2 MiB), split as evenly as whole rows
-allow. Every 4-D array of a call (delta A, exp(delta A), the input term,
-the zero-order-hold factor that ``exprel`` writes in place, the states,
-and the backward's gradients wrt the states and their products) is a view
-of one workspace sized for one tile and reused by every tile and segment.
-The workspace is kept per thread for the life of the process, one flat
-buffer per role that grows when a call needs more than it holds and never
-shrinks, so later calls reuse it: on these sizes a fresh array costs more
-in page faults than the arithmetic written into it, and memory handed back
-to the OS after each call is faulted in again on the next. Each role
-starts at its own offset within a 4 KiB page (``_buffer``). The workspace
-holds 9.6 MiB after a train-etth1 step, 9.2 MiB after a train-solar step
-and 9.1 MiB after an analyze-weather step. Outputs are fresh arrays,
-written straight into the [B, ...] results, and never share memory with
+rows, all blocks of one tile before the next. The tile size follows from
+the array shapes alone: the fewest tiles that keep one block's buffers for
+all its walks (one segment, or V copies of the whole sequence) within
+``_TILE_ELEMS`` elements (2 MiB), split as evenly as whole rows allow.
+Every 4-D array of a call (delta A, exp(delta A), the input term, the
+zero-order-hold factor that ``exprel`` writes in place, the states, and the
+backward's gradients wrt the states and their products) is a view of one
+workspace sized for one tile and reused by every tile and block. The
+workspace is kept per thread for the life of the process, one flat buffer
+per role that grows when a call needs more than it holds and never shrinks,
+so later calls reuse it: on these sizes a fresh array costs more in page
+faults than the arithmetic written into it, and memory handed back to the
+OS after each call is faulted in again on the next. Each role starts at its
+own offset within a 4 KiB page (``_buffer``). The workspace holds 7.3
+MiB after a train-etth1 step, 9.2 MiB after a train-solar step and
+5.0 MiB after an analyze-weather step. Outputs are fresh arrays,
+written straight into the [V, B, ...] results, and never share memory with
 the workspace.
 Tiling leaves every value bit for bit as a single tile computes it, except
 the gradient wrt A, which sums over the batch and so depends on the tile
-count by reduction order.
-
-The steps may be walked in any order: with ``order``, an index vector over
-the S tokens, step k of the recurrence reads token ``order[k]``, and y and
-every gradient are written back to that token. A segment gathers only its
-own [n, rows, D] slices of the inputs, so scanning a reordering of the
-tokens makes no reordered copy of them, and the results come out in the
-tokens' own order. The scan is the one order-dependent part of a block; two
-orderings of the same tokens share every input. ``delta * x`` is formed per
-segment, into the workspace, like the 4-D buffers.
+count by reduction order. Each order's y is bit for bit what a call with
+that order alone gives; the gradients of a call with several orders are
+the sum of the single-order ones up to reduction order.
 """
 
 from __future__ import annotations
@@ -105,115 +127,204 @@ def _buffer(role, shape):
     return flat[:need].reshape(shape)
 
 
-class _Scan:
-    """Step-major views of the inputs, the segments and batch tiles, and
-    views of the workspace for one call: buffers [segment, tile rows, N, D]."""
+def _shares_block(n_orders, steps, state_elems):
+    """Whether ``n_orders`` walks over ``steps`` tokens share one block of
+    all the tokens: more than one order, and one row of the whole sequence
+    (``steps * state_elems`` elements, N * D per token) within
+    ``_TILE_ELEMS``."""
+    return n_orders > 1 and steps * state_elems <= _TILE_ELEMS
 
-    def __init__(self, delta, a, b_t, x, mode, order, backward=False):
+
+class _Scan:
+    """Step-major views of the inputs, the blocks and batch tiles, and views
+    of the workspace for one call: buffers [block, tile rows, N, D].
+
+    ``blocks`` lists (tokens, walks): a block's tokens index the [S, ...]
+    inputs (a slice or an index vector) and its factors are computed once,
+    into buffer positions in that order; each walk (view, positions) runs one
+    order's recurrence over them, step k reading position ``positions[k]``
+    (None: the positions in turn). With ``shared`` there is one block of all
+    the tokens in token order, walked once per order from the zero state;
+    otherwise each order walks its own segments in turn, one block and one
+    checkpoint each, carrying its state from one segment to the next.
+    """
+
+    def __init__(self, delta, a, b_t, x, mode, orders, backward=False):
         self.zoh = mode == "zoh-exact"
         self.delta, self.b_t, self.x = (np.swapaxes(v, 0, 1) for v in (delta, b_t, x))
-        self.order = order
         self.a_t = a.T
         steps, batch, dim = self.x.shape
         self.state = self.a_t.shape
-        size = math.isqrt(max(steps - 1, 0)) + 1  # ceil(sqrt(steps))
-        self.segments = [slice(s0, min(s0 + size, steps)) for s0 in range(0, steps, size)]
-        rows = _tile_rows(batch, size * a.size)
+        self.shared = _shares_block(len(orders), steps, a.size)
+        if self.shared:
+            size, walks = steps, len(orders)
+            self.blocks = [(slice(0, steps), list(enumerate(orders)))]
+        else:
+            size, walks = math.isqrt(max(steps - 1, 0)) + 1, 1  # ceil(sqrt(steps))
+            segments = [slice(s0, min(s0 + size, steps)) for s0 in range(0, steps, size)]
+            self.blocks = [
+                (seg if order is None else order[seg], [(v, None)])
+                for v, order in enumerate(orders)
+                for seg in segments
+            ]
+        # one buffer per walk of a block, for the states and their gradients
+        rows = _tile_rows(batch, walks * size * a.size)
         self.tiles = [slice(b0, min(b0 + rows, batch)) for b0 in range(0, batch, max(rows, 1))]
         shape = (size, rows) + self.state
         self.da, self.a_bar, self.bx = (_buffer(role, shape) for role in ("da", "a_bar", "bx"))
-        self.hs = _buffer("hs", (size + 1,) + shape[1:])
+        # the backward keeps every walk's states; the forward reads out each
+        # walk's before the next
+        kept = walks if backward else 1
+        self.hs = _buffer("hs", (kept, size + 1) + shape[1:])
         self.dx = _buffer("dx", (size, rows, dim))
         self.factor = _buffer("factor", shape) if self.zoh else None
         # the input term before the zero-order-hold factor: the forward
         # scales it in place, the backward reads it again
         self.dxb = _buffer("dxb", shape) if self.zoh and backward else self.bx
-        self.gh, self.work = (
-            (_buffer("gh", shape), _buffer("work", shape)) if backward else (None, None)
-        )
+        self.gh = _buffer("gh", (walks,) + shape) if backward else None
+        self.work = _buffer("work", shape) if backward else None
 
-    def run(self, seg, tile, h0):
-        """Factors and states [h0, h_1, ..., h_n] of the steps in ``seg`` for
-        the rows in ``tile``, starting from state ``h0`` [rows, N, D]; the
-        buffers hold them in [:n + 1, :rows]. ``seg_delta``, ``seg_b`` and
-        ``seg_x`` are the segment's inputs [n, rows, ...] in step order, and
-        ``dx`` their delta * x. Returns (tokens, n, rows): what the steps
-        index in the [S, ...] inputs, a slice or the segment's part of
-        ``order``."""
-        tokens = seg if self.order is None else self.order[seg]
-        n, r = seg.stop - seg.start, tile.stop - tile.start
-        da, a_bar, bx, hs = self.da[:n, :r], self.a_bar[:n, :r], self.bx[:n, :r], self.hs[:, :r]
+    def factors(self, tokens, tile):
+        """The factors of ``tokens`` for the rows in ``tile``, into the
+        buffers' [:n, :rows] in the order of ``tokens``. ``seg_delta``,
+        ``seg_b`` and ``seg_x`` are the block's inputs [n, rows, ...] and
+        ``dx`` their delta * x. Returns (n, rows)."""
         self.seg_delta, self.seg_b, self.seg_x = (
             v[tokens, tile] for v in (self.delta, self.b_t, self.x)
         )
+        n, r = len(self.seg_x), tile.stop - tile.start
+        da, a_bar, bx = self.da[:n, :r], self.a_bar[:n, :r], self.bx[:n, :r]
         dx = np.multiply(self.seg_delta, self.seg_x, out=self.dx[:n, :r])
         np.multiply(self.seg_delta[:, :, None, :], self.a_t, out=da)
         np.exp(da, out=a_bar)
         np.multiply(dx[:, :, None, :], self.seg_b[:, :, :, None], out=self.dxb[:n, :r])
         if self.zoh:
             np.multiply(self.dxb[:n, :r], exprel(da, out=self.factor[:n, :r]), out=bx)
-        hs[0] = h0
-        for k in range(n):
-            np.multiply(a_bar[k], hs[k], out=hs[k + 1])
-            hs[k + 1] += bx[k]
-        return tokens, n, r
+        return n, r
+
+    def recur(self, steps, h0, hs):
+        """States of one walk over the block's ``steps`` (positions in step
+        order) from ``h0`` [rows, N, D] (None: zero): hs [n + 1, rows, N, D]
+        holds h0 in slot 0 and the state after position j in slot j + 1.
+        Returns the last state."""
+        n, r = len(hs) - 1, hs.shape[1]
+        a_bar, bx = self.a_bar[:n, :r], self.bx[:n, :r]
+        hs[0] = 0.0 if h0 is None else h0
+        prev = 0
+        for j in steps:
+            np.multiply(a_bar[j], hs[prev], out=hs[j + 1])
+            hs[j + 1] += bx[j]
+            prev = j + 1
+        return hs[prev]
 
 
-def scan_forward(delta, a, b_t, c_t, x, mode, keep_checkpoints, order=None):
-    """Run the recurrence; returns (y [B, S, D], checkpoints).
+def _steps(positions, n):
+    """A walk's positions in step order, as a list of ints."""
+    return list(range(n)) if positions is None else positions.tolist()
 
-    The checkpoints, [segments, B, N, D], are the states entering each
-    segment; with ``keep_checkpoints`` false none are kept (shape [0, ...]).
-    With ``order`` (an index vector over S), step k reads token ``order[k]``
-    and writes y there.
+
+def scan_forward(delta, a, b_t, c_t, x, mode, keep_checkpoints, orders=(None,)):
+    """Run the recurrence once per order; returns (y [V, B, S, D],
+    checkpoints).
+
+    ``orders`` holds V index vectors over S (None: the tokens in turn); for
+    order v, step k reads token ``orders[v][k]`` and writes y[v] there. The
+    checkpoints, [V * segments, B, N, D], are the states entering each
+    order's segments; none are kept (shape [0, ...]) without
+    ``keep_checkpoints``, or when the orders share one block, whose backward
+    starts from the zero state.
     """
-    scan = _Scan(delta, a, b_t, x, mode, order)
+    scan = _Scan(delta, a, b_t, x, mode, orders)
     c_t = np.swapaxes(c_t, 0, 1)
-    count = len(scan.segments) if keep_checkpoints else 0
+    count = len(scan.blocks) if keep_checkpoints and not scan.shared else 0
     checkpoints = np.empty((count, x.shape[0]) + scan.state)
-    y = np.empty(x.shape)
-    y_steps = np.swapaxes(y, 0, 1)
+    y = np.empty((len(orders),) + x.shape)
+    y_steps = np.swapaxes(y, 1, 2)
     for tile in scan.tiles:
-        h = np.zeros((tile.stop - tile.start,) + scan.state)
-        for j, seg in enumerate(scan.segments):
-            if keep_checkpoints:
-                checkpoints[j, tile] = h
-            at, n, r = scan.run(seg, tile, h)
-            y_steps[at, tile] = np.matmul(c_t[at, tile][:, :, None, :], scan.hs[1 : n + 1, :r])[:, :, 0, :]
-            h = scan.hs[n, :r]
+        # each order's state entering its next segment: a view of hs, read
+        # by the next block, which continues the same order
+        state = {}
+        for j, (tokens, walks) in enumerate(scan.blocks):
+            n, r = scan.factors(tokens, tile)
+            hs = scan.hs[0, : n + 1, :r]
+            for v, positions in walks:
+                if count:
+                    checkpoints[j, tile] = state.get(v, 0.0)
+                state[v] = scan.recur(_steps(positions, n), state.get(v), hs)
+                readout = np.matmul(c_t[tokens, tile][:, :, None, :], hs[1:])
+                y_steps[v, tokens, tile] = readout[:, :, 0, :]
     return y, checkpoints
 
 
-def scan_backward(delta, a, b_t, c_t, x, mode, checkpoints, gy, order=None):
+def scan_backward(delta, a, b_t, c_t, x, mode, checkpoints, gy, orders=(None,)):
     """Vector-Jacobian product wrt (delta, a, b_t, c_t, x), recomputing the
-    states segment by segment from the forward's checkpoints; ``order`` is
-    the forward's."""
-    scan = _Scan(delta, a, b_t, x, mode, order, backward=True)
-    c_t, gy = np.swapaxes(c_t, 0, 1), np.swapaxes(gy, 0, 1)
+    states block by block from the forward's checkpoints (or from the zero
+    state, for a shared block); ``gy`` [V, B, S, D] and ``orders`` are the
+    forward's y's gradient and orders.
+
+    The walks of a block sum their per-token gradients wrt the states and
+    wrt delta A in token order; the zero-order-hold chain and the
+    contractions then run once per block.
+    """
+    if len(gy) != len(orders):
+        raise ValueError(f"scan_backward: {len(gy)} output gradients for {len(orders)} orders")
+    scan = _Scan(delta, a, b_t, x, mode, orders, backward=True)
+    c_t, gy = np.swapaxes(c_t, 0, 1), [np.swapaxes(g, 0, 1) for g in gy]
     grads = g_delta, g_b, g_c, g_x = [np.empty(v.shape) for v in (delta, b_t, b_t, x)]
     g_delta_s, g_b_s, g_c_s, g_x_s = (np.swapaxes(g, 0, 1) for g in grads)
     g_a_t = np.zeros(scan.state)
+    # the reverse walk below meets one order's blocks first: they write the
+    # gradients, and every other order's blocks add to them
+    _, last_walks = scan.blocks[-1]
+    writer, _ = last_walks[0]
     for tile in scan.tiles:
-        # d loss / d h entering the segment after this one, through its steps
-        carry = np.zeros((tile.stop - tile.start,) + scan.state)
-        for seg, h0 in zip(reversed(scan.segments), checkpoints[::-1, tile], strict=True):
-            at, n, r = scan.run(seg, tile, h0)
-            a_bar, hs = scan.a_bar[:n, :r], scan.hs[: n + 1, :r]
-            gh, work = scan.gh[:n, :r], scan.work[:n, :r]
-            seg_gy = gy[at, tile]
-            # d loss / d h_k: its own readout plus what flows back from step k+1
-            np.multiply(seg_gy[:, :, None, :], c_t[at, tile][:, :, :, None], out=gh)
-            gh[-1] += carry
-            for k in range(n - 2, -1, -1):
-                np.multiply(a_bar[k + 1], gh[k + 1], out=work[k])
-                gh[k] += work[k]
-            np.multiply(a_bar[0], gh[0], out=carry)
-            g_c_s[at, tile] = np.matmul(hs[1:], seg_gy[:, :, :, None])[..., 0]
-            # d loss / d (delta A)
-            np.multiply(gh, hs[:-1], out=work)
+        # per order, d loss / d h entering the block after this one
+        carry = {}
+        for j in range(len(scan.blocks) - 1, -1, -1):
+            tokens, walks = scan.blocks[j]
+            n, r = scan.factors(tokens, tile)
+            a_bar, work = scan.a_bar[:n, :r], scan.work[:n, :r]
+            c_b = c_t[tokens, tile]
+            for i, (v, positions) in enumerate(walks):
+                steps = _steps(positions, n)
+                hs, gh = scan.hs[i, : n + 1, :r], scan.gh[i, :n, :r]
+                scan.recur(steps, None if scan.shared else checkpoints[j, tile], hs)
+                seg_gy = gy[v][tokens, tile]
+                # d loss / d h_k: its own readout plus what flows back from
+                # step k+1; work holds the products until the loop below
+                np.multiply(seg_gy[:, :, None, :], c_b[:, :, :, None], out=gh)
+                if v not in carry:
+                    carry[v] = np.zeros((r,) + scan.state)
+                gh[steps[-1]] += carry[v]
+                for k in range(n - 2, -1, -1):
+                    np.multiply(a_bar[steps[k + 1]], gh[steps[k + 1]], out=work[steps[k]])
+                    gh[steps[k]] += work[steps[k]]
+                np.multiply(a_bar[steps[0]], gh[steps[0]], out=carry[v])
+                gc = np.matmul(hs[1:], seg_gy[:, :, :, None])[..., 0]
+                g_c_b = gc if i == 0 else g_c_b + gc
+            # d loss / d (delta A) through A_bar: each walk's gradient wrt a
+            # state times the state entering it, summed over the walks into
+            # work, and the gradients wrt the states summed into walk 0's;
+            # walk 0's states are not read again, so they hold the terms
+            gh = scan.gh[0, :n, :r]
+            for i, (v, positions) in enumerate(walks):
+                hs, gh_i = scan.hs[i, : n + 1, :r], scan.gh[i, :n, :r]
+                term = work if i == 0 else scan.hs[0, :n, :r]
+                if positions is None:
+                    np.multiply(gh_i, hs[:-1], out=term)
+                else:
+                    # the hs slot entering each position: the one after the
+                    # position scanned before it, slot 0 for the first
+                    entering = np.empty(n, dtype=np.intp)
+                    entering[positions] = np.concatenate(([0], positions[:-1] + 1))
+                    np.take(hs, entering, axis=0, out=term, mode="clip")
+                    term *= gh_i
+                if i:
+                    work += term
+                    gh += gh_i
             work *= a_bar
             if scan.zoh:
-                # bx and a_bar are not read again for this segment; they take
+                # bx and a_bar are not read again for this block; they take
                 # the factor's derivative and its intermediate
                 grad = exprel_grad(scan.da[:n, :r], out=scan.bx[:n, :r], scratch=a_bar)
                 grad *= gh
@@ -222,8 +333,16 @@ def scan_backward(delta, a, b_t, c_t, x, mode, checkpoints, gy, order=None):
                 gh *= scan.factor[:n, :r]
             # gh is now d loss / d (delta x B) elementwise
             s = np.matmul(scan.seg_b[:, :, None, :], gh)[:, :, 0, :]
-            g_x_s[at, tile] = scan.seg_delta * s
-            g_delta_s[at, tile] = scan.seg_x * s + np.einsum("lbnd,nd->lbd", work, scan.a_t)
-            g_b_s[at, tile] = np.matmul(gh, scan.dx[:n, :r, :, None])[..., 0]
+            parts = (
+                (g_x_s, scan.seg_delta * s),
+                (g_delta_s, scan.seg_x * s + np.einsum("lbnd,nd->lbd", work, scan.a_t)),
+                (g_b_s, np.matmul(gh, scan.dx[:n, :r, :, None])[..., 0]),
+                (g_c_s, g_c_b),
+            )
+            for g, part in parts:
+                if walks[0][0] == writer:
+                    g[tokens, tile] = part
+                else:
+                    g[tokens, tile] += part
             g_a_t += np.einsum("lbnd,lbd->nd", work, scan.seg_delta)
     return g_delta, np.ascontiguousarray(g_a_t.T), g_b, g_c, g_x

@@ -14,13 +14,13 @@ magnitude, so every discrete transition factor lies in (0, 1).
 
 On the model's path the discretization never becomes part of the graph:
 :func:`scan_core` is one differentiable op that takes (delta, A, B_t, C_t, x)
-and builds the per-step factors inside the recurrence, keeping only a
+and builds the per-step factors inside the recurrence, keeping at most a
 checkpoint state every ~sqrt(S) steps for its backward, which recomputes the
 states in between (see ``scan_kernels``). Its inputs are per token, read
 off x by :func:`projections`; only the scan itself reads the order of the
-steps, and ``scan_core(..., order=v)`` walks them in the order ``v`` without
-reordering any input. :func:`discretize` gives the same factors as graph
-tensors for inspection; :func:`naive_scan` is the independent per-step
+steps, and ``scan_core(..., orders=(u, v))`` walks them once in each order
+without reordering any input. :func:`discretize` gives the same factors as
+graph tensors for inspection; :func:`naive_scan` is the independent per-step
 reference.
 """
 
@@ -44,6 +44,7 @@ from .autodiff import (
     neg,
     reshape,
     softplus,
+    unstack,
 )
 
 DISCRETIZATIONS = ("euler-b", "zoh-exact")
@@ -170,48 +171,61 @@ def scan_core(
     c_t: Tensor,
     x: Tensor,
     mode: str,
-    order: np.ndarray | None = None,
-) -> Tensor:
-    """Fused discretize-and-scan as one differentiable op.
+    orders: tuple[np.ndarray | None, ...] = (None,),
+) -> tuple[Tensor, ...]:
+    """Fused discretize-and-scan as one differentiable op, run once per order.
 
     delta [B, S, dim], a [dim, state], b_t and c_t [B, S, state],
-    x [B, S, dim]; returns y [B, S, dim] without the skip term. The backward
-    recomputes states from checkpoints and returns gradients for all five
-    inputs; nothing is kept for it when no gradient will be taken.
+    x [B, S, dim]; returns one y [B, S, dim] per entry of ``orders``, without
+    the skip term. The backward recomputes states from checkpoints and
+    returns gradients for all five inputs; nothing is kept for it when no
+    gradient will be taken.
 
-    ``order``, a permutation of the S steps, scans them in that order: the
-    result equals gathering every input with ``order``, scanning, and
-    putting y back with ``argsort(order)``, without the gathers.
+    Each order, a permutation of the S steps (None: the steps in turn),
+    scans them in that order: its y equals gathering every input with the
+    order, scanning, and putting y back with ``argsort(order)``, without the
+    gathers. The outputs are views of one [V, B, S, dim] array; when the
+    sequence fits the kernels' tile budget, the orders share each token's
+    discretized factors (see ``scan_kernels``).
     """
     _check_mode(mode)
-    if order is not None:
-        order = np.asarray(order, dtype=np.intp)
-        if not np.array_equal(np.sort(order), np.arange(x.shape[1])):
-            raise ValueError(f"scan_core: order is not a permutation of {x.shape[1]} steps")
+    steps = x.shape[1]
+    orders = tuple(None if o is None else np.asarray(o, dtype=np.intp) for o in orders)
+    if not orders:
+        raise ValueError("scan_core: no order to scan in")
+    for order in orders:
+        if order is not None and not np.array_equal(np.sort(order), np.arange(steps)):
+            raise ValueError(f"scan_core: order is not a permutation of {steps} steps")
     parents = (delta, a, b_t, c_t, x)
     y, checkpoints = scan_kernels.scan_forward(
-        *(p.data for p in parents), mode, needs_grad(parents), order
+        *(p.data for p in parents), mode, needs_grad(parents), orders
     )
-    _raise_on_nonfinite(y, "scan output", order)
+    _raise_on_nonfinite(y, "scan output", orders)
 
     def vjp(g):
         grads = scan_kernels.scan_backward(
-            *(p.data for p in parents), mode, checkpoints, g, order
+            *(p.data for p in parents), mode, checkpoints, g, orders
         )
         for p, gp in zip(parents, grads):
             accumulate(p, gp)
 
-    return from_op(y, parents, vjp)
+    return unstack(from_op(y, parents, vjp))
 
 
-def _raise_on_nonfinite(arr: np.ndarray, what: str, order=None) -> None:
-    if np.all(np.isfinite(arr)):
+def _raise_on_nonfinite(ys: np.ndarray, what: str, orders) -> None:
+    """Name the step, in scan order, where one of ``ys`` [V, B, S, ...] (the
+    output of each of ``orders``) is first non-finite, and with several
+    orders the view."""
+    if np.all(np.isfinite(ys)):
         return
-    if order is not None:
-        arr = arr[:, order]  # steps in the order they were scanned
-    bad = ~np.isfinite(arr).reshape(arr.shape[0], arr.shape[1], -1).all(axis=(0, 2))
-    step = int(np.argmax(bad))
-    raise FloatingPointError(f"{what} became non-finite at step {step}")
+    for view, (arr, order) in enumerate(zip(ys, orders, strict=True)):
+        if order is not None:
+            arr = arr[:, order]  # steps in the order they were scanned
+        bad = ~np.isfinite(arr).reshape(arr.shape[0], arr.shape[1], -1).all(axis=(0, 2))
+        if bad.any():
+            step = int(np.argmax(bad))
+            where = f" in view {view}" if len(orders) > 1 else ""
+            raise FloatingPointError(f"{what}{where} became non-finite at step {step}")
 
 
 def selective_scan(x: Tensor, params: SSMParams) -> Tensor:
@@ -227,7 +241,7 @@ def selective_scan(x: Tensor, params: SSMParams) -> Tensor:
         )
     delta, b_t, c_t = projections(x, params)
     a = neg(exp(params.a_log))
-    y = scan_core(delta, a, b_t, c_t, x, params.mode)
+    (y,) = scan_core(delta, a, b_t, c_t, x, params.mode)
     return y + mul(x, params.d_skip)
 
 

@@ -59,6 +59,18 @@ class TestElementwise:
         ad.backward(loss2)
         np.testing.assert_allclose(x.grad, 2.0 * first)
 
+    def test_second_backward_on_one_graph_doubles_the_leaf_gradient(self):
+        # interior gradients are released after use, so the second call does
+        # not add onto what the first left in them
+        x = Tensor(np.array([0.3, -0.7, 1.1]), requires_grad=True)
+        y = ad.exp(ad.mul(x, x))
+        loss = ad.tsum(ad.mul(y, y))
+        ad.backward(loss)
+        first = x.grad.copy()
+        ad.backward(loss)
+        assert x.grad.tobytes() == (2.0 * first).tobytes()
+        assert y.grad is None and loss.grad is None
+
     def test_backward_rejects_vector_loss(self):
         x = Tensor(np.ones(3), requires_grad=True)
         with pytest.raises(ValueError, match="scalar"):
@@ -136,13 +148,17 @@ class TestHotPathBitIdentity:
         assert _same_bits(leaf.grad, _masked_sigmoid(x))
 
     def test_first_gradient_does_not_alias_upstream(self):
-        # add's vjp hands one array to both parents
+        # add's vjp hands one array to both parents: each leaf's first
+        # gradient is its own array
         p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
-        out = ad.add(p, p)
+        q = Tensor(np.array([3.0, 4.0]), requires_grad=True)
+        out = ad.add(p, q)
         ad.backward(ad.tsum(out))
-        assert not np.shares_memory(p.grad, out.grad)
-        np.testing.assert_array_equal(out.grad, [1.0, 1.0])
-        np.testing.assert_array_equal(p.grad, [2.0, 2.0])
+        assert not np.shares_memory(p.grad, q.grad)
+        np.testing.assert_array_equal(p.grad, [1.0, 1.0])
+        np.testing.assert_array_equal(q.grad, [1.0, 1.0])
+        p.grad += 1.0
+        np.testing.assert_array_equal(q.grad, [1.0, 1.0])
 
     def test_first_gradient_of_negative_zero_is_positive_zero(self):
         t = Tensor(np.ones(2), requires_grad=True)
@@ -252,6 +268,20 @@ class TestShapeOps:
             assert _same_bits(x.grad, 0.0 + want)
             out._vjp(g)
             assert _same_bits(x.grad, 0.0 + want + want)
+
+    def test_unstack_gives_views_and_routes_gradients_to_slots(self):
+        x = Tensor(_rng(12).normal(size=(3, 2, 4)), requires_grad=True)
+        stacked = ad.mul(x, Tensor(np.full((3, 2, 4), 2.0)))
+        parts = ad.unstack(stacked)
+        assert len(parts) == 3
+        for i, part in enumerate(parts):
+            assert np.shares_memory(part.data, stacked.data)
+            np.testing.assert_array_equal(part.data, stacked.data[i])
+        # the middle part is unused: its slot of the gradient stays zero
+        weights = [Tensor(_rng(13 + i).normal(size=(2, 4))) for i in range(3)]
+        ad.backward(ad.tsum(ad.mul(parts[0], weights[0])) + ad.tsum(ad.mul(parts[2], weights[2])))
+        want = 2.0 * np.stack([weights[0].data, np.zeros((2, 4)), weights[2].data])
+        np.testing.assert_array_equal(x.grad, want)
 
     def test_take_axis_rejects_repeated_positions(self):
         x = Tensor(np.arange(12.0).reshape(3, 4))

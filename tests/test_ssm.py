@@ -105,7 +105,7 @@ class TestScanCore:
         b_t = Tensor(np.ones((1, 2, 1)))
         c_t = Tensor(np.ones((1, 2, 1)))
         x = Tensor(np.array([[[1.0], [2.0]]]))
-        y = scan_core(delta, a, b_t, c_t, x, "euler-b")
+        y = scan_core(delta, a, b_t, c_t, x, "euler-b")[0]
         np.testing.assert_allclose(y.data.reshape(-1), [1.0, 2.5], atol=1e-15)
 
     def test_gradient_against_finite_differences(self):
@@ -119,7 +119,7 @@ class TestScanCore:
                 def f(t, i=i):
                     args = list(inputs)
                     args[i] = t
-                    return ad.tsum(ad.mul(scan_core(*args, mode), weights))
+                    return ad.tsum(ad.mul(scan_core(*args, mode)[0], weights))
 
                 err = ad.check_gradients(f, target)
                 assert err < 1e-6, (mode, steps, i, err)
@@ -192,7 +192,7 @@ class TestScanTiles:
             def f(t, i=i):
                 args = list(inputs)
                 args[i] = t
-                return ad.tsum(ad.mul(scan_core(*args, mode), weights))
+                return ad.tsum(ad.mul(scan_core(*args, mode)[0], weights))
 
             err = ad.check_gradients(f, target)
             assert err < 1e-6, (mode, i, err)
@@ -215,7 +215,7 @@ class TestScanTiles:
         peaks = []
         for call in (
             lambda: scan_kernels.scan_forward(*inputs, "zoh-exact", False),
-            lambda: scan_kernels.scan_backward(*inputs, "zoh-exact", checkpoints, gy),
+            lambda: scan_kernels.scan_backward(*inputs, "zoh-exact", checkpoints, (gy,)),
         ):
             tracemalloc.start()
             try:
@@ -311,13 +311,13 @@ class TestScanWorkspace:
         inputs = [t.data for t in _scan_inputs(rng, batch, steps, dim, state)]
         _, checkpoints = scan_kernels.scan_forward(*inputs, "zoh-exact", True)
         gy = np.ones((batch, steps, dim))
-        scan_kernels.scan_backward(*inputs, "zoh-exact", checkpoints, gy)
+        scan_kernels.scan_backward(*inputs, "zoh-exact", checkpoints, (gy,))
         rows = scan_kernels._tile_rows(batch, 5 * state * dim)
         per_tile = 4 * rows * state * dim * 8
         for call in (
             lambda: scan_kernels.scan_forward(*inputs, "zoh-exact", False),
             lambda: scan_kernels.scan_forward(*inputs, "zoh-exact", True),
-            lambda: scan_kernels.scan_backward(*inputs, "zoh-exact", checkpoints, gy),
+            lambda: scan_kernels.scan_backward(*inputs, "zoh-exact", checkpoints, (gy,)),
         ):
             tracemalloc.start()
             try:
@@ -338,9 +338,9 @@ class TestScanOrder:
         gy = np.random.default_rng(21).normal(size=x.shape)
         for order in (np.arange(10)[::-1], np.random.default_rng(22).permutation(10)):
             inverse = np.argsort(order)
-            y, checkpoints = scan_kernels.scan_forward(delta, a, b_t, c_t, x, mode, True, order)
+            y, checkpoints = scan_kernels.scan_forward(delta, a, b_t, c_t, x, mode, True, (order,))
             got = scan_kernels.scan_backward(
-                delta, a, b_t, c_t, x, mode, checkpoints, gy, order
+                delta, a, b_t, c_t, x, mode, checkpoints, (gy,), (order,)
             )
             gathered = [v[:, order] for v in (delta, b_t, c_t, x)]
             g_delta, g_b, g_c, g_x = gathered
@@ -348,9 +348,9 @@ class TestScanOrder:
                 g_delta, a, g_b, g_c, g_x, mode, True
             )
             want = scan_kernels.scan_backward(
-                g_delta, a, g_b, g_c, g_x, mode, want_checkpoints, gy[:, order]
+                g_delta, a, g_b, g_c, g_x, mode, want_checkpoints, (gy[:, order],)
             )
-            assert y.tobytes() == want_y[:, inverse].tobytes()
+            assert y[0].tobytes() == want_y[0][:, inverse].tobytes()
             assert checkpoints.tobytes() == want_checkpoints.tobytes()
             # delta, B_t, C_t and x are put back in token order; A is shared
             for i in (0, 2, 3, 4):
@@ -368,7 +368,7 @@ class TestScanOrder:
             def f(t, i=i):
                 args = list(inputs)
                 args[i] = t
-                return ad.tsum(ad.mul(scan_core(*args, mode, order), weights))
+                return ad.tsum(ad.mul(scan_core(*args, mode, (order,))[0], weights))
 
             err = ad.check_gradients(f, target)
             assert err < 1e-6, (mode, i, err)
@@ -382,7 +382,7 @@ class TestScanOrder:
         order = np.random.default_rng(28).permutation(9)
         delta, b_t, c_t = projections(x, params)
         a = ad.neg(ad.exp(params.a_log))
-        y = scan_core(delta, a, b_t, c_t, x, mode, order).data + x.data * params.d_skip.data
+        y = scan_core(delta, a, b_t, c_t, x, mode, (order,))[0].data + x.data * params.d_skip.data
         want = naive_scan(x.data[:, order], params)[:, np.argsort(order)]
         np.testing.assert_allclose(y, want, atol=1e-12, rtol=0)
 
@@ -390,14 +390,185 @@ class TestScanOrder:
         inputs = _scan_inputs(np.random.default_rng(29), 1, 4, 2, 2)
         for order in ([0, 1, 2], [0, 1, 1, 3], [1, 2, 3, 4]):
             with pytest.raises(ValueError, match="permutation"):
-                scan_core(*inputs, "euler-b", np.array(order))
+                scan_core(*inputs, "euler-b", (np.array(order),))
 
     def test_nan_reports_the_scanned_step(self):
         inputs = _scan_inputs(np.random.default_rng(30), 1, 6, 2, 2)
         inputs[4].data[0, 3, 0] = np.nan
+        order = np.array([5, 3, 0, 1, 2, 4])
         # token 3 is scanned second
         with pytest.raises(FloatingPointError, match="step 1"):
-            scan_core(*inputs, "euler-b", np.array([5, 3, 0, 1, 2, 4]))
+            scan_core(*inputs, "euler-b", (order,))
+        # with several orders, the first view whose output is non-finite
+        for orders, message in (
+            ((order, None), "in view 0 became non-finite at step 1"),
+            ((None, order), "in view 0 became non-finite at step 3"),
+        ):
+            with pytest.raises(FloatingPointError, match=message):
+                scan_core(*inputs, "euler-b", orders)
+
+
+def _two_orders(name, steps, seed):
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(steps)
+    return {
+        "fixed-reverse": (None, np.arange(steps)[::-1]),
+        "random-pair": (perm, rng.permutation(steps)),
+        "random-reverse": (perm, perm[::-1]),
+    }[name]
+
+
+class TestScanOrders:
+    """Several orders in one kernel call: one block of all the tokens shared
+    by every order when a row of the sequence fits the tile budget, else each
+    order's own segments."""
+
+    # 7 rows, 10 steps, dim 3, state 2: a row of the sequence holds 60
+    # elements, 120 for the two walks' buffers. cap -> (shared, tiles)
+    SHAPE = (7, 10, 3, 2)
+    CAPS = {1 << 40: (True, 1), 360: (True, 3), 60: (True, 7), 59: (False, 4)}
+    ORDERS = ("fixed-reverse", "random-pair", "random-reverse")
+
+    @pytest.mark.parametrize("mode", DISCRETIZATIONS)
+    @pytest.mark.parametrize("orders", ORDERS)
+    def test_each_order_matches_a_single_order_call(self, mode, orders, monkeypatch):
+        batch, steps, dim, state = self.SHAPE
+        inputs = [t.data for t in _scan_inputs(np.random.default_rng(40), *self.SHAPE)]
+        orders = _two_orders(orders, steps, 41)
+        gy = np.random.default_rng(42).normal(size=(2, batch, steps, dim))
+        want_y, want = [], None
+        for v, order in enumerate(orders):
+            y, checkpoints = scan_kernels.scan_forward(*inputs, mode, True, (order,))
+            grads = scan_kernels.scan_backward(*inputs, mode, checkpoints, gy[v : v + 1], (order,))
+            want_y.append(y[0])
+            want = grads if want is None else [w + g for w, g in zip(want, grads)]
+        for cap, (shared, tiles) in self.CAPS.items():
+            monkeypatch.setattr(scan_kernels, "_TILE_ELEMS", cap)
+            assert scan_kernels._shares_block(2, steps, dim * state) is shared
+            row = (2 * steps if shared else 4) * dim * state  # sequence or segment
+            assert math.ceil(batch / scan_kernels._tile_rows(batch, row)) == tiles
+            y, checkpoints = scan_kernels.scan_forward(*inputs, mode, True, orders)
+            got = scan_kernels.scan_backward(*inputs, mode, checkpoints, gy, orders)
+            assert [v.tobytes() for v in y] == [v.tobytes() for v in want_y], cap
+            assert len(checkpoints) == (0 if shared else 2 * 3)
+            for i, (g, w) in enumerate(zip(got, want, strict=True)):
+                assert np.max(np.abs(g - w)) <= 1e-14 * np.max(np.abs(w)), (cap, i)
+
+    @pytest.mark.parametrize("mode", DISCRETIZATIONS)
+    @pytest.mark.parametrize("cap", [2 * 432, 215])
+    def test_each_order_matches_naive_reference(self, mode, cap, monkeypatch):
+        # 5 rows, 9 steps, dim 6, state 4: shared in tiles of 2, 2 and 1 rows,
+        # or segments of 3 steps in tiles of 2, 2 and 1
+        monkeypatch.setattr(scan_kernels, "_TILE_ELEMS", cap)
+        params = make_params(mode=mode, seed=43)
+        x = Tensor(np.random.default_rng(44).normal(size=(5, 9, 6)))
+        delta, b_t, c_t = projections(x, params)
+        a = ad.neg(ad.exp(params.a_log))
+        for name in self.ORDERS:
+            orders = _two_orders(name, 9, 45)
+            ys = scan_core(delta, a, b_t, c_t, x, mode, orders)
+            assert len(ys) == 2
+            for y, order in zip(ys, orders, strict=True):
+                order = np.arange(9) if order is None else order
+                want = naive_scan(x.data[:, order], params)[:, np.argsort(order)]
+                got = y.data + x.data * params.d_skip.data
+                np.testing.assert_allclose(got, want, atol=1e-12, rtol=0)
+
+    @pytest.mark.parametrize("mode", DISCRETIZATIONS)
+    @pytest.mark.parametrize("cap", [1 << 40, 42, 1])
+    def test_gradient_against_finite_differences_with_two_orders(self, mode, cap, monkeypatch):
+        # two random orders (random-pair); one shared tile, one-row shared
+        # tiles, and one-row tiles of segments
+        monkeypatch.setattr(scan_kernels, "_TILE_ELEMS", cap)
+        inputs = _scan_inputs(np.random.default_rng(46), 3, 7, 3, 2)
+        weights = [Tensor(np.random.default_rng(seed).normal(size=(3, 7, 3))) for seed in (47, 48)]
+        orders = _two_orders("random-pair", 7, 49)
+        for i, target in enumerate(inputs):
+
+            def f(t, i=i):
+                args = list(inputs)
+                args[i] = t
+                y1, y2 = scan_core(*args, mode, orders)
+                return ad.tsum(ad.mul(y1, weights[0])) + ad.tsum(ad.mul(y2, weights[1]))
+
+            err = ad.check_gradients(f, target)
+            assert err < 1e-6, (mode, cap, i, err)
+
+    def test_layout_follows_the_shapes(self):
+        # [B, S, D, N] of the weather, etth1 and solar scans with two orders:
+        # the first two share one block (in tiles of 3 and 4 rows), solar's
+        # 137-step rows do not fit and walk segments with checkpoints
+        for (batch, steps, dim, state), shared in (
+            ((64, 21, 128, 16), True),
+            ((32, 7, 256, 16), True),
+            ((8, 137, 128, 16), False),
+        ):
+            assert scan_kernels._shares_block(2, steps, dim * state) is shared
+            assert not scan_kernels._shares_block(1, steps, dim * state)
+            rng = np.random.default_rng(50)
+            inputs = [t.data for t in _scan_inputs(rng, batch, steps, dim, state)]
+            orders = (None, np.arange(steps)[::-1])
+            _, checkpoints = scan_kernels.scan_forward(*inputs, "euler-b", True, orders)
+            segments = math.ceil(steps / math.ceil(math.sqrt(steps)))
+            assert len(checkpoints) == (0 if shared else 2 * segments)
+        assert scan_kernels._tile_rows(64, 2 * 21 * 16 * 128) == 3
+        assert scan_kernels._tile_rows(32, 2 * 7 * 16 * 256) == 4
+
+    def test_two_order_memory_at_the_weather_shape(self):
+        # zoh-exact, no gradient: the traced peak from an empty workspace, and
+        # once warm, y plus at most four [rows, N, D] arrays per tile and the
+        # buffers numpy's ufuncs take for strided operands (three operands of
+        # np.getbufsize() elements)
+        batch, steps, dim, state = 64, 21, 128, 16
+        inputs = [t.data for t in _scan_inputs(np.random.default_rng(51), batch, steps, dim, state)]
+        orders = (None, np.arange(steps)[::-1])
+
+        def peaks():
+            found = []
+            for _ in range(2):
+                tracemalloc.start()
+                try:
+                    y, _ = scan_kernels.scan_forward(*inputs, "zoh-exact", False, orders)
+                    found.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            return y.nbytes, found
+
+        y_bytes, (cold, warm) = _in_thread(peaks)
+        rows = scan_kernels._tile_rows(batch, 2 * steps * state * dim)
+        assert cold / 2**20 <= 10.0, cold
+        ufunc_buffers = 3 * np.getbufsize() * 8
+        assert warm <= y_bytes + 4 * rows * state * dim * 8 + ufunc_buffers, warm
+
+    def test_orders_must_be_permutations_and_not_empty(self):
+        inputs = _scan_inputs(np.random.default_rng(53), 1, 4, 2, 2)
+        with pytest.raises(ValueError, match="permutation"):
+            scan_core(*inputs, "euler-b", (None, np.array([0, 1, 1, 3])))
+        with pytest.raises(ValueError, match="no order"):
+            scan_core(*inputs, "euler-b", ())
+
+    def test_output_gradients_must_match_the_orders(self):
+        inputs = [t.data for t in _scan_inputs(np.random.default_rng(52), 2, 4, 3, 2)]
+        orders = (None, np.arange(4)[::-1])
+        y, checkpoints = scan_kernels.scan_forward(*inputs, "euler-b", True, orders)
+        with pytest.raises(ValueError, match="2 orders"):
+            scan_kernels.scan_backward(*inputs, "euler-b", checkpoints, y[:1], orders)
+
+    def test_overflow_in_one_view_names_that_view(self):
+        # A > 0 so the factors grow: token 2's exp(705) overflows the large
+        # state it meets when scanned last, and not the zero state it meets
+        # when scanned first
+        delta = Tensor(np.array([1.0, 1.0, 705.0]).reshape(1, 3, 1))
+        a = Tensor(np.ones((1, 1)))
+        b_t = c_t = Tensor(np.ones((1, 3, 1)))
+        x = Tensor(np.array([1e10, 1.0, 1.0]).reshape(1, 3, 1))
+        first = np.array([2, 0, 1])
+        ys = scan_core(delta, a, b_t, c_t, x, "euler-b", (first,))
+        assert np.all(np.isfinite(ys[0].data))
+        for orders, view in (((None, first), 0), ((first, None), 1)):
+            message = f"in view {view} became non-finite at step 2"
+            with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match=message):
+                scan_core(delta, a, b_t, c_t, x, "euler-b", orders)
 
 
 class TestSelectiveScan:

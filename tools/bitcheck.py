@@ -14,7 +14,12 @@ each workload's ``setup`` and ``make_run`` at seed 3 with one BLAS thread:
   discretizations and the token order (natural, reversed, a seeded
   permutation), so that calls grow and shrink into what earlier calls left:
   per call, a sha256 of y, of the checkpoints and of each of the five
-  gradients of ``scan_forward`` and ``scan_backward``;
+  gradients of ``scan_forward`` and ``scan_backward``, one order per call;
+* then two orders per call at the weather, etth1, small and solar shapes
+  ([8, 137, 128, 16]): a sha256 of each order's y, and of each of the five
+  gradients of the objective summed over the orders. A checkout whose
+  kernels take one ``order`` runs one call per order and sums the
+  gradients, so the y lines of the two kinds of checkout compare directly;
 * train-solar, train-etth1: a sha256 of each parameter's gradient after one
   ``step()``, then ``parameter_fingerprint`` after three steps;
 * analyze-weather: the ``reversal_bias`` MSEs and the
@@ -43,12 +48,12 @@ Two checkouts that compute the same numbers print the same lines; ``diff``
 the outputs to see which parameters or errors moved.
 
 A hash only says that a gradient moved, not by how much. ``--grads PATH``
-saves every gradient hashed above (the train workloads' first step and the
-variants) to an ``.npz``. ``--against PATH`` reads such a file, made from
-another checkout, and appends one ``against`` line per train workload and
-per variant: the largest relative difference over its parameters, where a
-parameter's difference is max |g - g_ref| / max |g_ref|, and the parameter
-that has it.
+saves every gradient hashed above (the two-order scans, the train
+workloads' first step and the variants) to an ``.npz``. ``--against PATH``
+reads such a file, made from another checkout, and appends one ``against``
+line per two-order scan, per train workload and per variant: the largest
+relative difference over its parameters, where a parameter's difference is
+max |g - g_ref| / max |g_ref|, and the parameter that has it.
 """
 
 from __future__ import annotations
@@ -91,11 +96,11 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
     workloads = _import_checkout(args.checkout.resolve())
-    _print_scan_reuse()
+    grads: dict[str, dict] = {}
+    _print_scan_reuse(grads)
     from sormamba import analysis
     from sormamba import model as sm_model
 
-    grads: dict[str, dict] = {}
     for name in ("train-solar", "train-etth1"):
         bundle, model = workloads.setup(workloads.WORKLOADS[name], SEED)
         run = workloads.make_run(workloads.WORKLOADS[name], bundle, model, SEED)
@@ -127,7 +132,12 @@ def main(argv=None) -> int:
     return 0
 
 
-SCAN_SHAPES = {"small": (5, 9, 6, 4), "weather": (64, 21, 128, 16)}
+SCAN_SHAPES = {
+    "small": (5, 9, 6, 4),
+    "weather": (64, 21, 128, 16),
+    "etth1": (32, 7, 256, 16),
+    "solar": (8, 137, 128, 16),
+}
 # (shape, discretization, order): grow from empty, grow, shrink, reuse, ...
 SCAN_CALLS = (
     ("small", "euler-b", "natural"),
@@ -138,28 +148,73 @@ SCAN_CALLS = (
     ("weather", "zoh-exact", "reversed"),
     ("small", "euler-b", "natural"),
 )
+# (shape, discretization, two orders) scanned in one call: the first three
+# share one block, solar walks each order's segments
+SCAN_PAIRS = (
+    ("weather", "zoh-exact", ("natural", "reversed")),
+    ("etth1", "euler-b", ("natural", "reversed")),
+    ("small", "zoh-exact", ("permuted", "reversed")),
+    ("solar", "euler-b", ("natural", "reversed")),
+)
 
 
-def _print_scan_reuse() -> None:
+def _scan_case(shape_name, order_names):
+    """Seeded kernel inputs (delta, a, b_t, c_t, x), gy [V, B, S, D] and the
+    named orders (natural is None)."""
     import numpy as np
 
-    from sormamba import scan_kernels
-
-    for shape_name, mode, order_name in SCAN_CALLS:
-        batch, steps, dim, state = SCAN_SHAPES[shape_name]
-        rng = np.random.default_rng(VARIANT_SEED)
-        delta = rng.uniform(0.05, 0.8, size=(batch, steps, dim))
-        a = -rng.uniform(0.3, 2.0, size=(dim, state))
-        b_t, c_t = rng.normal(size=(batch, steps, state)), rng.normal(size=(batch, steps, state))
-        x, gy = rng.normal(size=(batch, steps, dim)), rng.normal(size=(batch, steps, dim))
-        order = {
+    batch, steps, dim, state = SCAN_SHAPES[shape_name]
+    rng = np.random.default_rng(VARIANT_SEED)
+    delta = rng.uniform(0.05, 0.8, size=(batch, steps, dim))
+    a = -rng.uniform(0.3, 2.0, size=(dim, state))
+    b_t, c_t = rng.normal(size=(batch, steps, state)), rng.normal(size=(batch, steps, state))
+    x = rng.normal(size=(batch, steps, dim))
+    gy = np.stack([rng.normal(size=(batch, steps, dim)) for _ in order_names])
+    orders = tuple(
+        {
             "natural": None,
             "reversed": np.arange(steps)[::-1],
             "permuted": rng.permutation(steps),
-        }[order_name]
-        y, checkpoints = scan_kernels.scan_forward(delta, a, b_t, c_t, x, mode, True, order)
-        grads = scan_kernels.scan_backward(delta, a, b_t, c_t, x, mode, checkpoints, gy, order)
-        print("scan", shape_name, mode, order_name, *(_digest(v) for v in (y, checkpoints, *grads)))
+        }[name]
+        for name in order_names
+    )
+    return (delta, a, b_t, c_t, x), gy, orders
+
+
+def _scan(scan_kernels, inputs, mode, orders, gy):
+    """Each order's y, the checkpoints and the five gradients of the summed
+    objective, from a checkout whose kernels take a tuple of ``orders``, or
+    from one that takes a single ``order`` (one call per order, gradients
+    summed, checkpoints of the last)."""
+    import inspect
+
+    if "orders" in inspect.signature(scan_kernels.scan_forward).parameters:
+        y, checkpoints = scan_kernels.scan_forward(*inputs, mode, True, orders)
+        grads = scan_kernels.scan_backward(*inputs, mode, checkpoints, gy, orders)
+        return list(y), checkpoints, grads
+    ys, grads = [], None
+    for order, g in zip(orders, gy):
+        y, checkpoints = scan_kernels.scan_forward(*inputs, mode, True, order)
+        one = scan_kernels.scan_backward(*inputs, mode, checkpoints, g, order)
+        ys.append(y)
+        grads = one if grads is None else [p + q for p, q in zip(grads, one)]
+    return ys, checkpoints, grads
+
+
+def _print_scan_reuse(grads: dict[str, dict]) -> None:
+    from sormamba import scan_kernels
+
+    for shape_name, mode, order_name in SCAN_CALLS:
+        inputs, gy, orders = _scan_case(shape_name, (order_name,))
+        (y,), checkpoints, one = _scan(scan_kernels, inputs, mode, orders, gy)
+        print("scan", shape_name, mode, order_name, *(_digest(v) for v in (y, checkpoints, *one)))
+    for shape_name, mode, order_names in SCAN_PAIRS:
+        inputs, gy, orders = _scan_case(shape_name, order_names)
+        ys, _, pair_grads = _scan(scan_kernels, inputs, mode, orders, gy)
+        tag = ("scan-pair", shape_name, mode, "+".join(order_names))
+        print(*tag, "y", *(_digest(y) for y in ys))
+        print(*tag, "grads", *(_digest(g) for g in pair_grads))
+        grads[" ".join(tag)] = dict(zip(("delta", "a", "b_t", "c_t", "x"), pair_grads))
 
 
 def _print_variants(grads: dict[str, dict]) -> None:
