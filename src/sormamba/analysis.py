@@ -151,15 +151,16 @@ def consistency_gap(model: SORMambaModel, ds: WindowedDataset) -> float:
     """Mean view disagreement per layer over a dataset (fixed views), in the
     model's ``reg_metric``."""
 
-    def layer_mean(x, idx) -> float:
+    def layer_mean_sum(x, idx) -> float:
+        """The batch's per-layer mean, weighted by its window count."""
         _, pairs = model.encode(x)
         if not pairs:
             raise ValueError("consistency_gap needs a two-view model")
         metric = model.config.reg_metric
-        return float(np.mean([float(reg_distance(z1, z2, metric).data) for z1, z2 in pairs]))
+        gaps = [float(reg_distance(z1, z2, metric).data) for z1, z2 in pairs]
+        return len(idx) * float(np.mean(gaps))
 
-    gaps = map_batches(ds, layer_mean)
-    return functools.reduce(add, gaps, 0.0) / max(1, len(gaps))
+    return functools.reduce(add, map_batches(ds, layer_mean_sum), 0.0) / len(ds)
 
 
 def correlation_preservation(model: SORMambaModel, ds: WindowedDataset) -> dict:
@@ -202,8 +203,6 @@ def efficiency_report(model: SORMambaModel) -> dict:
     counts = count_parameters(model)
     return {
         "components": counts,
-        "direction": model.config.direction,
-        "conv": model.config.conv,
         "reference_large_config": large_config_reference(model.config.direction),
     }
 

@@ -2,11 +2,11 @@
 
 One YAML config describes one experiment: the dataset (a CSV path or a
 synthetic generator), the model, the optimization settings, and a run name.
-``main`` resolves that config, loads and checks the ``--checkpoint`` model
-of the commands that run one, and only then creates
-``<output root>/<run_name>/`` and stores the resolved config there, so a
-rejected config or checkpoint writes nothing and any artifact can be
-re-derived from its own directory.
+``main`` resolves that config, windows the series' splits, loads and checks
+the ``--checkpoint`` model of the commands that run one, and only then
+creates ``<output root>/<run_name>/`` and stores the resolved config there,
+so a rejected config, series or checkpoint writes nothing and any artifact
+can be re-derived from its own directory.
 
 Exit codes: 0 success, 2 configuration or usage error, 3 runtime failure.
 Wall-clock timings go only to the ``.jsonl`` logs; the ``.csv`` summaries
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import copy
-import functools
 import hashlib
 import json
 import math
@@ -164,24 +163,23 @@ def resolve_out_dir(cfg: dict, out_root: str | None) -> str:
 
 
 class RunContext:
-    """Everything a command needs, resolved once from the config."""
+    """Everything a command needs, resolved once from the config. With
+    ``windows`` that includes the windowed splits, so a series too short
+    for them is rejected here; without, ``bundle`` is None."""
 
-    def __init__(self, cfg: dict, out_root: str | None):
+    def __init__(self, cfg: dict, out_root: str | None, windows: bool):
         self.cfg = cfg
         self.out_dir = resolve_out_dir(cfg, out_root)
         self.series, self.family = build_series(cfg)
         self.model_config = build_model_config(cfg, self.series.n_channels)
         self.train_config = build_train_config(cfg)
         self.denormalize = bool(_section(cfg, "eval").get("denormalize", True))
-
-    @functools.cached_property
-    def bundle(self) -> dt.SplitBundle:
-        """The windowed splits, built on first use: some commands need none."""
-        return dt.build_splits(
-            self.series,
-            self.family,
-            self.model_config.lookback,
-            self.model_config.horizon,
+        self.bundle = (
+            dt.build_splits(
+                self.series, self.family, self.model_config.lookback, self.model_config.horizon
+            )
+            if windows
+            else None
         )
 
     def path(self, name: str) -> str:
@@ -566,7 +564,8 @@ def main(argv: list[str] | None = None) -> int:
         return e.code
     try:
         cfg = apply_overrides(load_config(args.config), args.sets)
-        ctx = RunContext(cfg, args.out_root)
+        # analyze efficiency counts parameters and reads no windows
+        ctx = RunContext(cfg, args.out_root, windows=getattr(args, "kind", None) != "efficiency")
         model = load_run_model(ctx, args)
         ctx.write_resolved_config()
         return HANDLERS[args.command](ctx, args, model)

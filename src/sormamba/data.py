@@ -37,7 +37,6 @@ class RawSeries:
     name: str
     values: np.ndarray  # [T, C] float64
     channel_names: list[str]
-    timestamps: list[str] | None = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -63,9 +62,9 @@ class RawSeries:
 def load_csv(path: str, has_timestamp: bool = True, name: str | None = None) -> RawSeries:
     """Read a rectangular numeric CSV with a header row.
 
-    With ``has_timestamp`` the first column is kept as strings and dropped
-    from the numeric values. Ragged rows and non-numeric cells raise with
-    the offending row index (1-based, counting the header as row 1).
+    With ``has_timestamp`` the first column is dropped from the numeric
+    values. Ragged rows and non-numeric cells raise with the offending row
+    index (1-based, counting the header as row 1).
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -77,13 +76,10 @@ def load_csv(path: str, has_timestamp: bool = True, name: str | None = None) -> 
         start = 1 if has_timestamp else 0
         if width - start < 1:
             raise ValueError(f"{path}: no value columns")
-        timestamps: list[str] | None = [] if has_timestamp else None
         rows: list[list[float]] = []
         for i, row in enumerate(reader, start=2):
             if len(row) != width:
                 raise ValueError(f"{path}: row {i} has {len(row)} cells, expected {width}")
-            if has_timestamp:
-                timestamps.append(row[0])
             try:
                 rows.append([float(cell) for cell in row[start:]])
             except ValueError:
@@ -94,7 +90,6 @@ def load_csv(path: str, has_timestamp: bool = True, name: str | None = None) -> 
         name=name or path,
         values=np.array(rows, dtype=np.float64),
         channel_names=header[start:],
-        timestamps=timestamps,
     )
 
 
@@ -136,7 +131,6 @@ def chronological_split(
                 name=f"{series.name}/{split}",
                 values=series.values[lo:hi].copy(),
                 channel_names=list(series.channel_names),
-                timestamps=series.timestamps[lo:hi] if series.timestamps else None,
             )
         )
     return tuple(out)

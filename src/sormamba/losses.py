@@ -44,16 +44,8 @@ def mse(pred: Tensor, target) -> Tensor:
     return tmean(mul(d, d))
 
 
-def mae(pred: Tensor, target) -> Tensor:
-    return tmean(absolute(sub(pred, _as_tensor(target))))
-
-
 def mse_np(pred: np.ndarray, target: np.ndarray) -> float:
     return float(np.mean((np.asarray(pred) - np.asarray(target)) ** 2))
-
-
-def mae_np(pred: np.ndarray, target: np.ndarray) -> float:
-    return float(np.mean(np.abs(np.asarray(pred) - np.asarray(target))))
 
 
 # ---- order-consistency distance -----------------------------------------

@@ -68,8 +68,9 @@ class ModelConfig:
                 continue
             if isinstance(v, bool) or not isinstance(v, int) or v < 1:
                 raise ValueError(f"{name} must be a positive integer, got {v!r}")
-        if self.reg_weight < 0:
-            raise ValueError(f"reg_weight must be >= 0, got {self.reg_weight}")
+        w = self.reg_weight
+        if isinstance(w, bool) or not isinstance(w, (int, float)) or not 0.0 <= w < math.inf:
+            raise ValueError(f"reg_weight must be a finite number >= 0, got {w!r}")
         if self.reg_metric not in REG_METRICS:
             raise ValueError(f"reg_metric must be one of {REG_METRICS}, got {self.reg_metric!r}")
         if self.direction not in DIRECTIONS:

@@ -94,8 +94,9 @@ _TILE_ELEMS = 1 << 18
 
 def _tile_rows(batch, row_elems):
     """Rows per batch tile when one row of a segment buffer holds
-    ``row_elems`` elements: the fewest equal tiles within ``_TILE_ELEMS``,
-    at least one row each."""
+    ``row_elems`` elements: the fewest tiles within ``_TILE_ELEMS``, at
+    least one row each, cut as evenly as whole rows allow; the largest tile
+    holds this many rows."""
     count = max(1, -(-batch // max(1, _TILE_ELEMS // max(1, row_elems))))
     return -(-batch // count)
 
@@ -169,7 +170,9 @@ class _Scan:
             ]
         # one buffer per walk of a block, for the states and their gradients
         rows = _tile_rows(batch, walks * size * a.size)
-        self.tiles = [slice(b0, min(b0 + rows, batch)) for b0 in range(0, batch, max(rows, 1))]
+        count = -(-batch // max(rows, 1))
+        # cut evenly: tile sizes differ by at most one row, none above rows
+        self.tiles = [slice(t * batch // count, (t + 1) * batch // count) for t in range(count)]
         shape = (size, rows) + self.state
         self.da, self.a_bar, self.bx = (_buffer(role, shape) for role in ("da", "a_bar", "bx"))
         # the backward keeps every walk's states; the forward reads out each

@@ -99,7 +99,3 @@ def lagged_series(
     scale = rng.uniform(0.5, 2.0, n_channels)
     offset = rng.uniform(-1.0, 1.0, n_channels)
     return x * scale + offset
-
-
-def independent_noise(n_channels: int, length: int, seed: int = 0) -> np.ndarray:
-    return np.random.default_rng(seed).normal(size=(length, n_channels))

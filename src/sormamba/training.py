@@ -14,7 +14,7 @@ import csv
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from functools import reduce
 from operator import add
 
@@ -26,8 +26,6 @@ from .losses import (
     ccm_loss,
     global_corr,
     masked_modeling_loss,
-    mae_np,
-    mse_np,
     reconstruction_loss,
     total_loss,
 )
@@ -123,7 +121,6 @@ class EpochLog:
     train_loss: float
     val_loss: float
     seconds: float
-    extra: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -208,12 +205,32 @@ def _fit(
     return FitResult(best_val=best, best_epoch=best_epoch, epochs=logs, stopped_early=stopped)
 
 
-def _val_forecast_mse(model: SORMambaModel, ds: WindowedDataset, batch_size: int) -> float:
-    def squared_error(x: Tensor, idx: np.ndarray) -> float:
-        d = model.forecast(x)[0].data - ds.y[idx]
-        return float(np.sum(d * d))
+def _errors(
+    ds: WindowedDataset,
+    predict,  # x batch Tensor -> forecast array for its targets
+    normalizer: Normalizer | None = None,
+    denormalize: bool = False,
+    batch_size: int = EVAL_BATCH,
+) -> dict:
+    """MSE and MAE of ``predict`` over ``ds``, in input units with
+    ``denormalize``. The squared and absolute errors are summed batch by
+    batch, so no more than one batch of forecasts is held at a time."""
+    if denormalize and normalizer is None:
+        raise ValueError("denormalize=True requires a normalizer")
 
-    return reduce(add, map_batches(ds, squared_error, batch_size), 0.0) / ds.y.size
+    def sums(x: Tensor, idx: np.ndarray) -> np.ndarray:
+        pred, target = predict(x), ds.y[idx]
+        if denormalize:
+            pred, target = normalizer.inverse(pred), normalizer.inverse(target)
+        d = pred - target
+        return np.array([np.sum(d * d), np.sum(np.abs(d))])
+
+    mse, mae = reduce(add, map_batches(ds, sums, batch_size), 0.0) / ds.y.size
+    return {"mse": float(mse), "mae": float(mae)}
+
+
+def _forecast(model: SORMambaModel):
+    return lambda x: model.forecast(x)[0].data
 
 
 def train_supervised(
@@ -247,7 +264,7 @@ def train_supervised(
         params,
         cfg,
         batch_loss,
-        lambda: _val_forecast_mse(model, val, cfg.batch_size),
+        lambda: _errors(val, _forecast(model), batch_size=cfg.batch_size)["mse"],
         len(train),
     )
 
@@ -277,13 +294,12 @@ def pretrain(
     val: WindowedDataset,
     cfg: TrainConfig,
     mode: str = "ccm",
-    corr_target: np.ndarray | None = None,
 ) -> FitResult:
     """Self-supervised pretraining. The forecast head is never touched.
 
-    ``ccm`` matches channel-embedding correlations to ``corr_target``
-    (computed from the training windows when not supplied); ``mm``
-    reconstructs masked timesteps; ``rec`` reconstructs the full window.
+    ``ccm`` matches channel-embedding correlations to those of the
+    contiguous training series; ``mm`` reconstructs masked timesteps;
+    ``rec`` reconstructs the full window.
     """
     if mode not in PRETEXT_MODES:
         raise ValueError(f"mode must be one of {PRETEXT_MODES}, got {mode!r}")
@@ -291,14 +307,13 @@ def pretrain(
     params = [t for _, t in named]
     rng_mask = np.random.default_rng(cfg.seed + 104729)
 
-    if mode == "ccm" and corr_target is None:
-        # correlation of the contiguous training region, recovered from the
-        # overlapping windows
-        corr_target = global_corr(series_from_windows(train.x))
+    if mode == "ccm":
+        # the training region, recovered from the overlapping windows
+        train_corr = global_corr(series_from_windows(train.x))
 
     def pretext_loss(x: Tensor, rng_views, mask_rng) -> Tensor:
         if mode == "ccm":
-            return ccm_loss(model.latent_for_ccm(x, rng=rng_views), corr_target)
+            return ccm_loss(model.latent_for_ccm(x, rng=rng_views), train_corr)
         if mode == "mm":
             return masked_modeling_loss(model, x, cfg.mask_ratio, mask_rng)
         return reconstruction_loss(model, x)
@@ -321,34 +336,19 @@ def evaluate(
     ds: WindowedDataset,
     normalizer: Normalizer | None = None,
     denormalize: bool = True,
-    return_predictions: bool = False,
-):
+) -> dict:
     """Test metrics, de-normalized back to input units by default."""
-    pred = np.concatenate(map_batches(ds, lambda x, idx: model.forecast(x)[0].data), axis=0)
-    target = ds.y
-    if denormalize:
-        if normalizer is None:
-            raise ValueError("denormalize=True requires a normalizer")
-        pred = normalizer.inverse(pred)
-        target = normalizer.inverse(target)
-    metrics = {"mse": mse_np(pred, target), "mae": mae_np(pred, target)}
-    if return_predictions:
-        return metrics, pred
-    return metrics
+    return _errors(ds, _forecast(model), normalizer, denormalize)
 
 
 def last_value_baseline(
     ds: WindowedDataset, normalizer: Normalizer | None = None, denormalize: bool = True
 ) -> dict:
     """Repeat each window's final observation across the horizon."""
-    pred = np.repeat(ds.x[:, -1:, :], ds.y.shape[1], axis=1)
-    target = ds.y
-    if denormalize:
-        if normalizer is None:
-            raise ValueError("denormalize=True requires a normalizer")
-        pred = normalizer.inverse(pred)
-        target = normalizer.inverse(target)
-    return {"mse": mse_np(pred, target), "mae": mae_np(pred, target)}
+    horizon = ds.y.shape[1]
+    return _errors(
+        ds, lambda x: np.repeat(x.data[:, -1:, :], horizon, axis=1), normalizer, denormalize
+    )
 
 
 # ---- reporting ------------------------------------------------------------

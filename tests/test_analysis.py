@@ -5,6 +5,7 @@ import pytest
 
 from sormamba import analysis as an
 from sormamba import data as dt
+from sormamba import losses as ls
 from sormamba import model as md
 from sormamba import synthetic as syn
 from sormamba import training as tr
@@ -111,6 +112,19 @@ class TestConsistencyGap:
         bundle, model = bundle_and_model(two_view=False)
         with pytest.raises(ValueError, match="two-view"):
             an.consistency_gap(model, bundle.test)
+
+    def test_partial_batch_weighs_by_its_windows(self):
+        # 73 windows: a batch of 64 and one of 9
+        _, model = bundle_and_model()
+        x, y = dt.make_windows(syn.seasonal_series(4, 73 + 16 + 4 - 1, seed=1), 16, 4)
+        ds = dt.WindowedDataset("test", x, y)
+
+        def layer_mean(x, idx):
+            _, pairs = model.encode(x)
+            return np.mean([float(ls.reg_distance(z1, z2, "l2").data) for z1, z2 in pairs])
+
+        (want,) = tr.map_batches(ds, layer_mean, batch_size=len(ds))
+        assert an.consistency_gap(model, ds) == pytest.approx(want, rel=1e-12, abs=0)
 
 
 class TestCorrelationPreservation:

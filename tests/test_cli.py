@@ -360,6 +360,16 @@ def test_analyze_efficiency_builds_no_windows(tmp_path, capsys):
     assert (tmp_path / "o" / "run" / "efficiency.csv").exists()
 
 
+@pytest.mark.parametrize("command", [["train"], ["prepare-data"], ["analyze", "missingness"]])
+def test_series_too_short_for_its_splits_writes_nothing(tmp_path, capsys, command):
+    # 10 steps leave a training split of 6, short of lookback 32 + horizon 8
+    config = write_config(tmp_path / "exp.yaml", lambda c: c["dataset"].update(length=10))
+    out_root = tmp_path / "o"
+    assert cli.main(command + ["--config", config, "--out-root", str(out_root)]) == 2
+    assert "too short" in capsys.readouterr().err
+    assert not out_root.exists()
+
+
 def test_analyze_requires_checkpoint_for_bias(tmp_path, capsys):
     config = write_config(tmp_path / "exp.yaml")
     rc = cli.main(
@@ -409,6 +419,9 @@ def test_checkpoint_commands_reject_a_mismatched_model(trained, tmp_path, capsys
         ("train.max_epochs=true", "max_epochs"),
         ("train.batch_size=8.5", "batch_size"),
         ("train.patience=0", "patience"),
+        ("model.reg_weight=.nan", "reg_weight"),
+        ("model.reg_weight=.inf", "reg_weight"),
+        ("model.reg_weight=true", "reg_weight"),
     ],
 )
 def test_bad_config_value_is_usage_error_and_writes_nothing(tmp_path, capsys, override, field):

@@ -162,7 +162,7 @@ class TestScanTiles:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(scan_kernels, "_TILE_ELEMS", cap)
                 rows = scan_kernels._tile_rows(7, 24)
-            assert math.ceil(7 / rows) == tiles  # 7 | 4+3 | 3+3+1 | 1 x 7
+            assert math.ceil(7 / rows) == tiles  # 7 | 3+4 | 2+2+3 | 1 x 7
 
     @pytest.mark.parametrize("mode", DISCRETIZATIONS)
     def test_tiles_match_one_tile(self, mode, monkeypatch):
@@ -199,7 +199,7 @@ class TestScanTiles:
 
     @pytest.mark.parametrize("mode", DISCRETIZATIONS)
     def test_tiled_scan_matches_naive_reference(self, mode, monkeypatch):
-        # 5 rows in tiles of 2, 2 and 1
+        # 5 rows in tiles of 1, 2 and 2
         params = make_params(mode=mode, seed=13)
         x = Tensor(np.random.default_rng(14).normal(size=(5, 9, 6)))
         monkeypatch.setattr(scan_kernels, "_TILE_ELEMS", 3 * 4 * 6 * 2)
@@ -331,7 +331,7 @@ class TestScanWorkspace:
 class TestScanOrder:
     @pytest.mark.parametrize("mode", DISCRETIZATIONS)
     def test_order_matches_gather_scan_scatter(self, mode, monkeypatch):
-        # 7 rows in tiles of 3, 3 and 1; 10 steps in segments of 4, 4 and 2
+        # 7 rows in tiles of 2, 2 and 3; 10 steps in segments of 4, 4 and 2
         monkeypatch.setattr(scan_kernels, "_TILE_ELEMS", 24 * 3)
         assert scan_kernels._tile_rows(7, 4 * 3 * 2) == 3
         delta, a, b_t, c_t, x = (t.data for t in _scan_inputs(np.random.default_rng(20), 7, 10, 3, 2))
@@ -457,8 +457,8 @@ class TestScanOrders:
     @pytest.mark.parametrize("mode", DISCRETIZATIONS)
     @pytest.mark.parametrize("cap", [2 * 432, 215])
     def test_each_order_matches_naive_reference(self, mode, cap, monkeypatch):
-        # 5 rows, 9 steps, dim 6, state 4: shared in tiles of 2, 2 and 1 rows,
-        # or segments of 3 steps in tiles of 2, 2 and 1
+        # 5 rows, 9 steps, dim 6, state 4: shared in tiles of 1, 2 and 2 rows,
+        # or segments of 3 steps in tiles of 1, 2 and 2
         monkeypatch.setattr(scan_kernels, "_TILE_ELEMS", cap)
         params = make_params(mode=mode, seed=43)
         x = Tensor(np.random.default_rng(44).normal(size=(5, 9, 6)))
@@ -513,6 +513,19 @@ class TestScanOrders:
             assert len(checkpoints) == (0 if shared else 2 * segments)
         assert scan_kernels._tile_rows(64, 2 * 21 * 16 * 128) == 3
         assert scan_kernels._tile_rows(32, 2 * 7 * 16 * 256) == 4
+
+    def test_tiles_split_the_batch_evenly_at_the_weather_shape(self):
+        # 64 rows at 3 per tile: 22 tiles of 3 or 2 rows, not 21 of 3 and 1 of 1
+        batch, steps, dim, state = 64, 21, 128, 16
+        delta, x = np.zeros((batch, steps, dim)), np.zeros((batch, steps, dim))
+        a, b_t = np.zeros((dim, state)), np.zeros((batch, steps, state))
+        orders = (None, np.arange(steps)[::-1])
+        scan = scan_kernels._Scan(delta, a, b_t, x, "zoh-exact", orders)
+        assert scan.shared and len(scan.tiles) == 22
+        sizes = [t.stop - t.start for t in scan.tiles]
+        assert sorted(sizes) == [2] * 2 + [3] * 20
+        assert [t.start for t in scan.tiles[1:]] == [t.stop for t in scan.tiles[:-1]]
+        assert scan.tiles[0].start == 0 and scan.tiles[-1].stop == batch
 
     def test_two_order_memory_at_the_weather_shape(self):
         # zoh-exact, no gradient: the traced peak from an empty workspace, and

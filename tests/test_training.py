@@ -1,5 +1,7 @@
 """Harness tests: optimizer, determinism, early stopping, freeze rules."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -156,8 +158,9 @@ class TestSupervised:
         cfg = tr.TrainConfig(max_epochs=4, batch_size=64, lr=3e-3, patience=4, seed=0)
         result = tr.train_supervised(model, bundle.train, bundle.val, cfg)
         assert result.best_val < result.epochs[0].val_loss or result.best_epoch == 0
-        # restored parameters must reproduce the best validation loss
-        revalidated = tr._val_forecast_mse(model, bundle.val, 64)
+        # restored parameters must reproduce the best validation loss, which
+        # is the normalized MSE at the evaluation batch size
+        revalidated = tr.evaluate(model, bundle.val, denormalize=False)["mse"]
         assert revalidated == pytest.approx(result.best_val, rel=1e-12)
 
     def test_training_is_bitwise_deterministic(self):
@@ -251,7 +254,7 @@ class TestFreezeRules:
         z0 = model.latent_for_ccm(Tensor(bundle.train.x[:64]))
         before = float(ls.ccm_loss(z0, target).data)
         cfg = tr.TrainConfig(max_epochs=5, batch_size=64, lr=3e-3, patience=5, seed=0)
-        tr.pretrain(model, bundle.train, bundle.val, cfg, mode="ccm", corr_target=target)
+        tr.pretrain(model, bundle.train, bundle.val, cfg, mode="ccm")
         z1 = model.latent_for_ccm(Tensor(bundle.train.x[:64]))
         after = float(ls.ccm_loss(z1, target).data)
         assert after < before
@@ -277,13 +280,33 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="normalizer"):
             tr.evaluate(tiny_model(), bundle.test)
 
-    def test_predictions_shape(self):
-        bundle = tiny_bundle()
-        metrics, pred = tr.evaluate(
-            tiny_model(), bundle.test, denormalize=False, return_predictions=True
-        )
-        assert pred.shape == bundle.test.y.shape
-        assert np.isfinite(metrics["mse"])
+    def test_errors_are_summed_one_batch_at_a_time(self):
+        # 8 batches of 64 windows, and the first of them alone: holding the
+        # whole split's forecasts would be 5 MiB per [512, 96, 12] array
+        lookback, horizon, c = 16, 96, 12
+        values = np.random.default_rng(5).normal(size=(8 * 64 + lookback + horizon - 1, c))
+        x, y = dt.make_windows(values, lookback, horizon)
+        eight = dt.WindowedDataset("test", x, y)
+        one = dt.WindowedDataset("test", x[:64], y[:64])
+        norm = dt.Normalizer(mean=np.linspace(-1.0, 1.0, c), std=np.linspace(0.5, 2.0, c))
+        model = tiny_model(horizon=horizon, n_channels=c)
+        tr.evaluate(model, one, norm)  # the scan workspace, kept across calls
+
+        def peak(ds):
+            tracemalloc.start()
+            try:
+                tr.evaluate(model, ds, norm)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(eight) < 2 * peak(one)
+        # the same numbers as the mean over the concatenated forecasts
+        pred = np.concatenate(tr.map_batches(eight, lambda x, idx: model.forecast(x)[0].data))
+        d = norm.inverse(pred) - norm.inverse(eight.y)
+        metrics = tr.evaluate(model, eight, norm)
+        assert metrics["mse"] == pytest.approx(np.mean(d * d), rel=1e-14, abs=0)
+        assert metrics["mae"] == pytest.approx(np.mean(np.abs(d)), rel=1e-14, abs=0)
 
     def test_last_value_baseline_is_exact_on_constant_series(self):
         x = np.ones((5, 16, 2))

@@ -17,9 +17,7 @@ each workload's ``setup`` and ``make_run`` at seed 3 with one BLAS thread:
   gradients of ``scan_forward`` and ``scan_backward``, one order per call;
 * then two orders per call at the weather, etth1, small and solar shapes
   ([8, 137, 128, 16]): a sha256 of each order's y, and of each of the five
-  gradients of the objective summed over the orders. A checkout whose
-  kernels take one ``order`` runs one call per order and sums the
-  gradients, so the y lines of the two kinds of checkout compare directly;
+  gradients of the objective summed over the orders;
 * train-solar, train-etth1: a sha256 of each parameter's gradient after one
   ``step()``, then ``parameter_fingerprint`` after three steps;
 * analyze-weather: the ``reversal_bias`` MSEs and the
@@ -30,7 +28,7 @@ each workload's ``setup`` and ``make_run`` at seed 3 with one BLAS thread:
   and a sha256 over every parameter's name, value and gradient;
 * the read paths over a small synthetic split (5 channels, seed 7): the
   validation losses and best epoch of a 2-epoch ``train_supervised``,
-  ``_val_forecast_mse`` and ``evaluate`` of the trained model, sha256s of
+  ``evaluate`` of the trained model, sha256s of
   ``view_embeddings`` for a one-view and a two-view model,
   ``consistency_gap``, ``correlation_preservation``'s ``gap_mse`` and a
   sha256 of its ``r_z``, and the validation losses of a 2-epoch
@@ -183,22 +181,10 @@ def _scan_case(shape_name, order_names):
 
 def _scan(scan_kernels, inputs, mode, orders, gy):
     """Each order's y, the checkpoints and the five gradients of the summed
-    objective, from a checkout whose kernels take a tuple of ``orders``, or
-    from one that takes a single ``order`` (one call per order, gradients
-    summed, checkpoints of the last)."""
-    import inspect
-
-    if "orders" in inspect.signature(scan_kernels.scan_forward).parameters:
-        y, checkpoints = scan_kernels.scan_forward(*inputs, mode, True, orders)
-        grads = scan_kernels.scan_backward(*inputs, mode, checkpoints, gy, orders)
-        return list(y), checkpoints, grads
-    ys, grads = [], None
-    for order, g in zip(orders, gy):
-        y, checkpoints = scan_kernels.scan_forward(*inputs, mode, True, order)
-        one = scan_kernels.scan_backward(*inputs, mode, checkpoints, g, order)
-        ys.append(y)
-        grads = one if grads is None else [p + q for p, q in zip(grads, one)]
-    return ys, checkpoints, grads
+    objective, from one call over the tuple of ``orders``."""
+    y, checkpoints = scan_kernels.scan_forward(*inputs, mode, True, orders)
+    grads = scan_kernels.scan_backward(*inputs, mode, checkpoints, gy, orders)
+    return list(y), checkpoints, grads
 
 
 def _print_scan_reuse(grads: dict[str, dict]) -> None:
@@ -276,8 +262,6 @@ def _print_read_paths() -> None:
     model = small_model()
     fit = training.train_supervised(model, bundle.train, bundle.val, cfg)
     print("read train_supervised", fit.best_epoch, *(e.val_loss.hex() for e in fit.epochs))
-    mse = training._val_forecast_mse(model, bundle.val, cfg.batch_size)
-    print("read _val_forecast_mse", mse.hex())
     metrics = training.evaluate(model, bundle.test, bundle.normalizer)
     print("read evaluate", metrics["mse"].hex(), metrics["mae"].hex())
     for tag, m in (("one-view", small_model(two_view=False)), ("two-view", model)):
