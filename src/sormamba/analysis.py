@@ -12,10 +12,10 @@ from __future__ import annotations
 import functools
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, replace
-from operator import add
 
 import numpy as np
 
+from .autodiff import Tensor
 from .data import (
     Normalizer,
     RawSeries,
@@ -24,9 +24,9 @@ from .data import (
     inject_missingness,
     series_from_windows,
 )
-from .losses import mse_np, pearson_matrix, pearson_matrix_np, reg_distance
+from .losses import global_corr, mse_np, pearson_matrix, reg_distance
 from .model import ModelConfig, SORMambaModel, count_parameters
-from .training import TrainConfig, evaluate, map_batches, train_supervised
+from .training import TrainConfig, _errors, _forecast, evaluate, sum_batches, train_supervised
 
 
 @dataclass
@@ -55,25 +55,22 @@ def bias_metric(mse_fwd: float, mse_rev: float) -> BiasReport:
     )
 
 
-def _permuted_view(
-    ds: WindowedDataset, perm: np.ndarray, normalizer: Normalizer | None
-) -> tuple[WindowedDataset, Normalizer | None]:
+def _permuted_forecast(model: SORMambaModel, perm: np.ndarray):
+    """``_forecast`` with each batch fed in ``perm`` channel order and its
+    forecast put back in channel order, to score against the same targets.
+    The identity ordering is ``_forecast`` itself."""
     if np.array_equal(perm, np.arange(len(perm))):
-        return ds, normalizer
-    # advanced indexing on the channel axis returns a transposed memory
-    # layout, and reduction order (hence the last ulp) follows layout; keep
-    # every evaluation on C-contiguous arrays so orders compare exactly
-    pds = WindowedDataset(
-        split=ds.split,
-        x=np.ascontiguousarray(ds.x[..., perm]),
-        y=np.ascontiguousarray(ds.y[..., perm]),
-    )
-    pnorm = (
-        Normalizer(mean=normalizer.mean[perm], std=normalizer.std[perm])
-        if normalizer is not None
-        else None
-    )
-    return pds, pnorm
+        return _forecast(model)
+    inverse = np.argsort(perm)
+
+    def predict(x: Tensor) -> np.ndarray:
+        # advanced indexing on the channel axis returns a transposed memory
+        # layout, and reduction order (hence the last ulp) follows layout;
+        # feed the model C-contiguous batches so orders compare exactly
+        pred, _ = model.forecast(Tensor(np.ascontiguousarray(x.data[..., perm])))
+        return pred.data[..., inverse]
+
+    return predict
 
 
 def _order_mses(
@@ -84,11 +81,10 @@ def _order_mses(
     perms: Sequence[np.ndarray],
 ) -> list[float]:
     """Test MSE of the same windows under each channel ordering."""
-    out = []
-    for perm in perms:
-        pds, pnorm = _permuted_view(ds, np.asarray(perm), normalizer)
-        out.append(evaluate(model, pds, pnorm, denormalize=denormalize)["mse"])
-    return out
+    return [
+        _errors(ds, _permuted_forecast(model, np.asarray(p)), normalizer, denormalize)["mse"]
+        for p in perms
+    ]
 
 
 def reversal_bias(
@@ -120,6 +116,9 @@ def permutation_robustness(
         perms = [rng.permutation(c) for _ in range(n_perms)]
     elif len(perms) == 0:
         raise ValueError("perms must hold at least 1 permutation, got 0")
+    for i, perm in enumerate(map(np.asarray, perms)):
+        if perm.dtype.kind not in "iu" or not np.array_equal(np.sort(perm), np.arange(c)):
+            raise ValueError(f"perms[{i}] is not a permutation of {c} channels: {perm.tolist()}")
     values = np.asarray(_order_mses(model, ds, normalizer, denormalize, perms))
     return {
         "mse_values": values.tolist(),
@@ -135,16 +134,15 @@ def view_embeddings(model: SORMambaModel, ds: WindowedDataset) -> dict[str, np.n
     Two-view models export the final layer's two view outputs; single-view
     models export the fused tokens under the key ``tokens``.
     """
+    keys = ("view1", "view2") if model.config.two_view else ("tokens",)
 
-    def batch_sums(x, idx) -> dict[str, np.ndarray]:
+    def batch_sum(x, idx) -> np.ndarray:
+        """[views, C, d_model] summed over the batch's windows."""
         tokens, pairs = model.encode(x)
-        if model.config.two_view:
-            z1, z2 = pairs[-1]
-            return {"view1": z1.data.sum(axis=0), "view2": z2.data.sum(axis=0)}
-        return {"tokens": tokens.data.sum(axis=0)}
+        views = pairs[-1] if model.config.two_view else (tokens,)
+        return np.stack([v.data.sum(axis=0) for v in views])
 
-    parts = map_batches(ds, batch_sums)
-    return {key: functools.reduce(add, (p[key] for p in parts), 0.0) / len(ds) for key in parts[0]}
+    return dict(zip(keys, sum_batches(ds, batch_sum) / len(ds)))
 
 
 def consistency_gap(model: SORMambaModel, ds: WindowedDataset) -> float:
@@ -160,7 +158,7 @@ def consistency_gap(model: SORMambaModel, ds: WindowedDataset) -> float:
         gaps = [float(reg_distance(z1, z2, metric).data) for z1, z2 in pairs]
         return len(idx) * float(np.mean(gaps))
 
-    return functools.reduce(add, map_batches(ds, layer_mean_sum), 0.0) / len(ds)
+    return sum_batches(ds, layer_mean_sum) / len(ds)
 
 
 def correlation_preservation(model: SORMambaModel, ds: WindowedDataset) -> dict:
@@ -170,9 +168,10 @@ def correlation_preservation(model: SORMambaModel, ds: WindowedDataset) -> dict:
     ``r_z`` is the average per-window Pearson matrix of the projected
     channel embeddings.
     """
-    r_x = pearson_matrix_np(series_from_windows(ds.x).T)
-    mats = map_batches(ds, lambda x, idx: pearson_matrix(model.latent_for_ccm(x)).data)
-    r_z = np.concatenate(mats, axis=0).mean(axis=0)
+    r_x = global_corr(series_from_windows(ds.x))
+    r_z = sum_batches(
+        ds, lambda x, idx: pearson_matrix(model.latent_for_ccm(x)).data.sum(axis=0)
+    ) / len(ds)
     c = r_x.shape[0]
     off = ~np.eye(c, dtype=bool)
     return {

@@ -15,8 +15,6 @@ import json
 import math
 import time
 from dataclasses import asdict, dataclass
-from functools import reduce
-from operator import add
 
 import numpy as np
 
@@ -98,12 +96,15 @@ def iterate_batches(n: int, batch_size: int, rng: np.random.Generator | None):
         yield order[start : start + batch_size]
 
 
-def map_batches(ds: WindowedDataset, fn, batch_size: int = EVAL_BATCH) -> list:
-    """``fn(x, idx)`` for each batch of ``ds`` in order under ``no_grad``,
-    with ``x = Tensor(ds.x[idx])``. A list, not a generator, so the no-grad
-    context is closed before the caller sees any result."""
+def sum_batches(ds: WindowedDataset, fn, batch_size: int = EVAL_BATCH):
+    """``0.0 + fn(x, idx) + ...`` over the batches of ``ds`` in order under
+    ``no_grad``, with ``x = Tensor(ds.x[idx])``. Each ``fn`` returns its
+    batch's sum, so one batch of results is held at a time."""
+    total = 0.0
     with no_grad():
-        return [fn(Tensor(ds.x[idx]), idx) for idx in iterate_batches(len(ds), batch_size, None)]
+        for idx in iterate_batches(len(ds), batch_size, None):
+            total = total + fn(Tensor(ds.x[idx]), idx)
+    return total
 
 
 def _snapshot(params: list[Tensor]) -> list[np.ndarray]:
@@ -225,7 +226,7 @@ def _errors(
         d = pred - target
         return np.array([np.sum(d * d), np.sum(np.abs(d))])
 
-    mse, mae = reduce(add, map_batches(ds, sums, batch_size), 0.0) / ds.y.size
+    mse, mae = sum_batches(ds, sums, batch_size) / ds.y.size
     return {"mse": float(mse), "mae": float(mae)}
 
 
@@ -323,10 +324,10 @@ def pretrain(
 
     def val_loss() -> float:
         rng_val_mask = np.random.default_rng(cfg.seed + 224737)
-        losses = map_batches(
-            val, lambda x, idx: float(pretext_loss(x, None, rng_val_mask).data), cfg.batch_size
-        )
-        return reduce(add, losses, 0.0) / max(1, len(losses))
+        return sum_batches(
+            val, lambda x, idx: len(idx) * float(pretext_loss(x, None, rng_val_mask).data),
+            cfg.batch_size,
+        ) / len(val)
 
     return _fit(model, params, cfg, batch_loss, val_loss, len(train))
 

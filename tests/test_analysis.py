@@ -88,15 +88,29 @@ class TestOrderEvaluation:
             an.permutation_robustness(model, bundle.test, bundle.normalizer, **kwargs)
 
 
-def test_permuted_view_of_window_views_matches_copies():
-    bundle, _ = bundle_and_model()
-    ds = bundle.test
-    copied = dt.WindowedDataset(split="test", x=ds.x.copy(), y=ds.y.copy())
-    perm = np.array([2, 0, 3, 1])
-    got, got_norm = an._permuted_view(ds, perm, bundle.normalizer)
-    want, want_norm = an._permuted_view(copied, perm, bundle.normalizer)
-    for a, b in ((got.x, want.x), (got.y, want.y), (got_norm.mean, want_norm.mean)):
-        assert a.flags.c_contiguous and a.tobytes() == b.tobytes()
+    @pytest.mark.parametrize(
+        "perm", [[0, 0, 2, 3], [2, 0, 1], [0.0, 1.0, 2.0, 3.0]], ids=["repeat", "short", "float"]
+    )
+    def test_robustness_rejects_a_non_permutation_by_index(self, perm):
+        bundle, model = bundle_and_model()
+        perms = [np.arange(4), np.asarray(perm)]
+        with pytest.raises(ValueError, match=r"perms\[1\] is not a permutation of 4 channels"):
+            an.permutation_robustness(model, bundle.test, bundle.normalizer, perms=perms)
+
+
+def test_order_mses_of_window_views_match_copies():
+    bundle, model = bundle_and_model(two_view=False)
+    views = bundle.test  # read-only windows over one series
+    copies = dt.WindowedDataset(split="test", x=views.x.copy(), y=views.y.copy())
+    assert not views.x.flags.writeable and not views.x.flags.c_contiguous
+
+    def mses(ds):
+        bias = an.reversal_bias(model, ds, bundle.normalizer)
+        perms = [np.array([2, 0, 3, 1])]
+        robust = an.permutation_robustness(model, ds, bundle.normalizer, perms=perms)
+        return [v.hex() for v in (bias.mse_fwd, bias.mse_rev, *robust["mse_values"])]
+
+    assert mses(views) == mses(copies)
 
 
 class TestConsistencyGap:
@@ -123,7 +137,7 @@ class TestConsistencyGap:
             _, pairs = model.encode(x)
             return np.mean([float(ls.reg_distance(z1, z2, "l2").data) for z1, z2 in pairs])
 
-        (want,) = tr.map_batches(ds, layer_mean, batch_size=len(ds))
+        want = tr.sum_batches(ds, layer_mean, batch_size=len(ds))
         assert an.consistency_gap(model, ds) == pytest.approx(want, rel=1e-12, abs=0)
 
 

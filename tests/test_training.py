@@ -5,12 +5,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from sormamba import analysis as an
 from sormamba import data as dt
 from sormamba import losses as ls
 from sormamba import model as md
 from sormamba import synthetic as syn
 from sormamba import training as tr
-from sormamba.autodiff import Tensor, backward, tsum, mul, sqrt, sub
+from sormamba.autodiff import Tensor, backward, no_grad, tsum, mul, sqrt, sub
 
 
 def tiny_bundle(seed=0, t=400, c=3, lookback=16, horizon=4, seasonal=False):
@@ -259,6 +260,22 @@ class TestFreezeRules:
         after = float(ls.ccm_loss(z1, target).data)
         assert after < before
 
+    @pytest.mark.parametrize("mode", tr.PRETEXT_MODES)
+    def test_pretrain_validation_weighs_each_window_once(self, mode):
+        # 48 training windows are one batch at batch size 64 or 73, so both
+        # runs train alike; 73 validation windows are 64 + 9 at batch size 64
+        def windows(n, seed):
+            x, y = dt.make_windows(syn.seasonal_series(3, n + 16 + 4 - 1, seed=seed), 16, 4)
+            return dt.WindowedDataset("val", x, y)
+
+        train, val = windows(48, 0), windows(73, 1)
+        val_losses = [
+            tr.pretrain(tiny_model(), train, val, tr.TrainConfig(max_epochs=1, batch_size=b), mode)
+            .epochs[0].val_loss
+            for b in (64, 73)
+        ]
+        assert val_losses[0] == pytest.approx(val_losses[1], rel=1e-12, abs=0)
+
     def test_unknown_pretext_mode(self):
         bundle = tiny_bundle()
         with pytest.raises(ValueError, match="mode"):
@@ -280,30 +297,46 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="normalizer"):
             tr.evaluate(tiny_model(), bundle.test)
 
-    def test_errors_are_summed_one_batch_at_a_time(self):
+    @pytest.mark.parametrize(
+        "reader",
+        ["evaluate", "reversal_bias", "permutation_robustness", "correlation_preservation"],
+    )
+    def test_errors_are_summed_one_batch_at_a_time(self, reader):
         # 8 batches of 64 windows, and the first of them alone: holding the
-        # whole split's forecasts would be 5 MiB per [512, 96, 12] array
-        lookback, horizon, c = 16, 96, 12
+        # whole split would be 9 MiB per [512, 96, 24] array of forecasts and
+        # 2.4 MiB per [512, 24, 24] array of Pearson matrices
+        lookback, horizon, c = 16, 96, 24
         values = np.random.default_rng(5).normal(size=(8 * 64 + lookback + horizon - 1, c))
         x, y = dt.make_windows(values, lookback, horizon)
         eight = dt.WindowedDataset("test", x, y)
         one = dt.WindowedDataset("test", x[:64], y[:64])
         norm = dt.Normalizer(mean=np.linspace(-1.0, 1.0, c), std=np.linspace(0.5, 2.0, c))
         model = tiny_model(horizon=horizon, n_channels=c)
-        tr.evaluate(model, one, norm)  # the scan workspace, kept across calls
+        read = {
+            "evaluate": lambda ds: tr.evaluate(model, ds, norm),
+            "reversal_bias": lambda ds: an.reversal_bias(model, ds, norm),
+            "permutation_robustness": lambda ds: an.permutation_robustness(
+                model, ds, norm, n_perms=2
+            ),
+            "correlation_preservation": lambda ds: an.correlation_preservation(model, ds),
+        }[reader]
+        read(one)  # the scan workspace, kept across calls
 
         def peak(ds):
             tracemalloc.start()
             try:
-                tr.evaluate(model, ds, norm)
+                read(ds)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
         assert peak(eight) < 2 * peak(one)
+        if reader != "evaluate":
+            return
         # the same numbers as the mean over the concatenated forecasts
-        pred = np.concatenate(tr.map_batches(eight, lambda x, idx: model.forecast(x)[0].data))
-        d = norm.inverse(pred) - norm.inverse(eight.y)
+        with no_grad():
+            parts = [model.forecast(Tensor(x[i : i + 64]))[0].data for i in range(0, len(x), 64)]
+        d = norm.inverse(np.concatenate(parts)) - norm.inverse(eight.y)
         metrics = tr.evaluate(model, eight, norm)
         assert metrics["mse"] == pytest.approx(np.mean(d * d), rel=1e-14, abs=0)
         assert metrics["mae"] == pytest.approx(np.mean(np.abs(d)), rel=1e-14, abs=0)

@@ -26,13 +26,16 @@ each workload's ``setup`` and ``make_run`` at seed 3 with one BLAS thread:
   four order modes x both discretizations, two layers, seed 7): after one
   ``forecast``, ``total_loss`` and ``backward``, the loss as ``float.hex()``
   and a sha256 over every parameter's name, value and gradient;
-* the read paths over a small synthetic split (5 channels, seed 7): the
+* the read paths over a small synthetic split (5 channels, seed 7; its
+  73 test windows are a batch of 64 and a partial one of 9): the
   validation losses and best epoch of a 2-epoch ``train_supervised``,
   ``evaluate`` of the trained model, sha256s of
   ``view_embeddings`` for a one-view and a two-view model,
   ``consistency_gap``, ``correlation_preservation``'s ``gap_mse`` and a
-  sha256 of its ``r_z``, and the validation losses of a 2-epoch
-  ``pretrain`` in each pretext mode;
+  sha256 of its ``r_z``, the ``reversal_bias`` MSEs and the
+  ``permutation_robustness(n_perms=2, seed=7)`` MSEs of the trained model
+  as ``float.hex()``, which pin the per-batch channel reordering, and the
+  validation losses of a 2-epoch ``pretrain`` in each pretext mode;
 * the CLI, in-process in a temporary directory on a small synthetic config
   (5 channels, seed 7): prepare-data, train, pretrain ccm, probe and
   finetune from the pretrained checkpoint, evaluate, the five analyze kinds
@@ -270,6 +273,12 @@ def _print_read_paths() -> None:
     print("read consistency_gap", analysis.consistency_gap(model, bundle.test).hex())
     corr = analysis.correlation_preservation(model, bundle.test)
     print("read correlation_preservation", corr["gap_mse"].hex(), _digest(corr["r_z"]))
+    bias = analysis.reversal_bias(model, bundle.test, bundle.normalizer)
+    print("read reversal_bias", bias.mse_fwd.hex(), bias.mse_rev.hex())
+    robust = analysis.permutation_robustness(
+        model, bundle.test, bundle.normalizer, n_perms=2, seed=VARIANT_SEED
+    )
+    print("read permutation_robustness", *(v.hex() for v in robust["mse_values"]))
     for mode in training.PRETEXT_MODES:
         fit = training.pretrain(small_model(), bundle.train, bundle.val, cfg, mode=mode)
         print("read pretrain", mode, *(e.val_loss.hex() for e in fit.epochs))
