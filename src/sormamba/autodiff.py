@@ -11,7 +11,11 @@ Design points:
 * everything is float64, row-major; op outputs are fresh arrays, except
   that ``reshape`` and ``unstack`` give views of their input's value
 * binary ops broadcast with numpy trailing-axis rules; gradients are summed
-  back over broadcast axes so a parameter used across a batch accumulates
+  back over broadcast axes so a parameter used across a batch accumulates.
+  A vjp builds a parent's gradient only when that parent requires one
+* a product with a 2-D weight, ``[..., K] @ [K, N]``, is one GEMM over the
+  flattened leading axes, and so are both of its gradients: the weight's
+  is one ``[K, rows] @ [rows, N]`` product, with no per-sample stack to sum
 * leaf gradients accumulate additively across uses and across repeated
   ``backward`` calls; callers zero them explicitly between steps. An
   interior node's gradient is dropped once it has been passed on
@@ -201,7 +205,8 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _acc_broadcast(t: Tensor, g: np.ndarray) -> None:
-    accumulate(t, _unbroadcast(g, t.data.shape))
+    if t.requires_grad:
+        accumulate(t, _unbroadcast(g, t.data.shape))
 
 
 def _check_broadcast(a: Tensor, b: Tensor, op: str) -> None:
@@ -234,7 +239,8 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
     def vjp(g):
         _acc_broadcast(a, g)
-        _acc_broadcast(b, -g)
+        if b.requires_grad:
+            _acc_broadcast(b, -g)
 
     return from_op(a.data - b.data, (a, b), vjp)
 
@@ -244,8 +250,10 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast(a, b, "mul")
 
     def vjp(g):
-        _acc_broadcast(a, g * b.data)
-        _acc_broadcast(b, g * a.data)
+        if a.requires_grad:
+            _acc_broadcast(a, g * b.data)
+        if b.requires_grad:
+            _acc_broadcast(b, g * a.data)
 
     return from_op(a.data * b.data, (a, b), vjp)
 
@@ -256,8 +264,10 @@ def div(a: Tensor, b: Tensor) -> Tensor:
     inv = 1.0 / b.data
 
     def vjp(g):
-        _acc_broadcast(a, g * inv)
-        _acc_broadcast(b, -g * a.data * inv * inv)
+        if a.requires_grad:
+            _acc_broadcast(a, g * inv)
+        if b.requires_grad:
+            _acc_broadcast(b, -g * a.data * inv * inv)
 
     return from_op(a.data * inv, (a, b), vjp)
 
@@ -446,11 +456,42 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             f"matmul: inner dimensions disagree, {a.data.shape} @ {b.data.shape}"
         )
 
+    if b.ndim == 2:
+        return _matmul_flat(a, b)
+
     def vjp(g):
-        _acc_broadcast(a, np.matmul(g, np.swapaxes(b.data, -1, -2)))
-        _acc_broadcast(b, np.matmul(np.swapaxes(a.data, -1, -2), g))
+        if a.requires_grad:
+            _acc_broadcast(a, np.matmul(g, np.swapaxes(b.data, -1, -2)))
+        if b.requires_grad:
+            _acc_broadcast(b, np.matmul(np.swapaxes(a.data, -1, -2), g))
 
     return from_op(np.matmul(a.data, b.data), (a, b), vjp)
+
+
+def _matmul_flat(a: Tensor, w: Tensor) -> Tensor:
+    """``[..., K] @ [K, N]`` as one GEMM over ``a``'s flattened leading axes.
+
+    Each output row is computed by the same GEMM kernel as in numpy's stacked
+    loop, so the value is bit-identical at the model's shapes (numpy hands a
+    one-column or one-row-per-sample product to gemv instead, which can
+    round the last place differently). The weight gradient sums over all rows
+    in one ``[K, rows] @ [rows, N]`` GEMM, so no per-sample ``[..., K, N]``
+    stack is built.
+    """
+
+    def vjp(g):
+        k, n = w.data.shape  # read here, so the tape's closure holds a and w only
+        g2 = g.reshape(-1, n)
+        if a.requires_grad:
+            accumulate(a, np.matmul(g2, w.data.T).reshape(a.data.shape))
+        if w.requires_grad:
+            accumulate(w, np.matmul(a.data.reshape(-1, k).T, g2))
+
+    # written through a 2-D view, so the op's value owns its memory
+    k, n = w.data.shape
+    out = np.empty((*a.data.shape[:-1], n))
+    np.matmul(a.data.reshape(-1, k), w.data, out=out.reshape(-1, n))
+    return from_op(out, (a, w), vjp)
 
 
 def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:

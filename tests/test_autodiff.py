@@ -1,6 +1,7 @@
 """Unit and property tests for the reverse-mode core."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -70,6 +71,22 @@ class TestElementwise:
         ad.backward(loss)
         assert x.grad.tobytes() == (2.0 * first).tobytes()
         assert y.grad is None and loss.grad is None
+
+    @pytest.mark.parametrize("op", [ad.add, ad.sub, ad.mul, ad.div], ids=lambda f: f.__name__)
+    def test_constant_operand_of_a_binary_op_takes_no_gradient(self, op):
+        rng = _rng(24)
+        x = rng.normal(size=(4, 3))
+        c = rng.uniform(0.5, 2.0, size=(3,))
+        g = rng.normal(size=(4, 3))
+        for left in (True, False):
+            leaf, const = Tensor(x, requires_grad=True), Tensor(c)
+            out = op(leaf, const) if left else op(const, leaf)
+            ad.backward(ad.tsum(ad.mul(out, Tensor(g))))
+            assert const.grad is None
+            both = Tensor(x, requires_grad=True), Tensor(c, requires_grad=True)
+            out = op(*both) if left else op(*both[::-1])
+            ad.backward(ad.tsum(ad.mul(out, Tensor(g))))
+            assert _same_bits(leaf.grad, both[0].grad)
 
     def test_backward_rejects_vector_loss(self):
         x = Tensor(np.ones(3), requires_grad=True)
@@ -227,6 +244,93 @@ class TestFiniteDifference:
         x = Tensor(np.array([0.0]))
         with pytest.raises(FloatingPointError), np.errstate(divide="ignore"):
             ad.check_gradients(lambda t: ad.log(t), x)
+
+
+# [B, S, K] @ [K, N] at the etth1 in_proj, solar and weather projections
+WEIGHT_PRODUCTS = [(32, 7, 128, 256), (8, 137, 64, 128), (64, 21, 64, 128)]
+
+
+def _lhs(shape, layout, rng):
+    """A [B, S, K] operand, C-contiguous or a transposed view of [S, B, K]."""
+    b, s, k = shape
+    if layout == "contiguous":
+        return rng.normal(size=(b, s, k))
+    return np.swapaxes(rng.normal(size=(s, b, k)), 0, 1)
+
+
+class TestWeightMatmul:
+    """A product with a 2-D right operand runs as flat GEMMs over the
+    flattened leading axes; the batched right operand keeps numpy's loop."""
+
+    @pytest.mark.parametrize("layout", ["contiguous", "transposed"])
+    @pytest.mark.parametrize("shape", WEIGHT_PRODUCTS, ids=lambda s: "x".join(map(str, s)))
+    def test_forward_is_numpys_stacked_product_bit_for_bit(self, shape, layout):
+        rng = _rng(30)
+        a = _lhs(shape[:3], layout, rng)
+        assert a.flags.c_contiguous == (layout == "contiguous")
+        w = rng.normal(size=shape[2:])
+        got = ad.matmul(Tensor(a), Tensor(w, requires_grad=True)).data
+        assert _same_bits(got, np.matmul(a, w))
+
+    @pytest.mark.parametrize("shape", WEIGHT_PRODUCTS, ids=lambda s: "x".join(map(str, s)))
+    def test_gradients_match_the_batched_formula(self, shape):
+        rng = _rng(31)
+        a = Tensor(rng.normal(size=shape[:3]), requires_grad=True)
+        w = Tensor(rng.normal(size=shape[2:]), requires_grad=True)
+        g = rng.normal(size=shape[:2] + shape[3:])
+        ad.backward(ad.tsum(ad.mul(ad.matmul(a, w), Tensor(g))))
+        want_a = np.matmul(g, w.data.T)
+        want_w = np.matmul(np.swapaxes(a.data, -1, -2), g).sum(axis=0)
+        for got, want in ((a.grad, want_a), (w.grad, want_w)):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_gradients_pass_the_finite_difference_check(self):
+        rng = _rng(32)
+        a = Tensor(rng.normal(size=(2, 3, 4)))
+        w = Tensor(rng.normal(size=(4, 5)))
+        g = Tensor(rng.normal(size=(2, 3, 5)))
+        assert ad.check_gradients(lambda t: ad.tsum(ad.mul(ad.matmul(t, w), g)), a) < 1e-8
+        assert ad.check_gradients(lambda t: ad.tsum(ad.mul(ad.matmul(a, t), g)), w) < 1e-8
+
+    def test_constant_operand_takes_no_gradient(self):
+        rng = _rng(33)
+        x, w = rng.normal(size=(3, 5, 4)), rng.normal(size=(4, 6))
+        data, weight = Tensor(x), Tensor(w, requires_grad=True)
+        ad.backward(ad.tsum(ad.matmul(data, weight)))
+        assert data.grad is None
+        assert _same_bits(weight.grad, x.reshape(15, 4).T @ np.ones((15, 6)))
+        data, weight = Tensor(x, requires_grad=True), Tensor(w)
+        ad.backward(ad.tsum(ad.matmul(data, weight)))
+        assert weight.grad is None
+        assert _same_bits(data.grad, (np.ones((15, 6)) @ w.T).reshape(3, 5, 4))
+
+    def test_batched_right_operand_matches_a_per_sample_loop(self):
+        rng = _rng(34)
+        a = Tensor(rng.normal(size=(3, 5, 4)), requires_grad=True)
+        b = Tensor(rng.normal(size=(3, 4, 6)), requires_grad=True)
+        g = rng.normal(size=(3, 5, 6))
+        out = ad.matmul(a, b)
+        ad.backward(ad.tsum(ad.mul(out, Tensor(g))))
+        for i in range(3):
+            assert _same_bits(out.data[i], a.data[i] @ b.data[i])
+            np.testing.assert_allclose(a.grad[i], g[i] @ b.data[i].T, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(b.grad[i], a.data[i].T @ g[i], rtol=1e-12, atol=0)
+
+    def test_weight_gradient_builds_no_per_sample_stack(self):
+        # a [32, 128, 256] float64 stack of per-sample weight gradients is
+        # 8 MiB; the flat GEMM's backward holds a few [224, *] arrays
+        rng = _rng(35)
+        x = Tensor(rng.normal(size=(32, 7, 128)), requires_grad=True)
+        w = Tensor(rng.normal(size=(128, 256)), requires_grad=True)
+        loss = ad.tsum(ad.matmul(x, w))
+        tracemalloc.start()
+        try:
+            ad.backward(loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert w.grad.shape == (128, 256)
+        assert peak < 32 * 128 * 256 * 8
 
 
 class TestShapeOps:

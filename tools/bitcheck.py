@@ -18,6 +18,12 @@ each workload's ``setup`` and ``make_run`` at seed 3 with one BLAS thread:
 * then two orders per call at the weather, etth1, small and solar shapes
   ([8, 137, 128, 16]): a sha256 of each order's y, and of each of the five
   gradients of the objective summed over the orders;
+* before anything trains, each workload's untrained model (seed 3) under
+  ``no_grad`` on its first batch: a sha256 of the forecast, and whether the
+  forecast of the channel-reversed batch, put back in channel order, equals
+  it. The read-path and CLI lines below come from models trained first, so
+  a change that moves only gradients moves them too; these lines show
+  whether the forward itself moved;
 * train-solar, train-etth1: a sha256 of each parameter's gradient after one
   ``step()``, then ``parameter_fingerprint`` after three steps;
 * analyze-weather: the ``reversal_bias`` MSEs and the
@@ -102,9 +108,15 @@ def main(argv=None) -> int:
     from sormamba import analysis
     from sormamba import model as sm_model
 
+    runs = {}
+    for name, w in workloads.WORKLOADS.items():
+        bundle, model = workloads.setup(w, SEED)
+        runs[name] = workloads.make_run(w, bundle, model, SEED)
+    _print_forward(runs)
+
     for name in ("train-solar", "train-etth1"):
-        bundle, model = workloads.setup(workloads.WORKLOADS[name], SEED)
-        run = workloads.make_run(workloads.WORKLOADS[name], bundle, model, SEED)
+        run = runs[name]
+        model = run.model
         run.step()
         grads[name] = {p: t.grad.copy() for p, t in model.param_items() if t.grad is not None}
         for param, t in model.param_items():
@@ -114,8 +126,7 @@ def main(argv=None) -> int:
         print(name, "fingerprint", sm_model.parameter_fingerprint(model))
 
     name = "analyze-weather"
-    bundle, model = workloads.setup(workloads.WORKLOADS[name], SEED)
-    run = workloads.make_run(workloads.WORKLOADS[name], bundle, model, SEED)
+    run = runs[name]
     bias = analysis.reversal_bias(run.model, run.ds, run.normalizer)
     print(name, "reversal_bias", bias.mse_fwd.hex(), bias.mse_rev.hex())
     robust = analysis.permutation_robustness(
@@ -204,6 +215,23 @@ def _print_scan_reuse(grads: dict[str, dict]) -> None:
         print(*tag, "y", *(_digest(y) for y in ys))
         print(*tag, "grads", *(_digest(g) for g in pair_grads))
         grads[" ".join(tag)] = dict(zip(("delta", "a", "b_t", "c_t", "x"), pair_grads))
+
+
+def _print_forward(runs: dict) -> None:
+    """Per workload, the untrained model's forecast of its first batch: a
+    sha256, and whether the forecast of the channel-reversed batch, put back
+    in channel order, equals it bit for bit."""
+    import numpy as np
+
+    from sormamba import autodiff
+
+    for name, run in runs.items():
+        x = run.first_batch()
+        with autodiff.no_grad():
+            pred, _ = run.model.forecast(autodiff.Tensor(x))
+            rev, _ = run.model.forecast(autodiff.Tensor(np.ascontiguousarray(x[..., ::-1])))
+        same = np.array_equal(rev.data[..., ::-1], pred.data)
+        print(name, "forward", _digest(pred.data), "reversed-equal", same)
 
 
 def _print_variants(grads: dict[str, dict]) -> None:
