@@ -172,15 +172,21 @@ def correlation_preservation(model: SORMambaModel, ds: WindowedDataset) -> dict:
     r_z = sum_batches(
         ds, lambda x, idx: pearson_matrix(model.latent_for_ccm(x)).data.sum(axis=0)
     ) / len(ds)
-    c = r_x.shape[0]
-    off = ~np.eye(c, dtype=bool)
     return {
         "r_x": r_x,
         "r_z": r_z,
         "gap_mse": mse_np(r_z, r_x),
-        "mean_abs_offdiag_x": float(np.mean(np.abs(r_x[off]))),
-        "mean_abs_offdiag_z": float(np.mean(np.abs(r_z[off]))),
+        "mean_abs_offdiag_x": mean_abs_offdiag(r_x),
+        "mean_abs_offdiag_z": mean_abs_offdiag(r_z),
     }
+
+
+def mean_abs_offdiag(r: np.ndarray) -> float:
+    """Mean absolute off-diagonal entry of a [C, C] correlation matrix, C >= 2."""
+    r = np.asarray(r)
+    if r.ndim != 2 or r.shape[0] != r.shape[1] or r.shape[0] < 2:
+        raise ValueError(f"need a [C, C] matrix with C>=2, got shape {r.shape}")
+    return float(np.mean(np.abs(r[~np.eye(r.shape[0], dtype=bool)])))
 
 
 @functools.cache

@@ -494,31 +494,27 @@ def _matmul_flat(a: Tensor, w: Tensor) -> Tensor:
     return from_op(out, (a, w), vjp)
 
 
-def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    def vjp(g):
-        if axis is None:
-            accumulate(a, np.broadcast_to(g, a.data.shape))
-            return
-        gg = g
-        if not keepdims:
-            gg = np.expand_dims(gg, axis)
-        accumulate(a, np.broadcast_to(gg, a.data.shape))
+def _sum_vjp(a: Tensor, axis, keepdims: bool, count: int | None = None):
+    """The vjp of summing ``a`` over ``axis``, or with ``count`` of taking
+    the mean: g (divided by the count) spread back over the summed axis."""
 
-    return from_op(a.data.sum(axis=axis, keepdims=keepdims), (a,), vjp)
+    def vjp(g):
+        if count is not None:
+            g = g / count
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        accumulate(a, np.broadcast_to(g, a.data.shape))
+
+    return vjp
+
+
+def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+    return from_op(a.data.sum(axis=axis, keepdims=keepdims), (a,), _sum_vjp(a, axis, keepdims))
 
 
 def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     count = a.data.size if axis is None else a.data.shape[axis]
-
-    def vjp(g):
-        gg = g / count
-        if axis is None:
-            accumulate(a, np.broadcast_to(gg, a.data.shape))
-            return
-        if not keepdims:
-            gg = np.expand_dims(gg, axis)
-        accumulate(a, np.broadcast_to(gg, a.data.shape))
-
+    vjp = _sum_vjp(a, axis, keepdims, count)
     return from_op(a.data.mean(axis=axis, keepdims=keepdims), (a,), vjp)
 
 
@@ -547,22 +543,16 @@ def shift_axis(a: Tensor, offset: int, axis: int) -> Tensor:
     if offset < 0:
         raise ValueError(f"shift_axis: offset must be >= 0, got {offset}")
     n = a.data.shape[axis]
+    # head: the slots that move; tail: where they land. Both are empty once
+    # offset >= n, which leaves the output and the gradient all zero
+    head = _axis_index(slice(0, max(n - offset, 0)), axis, a.ndim)
+    tail = _axis_index(slice(min(offset, n), n), axis, a.ndim)
     val = np.zeros_like(a.data)
-    if offset < n:
-        src = [slice(None)] * a.data.ndim
-        dst = [slice(None)] * a.data.ndim
-        src[axis] = slice(0, n - offset)
-        dst[axis] = slice(offset, n)
-        val[tuple(dst)] = a.data[tuple(src)]
+    val[tail] = a.data[head]
 
     def vjp(g):
         gg = np.zeros_like(g)
-        if offset < n:
-            src = [slice(None)] * g.ndim
-            dst = [slice(None)] * g.ndim
-            src[axis] = slice(offset, n)
-            dst[axis] = slice(0, n - offset)
-            gg[tuple(dst)] = g[tuple(src)]
+        gg[head] = g[tail]
         accumulate(a, gg)
 
     return from_op(val, (a,), vjp)
@@ -603,7 +593,7 @@ def unstack(a: Tensor) -> tuple[Tensor, ...]:
     return tuple(part(i) for i in range(a.shape[0]))
 
 
-def _axis_index(idx: np.ndarray, axis: int, ndim: int):
+def _axis_index(idx, axis: int, ndim: int):
     sel: list = [slice(None)] * ndim
     sel[axis] = idx
     return tuple(sel)

@@ -35,7 +35,6 @@ and puts y back.
 
 from __future__ import annotations
 
-import math
 from dataclasses import fields
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -51,18 +50,13 @@ from .autodiff import (
     silu,
     take_axis,
 )
-from .ssm import init_ssm_params, projections, scan_core
+from .ssm import init_ssm_params, projections, scan_core, uniform_weight
 
 if TYPE_CHECKING:
     from .model import ModelConfig
 
 ORDER_MODES = ("fixed-reverse", "fixed-random", "random-pair", "random-reverse")
 DIRECTIONS = ("uni", "bi")
-
-
-def _uniform_weight(n_in: int, n_out: int, rng: np.random.Generator) -> Tensor:
-    bound = 1.0 / math.sqrt(n_in)
-    return Tensor(rng.uniform(-bound, bound, size=(n_in, n_out)), requires_grad=True)
 
 
 class Tokens(NamedTuple):
@@ -94,18 +88,14 @@ class CDMambaBlock:
     ):
         if conv_kernel < 0:
             raise ValueError(f"conv_kernel must be >= 0, got {conv_kernel}")
-        self.w_in_x = _uniform_weight(d_model, d_inner, rng)
-        self.w_in_g = _uniform_weight(d_model, d_inner, rng)
+        self.w_in_x = uniform_weight(d_model, d_inner, rng)
+        self.w_in_g = uniform_weight(d_model, d_inner, rng)
         self.ssm = init_ssm_params(d_inner, d_state, dt_rank, rng, mode=mode)
-        self.w_out = _uniform_weight(d_inner, d_model, rng)
+        self.w_out = uniform_weight(d_inner, d_model, rng)
         self.conv_kernel = conv_kernel
         if conv_kernel:
             # depthwise filters, fan-in = kernel width
-            bound = 1.0 / math.sqrt(conv_kernel)
-            self.w_conv = Tensor(
-                rng.uniform(-bound, bound, size=(conv_kernel, d_inner)),
-                requires_grad=True,
-            )
+            self.w_conv = uniform_weight(conv_kernel, d_inner, rng)
             self.b_conv = Tensor(np.zeros(d_inner), requires_grad=True)
 
     def _conv(self, u: Tensor) -> Tensor:

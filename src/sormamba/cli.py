@@ -29,6 +29,7 @@ from . import analysis as an
 from . import data as dt
 from . import synthetic as syn
 from . import training as tr
+from .losses import global_corr
 from .model import ModelConfig, SORMambaModel, load_checkpoint, save_checkpoint
 
 ANALYZE_KINDS = ("bias", "robustness", "correlation", "efficiency", "missingness")
@@ -272,8 +273,7 @@ def cmd_prepare_data(ctx: RunContext, args, model) -> int:
         "window_counts": {r["split"]: r["windows"] for r in rows},
     }
     if ctx.series.n_channels >= 2:
-        c, corr = dt.dataset_channel_stats(ctx.series.values)
-        report["mean_abs_offdiag_corr"] = corr
+        report["mean_abs_offdiag_corr"] = an.mean_abs_offdiag(global_corr(ctx.series.values))
     _write_report(ctx.path("dataset_report.json"), report)
     print(f"prepared {ctx.series.name}: usable sizes {usable} -> {ctx.out_dir}")
     return 0

@@ -25,8 +25,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .losses import pearson_matrix_np
-
 SPLIT_FAMILIES = ("ett-h", "ett-m", "ett-pems-solar", "other")
 
 _ETT_HOUR_BORDERS = (8640, 11520, 14400)
@@ -289,17 +287,6 @@ def inject_missingness(
             raise ValueError(f"channel {ch} lost every observation at rate {rate}")
         filled[:, ch] = np.interp(idx, idx[observed], values[observed, ch])
     return (filled, mask) if return_mask else filled
-
-
-def dataset_channel_stats(values: np.ndarray) -> tuple[int, float]:
-    """(channel count, mean absolute off-diagonal channel correlation)."""
-    values = np.asarray(values, dtype=np.float64)
-    if values.ndim != 2 or values.shape[1] < 2:
-        raise ValueError(f"need a [T, C>=2] series, got shape {values.shape}")
-    r = pearson_matrix_np(values.T)
-    c = r.shape[0]
-    off = ~np.eye(c, dtype=bool)
-    return c, float(np.mean(np.abs(r[off])))
 
 
 # ---- benchmark registry -----------------------------------------------------

@@ -32,15 +32,12 @@ COSINE_EPS = 1e-12
 REG_METRICS = ("l2", "l1", "cosine")
 
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
-
-
 # ---- point metrics -------------------------------------------------------
 
 
 def mse(pred: Tensor, target) -> Tensor:
-    d = sub(pred, _as_tensor(target))
+    """Mean squared difference; ``sub`` coerces and broadcasts ``target``."""
+    d = sub(pred, target)
     return tmean(mul(d, d))
 
 
@@ -60,8 +57,7 @@ def reg_distance(z1: Tensor, z2: Tensor, metric: str = "l2") -> Tensor:
     zero). Opposite nonzero tokens give a cosine distance of 2.
     """
     if metric == "l2":
-        d = sub(z1, z2)
-        return tmean(mul(d, d))
+        return mse(z1, z2)
     if metric == "l1":
         return tmean(absolute(sub(z1, z2)))
     if metric == "cosine":
@@ -169,7 +165,7 @@ def ccm_loss(z_latent: Tensor, r_target: np.ndarray) -> Tensor:
     tgt = np.asarray(r_target, dtype=np.float64)
     if tgt.shape != r_z.shape[-2:]:
         raise ValueError(f"target shape {tgt.shape} does not match {r_z.shape[-2:]}")
-    return mse(r_z, Tensor(np.broadcast_to(tgt, r_z.shape).copy()))
+    return mse(r_z, tgt)  # sub broadcasts the [C, C] target over the batch
 
 
 def global_corr(series: np.ndarray) -> np.ndarray:

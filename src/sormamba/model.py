@@ -30,9 +30,9 @@ from .autodiff import (
     sub,
     swapaxes,
 )
-from .blocks import DIRECTIONS, ORDER_MODES, DirectionalEncoderCD, _uniform_weight
+from .blocks import DIRECTIONS, ORDER_MODES, DirectionalEncoderCD
 from .losses import REG_METRICS
-from .ssm import DISCRETIZATIONS
+from .ssm import DISCRETIZATIONS, uniform_weight
 
 CHECKPOINT_FORMAT = 1
 
@@ -112,15 +112,12 @@ class ModelConfig:
         return cls(**d)
 
 
-def _ln_params(dim: int) -> tuple[Tensor, Tensor]:
-    return (
-        Tensor(np.ones(dim), requires_grad=True),
-        Tensor(np.zeros(dim), requires_grad=True),
-    )
-
-
 def _bias(dim: int) -> Tensor:
     return Tensor(np.zeros(dim), requires_grad=True)
+
+
+def _ln_params(dim: int) -> tuple[Tensor, Tensor]:
+    return Tensor(np.ones(dim), requires_grad=True), _bias(dim)
 
 
 class _Layer:
@@ -128,9 +125,9 @@ class _Layer:
         d, hidden = cfg.d_model, cfg.resolved_mlp_hidden
         self.encoder = DirectionalEncoderCD(cfg, rng)
         self.g1, self.c1 = _ln_params(d)
-        self.w_mlp1 = _uniform_weight(d, hidden, rng)
+        self.w_mlp1 = uniform_weight(d, hidden, rng)
         self.b_mlp1 = _bias(hidden)
-        self.w_mlp2 = _uniform_weight(hidden, d, rng)
+        self.w_mlp2 = uniform_weight(hidden, d, rng)
         self.b_mlp2 = _bias(d)
         self.g2, self.c2 = _ln_params(d)
 
@@ -156,14 +153,14 @@ class SORMambaModel:
         self.config = config
         rng = np.random.default_rng(seed)
         cfg = config
-        self.w_embed = _uniform_weight(cfg.lookback, cfg.d_model, rng)
+        self.w_embed = uniform_weight(cfg.lookback, cfg.d_model, rng)
         self.b_embed = _bias(cfg.d_model)
         self.layers = [_Layer(cfg, rng) for _ in range(cfg.n_layers)]
-        self.w_head = _uniform_weight(cfg.d_model, cfg.horizon, rng)
+        self.w_head = uniform_weight(cfg.d_model, cfg.horizon, rng)
         self.b_head = _bias(cfg.horizon)
-        self.w_ccm = _uniform_weight(cfg.d_model, cfg.d_model, rng)
+        self.w_ccm = uniform_weight(cfg.d_model, cfg.d_model, rng)
         self.b_ccm = _bias(cfg.d_model)
-        self.w_rec = _uniform_weight(cfg.d_model, cfg.lookback, rng)
+        self.w_rec = uniform_weight(cfg.d_model, cfg.lookback, rng)
         self.b_rec = _bias(cfg.lookback)
 
     # ---- parameter registry -------------------------------------------

@@ -83,6 +83,12 @@ class SSMParams:
         return self.a_log.shape[1]
 
 
+def uniform_weight(n_in: int, n_out: int, rng: np.random.Generator) -> Tensor:
+    """A trainable [n_in, n_out] weight drawn uniformly from +-1/sqrt(n_in)."""
+    bound = 1.0 / math.sqrt(n_in)
+    return Tensor(rng.uniform(-bound, bound, size=(n_in, n_out)), requires_grad=True)
+
+
 def init_ssm_params(
     dim: int,
     state: int,
@@ -96,10 +102,6 @@ def init_ssm_params(
     a = np.tile(np.arange(1, state + 1, dtype=np.float64), (dim, 1))
     a_log = Tensor(np.log(a), requires_grad=True)
     d_skip = Tensor(np.ones(dim), requires_grad=True)
-
-    def lin(shape):
-        bound = 1.0 / math.sqrt(shape[0])
-        return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
 
     w_dt_down = Tensor(
         rng.uniform(-1, 1, size=(dim, dt_rank)) / math.sqrt(dim), requires_grad=True
@@ -121,8 +123,8 @@ def init_ssm_params(
         w_dt_down=w_dt_down,
         w_dt_up=w_dt_up,
         b_dt=b_dt,
-        w_b=lin((dim, state)),
-        w_c=lin((dim, state)),
+        w_b=uniform_weight(dim, state, rng),
+        w_c=uniform_weight(dim, state, rng),
         mode=mode,
     )
 

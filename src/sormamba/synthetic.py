@@ -11,6 +11,14 @@ def _ar1(rng: np.random.Generator, length: int, phi: float) -> np.ndarray:
     return lfilter([1.0], [1.0, -phi], noise)
 
 
+def _rescale(x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Give each channel of [T, C] ``x`` its own scale and offset, so
+    normalization actually matters."""
+    scale = rng.uniform(0.5, 2.0, x.shape[1])
+    offset = rng.uniform(-1.0, 1.0, x.shape[1])
+    return x * scale + offset
+
+
 def correlated_series(
     n_channels: int,
     length: int,
@@ -34,9 +42,7 @@ def correlated_series(
     own = np.column_stack([_ar1(rng, length, phi) for _ in range(n_channels)])
     x = strength * np.outer(factor, loadings) + (1.0 - strength) * own
     x = x + 0.05 * rng.normal(size=x.shape)
-    scale = rng.uniform(0.5, 2.0, n_channels)
-    offset = rng.uniform(-1.0, 1.0, n_channels)
-    return x * scale + offset
+    return _rescale(x, rng)
 
 
 def seasonal_series(
@@ -61,9 +67,7 @@ def seasonal_series(
     for j, (p, ph) in enumerate(zip(periods, phases)):
         x += np.outer(np.sin(2 * np.pi * t / p + ph), amps[:, j])
     x += noise * rng.normal(size=x.shape)
-    scale = rng.uniform(0.5, 2.0, n_channels)
-    offset = rng.uniform(-1.0, 1.0, n_channels)
-    return x * scale + offset
+    return _rescale(x, rng)
 
 
 def lagged_series(
@@ -96,6 +100,4 @@ def lagged_series(
         shift = pad - c * lag
         x[:, c] = driver[shift : shift + length]
     x += noise * rng.normal(size=x.shape)
-    scale = rng.uniform(0.5, 2.0, n_channels)
-    offset = rng.uniform(-1.0, 1.0, n_channels)
-    return x * scale + offset
+    return _rescale(x, rng)

@@ -144,11 +144,15 @@ def _fit(
     n_train: int,
 ) -> FitResult:
     """Every model parameter outside ``params`` must come out bitwise
-    unchanged; one that moved raises an AssertionError naming it."""
+    unchanged; one that moved raises an AssertionError naming it. Those
+    parameters take no gradient during the fit, so no step records or
+    back-propagates through what only they feed; their ``requires_grad``
+    flags are restored afterwards."""
     opt = Adam(params, lr=cfg.lr)
     names = {id(t): n for n, t in model.param_items()}
     trained = {id(p) for p in params}
     frozen = [(n, t, t.data.tobytes()) for n, t in model.param_items() if id(t) not in trained]
+    flags = [t.requires_grad for _, t, _ in frozen]
     rng_shuffle = np.random.default_rng(cfg.seed)
     rng_views = np.random.default_rng(cfg.seed + 7919)
     best = float("inf")
@@ -157,47 +161,56 @@ def _fit(
     bad_epochs = 0
     logs: list[EpochLog] = []
     stopped = False
-    for epoch in range(cfg.max_epochs):
-        t0 = time.perf_counter()
-        total = 0.0
-        n_batches = 0
-        for idx in iterate_batches(n_train, cfg.batch_size, rng_shuffle):
-            opt.zero_grad()
-            loss = batch_loss(idx, rng_views)
-            value = float(loss.data)
-            if not np.isfinite(value):
-                raise FloatingPointError(
-                    f"non-finite training loss at epoch {epoch}, batch {n_batches}"
-                )
-            backward(loss)
-            for p in params:
-                if p.grad is not None and not np.isfinite(p.grad).all():
+    for _, t, _ in frozen:
+        t.requires_grad = False
+    try:
+        for epoch in range(cfg.max_epochs):
+            t0 = time.perf_counter()
+            total = 0.0
+            n_batches = 0
+            for idx in iterate_batches(n_train, cfg.batch_size, rng_shuffle):
+                opt.zero_grad()
+                loss = batch_loss(idx, rng_views)
+                value = float(loss.data)
+                if not np.isfinite(value):
                     raise FloatingPointError(
-                        f"non-finite gradient for {names[id(p)]} at epoch {epoch}, "
-                        f"batch {n_batches}"
+                        f"non-finite training loss at epoch {epoch}, batch {n_batches}"
                     )
-            opt.step()
-            total += value
-            n_batches += 1
-        vl = val_loss()
-        logs.append(
-            EpochLog(
-                epoch=epoch,
-                train_loss=total / max(1, n_batches),
-                val_loss=vl,
-                seconds=time.perf_counter() - t0,
+                backward(loss)
+                for p in params:
+                    if p.grad is not None and not np.isfinite(p.grad).all():
+                        raise FloatingPointError(
+                            f"non-finite gradient for {names[id(p)]} at epoch {epoch}, "
+                            f"batch {n_batches}"
+                        )
+                opt.step()
+                total += value
+                n_batches += 1
+            vl = val_loss()
+            if not np.isfinite(vl):
+                # no epoch could beat it, and the untrained model would be kept
+                raise FloatingPointError(f"non-finite validation loss {vl} at epoch {epoch}")
+            logs.append(
+                EpochLog(
+                    epoch=epoch,
+                    train_loss=total / max(1, n_batches),
+                    val_loss=vl,
+                    seconds=time.perf_counter() - t0,
+                )
             )
-        )
-        if vl < best:
-            best = vl
-            best_epoch = epoch
-            best_snap = _snapshot(params)
-            bad_epochs = 0
-        else:
-            bad_epochs += 1
-            if bad_epochs >= cfg.patience:
-                stopped = True
-                break
+            if vl < best:
+                best = vl
+                best_epoch = epoch
+                best_snap = _snapshot(params)
+                bad_epochs = 0
+            else:
+                bad_epochs += 1
+                if bad_epochs >= cfg.patience:
+                    stopped = True
+                    break
+    finally:
+        for (_, t, _), flag in zip(frozen, flags):
+            t.requires_grad = flag
     if cfg.restore_best:
         _restore(params, best_snap)
     moved = [n for n, t, before in frozen if t.data.tobytes() != before]

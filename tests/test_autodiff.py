@@ -406,6 +406,15 @@ class TestShapeOps:
         )
         assert err < 1e-6
 
+    @pytest.mark.parametrize("offset", [3, 4])
+    def test_shift_axis_past_the_axis_is_all_zero(self, offset):
+        # a conv kernel wider than the token axis shifts by offset >= n
+        x = Tensor(_rng(14).normal(size=(2, 3, 2)), requires_grad=True)
+        out = ad.shift_axis(x, offset, axis=1)
+        np.testing.assert_array_equal(out.data, np.zeros((2, 3, 2)))
+        ad.backward(ad.tsum(ad.mul(out, Tensor(_rng(15).normal(size=(2, 3, 2))))))
+        np.testing.assert_array_equal(x.grad, np.zeros((2, 3, 2)))
+
     def test_take_axis_permutation_gradient_is_inverse_scatter(self):
         perm = np.array([2, 0, 1])
         x = Tensor(np.array([[1.0, 2.0, 3.0]]), requires_grad=True)

@@ -5,6 +5,8 @@ import pytest
 
 from sormamba import data as dt
 from sormamba import synthetic as syn
+from sormamba.analysis import mean_abs_offdiag
+from sormamba.losses import global_corr
 
 
 def series_of_length(t, c=2, name="synthetic"):
@@ -220,24 +222,26 @@ class TestMissingness:
 
 
 class TestChannelStats:
+    """The mean absolute off-diagonal channel correlation that prepare-data
+    reports, ``mean_abs_offdiag(global_corr(values))``."""
+
     def test_perfect_and_anti_correlation(self):
         base = np.sin(np.linspace(0, 20, 500))
         both = np.column_stack([base, 2.0 * base + 1.0])
-        c, m = dt.dataset_channel_stats(both)
-        assert c == 2 and m == pytest.approx(1.0, abs=1e-6)
+        r = global_corr(both)
+        assert r.shape == (2, 2) and mean_abs_offdiag(r) == pytest.approx(1.0, abs=1e-6)
         anti = np.column_stack([base, -base])
-        _, m2 = dt.dataset_channel_stats(anti)
-        assert m2 == pytest.approx(1.0, abs=1e-6)
+        assert mean_abs_offdiag(global_corr(anti)) == pytest.approx(1.0, abs=1e-6)
 
     def test_independent_noise_is_near_zero(self):
-        _, m = dt.dataset_channel_stats(np.random.default_rng(3).normal(size=(20000, 4)))
-        assert m < 0.05
+        noise = np.random.default_rng(3).normal(size=(20000, 4))
+        assert mean_abs_offdiag(global_corr(noise)) < 0.05
 
     def test_synthetic_strength_orders_correlation(self):
-        _, strong = dt.dataset_channel_stats(syn.correlated_series(4, 4000, 0.9, seed=4))
-        _, weak = dt.dataset_channel_stats(syn.correlated_series(4, 4000, 0.1, seed=4))
+        strong = mean_abs_offdiag(global_corr(syn.correlated_series(4, 4000, 0.9, seed=4)))
+        weak = mean_abs_offdiag(global_corr(syn.correlated_series(4, 4000, 0.1, seed=4)))
         assert strong > 0.5 > weak
 
     def test_single_channel_rejected(self):
         with pytest.raises(ValueError, match="C>=2"):
-            dt.dataset_channel_stats(np.zeros((10, 1)))
+            mean_abs_offdiag(global_corr(np.zeros((10, 1))))

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from sormamba import losses as ls
 from sormamba import model as md
-from sormamba.autodiff import Tensor, backward, check_gradients, tsum
+from sormamba.autodiff import Tensor, backward, check_gradients, mul, sub, tmean, tsum
 
 
 class TestPointMetrics:
@@ -152,6 +152,21 @@ class TestCCM:
         z = Tensor(np.random.default_rng(11).normal(size=(2, 3, 6)), requires_grad=True)
         backward(ls.ccm_loss(z, np.eye(3)))
         assert z.grad is not None and np.any(z.grad != 0)
+
+    def test_matches_the_broadcast_copy_formula_bit_for_bit(self):
+        rng = np.random.default_rng(13)
+        z = rng.normal(size=(4, 5, 7))
+        target = ls.pearson_matrix_np(rng.normal(size=(5, 30)))
+        got_z = Tensor(z, requires_grad=True)
+        got = ls.ccm_loss(got_z, target)
+        backward(got)
+        want_z = Tensor(z, requires_grad=True)
+        r_z = ls.pearson_matrix(want_z)
+        d = sub(r_z, Tensor(np.broadcast_to(target, r_z.shape).copy()))
+        want = tmean(mul(d, d))
+        backward(want)
+        assert got.data.tobytes() == want.data.tobytes()
+        assert got_z.grad.tobytes() == want_z.grad.tobytes()
 
     def test_global_corr_from_series(self):
         series = np.random.default_rng(12).normal(size=(50, 4))

@@ -210,6 +210,18 @@ class TestSupervised:
                 )
         assert md.parameter_fingerprint(model) == before
 
+    def test_nonfinite_validation_loss_raises(self):
+        # one huge reading in the validation rows makes every epoch's
+        # validation MSE overflow, so no epoch could become the best one
+        values = syn.correlated_series(3, 600)
+        values[420, 0] = 1e200
+        series = dt.RawSeries(name="huge", values=values, channel_names=["a", "b", "c"])
+        bundle = dt.build_splits(series, "ett-pems-solar", 24, 6)
+        model = tiny_model(lookback=24, horizon=6)
+        with np.errstate(over="ignore"):
+            with pytest.raises(FloatingPointError, match="validation loss inf at epoch 0"):
+                tr.train_supervised(model, bundle.train, bundle.val, FAST)
+
 
 class TestFreezeRules:
     def test_fit_names_a_frozen_parameter_that_moved(self):
@@ -235,6 +247,38 @@ class TestFreezeRules:
         tr.linear_probe(model, bundle.train, bundle.val, FAST)
         assert md.parameter_fingerprint(model, prefixes=("embed.", "layer")) == trunk
         assert md.parameter_fingerprint(model, prefixes=("head.",)) != head
+
+    def test_linear_probe_builds_no_trunk_gradient(self):
+        bundle = tiny_bundle()
+        model = tiny_model()
+        tr.linear_probe(model, bundle.train, bundle.val, FAST)
+        assert [n for n, t in model.param_items() if t.grad is not None] == ["head.w", "head.b"]
+        # the trunk takes gradients again once the probe is done
+        assert all(t.requires_grad for t in model.parameters())
+
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_fit_restores_every_gradient_flag(self, fails):
+        model = tiny_model()
+        named = dict(model.param_items())
+        named["layer0.ln1.gain"].requires_grad = False
+        flags = {n: t.requires_grad for n, t in named.items()}
+        head = [named["head.w"], named["head.b"]]
+        seen = []
+
+        def batch_loss(idx, rng):
+            seen.append({n: t.requires_grad for n, t in named.items()})
+            if fails:
+                raise RuntimeError("batch failed")
+            return tsum(mul(head[1], head[1]))
+
+        cfg = tr.TrainConfig(max_epochs=1, batch_size=8, seed=0)
+        if fails:
+            with pytest.raises(RuntimeError, match="batch failed"):
+                tr._fit(model, head, cfg, batch_loss, lambda: 0.0, n_train=8)
+        else:
+            tr._fit(model, head, cfg, batch_loss, lambda: 0.0, n_train=8)
+        assert seen[0] == {n: n.startswith("head.") for n in named}
+        assert {n: t.requires_grad for n, t in named.items()} == flags
 
     @pytest.mark.parametrize("mode", ["ccm", "mm", "rec"])
     def test_pretraining_leaves_forecast_head_untouched(self, mode):

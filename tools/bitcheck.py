@@ -40,8 +40,10 @@ each workload's ``setup`` and ``make_run`` at seed 3 with one BLAS thread:
   ``consistency_gap``, ``correlation_preservation``'s ``gap_mse`` and a
   sha256 of its ``r_z``, the ``reversal_bias`` MSEs and the
   ``permutation_robustness(n_perms=2, seed=7)`` MSEs of the trained model
-  as ``float.hex()``, which pin the per-batch channel reordering, and the
-  validation losses of a 2-epoch ``pretrain`` in each pretext mode;
+  as ``float.hex()``, which pin the per-batch channel reordering, the
+  validation losses of a 2-epoch ``pretrain`` in each pretext mode, and the
+  best epoch and validation losses of a 2-epoch ``linear_probe`` started
+  from the ccm-pretrained model;
 * the CLI, in-process in a temporary directory on a small synthetic config
   (5 channels, seed 7): prepare-data, train, pretrain ccm, probe and
   finetune from the pretrained checkpoint, evaluate, the five analyze kinds
@@ -308,8 +310,13 @@ def _print_read_paths() -> None:
     )
     print("read permutation_robustness", *(v.hex() for v in robust["mse_values"]))
     for mode in training.PRETEXT_MODES:
-        fit = training.pretrain(small_model(), bundle.train, bundle.val, cfg, mode=mode)
+        pretrained = small_model()
+        fit = training.pretrain(pretrained, bundle.train, bundle.val, cfg, mode=mode)
         print("read pretrain", mode, *(e.val_loss.hex() for e in fit.epochs))
+        if mode == "ccm":
+            ccm_model = pretrained
+    fit = training.linear_probe(ccm_model, bundle.train, bundle.val, cfg)
+    print("read linear_probe", fit.best_epoch, *(e.val_loss.hex() for e in fit.epochs))
 
 
 CLI_CONFIG = {
