@@ -20,7 +20,11 @@ Design points:
   ``backward`` calls; callers zero them explicitly between steps. An
   interior node's gradient is dropped once it has been passed on
 * a custom fused op (e.g. the selective-scan kernel) plugs in through
-  ``from_op`` with a hand-derived vector-Jacobian product
+  ``from_op`` with a hand-derived vector-Jacobian product. LayerNorm, the
+  skip/gate/out-projection after a scan and the GELU MLP are such ops: each
+  keeps only its output, its parents and what its backward reads, recomputes
+  the cheap elementwise intermediates there, and gives the composed graph's
+  value and gradients bit for bit
 """
 
 from __future__ import annotations
@@ -61,6 +65,8 @@ __all__ = [
     "take_axis",
     "unstack",
     "layer_norm",
+    "skip_gate_proj",
+    "gelu_mlp",
     "check_gradients",
 ]
 
@@ -376,13 +382,23 @@ _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 def gelu(a: Tensor) -> Tensor:
     """Exact Gaussian-error GELU: x * Phi(x)."""
-    phi_cdf = 0.5 * (1.0 + _sp.erf(a.data * _INV_SQRT2))
+    phi_cdf = _phi(a.data)
 
     def vjp(g):
-        pdf = _INV_SQRT2PI * np.exp(-0.5 * a.data * a.data)
-        accumulate(a, g * (phi_cdf + a.data * pdf))
+        accumulate(a, _gelu_grad(g, a.data, phi_cdf))
 
     return from_op(a.data * phi_cdf, (a,), vjp)
+
+
+def _phi(x: np.ndarray) -> np.ndarray:
+    """The standard normal CDF."""
+    return 0.5 * (1.0 + _sp.erf(x * _INV_SQRT2))
+
+
+def _gelu_grad(g: np.ndarray, x: np.ndarray, phi_cdf: np.ndarray) -> np.ndarray:
+    """g times d/dx x * Phi(x), given Phi(x)."""
+    pdf = _INV_SQRT2PI * np.exp(-0.5 * x * x)
+    return g * (phi_cdf + x * pdf)
 
 
 def _series_near_zero(x: np.ndarray, out: np.ndarray, tol: float, series) -> None:
@@ -480,18 +496,32 @@ def _matmul_flat(a: Tensor, w: Tensor) -> Tensor:
     """
 
     def vjp(g):
-        k, n = w.data.shape  # read here, so the tape's closure holds a and w only
-        g2 = g.reshape(-1, n)
-        if a.requires_grad:
-            accumulate(a, np.matmul(g2, w.data.T).reshape(a.data.shape))
-        if w.requires_grad:
-            accumulate(w, np.matmul(a.data.reshape(-1, k).T, g2))
+        ga, gw = _flat_grads(g, a.data, w.data, a.requires_grad, w.requires_grad)
+        accumulate(a, ga)
+        accumulate(w, gw)
 
-    # written through a 2-D view, so the op's value owns its memory
-    k, n = w.data.shape
-    out = np.empty((*a.data.shape[:-1], n))
-    np.matmul(a.data.reshape(-1, k), w.data, out=out.reshape(-1, n))
-    return from_op(out, (a, w), vjp)
+    return from_op(_flat(a.data, w.data), (a, w), vjp)
+
+
+def _flat(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The value of ``a @ w`` for a 2-D ``w``: one GEMM written through a 2-D
+    view of a fresh ``[..., N]`` array, so the value owns its memory."""
+    k, n = w.shape
+    out = np.empty((*a.shape[:-1], n))
+    np.matmul(a.reshape(-1, k), w, out=out.reshape(-1, n))
+    return out
+
+
+def _flat_grads(g: np.ndarray, a: np.ndarray, w: np.ndarray, need_a: bool, need_w: bool):
+    """The gradients wrt ``a`` and ``w`` of ``_flat(a, w)`` for upstream
+    ``g``, each None unless asked for. The weight's is one
+    ``[K, rows] @ [rows, N]`` GEMM; ``w``'s shape is read here, so a
+    closure that calls this holds ``a`` and ``w`` only."""
+    k, n = w.shape
+    g2 = g.reshape(-1, n)
+    ga = np.matmul(g2, w.T).reshape(a.shape) if need_a else None
+    gw = np.matmul(a.reshape(-1, k).T, g2) if need_w else None
+    return ga, gw
 
 
 def _sum_vjp(a: Tensor, axis, keepdims: bool, count: int | None = None):
@@ -600,16 +630,141 @@ def _axis_index(idx, axis: int, ndim: int):
 
 
 # ---------------------------------------------------------------------------
-# layer norm (composed, so the gradient falls out of the graph)
+# fused per-token ops: layer norm, the gated skip-and-project after the scan,
+# and the GELU MLP
+#
+# Each is one node whose closure keeps its parents and at most what is named
+# below. Its forward runs the ops of the composed graph (the primitives
+# above) in their order, so the value is bit-identical. Its vjp recomputes
+# the cheap elementwise intermediates and then runs the composed graph's vjp
+# arithmetic in reverse tape order, building a gradient only for what
+# requires one, so every gradient is bit-identical too. The composed graph
+# also copies each interior node's first gradient (``0 + g``, which maps -0
+# to +0); that copy is left out here. A vjp is linear in g, through products
+# and sums only, and the sign of a zero operand changes neither the
+# magnitude of such a result nor any nonzero result. Every value that leaves
+# the op goes through ``accumulate``, which maps -0 to +0 in the same way.
+# A train step's memory peaks in the backward of the last layer's post and
+# scan, while the whole tape is still alive, so the vjps drop full-size
+# temporaries as soon as they have been used.
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the trailing axis to zero mean / unit variance, then affine."""
-    mu = tmean(x, axis=-1, keepdims=True)
-    centered = sub(x, mu)
-    var = tmean(mul(centered, centered), axis=-1, keepdims=True)
-    denom = sqrt(add(var, Tensor(eps)))
-    return add(mul(div(centered, denom), gain), bias)
+    """Normalize the trailing axis to zero mean / unit variance, then affine.
+
+    Keeps ``x - mean`` and the ``[..., 1]`` arrays ``sqrt(var + eps)`` and
+    its reciprocal; the vjp recomputes the normalized value from them.
+    """
+    x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
+    count = x.data.shape[-1]
+    centered = x.data - x.data.mean(axis=-1, keepdims=True)
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    denom = np.sqrt(var + eps)
+    inv = 1.0 / denom
+    out = centered * inv
+    out *= gain.data
+    out += bias.data
+
+    def vjp(g):
+        # add(scaled, bias), then mul(xhat, gain)
+        _acc_broadcast(bias, g)
+        if gain.requires_grad:
+            _acc_broadcast(gain, g * (centered * inv))
+        if not x.requires_grad:
+            return
+        g_xhat = g * gain.data
+        # div(centered, denom), sqrt(var + eps), the mean of centered**2
+        g_c = g_xhat * inv
+        g_den = np.negative(g_xhat)
+        g_den *= centered
+        g_den *= inv
+        g_den *= inv
+        g_den = _unbroadcast(g_den, denom.shape)
+        g_var = g_den * (0.5 / denom)
+        g_sq = np.multiply(g_var / count, centered)
+        # mul(centered, centered) hands it to both operands
+        g_c += g_sq
+        g_c += g_sq
+        # sub(x, mean), then the mean
+        accumulate(x, g_c)
+        g_mu = _unbroadcast(np.negative(g_c), denom.shape)
+        accumulate(x, np.broadcast_to(g_mu / count, x.data.shape))
+
+    return from_op(out, (x, gain, bias), vjp)
+
+
+def skip_gate_proj(y: Tensor, u: Tensor, gate: Tensor, d_skip: Tensor, w: Tensor) -> Tensor:
+    """``((y + u * d_skip) * gate) @ w``: the skip term, the gate and the
+    output projection after a scan, for ``y``, ``u`` and ``gate`` of one
+    shape ``[..., K]``, ``d_skip`` [K] and ``w`` [K, N].
+
+    Keeps nothing but its output; the vjp recomputes the gated value.
+    """
+
+    def skipped():
+        s = np.multiply(u.data, d_skip.data)
+        return np.add(y.data, s, out=s)
+
+    def vjp(g):
+        need_sum = y.requires_grad or u.requires_grad or d_skip.requires_grad
+        need_gated = need_sum or gate.requires_grad
+        # matmul(gated, w)
+        s = skipped()
+        sg = s * gate.data
+        g_sg, gw = _flat_grads(g, sg, w.data, need_gated, w.requires_grad)
+        del sg
+        accumulate(w, gw)
+        if not need_gated:
+            return
+        # mul(sum, gate), add(y, skip), mul(u, d_skip)
+        g_s = g_sg * gate.data if need_sum else None
+        if gate.requires_grad:
+            accumulate(gate, g_sg * s)
+        del g_sg, s
+        if not need_sum:
+            return
+        accumulate(y, g_s)
+        if u.requires_grad:
+            accumulate(u, g_s * d_skip.data)
+        if d_skip.requires_grad:
+            _acc_broadcast(d_skip, g_s * u.data)
+
+    gated = skipped()
+    gated *= gate.data
+    return from_op(_flat(gated, w.data), (y, u, gate, d_skip, w), vjp)
+
+
+def gelu_mlp(h: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """``gelu(h @ w1 + b1) @ w2 + b2`` with 2-D weights.
+
+    Keeps only the pre-activation ``h @ w1 + b1``; the vjp recomputes
+    Phi and the GELU from it.
+    """
+    pre = _flat(h.data, w1.data)
+    pre += b1.data
+
+    def vjp(g):
+        need_h = h.requires_grad or w1.requires_grad
+        need_pre = need_h or b1.requires_grad
+        # add(., b2), then matmul(gelu(pre), w2)
+        _acc_broadcast(b2, g)
+        phi_cdf = _phi(pre)
+        g_act, gw2 = _flat_grads(g, pre * phi_cdf, w2.data, need_pre, w2.requires_grad)
+        accumulate(w2, gw2)
+        if not need_pre:
+            return
+        # gelu(pre), add(., b1), matmul(h, w1)
+        g_pre = _gelu_grad(g_act, pre, phi_cdf)
+        del g_act, phi_cdf
+        _acc_broadcast(b1, g_pre)
+        if need_h:
+            gh, gw1 = _flat_grads(g_pre, h.data, w1.data, h.requires_grad, w1.requires_grad)
+            accumulate(h, gh)
+            accumulate(w1, gw1)
+
+    out = _flat(pre * _phi(pre), w2.data)
+    out += b2.data
+    return from_op(out, (h, w1, b1, w2, b2), vjp)
 
 
 # ---------------------------------------------------------------------------

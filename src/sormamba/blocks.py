@@ -17,7 +17,8 @@ the tokens:
   (``ssm.scan_core`` with ``orders``) and returns each order's y in the
   tokens' own order;
 * ``post`` works token by token again: the ``d_skip`` term, the gate and
-  the output projection.
+  the output projection, as one fused op (``autodiff.skip_gate_proj``) that
+  keeps nothing but its output for the backward.
 
 ``DirectionalEncoderCD`` is built from a ``ModelConfig``. It runs one block
 over two views of the token axis (or two independent blocks, for the
@@ -48,6 +49,7 @@ from .autodiff import (
     neg,
     shift_axis,
     silu,
+    skip_gate_proj,
     take_axis,
 )
 from .ssm import init_ssm_params, projections, scan_core, uniform_weight
@@ -160,9 +162,9 @@ class CDMambaBlock:
         return take_axis(y, inverse, axis=1), take_axis(u, inverse, axis=1)
 
     def post(self, gate: Tensor, y: Tensor, u: Tensor) -> Tensor:
-        """The token-by-token work after the scan: skip term, gate, out_proj."""
-        y = y + mul(u, self.ssm.d_skip)
-        return matmul(mul(y, gate), self.w_out)
+        """The token-by-token work after the scan: skip term, gate, out_proj,
+        as one fused op that keeps nothing but its output."""
+        return skip_gate_proj(y, u, gate, self.ssm.d_skip, self.w_out)
 
     def param_items(self) -> list[tuple[str, Tensor]]:
         items = [

@@ -4,8 +4,10 @@ Input windows are [batch, lookback, channels]. Each channel's history is
 embedded into one token, so the token axis is the channel axis; stacked
 layers then run a directional encoder over those tokens (returning both view
 outputs for the order-consistency penalty), add a residual around that
-sublayer only, and refine tokens with a LayerNorm/MLP/LayerNorm stage. A
-linear head maps each channel token to its horizon.
+sublayer only, and refine tokens with a LayerNorm/MLP/LayerNorm stage (three
+fused ops, ``autodiff.layer_norm`` and ``autodiff.gelu_mlp``, that keep only
+what their backward reads). A linear head maps each channel token to its
+horizon.
 
 Instance normalization (per window, per channel) is applied on the way in
 and inverted on the way out, so forecasts are always in input units. The
@@ -23,7 +25,7 @@ import numpy as np
 
 from .autodiff import (
     Tensor,
-    gelu,
+    gelu_mlp,
     layer_norm,
     matmul,
     mul,
@@ -226,8 +228,7 @@ class SORMambaModel:
             else:
                 z = layer.encoder.blocks[0](z) + z
             h = layer_norm(z, layer.g1, layer.c1)
-            h = matmul(gelu(matmul(h, layer.w_mlp1) + layer.b_mlp1), layer.w_mlp2)
-            h = h + layer.b_mlp2
+            h = gelu_mlp(h, layer.w_mlp1, layer.b_mlp1, layer.w_mlp2, layer.b_mlp2)
             z = layer_norm(h, layer.g2, layer.c2)
         return z, pairs
 

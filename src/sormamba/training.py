@@ -79,15 +79,27 @@ class Adam:
     def step(self) -> None:
         self.step_count += 1
         t = self.step_count
-        for i, p in enumerate(self.params):
+        for p, m, v in zip(self.params, self.m, self.v):
             if p.grad is None:
                 continue
             g = p.grad
-            self.m[i] = self.b1 * self.m[i] + (1 - self.b1) * g
-            self.v[i] = self.b2 * self.v[i] + (1 - self.b2) * (g * g)
-            m_hat = self.m[i] / (1 - self.b1**t)
-            v_hat = self.v[i] / (1 - self.b2**t)
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            # m, v and p.data in place, each operation as in
+            # m = b1 * m + (1 - b1) * g, v = b2 * v + (1 - b2) * (g * g),
+            # p = p - lr * m_hat / (sqrt(v_hat) + eps)
+            tmp = np.multiply(g, 1 - self.b1)
+            m *= self.b1
+            m += tmp
+            np.multiply(g, g, out=tmp)
+            tmp *= 1 - self.b2
+            v *= self.b2
+            v += tmp
+            step = np.divide(m, 1 - self.b1**t)
+            step *= self.lr
+            np.divide(v, 1 - self.b2**t, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            tmp += self.eps
+            step /= tmp
+            p.data -= step
 
 
 def iterate_batches(n: int, batch_size: int, rng: np.random.Generator | None):

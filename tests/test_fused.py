@@ -1,0 +1,210 @@
+"""The fused per-token ops against the composed graphs they replace.
+
+Each fused op (``layer_norm``, ``skip_gate_proj``, ``gelu_mlp``) must give
+the composed graph's value and every gradient bit for bit, and keep less
+of the forward alive for its backward. The composed graphs are written out
+here from the primitive ops, as the reference.
+"""
+
+import itertools
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from sormamba import autodiff as ad
+from sormamba import blocks
+from sormamba import model as md
+from sormamba.autodiff import Tensor
+
+# (batch, tokens, d_model) of train-etth1, train-solar and analyze-weather
+WORKLOAD_SHAPES = [(32, 7, 128), (8, 137, 64), (64, 21, 64)]
+
+
+def composed_layer_norm(x, gain, bias, eps=1e-5):
+    mu = ad.tmean(x, axis=-1, keepdims=True)
+    centered = ad.sub(x, mu)
+    var = ad.tmean(ad.mul(centered, centered), axis=-1, keepdims=True)
+    denom = ad.sqrt(ad.add(var, Tensor(eps)))
+    return ad.add(ad.mul(ad.div(centered, denom), gain), bias)
+
+
+def composed_skip_gate_proj(y, u, gate, d_skip, w):
+    return ad.matmul(ad.mul(y + ad.mul(u, d_skip), gate), w)
+
+
+def composed_gelu_mlp(h, w1, b1, w2, b2):
+    return ad.matmul(ad.gelu(ad.matmul(h, w1) + b1), w2) + b2
+
+
+def _inputs(op: str, shape, seed=0):
+    """The op's parents as arrays, and its output shape, at a token shape
+    (batch, tokens, d_model); the scan width is 2 * d_model, as in the model."""
+    rng = np.random.default_rng(seed)
+    b, c, d = shape
+    if op == "layer_norm":
+        arrays = [rng.normal(size=shape), rng.uniform(0.5, 1.5, size=d), rng.normal(size=d)]
+    elif op == "skip_gate_proj":
+        arrays = [rng.normal(size=(b, c, 2 * d)) for _ in range(3)]
+        arrays += [rng.normal(size=2 * d), rng.normal(size=(2 * d, d)) / d]
+    else:
+        arrays = [rng.normal(size=shape), rng.normal(size=(d, 2 * d)) / d]
+        arrays += [rng.normal(size=2 * d), rng.normal(size=(2 * d, d)) / d, rng.normal(size=d)]
+    return arrays, (b, c, d)
+
+
+OPS = {
+    "layer_norm": (ad.layer_norm, composed_layer_norm),
+    "skip_gate_proj": (ad.skip_gate_proj, composed_skip_gate_proj),
+    "gelu_mlp": (ad.gelu_mlp, composed_gelu_mlp),
+}
+
+
+def _run(fn, arrays, flags, g):
+    """Value and parents' gradients of sum(fn(...) * g)."""
+    parents = [Tensor(a.copy(), requires_grad=f) for a, f in zip(arrays, flags)]
+    out = fn(*parents)
+    if out.requires_grad:
+        ad.backward(ad.tsum(ad.mul(out, Tensor(g))))
+    return out.data, [p.grad for p in parents]
+
+
+def _bits(a):
+    return None if a is None else (a.shape, a.tobytes())
+
+
+class TestSameBitsAsComposed:
+    @pytest.mark.parametrize("shape", WORKLOAD_SHAPES, ids=lambda s: "x".join(map(str, s)))
+    @pytest.mark.parametrize("op", OPS)
+    def test_value_and_every_gradient_at_workload_shapes(self, op, shape):
+        fused, composed = OPS[op]
+        arrays, out_shape = _inputs(op, shape)
+        g = np.random.default_rng(1).normal(size=out_shape)
+        flags = [True] * len(arrays)
+        got_value, got_grads = _run(fused, arrays, flags, g)
+        want_value, want_grads = _run(composed, arrays, flags, g)
+        assert _bits(got_value) == _bits(want_value)
+        for got, want in zip(got_grads, want_grads):
+            assert _bits(got) == _bits(want)
+
+    @pytest.mark.parametrize("op", OPS)
+    def test_each_subset_of_parents_taking_gradients(self, op):
+        # a frozen parent gets no gradient, and the others are unchanged
+        fused, composed = OPS[op]
+        arrays, out_shape = _inputs(op, (3, 5, 4), seed=2)
+        g = np.random.default_rng(3).normal(size=out_shape)
+        for flags in itertools.product((False, True), repeat=len(arrays)):
+            got_value, got_grads = _run(fused, arrays, flags, g)
+            want_value, want_grads = _run(composed, arrays, flags, g)
+            assert _bits(got_value) == _bits(want_value), flags
+            assert [_bits(t) for t in got_grads] == [_bits(t) for t in want_grads], flags
+
+    def test_zeros_in_the_upstream_gradient_and_gain(self):
+        # exact zeros make signed zeros inside the vjp; what leaves it is
+        # still the composed graph's bits
+        arrays, out_shape = _inputs("layer_norm", (4, 3, 6), seed=4)
+        arrays[1][::2] = 0.0
+        arrays[1][1] = -1.0
+        g = np.random.default_rng(5).normal(size=out_shape)
+        g[0] = 0.0
+        g[1, :, ::2] = -0.0
+        flags = [True] * 3
+        got = _run(ad.layer_norm, arrays, flags, g)
+        want = _run(composed_layer_norm, arrays, flags, g)
+        assert _bits(got[0]) == _bits(want[0])
+        assert [_bits(t) for t in got[1]] == [_bits(t) for t in want[1]]
+
+    @pytest.mark.parametrize("direction", ["uni", "bi"])
+    def test_model_gradients_equal_the_composed_model(self, direction, monkeypatch):
+        # two views share u and gate through two post stages, and each layer
+        # chains LayerNorm, MLP, LayerNorm: every parameter's gradient must
+        # equal the composed model's
+        def grads(model):
+            rng = np.random.default_rng(7)
+            x = Tensor(rng.normal(size=(3, 8, 5)))
+            pred, pairs = model.forecast(x)
+            loss = ad.tsum(ad.mul(pred, pred))
+            for z1, z2 in pairs:
+                d = ad.sub(z1, z2)
+                loss = ad.add(loss, ad.tsum(ad.mul(d, d)))
+            ad.backward(loss)
+            return float(loss.data), [(n, _bits(t.grad)) for n, t in model.param_items()]
+
+        cfg = md.ModelConfig(
+            lookback=8, horizon=4, n_channels=5, d_model=6, n_layers=2, d_state=4,
+            direction=direction,
+        )
+        fused = grads(md.SORMambaModel(cfg, seed=3))
+        monkeypatch.setattr(md, "layer_norm", composed_layer_norm)
+        monkeypatch.setattr(md, "gelu_mlp", composed_gelu_mlp)
+        monkeypatch.setattr(blocks, "skip_gate_proj", composed_skip_gate_proj)
+        assert fused == grads(md.SORMambaModel(cfg, seed=3))
+
+
+class TestFiniteDifference:
+    @pytest.mark.parametrize("op", OPS)
+    def test_every_parent(self, op):
+        fused, _ = OPS[op]
+        arrays, out_shape = _inputs(op, (2, 3, 4), seed=6)
+        g = Tensor(np.random.default_rng(7).normal(size=out_shape))
+        for i in range(len(arrays)):
+            parents = [Tensor(a) for a in arrays]
+
+            def f(t, i=i, parents=parents):
+                args = list(parents)
+                args[i] = t
+                return ad.tsum(ad.mul(fused(*args), g))
+
+            assert ad.check_gradients(f, Tensor(arrays[i])) < 1e-7, (op, i)
+
+
+def _kept_bytes(fn, parents):
+    """Bytes that stay allocated once ``fn(*parents)`` has returned, and its
+    output."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn(*parents)
+        kept = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    return kept, out
+
+
+# the Tensor, its parent tuple, the closure and its cells
+OBJECT_SLACK = 8 * 1024
+
+
+class TestKeptMemory:
+    """After a recorded forward, a fused op holds its output and only what
+    its vjp is documented to keep: layer_norm x - mean and two [..., 1]
+    arrays, skip_gate_proj nothing more, gelu_mlp the pre-activation."""
+
+    SHAPE = (8, 137, 64)
+
+    def _extra(self, op, parents):
+        rows = self.SHAPE[0] * self.SHAPE[1]
+        if op == "layer_norm":
+            return parents[0].data.nbytes + 2 * rows * 8
+        if op == "gelu_mlp":
+            return rows * parents[1].shape[1] * 8
+        return 0
+
+    @pytest.mark.parametrize("op", OPS)
+    def test_recorded_forward_keeps_only_what_the_vjp_reads(self, op):
+        fused, _ = OPS[op]
+        arrays, _ = _inputs(op, self.SHAPE)
+        parents = [Tensor(a, requires_grad=True) for a in arrays]
+        kept, out = _kept_bytes(fused, parents)
+        assert out.requires_grad
+        assert kept <= out.data.nbytes + self._extra(op, parents) + OBJECT_SLACK
+
+    @pytest.mark.parametrize("op", OPS)
+    def test_no_grad_forward_keeps_only_its_output(self, op):
+        fused, _ = OPS[op]
+        arrays, _ = _inputs(op, self.SHAPE)
+        parents = [Tensor(a, requires_grad=True) for a in arrays]
+        with ad.no_grad():
+            kept, out = _kept_bytes(fused, parents)
+        assert not out.requires_grad
+        assert kept <= out.data.nbytes + OBJECT_SLACK

@@ -138,6 +138,30 @@ class TestAdam:
         tr._restore(params, snap)
         assert [p.data.tobytes() for p in params] == want
 
+    def test_restore_best_after_later_in_place_steps(self):
+        # Adam writes p.data in place, so the best epoch's snapshot must not
+        # share memory with a parameter that later epochs go on stepping
+        model = tiny_model()
+        named = model.named_parameters(exclude_prefixes=("ccm.", "rec."))
+        params = [t for _, t in named]
+        x = Tensor(np.random.default_rng(8).normal(size=(4, 16, 3)))
+        scripted = iter([3.0, 1.0, 2.0, 2.5])  # epoch 1 is the best
+        seen = []
+
+        def val_loss():
+            seen.append([p.data.tobytes() for p in params])
+            return next(scripted)
+
+        def batch_loss(idx, rng):
+            pred, _ = model.forecast(x)
+            return tsum(mul(pred, pred))
+
+        cfg = tr.TrainConfig(max_epochs=4, batch_size=4, lr=1e-2, patience=4, seed=0)
+        result = tr._fit(model, params, cfg, batch_loss, val_loss, n_train=4)
+        assert result.best_epoch == 1
+        assert seen[1] != seen[3]
+        assert [p.data.tobytes() for p in params] == seen[1]
+
 
 class TestBatching:
     def test_covers_every_index_once(self):

@@ -25,7 +25,11 @@ each workload's ``setup`` and ``make_run`` at seed 3 with one BLAS thread:
   a change that moves only gradients moves them too; these lines show
   whether the forward itself moved;
 * train-solar, train-etth1: a sha256 of each parameter's gradient after one
-  ``step()``, then ``parameter_fingerprint`` after three steps;
+  ``step()``, then ``parameter_fingerprint`` after three steps; then the
+  number of nodes on the tape of one training loss (the first batch's,
+  ``autodiff._ordered_tape``) and the ``tracemalloc`` peak of one more,
+  warmed-up ``step()`` in MiB. These two are the lines that a change to what
+  the tape keeps is meant to move; every other line is a value;
 * analyze-weather: the ``reversal_bias`` MSEs and the
   ``permutation_robustness(n_perms=2, seed=3)`` MSEs as ``float.hex()``;
 * 32 small model variants that no workload runs (uni/bi x conv on/off x the
@@ -53,8 +57,10 @@ each workload's ``setup`` and ``make_run`` at seed 3 with one BLAS thread:
   timings and are skipped, and of ``lineage.json``, which holds an absolute
   path, only ``source_sha256`` and ``produced``.
 
-Two checkouts that compute the same numbers print the same lines; ``diff``
-the outputs to see which parameters or errors moved.
+Two checkouts that compute the same numbers print the same lines, apart
+from the ``tape-nodes`` and ``step-peak-mib`` lines when they keep
+different things on the tape; ``diff`` the outputs to see which parameters,
+errors or memory figures moved.
 
 A hash only says that a gradient moved, not by how much. ``--grads PATH``
 saves every gradient hashed above (the two-order scans, the train
@@ -126,6 +132,7 @@ def main(argv=None) -> int:
         for _ in range(TRAIN_STEPS - 1):
             run.step()
         print(name, "fingerprint", sm_model.parameter_fingerprint(model))
+        _print_step_memory(name, run)
 
     name = "analyze-weather"
     run = runs[name]
@@ -234,6 +241,30 @@ def _print_forward(runs: dict) -> None:
             rev, _ = run.model.forecast(autodiff.Tensor(np.ascontiguousarray(x[..., ::-1])))
         same = np.array_equal(rev.data[..., ::-1], pred.data)
         print(name, "forward", _digest(pred.data), "reversed-equal", same)
+
+
+def _print_step_memory(name: str, run) -> None:
+    """The tape's node count for the loss of a training forward on the first
+    batch, then the tracemalloc peak of one more ``step()``, in MiB above the
+    traced level when it starts."""
+    import tracemalloc
+
+    from sormamba import autodiff, losses
+
+    cfg = run.model.config
+    x = run.first_batch()
+    pred, pairs = run.model.forecast(autodiff.Tensor(x))
+    loss = losses.total_loss(pred, run.y[: len(x)], pairs, cfg.reg_weight, cfg.reg_metric)
+    print(name, "tape-nodes", len(autodiff._ordered_tape(loss.total)))
+    del pred, pairs, loss
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run.step()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    print(name, "step-peak-mib", f"{(peak - base) / 2**20:.3f}")
 
 
 def _print_variants(grads: dict[str, dict]) -> None:
