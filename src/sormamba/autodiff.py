@@ -10,9 +10,13 @@ Design points:
 
 * everything is float64, row-major; op outputs are fresh arrays, except
   that ``reshape`` and ``unstack`` give views of their input's value
-* binary ops broadcast with numpy trailing-axis rules; gradients are summed
-  back over broadcast axes so a parameter used across a batch accumulates.
-  A vjp builds a parent's gradient only when that parent requires one
+* binary ops broadcast with numpy trailing-axis rules. ``Tensor`` has only
+  the ``+`` and ``-`` operators; every other op is called by name
+* every gradient enters a node through ``accumulate`` (``backward``'s seed
+  too), which sums it over the node's broadcast axes and rejects one that
+  does not reduce to the node's shape; only ``unstack`` writes into slots of
+  its parent's gradient. A vjp builds a parent's gradient only when that
+  parent requires one
 * a product with a 2-D weight, ``[..., K] @ [K, N]``, is one GEMM over the
   flattened leading axes, and so are both of its gradients: the weight's
   is one ``[K, rows] @ [rows, N]`` product, with no per-sample stack to sum
@@ -122,36 +126,12 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    # operator sugar; scalars are wrapped as constant tensors
+    # the only operators; a scalar is wrapped as a constant tensor
     def __add__(self, other):
         return add(self, _as_tensor(other))
 
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
     def __sub__(self, other):
         return sub(self, _as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _as_tensor(other))
-
-    def __rmul__(self, other):
-        return mul(_as_tensor(other), self)
-
-    def __truediv__(self, other):
-        return div(self, _as_tensor(other))
-
-    def __rtruediv__(self, other):
-        return div(_as_tensor(other), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, _as_tensor(other))
 
     def __repr__(self) -> str:
         grad = "grad" if self.requires_grad else "const"
@@ -169,9 +149,9 @@ def from_op(
 ) -> Tensor:
     """Wrap ``value`` as the output of a differentiable op.
 
-    ``vjp`` receives the upstream gradient and must accumulate into the
-    parents via ``accumulate``. Recording is skipped when no parent needs a
-    gradient or inside ``no_grad``.
+    ``vjp`` receives the upstream gradient and hands each parent's share to
+    ``accumulate`` (only ``unstack`` writes into its parent's gradient).
+    Recording is skipped when no parent needs a gradient or inside ``no_grad``.
     """
     out = Tensor(value)
     if needs_grad(parents):
@@ -187,9 +167,13 @@ def needs_grad(parents: Sequence[Tensor]) -> bool:
 
 
 def accumulate(t: Tensor, g: np.ndarray) -> None:
-    """Add ``g`` (already shaped like ``t``) into ``t.grad``."""
+    """Add ``g`` into ``t.grad``, summed over the axes ``t`` was broadcast
+    along; a ``g`` that does not reduce to ``t``'s shape raises."""
     if not t.requires_grad:
         return
+    g = _unbroadcast(g, t.data.shape)
+    if g.shape != t.data.shape:
+        raise ValueError(f"accumulate: gradient {g.shape} does not reduce to {t.data.shape}")
     if t.grad is None:
         # fresh, as add's vjp hands one g to both parents and sum/mean hand a
         # read-only broadcast view; 0 + g maps -0 to +0
@@ -204,15 +188,10 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
         return g
     while g.ndim > len(shape):
         g = g.sum(axis=0)
-    for axis, dim in enumerate(shape):
-        if dim == 1 and g.shape[axis] != 1:
+    for axis, (dim, g_dim) in enumerate(zip(shape, g.shape)):
+        if dim == 1 and g_dim != 1:
             g = g.sum(axis=axis, keepdims=True)
     return g
-
-
-def _acc_broadcast(t: Tensor, g: np.ndarray) -> None:
-    if t.requires_grad:
-        accumulate(t, _unbroadcast(g, t.data.shape))
 
 
 def _check_broadcast(a: Tensor, b: Tensor, op: str) -> None:
@@ -233,8 +212,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast(a, b, "add")
 
     def vjp(g):
-        _acc_broadcast(a, g)
-        _acc_broadcast(b, g)
+        accumulate(a, g)
+        accumulate(b, g)
 
     return from_op(a.data + b.data, (a, b), vjp)
 
@@ -244,9 +223,9 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast(a, b, "sub")
 
     def vjp(g):
-        _acc_broadcast(a, g)
+        accumulate(a, g)
         if b.requires_grad:
-            _acc_broadcast(b, -g)
+            accumulate(b, -g)
 
     return from_op(a.data - b.data, (a, b), vjp)
 
@@ -257,9 +236,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
     def vjp(g):
         if a.requires_grad:
-            _acc_broadcast(a, g * b.data)
+            accumulate(a, g * b.data)
         if b.requires_grad:
-            _acc_broadcast(b, g * a.data)
+            accumulate(b, g * a.data)
 
     return from_op(a.data * b.data, (a, b), vjp)
 
@@ -271,9 +250,9 @@ def div(a: Tensor, b: Tensor) -> Tensor:
 
     def vjp(g):
         if a.requires_grad:
-            _acc_broadcast(a, g * inv)
+            accumulate(a, g * inv)
         if b.requires_grad:
-            _acc_broadcast(b, -g * a.data * inv * inv)
+            accumulate(b, -g * a.data * inv * inv)
 
     return from_op(a.data * inv, (a, b), vjp)
 
@@ -473,39 +452,33 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         )
 
     if b.ndim == 2:
-        return _matmul_flat(a, b)
+
+        def vjp(g):
+            ga, gb = _flat_grads(g, a.data, b.data, a.requires_grad, b.requires_grad)
+            accumulate(a, ga)
+            accumulate(b, gb)
+
+        return from_op(_flat(a.data, b.data), (a, b), vjp)
 
     def vjp(g):
         if a.requires_grad:
-            _acc_broadcast(a, np.matmul(g, np.swapaxes(b.data, -1, -2)))
+            accumulate(a, np.matmul(g, np.swapaxes(b.data, -1, -2)))
         if b.requires_grad:
-            _acc_broadcast(b, np.matmul(np.swapaxes(a.data, -1, -2), g))
+            accumulate(b, np.matmul(np.swapaxes(a.data, -1, -2), g))
 
     return from_op(np.matmul(a.data, b.data), (a, b), vjp)
 
 
-def _matmul_flat(a: Tensor, w: Tensor) -> Tensor:
-    """``[..., K] @ [K, N]`` as one GEMM over ``a``'s flattened leading axes.
+def _flat(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``[..., K] @ [K, N]`` as one GEMM over ``a``'s flattened leading axes,
+    written through a 2-D view of a fresh ``[..., N]`` array, so the value
+    owns its memory.
 
     Each output row is computed by the same GEMM kernel as in numpy's stacked
     loop, so the value is bit-identical at the model's shapes (numpy hands a
     one-column or one-row-per-sample product to gemv instead, which can
-    round the last place differently). The weight gradient sums over all rows
-    in one ``[K, rows] @ [rows, N]`` GEMM, so no per-sample ``[..., K, N]``
-    stack is built.
+    round the last place differently).
     """
-
-    def vjp(g):
-        ga, gw = _flat_grads(g, a.data, w.data, a.requires_grad, w.requires_grad)
-        accumulate(a, ga)
-        accumulate(w, gw)
-
-    return from_op(_flat(a.data, w.data), (a, w), vjp)
-
-
-def _flat(a: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """The value of ``a @ w`` for a 2-D ``w``: one GEMM written through a 2-D
-    view of a fresh ``[..., N]`` array, so the value owns its memory."""
     k, n = w.shape
     out = np.empty((*a.shape[:-1], n))
     np.matmul(a.reshape(-1, k), w, out=out.reshape(-1, n))
@@ -667,9 +640,9 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 
     def vjp(g):
         # add(scaled, bias), then mul(xhat, gain)
-        _acc_broadcast(bias, g)
+        accumulate(bias, g)
         if gain.requires_grad:
-            _acc_broadcast(gain, g * (centered * inv))
+            accumulate(gain, g * (centered * inv))
         if not x.requires_grad:
             return
         g_xhat = g * gain.data
@@ -727,7 +700,7 @@ def skip_gate_proj(y: Tensor, u: Tensor, gate: Tensor, d_skip: Tensor, w: Tensor
         if u.requires_grad:
             accumulate(u, g_s * d_skip.data)
         if d_skip.requires_grad:
-            _acc_broadcast(d_skip, g_s * u.data)
+            accumulate(d_skip, g_s * u.data)
 
     gated = skipped()
     gated *= gate.data
@@ -747,7 +720,7 @@ def gelu_mlp(h: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tenso
         need_h = h.requires_grad or w1.requires_grad
         need_pre = need_h or b1.requires_grad
         # add(., b2), then matmul(gelu(pre), w2)
-        _acc_broadcast(b2, g)
+        accumulate(b2, g)
         phi_cdf = _phi(pre)
         g_act, gw2 = _flat_grads(g, pre * phi_cdf, w2.data, need_pre, w2.requires_grad)
         accumulate(w2, gw2)
@@ -756,7 +729,7 @@ def gelu_mlp(h: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tenso
         # gelu(pre), add(., b1), matmul(h, w1)
         g_pre = _gelu_grad(g_act, pre, phi_cdf)
         del g_act, phi_cdf
-        _acc_broadcast(b1, g_pre)
+        accumulate(b1, g_pre)
         if need_h:
             gh, gw1 = _flat_grads(g_pre, h.data, w1.data, h.requires_grad, w1.requires_grad)
             accumulate(h, gh)
@@ -803,9 +776,7 @@ def backward(loss: Tensor) -> None:
     if not loss.requires_grad:
         raise ValueError("backward: loss does not depend on any tracked tensor")
     tape = _ordered_tape(loss)
-    if loss.grad is None:
-        loss.grad = np.zeros_like(loss.data)
-    loss.grad += np.ones_like(loss.data)
+    accumulate(loss, np.ones_like(loss.data))
     for node in reversed(tape):
         if node._vjp is not None and node.grad is not None:
             node._vjp(node.grad)
@@ -839,6 +810,7 @@ def check_gradients(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5) -
     worst = 0.0
     with no_grad():
         for i in range(base.size):
+            vals = {}
             for sign in (+1.0, -1.0):
                 probe = base.copy()
                 probe[i] += sign * h
@@ -848,11 +820,8 @@ def check_gradients(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5) -
                         f"check_gradients: f is not finite at coordinate {i} "
                         f"(offset {sign * h:+g})"
                     )
-                if sign > 0:
-                    fp = float(val.reshape(()) if val.ndim else val)
-                else:
-                    fm = float(val.reshape(()) if val.ndim else val)
-            numeric = (fp - fm) / (2.0 * h)
+                vals[sign] = float(val.reshape(()))
+            numeric = (vals[1.0] - vals[-1.0]) / (2.0 * h)
             err = abs(analytic[i] - numeric) / max(1.0, abs(numeric))
             worst = max(worst, err)
     return worst

@@ -253,7 +253,7 @@ def _write_report(path: str, payload: dict) -> None:
 def cmd_prepare_data(ctx: RunContext, args, model) -> int:
     usable = dt.usable_sizes(ctx.series, ctx.family, ctx.model_config.lookback)
     rows = []
-    for split in ("train", "val", "test"):
+    for split in dt.SPLITS:
         ds = ctx.bundle[split]
         rows.append(
             {

@@ -27,6 +27,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 SPLIT_FAMILIES = ("ett-h", "ett-m", "ett-pems-solar", "other")
 
+SPLITS = ("train", "val", "test")  # the chronological order of the segments
+
 _ETT_HOUR_BORDERS = (8640, 11520, 14400)
 
 
@@ -123,7 +125,7 @@ def chronological_split(
             f"{series.name}: length {series.length} cannot be split as {family!r}"
         )
     out = []
-    for split, (lo, hi) in zip(("train", "val", "test"), bounds):
+    for split, (lo, hi) in zip(SPLITS, bounds):
         out.append(
             RawSeries(
                 name=f"{series.name}/{split}",
@@ -222,7 +224,7 @@ class SplitBundle:
     channel_names: list[str] = field(default_factory=list)
 
     def __getitem__(self, split: str) -> WindowedDataset:
-        if split not in ("train", "val", "test"):
+        if split not in SPLITS:
             raise KeyError(split)
         return getattr(self, split)
 
@@ -234,20 +236,15 @@ def build_splits(
     horizon: int,
     normalize: bool = True,
 ) -> SplitBundle:
-    train_s, val_s, test_s = chronological_split(series, family, lookback)
-    normalizer = Normalizer.fit(train_s.values)
+    segments = chronological_split(series, family, lookback)
+    normalizer = Normalizer.fit(segments[0].values)  # the training segment's
     parts = {}
-    for seg in (train_s, val_s, test_s):
-        split = seg.name.rsplit("/", 1)[1]
+    for split, seg in zip(SPLITS, segments):
         vals = normalizer.transform(seg.values) if normalize else seg.values
         x, y = make_windows(vals, lookback, horizon)
         parts[split] = WindowedDataset(split=split, x=x, y=y)
     return SplitBundle(
-        train=parts["train"],
-        val=parts["val"],
-        test=parts["test"],
-        normalizer=normalizer,
-        channel_names=list(series.channel_names),
+        **parts, normalizer=normalizer, channel_names=list(series.channel_names)
     )
 
 

@@ -1,6 +1,7 @@
 """Unit and property tests for the reverse-mode core."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -181,6 +182,71 @@ class TestHotPathBitIdentity:
         t = Tensor(np.ones(2), requires_grad=True)
         ad.accumulate(t, np.array([-0.0, 3.0]))
         assert not np.signbit(t.grad[0])
+
+
+class TestAccumulate:
+    """``accumulate`` is the one entry of every gradient: it sums a broadcast
+    gradient down to its node's shape, leading axes first, then each
+    size-1 axis in turn."""
+
+    CASES = [
+        pytest.param((5, 3), (3,), lambda g: g.sum(axis=0), id="5x3-to-3"),
+        pytest.param((5, 3), (1, 3), lambda g: g.sum(axis=0, keepdims=True), id="5x3-to-1x3"),
+        pytest.param(
+            (2, 4, 3),
+            (4, 1),
+            lambda g: g.sum(axis=0).sum(axis=1, keepdims=True),
+            id="2x4x3-to-4x1",
+        ),
+    ]
+
+    @pytest.mark.parametrize("g_shape, shape, reduce", CASES)
+    @pytest.mark.parametrize("view", [False, True], ids=["array", "broadcast-view"])
+    def test_broadcast_gradient_is_summed_down(self, g_shape, shape, reduce, view):
+        rng = _rng(31)
+        if view:
+            g = np.broadcast_to(rng.normal(size=g_shape[-1]), g_shape)
+            assert not g.flags.writeable
+        else:
+            g = rng.normal(size=g_shape)
+        t = Tensor(np.zeros(shape), requires_grad=True)
+        ad.accumulate(t, g)
+        want = np.add(0.0, reduce(g))
+        assert t.grad.shape == shape and t.grad.tobytes() == want.tobytes()
+        assert t.grad.flags.writeable and not np.shares_memory(t.grad, g)
+
+    @pytest.mark.parametrize(
+        "g_shape, shape",
+        [((1, 3), (4, 3)), ((3,), (4, 1)), ((2, 3), (3, 2))],
+        ids=["1x3-to-4x3", "3-to-4x1", "2x3-to-3x2"],
+    )
+    def test_gradient_that_does_not_reduce_is_rejected(self, g_shape, shape):
+        t = Tensor(np.zeros(shape), requires_grad=True)
+        both = rf"{re.escape(str(g_shape))}.*{re.escape(str(shape))}"
+        with pytest.raises(ValueError, match=both):
+            ad.accumulate(t, np.ones(g_shape))
+        assert t.grad is None
+
+    def test_parent_without_gradient_is_untouched(self):
+        t = Tensor(np.zeros((2, 3)))
+        ad.accumulate(t, np.ones((5, 2, 3)))
+        assert t.grad is None and not t.data.any()
+
+    def test_second_contribution_adds_in_place(self):
+        rng = _rng(32)
+        t = Tensor(np.zeros((1, 3)), requires_grad=True)
+        g1, g2 = rng.normal(size=(1, 3)), rng.normal(size=(5, 3))
+        ad.accumulate(t, g1)
+        buf = t.grad
+        ad.accumulate(t, g2)
+        assert t.grad is buf
+        assert buf.tobytes() == (g1 + g2.sum(axis=0, keepdims=True)).tobytes()
+
+    def test_backward_of_a_leaf_loss_twice_leaves_two(self):
+        x = Tensor(np.array(1.5), requires_grad=True)
+        ad.backward(x)
+        ad.backward(x)
+        assert x.grad.shape == () and x.grad == 2.0
 
 
 class TestFiniteDifference:

@@ -90,6 +90,17 @@ class TestSplits:
             # inputs may reach back, targets may not
             assert bundle.val.x.min() <= max_train_t or family == "ett-pems-solar"
 
+    def test_bundle_splits_follow_the_segments_in_order(self):
+        s = series_of_length(400, c=1)
+        segments = dt.chronological_split(s, "other", lookback=16)
+        bundle = dt.build_splits(s, "other", lookback=16, horizon=4, normalize=False)
+        assert [seg.name for seg in segments] == [f"synthetic/{n}" for n in dt.SPLITS]
+        for split, seg in zip(dt.SPLITS, segments):
+            assert bundle[split].split == split
+            assert bundle[split].x[0, 0, 0] == seg.values[0, 0]
+        with pytest.raises(KeyError):
+            bundle["holdout"]
+
     def test_too_short_series_rejected(self):
         with pytest.raises(ValueError, match="calendar"):
             dt.chronological_split(series_of_length(500), "ett-h")
