@@ -404,19 +404,24 @@ def exprel(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def exprel_grad(
-    x: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None
+    x: np.ndarray,
+    out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
+    exp_x: np.ndarray | None = None,
 ) -> np.ndarray:
     """d/dx (e^x - 1) / x elementwise, with the series limit at small |x|.
 
     ``out`` and ``scratch`` (shaped like ``x``) take the result and the
-    intermediate, so a caller can reuse buffers across calls.
+    intermediate, so a caller can reuse buffers across calls. ``exp_x``, a
+    caller's ``np.exp(x)``, is read instead of computing it again; it may
+    be ``out``.
     """
     d = np.empty_like(x) if out is None else out
     t = np.empty_like(x) if scratch is None else scratch
     # 0/0 and c/0 only where |x| is small, replaced below
     with np.errstate(invalid="ignore", divide="ignore"):
-        np.exp(x, out=d)
-        d *= np.subtract(x, 1.0, out=t)
+        e = np.exp(x, out=d) if exp_x is None else exp_x
+        np.multiply(e, np.subtract(x, 1.0, out=t), out=d)
         d += 1.0
         d /= np.multiply(x, x, out=t)
     _series_near_zero(x, d, 1e-4, lambda xs: 0.5 + xs / 3.0 + xs * xs / 8.0)

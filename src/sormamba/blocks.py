@@ -27,7 +27,7 @@ them and penalize their disagreement. A view is only an order for ``core``:
 with one shared block (``uni``) both views share one ``pre`` and every
 tensor it made, both views are one ``core`` call and so one ``scan_core``
 call (which computes each token's discretized factors once for both orders
-when a row of the sequence fits the kernels' tile budget, see
+when a row of the sequence fits the kernels' memory budget, see
 ``scan_kernels``), and no token is gathered or put back. With the conv on,
 the conv and the projections after it are order-dependent too, so they move
 into ``core``, which then gathers the tokens, scans each view on its own

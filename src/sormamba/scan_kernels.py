@@ -24,29 +24,33 @@ one walk per order: the positions in the block that its steps read. The
 layout follows from the shapes alone:
 
 * Shared: with more than one order, when one batch row of the whole
-  sequence (S * N * D elements) fits within ``_TILE_ELEMS``, every order
+  sequence (S * N * D elements) fits within ``_SHARED_ELEMS``, every order
   walks one block of all S tokens in token order, reading ``a_bar[order[k]]``
   and writing its states at those positions. The factors are computed once
   for all the orders. No checkpoints are kept: the backward recomputes the
-  block from the zero state. This holds at the weather and etth1 shapes.
-* Segmented: otherwise (one order, or a long sequence such as solar's 137
-  steps, where whole-sequence tiles of one row ran slower than two segmented
-  scans), each order walks its own segments of ceil(sqrt(S)) steps, one
-  block each, gathered in step order, carrying its state from one segment
-  to the next. When a gradient will be taken, the forward keeps one
-  checkpoint per segment, the state entering it, and the backward walks the
-  segments in reverse, recomputing each one's factors and states from its
-  checkpoint: O(sqrt(S)) slabs of memory instead of O(S), for one extra
-  pass over the factors.
+  block from the zero state. This holds at the weather, etth1 and solar
+  shapes.
+* Segmented: otherwise (one order, or rows above the budget, such as
+  Traffic's 862 tokens), each order walks its own segments of
+  ceil(sqrt(S)) steps, one block each, gathered in step order, carrying its
+  state from one segment to the next. When a gradient will be taken, the
+  forward keeps one checkpoint per segment, the state entering it, and the
+  backward walks the segments in reverse, recomputing each one's factors
+  and states from its checkpoint: O(sqrt(S)) slabs of memory instead of
+  O(S), for one extra pass over the factors.
 
 Both layouts run the same recurrence loop over a block. The backward runs
-each walk's forward and reverse recurrence, sums the walks' gradients wrt
-the states (d loss / d (delta x B) before the zero-order-hold factor) and
-wrt delta A in token order, then does the zero-order-hold chain and the
-contractions for the gradients wrt x, delta, B_t and A once per block. This
-is the fusion and recomputation design of Mamba's ``selective_scan_fn`` (Gu
-& Dao 2023, arXiv 2312.00752, section 3.3) in numpy: the factors are built
-in a small workspace and consumed there, never held for a whole call.
+each walk's forward and reverse recurrence. Its reverse loop forms, per
+step, exp(delta A) times the gradient wrt the state, which is what flows
+back to the state before it; times that state, it is the step's gradient
+wrt delta A, summed over the walks in token order as the loop goes. The
+walks' gradients wrt the states (d loss / d (delta x B) before the
+zero-order-hold factor) are summed in token order, and then the
+zero-order-hold chain and the contractions for the gradients wrt x, delta,
+B_t and A run once per block. This is the fusion and recomputation design
+of Mamba's ``selective_scan_fn`` (Gu & Dao 2023, arXiv 2312.00752, section
+3.3) in numpy: the factors are built in a small workspace and consumed
+there, never held for a whole call.
 
 Shapes: delta and x [B, S, D], a [D, N], b_t and c_t [B, S, N]. Inside, the
 step axis leads and dim is last ([L, B, N, D] per block), so one step's
@@ -56,7 +60,9 @@ Batch rows never interact, so each call walks the batch in equal tiles of
 rows, all blocks of one tile before the next. The tile size follows from
 the array shapes alone: the fewest tiles that keep one block's buffers for
 all its walks (one segment, or V copies of the whole sequence) within
-``_TILE_ELEMS`` elements (2 MiB), split as evenly as whole rows allow.
+``_TILE_ELEMS`` elements (512 KiB, near cache size), at least one row
+each, split as evenly as whole rows allow. A shared block at the
+benchmark's shapes runs in one-row tiles.
 Every 4-D array of a call (delta A, exp(delta A), the input term, the
 zero-order-hold factor that ``exprel`` writes in place, the states, and the
 backward's gradients wrt the states and their products) is a view of one
@@ -66,11 +72,11 @@ per role that grows when a call needs more than it holds and never shrinks,
 so later calls reuse it: on these sizes a fresh array costs more in page
 faults than the arithmetic written into it, and memory handed back to the
 OS after each call is faulted in again on the next. Each role starts at its
-own offset within a 4 KiB page (``_buffer``). The workspace holds 7.3
-MiB after a train-etth1 step, 9.2 MiB after a train-solar step and
-5.0 MiB after an analyze-weather step. Outputs are fresh arrays,
-written straight into the [V, B, ...] results, and never share memory with
-the workspace.
+own offset within a 4 KiB page (``_buffer``). The workspace holds 1.8
+MiB after a train-etth1 step, 17.3 MiB after a train-solar step (whose
+shared block holds all 137 steps) and 1.7 MiB after an analyze-weather
+step. Outputs are fresh arrays, written straight into the [V, B, ...]
+results, and never share memory with the workspace.
 Tiling leaves every value bit for bit as a single tile computes it, except
 the gradient wrt A, which sums over the batch and so depends on the tile
 count by reduction order. Each order's y is bit for bit what a call with
@@ -87,9 +93,24 @@ import numpy as np
 
 from .autodiff import exprel, exprel_grad
 
-# Elements of one segment buffer of a batch tile: 2 MiB of float64, the
-# size of a per-core L2 cache, so a tile's buffers are reused while cached.
-_TILE_ELEMS = 1 << 18
+# Elements of one block's buffers for all its walks in a batch tile: 512
+# KiB of float64, near cache size. On a 2-vCPU x86 box with one BLAS thread
+# (min of 9 calls), one layer's shared two-order forward and backward ran
+# in one-row tiles in 12.9 ms at the etth1 shape and 69.8 ms at the
+# weather shape, against 13.7 and 72-74 ms in the 4- and 3-row tiles of a
+# 2 MiB budget; one-order calls in segments ran 10.0 / 23.8 / 52.4 ms at
+# the etth1 / solar / weather shapes against 11.1 / 25.7 / 59.7 ms.
+_TILE_ELEMS = 1 << 16
+
+# Elements of one batch row of the whole sequence (S * N * D) up to which
+# several orders share one block: 4 MiB of float64 per role. Solar's rows
+# (137 * 16 * 128 = 280,576 elements) shared ran one layer's two-order
+# forward and backward in 42.9 ms against 50.1 ms in segments (same box),
+# and keep no checkpoints, for 17.3 MiB of workspace against 9.2 MiB; each
+# further row per tile would add 17.3 MiB. A two-order backward at this
+# budget holds ~34 MiB. At d_inner 128, rows of Traffic's or Electricity's
+# 862 or 321 tokens stay segmented.
+_SHARED_ELEMS = 1 << 19
 
 
 def _tile_rows(batch, row_elems):
@@ -102,7 +123,7 @@ def _tile_rows(batch, row_elems):
 
 
 _workspace = threading.local()
-_ROLES = ("da", "a_bar", "bx", "hs", "dx", "factor", "dxb", "gh", "work")
+_ROLES = ("da", "a_bar", "bx", "hs", "dx", "factor", "dxb", "gh", "g_da")
 # Bytes between the roles' start offsets within a 4 KiB page: nine cache
 # lines, so the nine roles start at nine distinct offsets.
 _STAGGER = 576
@@ -132,8 +153,8 @@ def _shares_block(n_orders, steps, state_elems):
     """Whether ``n_orders`` walks over ``steps`` tokens share one block of
     all the tokens: more than one order, and one row of the whole sequence
     (``steps * state_elems`` elements, N * D per token) within
-    ``_TILE_ELEMS``."""
-    return n_orders > 1 and steps * state_elems <= _TILE_ELEMS
+    ``_SHARED_ELEMS``."""
+    return n_orders > 1 and steps * state_elems <= _SHARED_ELEMS
 
 
 class _Scan:
@@ -148,6 +169,8 @@ class _Scan:
     the tokens in token order, walked once per order from the zero state;
     otherwise each order walks its own segments in turn, one block and one
     checkpoint each, carrying its state from one segment to the next.
+    ``checkpoint_shape`` is that of the states a backward starts its blocks
+    from: [blocks, B, N, D], or [0, B, N, D] for a shared block.
     """
 
     def __init__(self, delta, a, b_t, x, mode, orders, backward=False):
@@ -168,6 +191,7 @@ class _Scan:
                 for v, order in enumerate(orders)
                 for seg in segments
             ]
+        self.checkpoint_shape = (0 if self.shared else len(self.blocks), batch) + self.state
         # one buffer per walk of a block, for the states and their gradients
         rows = _tile_rows(batch, walks * size * a.size)
         count = -(-batch // max(rows, 1))
@@ -185,7 +209,7 @@ class _Scan:
         # scales it in place, the backward reads it again
         self.dxb = _buffer("dxb", shape) if self.zoh and backward else self.bx
         self.gh = _buffer("gh", (walks,) + shape) if backward else None
-        self.work = _buffer("work", shape) if backward else None
+        self.g_da = _buffer("g_da", shape) if backward else None
 
     def factors(self, tokens, tile):
         """The factors of ``tokens`` for the rows in ``tile``, into the
@@ -239,8 +263,8 @@ def scan_forward(delta, a, b_t, c_t, x, mode, keep_checkpoints, orders=(None,)):
     """
     scan = _Scan(delta, a, b_t, x, mode, orders)
     c_t = np.swapaxes(c_t, 0, 1)
-    count = len(scan.blocks) if keep_checkpoints and not scan.shared else 0
-    checkpoints = np.empty((count, x.shape[0]) + scan.state)
+    count = scan.checkpoint_shape[0] if keep_checkpoints else 0
+    checkpoints = np.empty((count,) + scan.checkpoint_shape[1:])
     y = np.empty((len(orders),) + x.shape)
     y_steps = np.swapaxes(y, 1, 2)
     for tile in scan.tiles:
@@ -263,7 +287,8 @@ def scan_backward(delta, a, b_t, c_t, x, mode, checkpoints, gy, orders=(None,)):
     """Vector-Jacobian product wrt (delta, a, b_t, c_t, x), recomputing the
     states block by block from the forward's checkpoints (or from the zero
     state, for a shared block); ``gy`` [V, B, S, D] and ``orders`` are the
-    forward's y's gradient and orders.
+    forward's y's gradient and orders, and ``checkpoints`` must have the
+    shape of the forward's, taken with ``keep_checkpoints``.
 
     The walks of a block sum their per-token gradients wrt the states and
     wrt delta A in token order; the zero-order-hold chain and the
@@ -272,6 +297,11 @@ def scan_backward(delta, a, b_t, c_t, x, mode, checkpoints, gy, orders=(None,)):
     if len(gy) != len(orders):
         raise ValueError(f"scan_backward: {len(gy)} output gradients for {len(orders)} orders")
     scan = _Scan(delta, a, b_t, x, mode, orders, backward=True)
+    if checkpoints.shape != scan.checkpoint_shape:
+        raise ValueError(
+            f"scan_backward: checkpoints of shape {checkpoints.shape}, but this"
+            f" layout starts its blocks from {scan.checkpoint_shape}"
+        )
     c_t, gy = np.swapaxes(c_t, 0, 1), [np.swapaxes(g, 0, 1) for g in gy]
     grads = g_delta, g_b, g_c, g_x = [np.empty(v.shape) for v in (delta, b_t, b_t, x)]
     g_delta_s, g_b_s, g_c_s, g_x_s = (np.swapaxes(g, 0, 1) for g in grads)
@@ -286,59 +316,58 @@ def scan_backward(delta, a, b_t, c_t, x, mode, checkpoints, gy, orders=(None,)):
         for j in range(len(scan.blocks) - 1, -1, -1):
             tokens, walks = scan.blocks[j]
             n, r = scan.factors(tokens, tile)
-            a_bar, work = scan.a_bar[:n, :r], scan.work[:n, :r]
+            a_bar, g_da = scan.a_bar[:n, :r], scan.g_da[:n, :r]
             c_b = c_t[tokens, tile]
+            h0 = None if scan.shared else checkpoints[j, tile]
             for i, (v, positions) in enumerate(walks):
                 steps = _steps(positions, n)
                 hs, gh = scan.hs[i, : n + 1, :r], scan.gh[i, :n, :r]
-                scan.recur(steps, None if scan.shared else checkpoints[j, tile], hs)
+                scan.recur(steps, h0, hs)
                 seg_gy = gy[v][tokens, tile]
                 # d loss / d h_k: its own readout plus what flows back from
-                # step k+1; work holds the products until the loop below
+                # step k+1, a_bar[k+1] * gh[k+1]; times the state entering
+                # step k+1, that product is step k+1's d loss / d (delta A).
+                # Walk 0 writes it into g_da, the others add theirs through
+                # carry, which is free until the walk's first step
                 np.multiply(seg_gy[:, :, None, :], c_b[:, :, :, None], out=gh)
                 if v not in carry:
                     carry[v] = np.zeros((r,) + scan.state)
                 gh[steps[-1]] += carry[v]
                 for k in range(n - 2, -1, -1):
-                    np.multiply(a_bar[steps[k + 1]], gh[steps[k + 1]], out=work[steps[k]])
-                    gh[steps[k]] += work[steps[k]]
+                    s0, s1 = steps[k], steps[k + 1]
+                    term = g_da[s1] if i == 0 else carry[v]
+                    np.multiply(a_bar[s1], gh[s1], out=term)
+                    gh[s0] += term
+                    term *= hs[s0 + 1]
+                    if i:
+                        g_da[s1] += term
                 np.multiply(a_bar[steps[0]], gh[steps[0]], out=carry[v])
+                # the first step enters from h0; several walks share a block
+                # only from the zero state
+                if h0 is not None:
+                    np.multiply(carry[v], h0, out=g_da[steps[0]])
+                elif i == 0:
+                    g_da[steps[0]] = 0.0
                 gc = np.matmul(hs[1:], seg_gy[:, :, :, None])[..., 0]
                 g_c_b = gc if i == 0 else g_c_b + gc
-            # d loss / d (delta A) through A_bar: each walk's gradient wrt a
-            # state times the state entering it, summed over the walks into
-            # work, and the gradients wrt the states summed into walk 0's;
-            # walk 0's states are not read again, so they hold the terms
+            # the walks' gradients wrt the states, summed into walk 0's
             gh = scan.gh[0, :n, :r]
-            for i, (v, positions) in enumerate(walks):
-                hs, gh_i = scan.hs[i, : n + 1, :r], scan.gh[i, :n, :r]
-                term = work if i == 0 else scan.hs[0, :n, :r]
-                if positions is None:
-                    np.multiply(gh_i, hs[:-1], out=term)
-                else:
-                    # the hs slot entering each position: the one after the
-                    # position scanned before it, slot 0 for the first
-                    entering = np.empty(n, dtype=np.intp)
-                    entering[positions] = np.concatenate(([0], positions[:-1] + 1))
-                    np.take(hs, entering, axis=0, out=term, mode="clip")
-                    term *= gh_i
-                if i:
-                    work += term
-                    gh += gh_i
-            work *= a_bar
+            for i in range(1, len(walks)):
+                gh += scan.gh[i, :n, :r]
             if scan.zoh:
-                # bx and a_bar are not read again for this block; they take
+                # a_bar and bx are not read again for this block; they take
                 # the factor's derivative and its intermediate
-                grad = exprel_grad(scan.da[:n, :r], out=scan.bx[:n, :r], scratch=a_bar)
+                da, bx = scan.da[:n, :r], scan.bx[:n, :r]
+                grad = exprel_grad(da, out=a_bar, scratch=bx, exp_x=a_bar)
                 grad *= gh
                 grad *= scan.dxb[:n, :r]
-                work += grad
+                g_da += grad
                 gh *= scan.factor[:n, :r]
             # gh is now d loss / d (delta x B) elementwise
             s = np.matmul(scan.seg_b[:, :, None, :], gh)[:, :, 0, :]
             parts = (
                 (g_x_s, scan.seg_delta * s),
-                (g_delta_s, scan.seg_x * s + np.einsum("lbnd,nd->lbd", work, scan.a_t)),
+                (g_delta_s, scan.seg_x * s + np.einsum("lbnd,nd->lbd", g_da, scan.a_t)),
                 (g_b_s, np.matmul(gh, scan.dx[:n, :r, :, None])[..., 0]),
                 (g_c_s, g_c_b),
             )
@@ -347,5 +376,5 @@ def scan_backward(delta, a, b_t, c_t, x, mode, checkpoints, gy, orders=(None,)):
                     g[tokens, tile] = part
                 else:
                     g[tokens, tile] += part
-            g_a_t += np.einsum("lbnd,lbd->nd", work, scan.seg_delta)
+            g_a_t += np.einsum("lbnd,lbd->nd", g_da, scan.seg_delta)
     return g_delta, np.ascontiguousarray(g_a_t.T), g_b, g_c, g_x

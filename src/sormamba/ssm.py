@@ -186,9 +186,9 @@ def scan_core(
     Each order, a permutation of the S steps (None: the steps in turn),
     scans them in that order: its y equals gathering every input with the
     order, scanning, and putting y back with ``argsort(order)``, without the
-    gathers. The outputs are views of one [V, B, S, dim] array; when the
-    sequence fits the kernels' tile budget, the orders share each token's
-    discretized factors (see ``scan_kernels``).
+    gathers. The outputs are views of one [V, B, S, dim] array; when a
+    batch row of the sequence fits the kernels' memory budget, the orders
+    share each token's discretized factors (see ``scan_kernels``).
     """
     _check_mode(mode)
     steps = x.shape[1]

@@ -154,6 +154,24 @@ class TestHotPathBitIdentity:
         np.testing.assert_array_equal(got[small], 0.5 + xs / 3.0 + xs * xs / 8.0)
         assert _same_bits(got[~small], (np.exp(xl) * (xl - 1.0) + 1.0) / (xl * xl))
 
+    def test_exprel_grad_reads_a_precomputed_exponential_bit_for_bit(self):
+        x = np.concatenate([[0.0, 1e-5, -1e-5, 2.0, -3.0], -_rng(24).uniform(0.01, 3.0, 40)])
+        want = ad.exprel_grad(x)
+        # the closed form in the order it was computed before exp_x existed
+        large = np.abs(x) >= 1e-4
+        xl = x[large]
+        closed = np.exp(xl)
+        closed *= xl - 1.0
+        closed += 1.0
+        closed /= xl * xl
+        assert _same_bits(want[large], closed)
+        exp_x, scratch = np.exp(x), np.empty_like(x)
+        assert _same_bits(ad.exprel_grad(x, exp_x=exp_x), want)
+        # the exponential's buffer may take the result
+        got = ad.exprel_grad(x, out=exp_x, scratch=scratch, exp_x=exp_x)
+        assert got is exp_x
+        assert _same_bits(got, want)
+
     def test_softplus_value_same_with_and_without_recording(self):
         x = _rng(22).normal(size=(4, 6)) * 30
         leaf = Tensor(x, requires_grad=True)

@@ -3,6 +3,7 @@ agreement with the naive per-step scan."""
 
 import itertools
 import math
+import re
 import threading
 import tracemalloc
 
@@ -134,6 +135,23 @@ class TestScanCore:
         assert kept.shape == (math.ceil(steps / interval), 2, 2, 3)
         assert none.size == 0
 
+    def test_backward_rejects_checkpoints_of_another_layout(self):
+        # 2 rows, 7 steps in segments of 3: checkpoints [3, 2, 2, 3]
+        inputs = [t.data for t in _scan_inputs(np.random.default_rng(7), 2, 7, 3, 2)]
+        gy = np.ones((1, 2, 7, 3))
+        _, kept = scan_kernels.scan_forward(*inputs, "euler-b", True)
+        _, none = scan_kernels.scan_forward(*inputs, "euler-b", False)
+        for checkpoints in (none, kept[:, :1]):
+            message = re.escape(str(checkpoints.shape)) + r".*\(3, 2, 2, 3\)"
+            with pytest.raises(ValueError, match=message):
+                scan_kernels.scan_backward(*inputs, "euler-b", checkpoints, gy)
+        # two orders sharing one block start from the zero state
+        orders = (None, np.arange(7)[::-1])
+        _, shared = scan_kernels.scan_forward(*inputs, "euler-b", True, orders)
+        assert shared.shape == (0, 2, 2, 3)
+        with pytest.raises(ValueError, match=r"\(3, 2, 2, 3\).*\(0, 2, 2, 3\)"):
+            scan_kernels.scan_backward(*inputs, "euler-b", kept, np.ones((2, 2, 7, 3)), orders)
+
     def test_unknown_mode_rejected(self):
         inputs = _scan_inputs(np.random.default_rng(8), 1, 2, 1, 1)
         with pytest.raises(ValueError, match="discretization"):
@@ -154,10 +172,15 @@ class TestScanTiles:
     TILINGS = {1: 1 << 40, 2: 24 * 4, 3: 24 * 3, 7: 1}  # tiles: cap
 
     def test_tile_rows_follow_the_shapes(self):
-        # weather, etth1 and solar scans: (batch, segment * N * D) -> rows
-        assert scan_kernels._tile_rows(64, 5 * 16 * 128) == 22
-        assert scan_kernels._tile_rows(32, 3 * 16 * 256) == 16
-        assert scan_kernels._tile_rows(8, 12 * 16 * 128) == 8
+        # weather, etth1 and solar scans with one order: (batch, segment *
+        # N * D) -> rows; 64 rows in 11 tiles of 5-6, 32 in 7 of 4-5, 8 in 4
+        assert scan_kernels._tile_rows(64, 5 * 16 * 128) == 6
+        assert scan_kernels._tile_rows(32, 3 * 16 * 256) == 5
+        assert scan_kernels._tile_rows(8, 12 * 16 * 128) == 2
+        # with two orders, each in one shared block of the whole sequence:
+        # one row per tile
+        for batch, steps, dim in ((64, 21, 128), (32, 7, 256), (8, 137, 128)):
+            assert scan_kernels._tile_rows(batch, 2 * steps * 16 * dim) == 1
         for tiles, cap in self.TILINGS.items():
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(scan_kernels, "_TILE_ELEMS", cap)
@@ -301,6 +324,48 @@ class TestScanWorkspace:
         assert len(offsets) == len(scan_kernels._ROLES)
         assert len(set(offsets)) == len(offsets), offsets
 
+    @pytest.mark.parametrize(
+        "shape, mode, train, expected",
+        [
+            # train-etth1: one-row tiles of 7 steps, N * D = 4096; da,
+            # a_bar, bx and g_da [7, 1, 16, 256], hs [2, 8, 1, 16, 256], gh
+            # [2, 7, 1, 16, 256] and dx [7, 1, 256]
+            (
+                (32, 7, 256, 16), "euler-b", True,
+                8 * (4 * 7 * 4096 + 2 * 8 * 4096 + 2 * 7 * 4096 + 7 * 256),
+            ),
+            # train-solar: the same roles at 137 steps, N * D = 2048
+            (
+                (8, 137, 128, 16), "euler-b", True,
+                8 * (4 * 137 * 2048 + 2 * 138 * 2048 + 2 * 137 * 2048 + 137 * 128),
+            ),
+            # analyze-weather, forward only: da, a_bar, bx and the zoh factor
+            # [21, 1, 16, 128], hs [1, 22, 1, 16, 128] and dx [21, 1, 128]
+            (
+                (64, 21, 128, 16), "zoh-exact", False,
+                8 * (4 * 21 * 2048 + 22 * 2048 + 21 * 128),
+            ),
+        ],
+        ids=["train-etth1", "train-solar", "analyze-weather"],
+    )
+    def test_two_order_workspace_at_the_workload_shapes(self, shape, mode, train, expected):
+        # one two-order call in a fresh thread, forward and, for a training
+        # step, backward: the workspace holds exactly what the layout needs
+        # (1.83, 17.29 and 1.68 MiB), each role with a 4 KiB margin for its
+        # page offset
+        inputs = self._inputs(shape, 35)
+        orders = (None, np.arange(shape[1])[::-1])
+
+        def step():
+            y, checkpoints = scan_kernels.scan_forward(*inputs, mode, train, orders)
+            if train:
+                scan_kernels.scan_backward(*inputs, mode, checkpoints, y, orders)
+            return [(b.nbytes, b.base.nbytes) for b in _workspace_buffers()]
+
+        sizes = _in_thread(step)
+        assert sum(n for n, _ in sizes) == expected
+        assert all(raw == n + 4096 for n, raw in sizes)
+
     def test_a_warm_call_allocates_no_workspace(self):
         # the weather shape of test_workspace_memory_at_the_weather_shape;
         # after one forward and backward, a call's traced peak is its outputs
@@ -418,13 +483,20 @@ def _two_orders(name, steps, seed):
     }[name]
 
 
+def _set_budgets(monkeypatch, cap):
+    """Both kernel budgets, the tile's and the shared row's, set to ``cap``."""
+    monkeypatch.setattr(scan_kernels, "_TILE_ELEMS", cap)
+    monkeypatch.setattr(scan_kernels, "_SHARED_ELEMS", cap)
+
+
 class TestScanOrders:
     """Several orders in one kernel call: one block of all the tokens shared
-    by every order when a row of the sequence fits the tile budget, else each
-    order's own segments."""
+    by every order when a row of the sequence fits the shared budget, else
+    each order's own segments."""
 
     # 7 rows, 10 steps, dim 3, state 2: a row of the sequence holds 60
-    # elements, 120 for the two walks' buffers. cap -> (shared, tiles)
+    # elements, 120 for the two walks' buffers. Both budgets at cap ->
+    # (shared, tiles)
     SHAPE = (7, 10, 3, 2)
     CAPS = {1 << 40: (True, 1), 360: (True, 3), 60: (True, 7), 59: (False, 4)}
     ORDERS = ("fixed-reverse", "random-pair", "random-reverse")
@@ -443,7 +515,7 @@ class TestScanOrders:
             want_y.append(y[0])
             want = grads if want is None else [w + g for w, g in zip(want, grads)]
         for cap, (shared, tiles) in self.CAPS.items():
-            monkeypatch.setattr(scan_kernels, "_TILE_ELEMS", cap)
+            _set_budgets(monkeypatch, cap)
             assert scan_kernels._shares_block(2, steps, dim * state) is shared
             row = (2 * steps if shared else 4) * dim * state  # sequence or segment
             assert math.ceil(batch / scan_kernels._tile_rows(batch, row)) == tiles
@@ -459,7 +531,7 @@ class TestScanOrders:
     def test_each_order_matches_naive_reference(self, mode, cap, monkeypatch):
         # 5 rows, 9 steps, dim 6, state 4: shared in tiles of 1, 2 and 2 rows,
         # or segments of 3 steps in tiles of 1, 2 and 2
-        monkeypatch.setattr(scan_kernels, "_TILE_ELEMS", cap)
+        _set_budgets(monkeypatch, cap)
         params = make_params(mode=mode, seed=43)
         x = Tensor(np.random.default_rng(44).normal(size=(5, 9, 6)))
         delta, b_t, c_t = projections(x, params)
@@ -479,7 +551,7 @@ class TestScanOrders:
     def test_gradient_against_finite_differences_with_two_orders(self, mode, cap, monkeypatch):
         # two random orders (random-pair); one shared tile, one-row shared
         # tiles, and one-row tiles of segments
-        monkeypatch.setattr(scan_kernels, "_TILE_ELEMS", cap)
+        _set_budgets(monkeypatch, cap)
         inputs = _scan_inputs(np.random.default_rng(46), 3, 7, 3, 2)
         weights = [Tensor(np.random.default_rng(seed).normal(size=(3, 7, 3))) for seed in (47, 48)]
         orders = _two_orders("random-pair", 7, 49)
@@ -495,13 +567,15 @@ class TestScanOrders:
             assert err < 1e-6, (mode, cap, i, err)
 
     def test_layout_follows_the_shapes(self):
-        # [B, S, D, N] of the weather, etth1 and solar scans with two orders:
-        # the first two share one block (in tiles of 3 and 4 rows), solar's
-        # 137-step rows do not fit and walk segments with checkpoints
+        # [B, S, D, N] of the weather, etth1 and solar scans with two orders
+        # share one block in one-row tiles and keep no checkpoints; rows of
+        # Traffic's 862 tokens do not fit and walk segments with checkpoints
+        assert not scan_kernels._shares_block(2, 862, 128 * 16)
         for (batch, steps, dim, state), shared in (
             ((64, 21, 128, 16), True),
             ((32, 7, 256, 16), True),
-            ((8, 137, 128, 16), False),
+            ((8, 137, 128, 16), True),
+            ((2, 40, 512, 32), False),
         ):
             assert scan_kernels._shares_block(2, steps, dim * state) is shared
             assert not scan_kernels._shares_block(1, steps, dim * state)
@@ -511,15 +585,17 @@ class TestScanOrders:
             _, checkpoints = scan_kernels.scan_forward(*inputs, "euler-b", True, orders)
             segments = math.ceil(steps / math.ceil(math.sqrt(steps)))
             assert len(checkpoints) == (0 if shared else 2 * segments)
-        assert scan_kernels._tile_rows(64, 2 * 21 * 16 * 128) == 3
-        assert scan_kernels._tile_rows(32, 2 * 7 * 16 * 256) == 4
 
-    def test_tiles_split_the_batch_evenly_at_the_weather_shape(self):
-        # 64 rows at 3 per tile: 22 tiles of 3 or 2 rows, not 21 of 3 and 1 of 1
+    def test_tiles_split_the_batch_evenly_at_the_weather_shape(self, monkeypatch):
         batch, steps, dim, state = 64, 21, 128, 16
         delta, x = np.zeros((batch, steps, dim)), np.zeros((batch, steps, dim))
         a, b_t = np.zeros((dim, state)), np.zeros((batch, steps, state))
         orders = (None, np.arange(steps)[::-1])
+        scan = scan_kernels._Scan(delta, a, b_t, x, "zoh-exact", orders)
+        assert scan.shared and scan.tiles == [slice(i, i + 1) for i in range(batch)]
+        # a budget of 3 rows per tile: 22 tiles of 3 or 2 rows, not 21 of 3
+        # and 1 of 1
+        monkeypatch.setattr(scan_kernels, "_TILE_ELEMS", 1 << 18)
         scan = scan_kernels._Scan(delta, a, b_t, x, "zoh-exact", orders)
         assert scan.shared and len(scan.tiles) == 22
         sizes = [t.stop - t.start for t in scan.tiles]

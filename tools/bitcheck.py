@@ -10,7 +10,7 @@ each workload's ``setup`` and ``make_run`` at seed 3 with one BLAS thread:
 
 * first, before anything else has scanned, the scan kernels alone on two
   shapes in turn, a small one ([B, S, D, N] = [5, 9, 6, 4]) and the weather
-  shape ([64, 21, 128, 16], three batch tiles), alternating the two
+  shape ([64, 21, 128, 16], eleven batch tiles), alternating the two
   discretizations and the token order (natural, reversed, a seeded
   permutation), so that calls grow and shrink into what earlier calls left:
   per call, a sha256 of y, of the checkpoints and of each of the five
