@@ -25,10 +25,11 @@ Design points:
   interior node's gradient is dropped once it has been passed on
 * a custom fused op (e.g. the selective-scan kernel) plugs in through
   ``from_op`` with a hand-derived vector-Jacobian product. LayerNorm, the
-  skip/gate/out-projection after a scan and the GELU MLP are such ops: each
+  SiLU and softplus input projections before a scan, the
+  skip/gate/out-projection after it and the GELU MLP are such ops: each
   keeps only its output, its parents and what its backward reads, recomputes
-  the cheap elementwise intermediates there, and gives the composed graph's
-  value and gradients bit for bit
+  the cheap intermediates there, and gives the composed graph's value and
+  gradients bit for bit
 """
 
 from __future__ import annotations
@@ -71,6 +72,8 @@ __all__ = [
     "layer_norm",
     "skip_gate_proj",
     "gelu_mlp",
+    "silu_proj",
+    "softplus_proj",
     "check_gradients",
 ]
 
@@ -308,30 +311,41 @@ def _exp_neg_abs(x: np.ndarray) -> np.ndarray:
     return np.exp(e, out=e)
 
 
-def _softplus_val(x: np.ndarray) -> np.ndarray:
-    # max(x, 0) + log1p(exp(-|x|)) never overflows
-    out = _exp_neg_abs(x)
-    np.log1p(out, out=out)
-    out += np.maximum(x, 0.0)
+def _softplus_val(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """max(x, 0) + log1p(exp(-|x|)), which never overflows, into ``out``
+    (fresh when None); ``out`` may be ``x``."""
+    e = _exp_neg_abs(x)
+    np.log1p(e, out=e)
+    out = np.maximum(x, 0.0, out=out)
+    out += e
     return out
 
 
 def _sigmoid_val(x: np.ndarray) -> np.ndarray:
-    # 1 / (1 + e^-x) at x >= 0, e^x / (1 + e^x) below; e = exp(-|x|) never overflows
+    # 1 / (1 + e^-x) at x >= 0, e^x / (1 + e^x) below; e = exp(-|x|) never
+    # overflows. The numerator, 1 or e, is max(x >= 0, e) since e <= 1 (and
+    # NaN stays NaN): numpy's where with a scalar operand is ~4x slower
     e = _exp_neg_abs(x)
-    out = np.where(x >= 0, 1.0, e)
+    out = np.greater_equal(x, 0.0, out=np.empty_like(x))
+    np.maximum(out, e, out=out)
     e += 1.0
     out /= e
     return out
 
 
+def _softplus_grad(g: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """g times d/dx softplus(x), which is sigmoid(x), built here from x."""
+    return g * _sigmoid_val(x)
+
+
 def softplus(a: Tensor) -> Tensor:
-    """softplus(x) = log(1 + e^x), evaluated overflow-safely."""
-    # the gradient's sigmoid is built only when the backward will run
-    sig = _sigmoid_val(a.data) if needs_grad((a,)) else None
+    """softplus(x) = log(1 + e^x), evaluated overflow-safely.
+
+    Keeps nothing but its output; the vjp builds the sigmoid from x.
+    """
 
     def vjp(g):
-        accumulate(a, g * sig)
+        accumulate(a, _softplus_grad(g, a.data))
 
     return from_op(_softplus_val(a.data), (a,), vjp)
 
@@ -350,9 +364,20 @@ def silu(a: Tensor) -> Tensor:
     sig = _sigmoid_val(a.data)
 
     def vjp(g):
-        accumulate(a, g * sig * (1.0 + a.data * (1.0 - sig)))
+        accumulate(a, _silu_grad(g, a.data, sig))
 
     return from_op(a.data * sig, (a,), vjp)
+
+
+def _silu_grad(g: np.ndarray, x: np.ndarray, sig: np.ndarray) -> np.ndarray:
+    """g times d/dx x * sigmoid(x), given sigmoid(x):
+    g * sig * (1 + x * (1 - sig)), rounded in that order."""
+    t = np.subtract(1.0, sig)
+    t *= x
+    t += 1.0
+    out = g * sig
+    out *= t
+    return out
 
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -609,33 +634,43 @@ def _axis_index(idx, axis: int, ndim: int):
 
 # ---------------------------------------------------------------------------
 # fused per-token ops: layer norm, the gated skip-and-project after the scan,
-# and the GELU MLP
+# the GELU MLP, and the SiLU and softplus projections before the scan
 #
 # Each is one node whose closure keeps its parents and at most what is named
-# below. Its forward runs the ops of the composed graph (the primitives
-# above) in their order, so the value is bit-identical. Its vjp recomputes
-# the cheap elementwise intermediates and then runs the composed graph's vjp
-# arithmetic in reverse tape order, building a gradient only for what
-# requires one, so every gradient is bit-identical too. The composed graph
-# also copies each interior node's first gradient (``0 + g``, which maps -0
-# to +0); that copy is left out here. A vjp is linear in g, through products
-# and sums only, and the sign of a zero operand changes neither the
-# magnitude of such a result nor any nonzero result. Every value that leaves
-# the op goes through ``accumulate``, which maps -0 to +0 in the same way.
+# below: layer_norm two [..., 1] arrays, gelu_mlp and silu_proj their
+# pre-activation, skip_gate_proj and softplus_proj nothing. Its forward runs
+# the ops of the composed graph (the primitives above) in their order, so
+# the value is bit-identical. Its vjp recomputes the cheap intermediates
+# (elementwise ones, and softplus_proj's rank-r GEMM) from its parents and
+# what it kept, then runs the composed graph's vjp arithmetic in reverse
+# tape order, building a gradient only for what requires one, so every
+# gradient is bit-identical too. The composed graph also copies each
+# interior node's first gradient (``0 + g``, which maps -0 to +0); that copy
+# is left out here. A vjp is linear in g, through products and sums only,
+# and the sign of a zero operand changes neither the magnitude of such a
+# result nor any nonzero result. Every value that leaves the op goes through
+# ``accumulate``, which maps -0 to +0 in the same way.
 # A train step's memory peaks in the backward of the last layer's post and
-# scan, while the whole tape is still alive, so the vjps drop full-size
-# temporaries as soon as they have been used.
+# scan, while the rest of the tape is still alive (tracemalloc, seed 0:
+# train-solar 45.8 MiB, of which the tape at the loss is 35.8 MiB;
+# train-etth1 19.2 of 13.2), so the vjps drop full-size temporaries as soon
+# as they have been used.
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize the trailing axis to zero mean / unit variance, then affine.
 
-    Keeps ``x - mean`` and the ``[..., 1]`` arrays ``sqrt(var + eps)`` and
-    its reciprocal; the vjp recomputes the normalized value from them.
+    Keeps the ``[..., 1]`` arrays ``sqrt(var + eps)`` and its reciprocal;
+    the vjp recomputes ``x - mean`` from its parent and the normalized
+    value from them.
     """
     x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
     count = x.data.shape[-1]
-    centered = x.data - x.data.mean(axis=-1, keepdims=True)
+
+    def center():
+        return x.data - x.data.mean(axis=-1, keepdims=True)
+
+    centered = center()
     var = (centered * centered).mean(axis=-1, keepdims=True)
     denom = np.sqrt(var + eps)
     inv = 1.0 / denom
@@ -646,6 +681,9 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     def vjp(g):
         # add(scaled, bias), then mul(xhat, gain)
         accumulate(bias, g)
+        if not (gain.requires_grad or x.requires_grad):
+            return
+        centered = center()
         if gain.requires_grad:
             accumulate(gain, g * (centered * inv))
         if not x.requires_grad:
@@ -743,6 +781,52 @@ def gelu_mlp(h: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tenso
     out = _flat(pre * _phi(pre), w2.data)
     out += b2.data
     return from_op(out, (h, w1, b1, w2, b2), vjp)
+
+
+def silu_proj(x: Tensor, w: Tensor) -> Tensor:
+    """``silu(x @ w)`` with a 2-D weight.
+
+    Keeps only the pre-activation ``x @ w``; the vjp recomputes the sigmoid
+    from it.
+    """
+    pre = _flat(x.data, w.data)
+
+    def vjp(g):
+        g_pre = _silu_grad(g, pre, _sigmoid_val(pre))
+        gx, gw = _flat_grads(g_pre, x.data, w.data, x.requires_grad, w.requires_grad)
+        accumulate(x, gx)
+        accumulate(w, gw)
+
+    # sig is freed on return, with pre under no_grad: freeing it before
+    # from_op measured 13.4k minor page faults per analyze-weather step
+    # against 7.9k, as glibc trimmed and re-faulted the heap
+    sig = _sigmoid_val(pre)
+    return from_op(pre * sig, (x, w), vjp)
+
+
+def softplus_proj(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``softplus(x @ w + b)`` with a 2-D weight, for a narrow ``x`` such as
+    the step size's rank-r input.
+
+    Keeps nothing but its output, which the forward builds in the
+    pre-activation's buffer; the vjp recomputes the pre-activation with the
+    same GEMM and bias add, then the sigmoid.
+    """
+
+    def pre_activation():
+        pre = _flat(x.data, w.data)
+        pre += b.data
+        return pre
+
+    def vjp(g):
+        g_pre = _softplus_grad(g, pre_activation())
+        accumulate(b, g_pre)
+        gx, gw = _flat_grads(g_pre, x.data, w.data, x.requires_grad, w.requires_grad)
+        accumulate(x, gx)
+        accumulate(w, gw)
+
+    pre = pre_activation()
+    return from_op(_softplus_val(pre, out=pre), (x, w, b), vjp)
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,11 @@ ablation.
 A block runs in three stages, and only the middle one reads the order of
 the tokens:
 
-* ``pre`` works token by token: both input projections, the SiLUs, the
-  scan's step sizes, B_t and C_t, and A = -exp(a_log);
+* ``pre`` works token by token: both input projections with their SiLUs,
+  each one fused op (``autodiff.silu_proj``) that keeps only its
+  pre-activation for the backward, the scan's step sizes, B_t and C_t
+  (``ssm.projections``), and A = -exp(a_log). With the conv on, u's
+  projection is a plain ``matmul``: its SiLU comes after the conv;
 * ``core`` scans the tokens once in each of the given orders
   (``ssm.scan_core`` with ``orders``) and returns each order's y in the
   tokens' own order;
@@ -49,6 +52,7 @@ from .autodiff import (
     neg,
     shift_axis,
     silu,
+    silu_proj,
     skip_gate_proj,
     take_axis,
 )
@@ -131,10 +135,9 @@ class CDMambaBlock:
 
     def pre(self, z: Tensor) -> Tokens:
         """The token-by-token work before the scan, on z [batch, tokens, d_model]."""
-        u = matmul(z, self.w_in_x)
-        if not self.conv_kernel:
-            u = silu(u)
-        gate = silu(matmul(z, self.w_in_g))
+        # with a conv, u's SiLU comes after the conv, in core
+        u = matmul(z, self.w_in_x) if self.conv_kernel else silu_proj(z, self.w_in_x)
+        gate = silu_proj(z, self.w_in_g)
         scan_in = None if self.conv_kernel else projections(u, self.ssm)
         return Tokens(u, gate, neg(exp(self.ssm.a_log)), scan_in)
 

@@ -6,8 +6,9 @@ layers then run a directional encoder over those tokens (returning both view
 outputs for the order-consistency penalty), add a residual around that
 sublayer only, and refine tokens with a LayerNorm/MLP/LayerNorm stage (three
 fused ops, ``autodiff.layer_norm`` and ``autodiff.gelu_mlp``, that keep only
-what their backward reads). A linear head maps each channel token to its
-horizon.
+what their backward reads: two [..., 1] arrays per LayerNorm and the MLP's
+pre-activation). The encoder's blocks are fused ops around the scan too
+(see ``blocks``). A linear head maps each channel token to its horizon.
 
 Instance normalization (per window, per channel) is applied on the way in
 and inverted on the way out, so forecasts are always in input units. The

@@ -245,6 +245,13 @@ class _Scan:
         return hs[prev]
 
 
+def _matvec(m, v, out=None):
+    """``m @ v`` over the last two axes of ``m`` [..., P, Q] and ``v``
+    [..., Q]: [..., P], into ``out`` when given."""
+    dst = None if out is None else out[..., None]
+    return np.matmul(m, v[..., None], out=dst)[..., 0]
+
+
 def _steps(positions, n):
     """A walk's positions in step order, as a list of ints."""
     return list(range(n)) if positions is None else positions.tolist()
@@ -304,7 +311,8 @@ def scan_backward(delta, a, b_t, c_t, x, mode, checkpoints, gy, orders=(None,)):
         )
     c_t, gy = np.swapaxes(c_t, 0, 1), [np.swapaxes(g, 0, 1) for g in gy]
     grads = g_delta, g_b, g_c, g_x = [np.empty(v.shape) for v in (delta, b_t, b_t, x)]
-    g_delta_s, g_b_s, g_c_s, g_x_s = (np.swapaxes(g, 0, 1) for g in grads)
+    # step-major views, in the order the parts below are built
+    grads_s = [np.swapaxes(g, 0, 1) for g in (g_x, g_delta, g_b, g_c)]
     g_a_t = np.zeros(scan.state)
     # the reverse walk below meets one order's blocks first: they write the
     # gradients, and every other order's blocks add to them
@@ -319,6 +327,11 @@ def scan_backward(delta, a, b_t, c_t, x, mode, checkpoints, gy, orders=(None,)):
             a_bar, g_da = scan.a_bar[:n, :r], scan.g_da[:n, :r]
             c_b = c_t[tokens, tile]
             h0 = None if scan.shared else checkpoints[j, tile]
+            # the writer's blocks of consecutive tokens (the shared block's
+            # one) write each part straight into its gradient's slice; the
+            # others build it, then write or add it there
+            direct = walks[0][0] == writer and isinstance(tokens, slice)
+            dst = [g[tokens, tile] if direct else None for g in grads_s]
             for i, (v, positions) in enumerate(walks):
                 steps = _steps(positions, n)
                 hs, gh = scan.hs[i, : n + 1, :r], scan.gh[i, :n, :r]
@@ -348,8 +361,10 @@ def scan_backward(delta, a, b_t, c_t, x, mode, checkpoints, gy, orders=(None,)):
                     np.multiply(carry[v], h0, out=g_da[steps[0]])
                 elif i == 0:
                     g_da[steps[0]] = 0.0
-                gc = np.matmul(hs[1:], seg_gy[:, :, :, None])[..., 0]
-                g_c_b = gc if i == 0 else g_c_b + gc
+                if i == 0:
+                    g_c_b = _matvec(hs[1:], seg_gy, dst[3])
+                else:
+                    g_c_b += _matvec(hs[1:], seg_gy)
             # the walks' gradients wrt the states, summed into walk 0's
             gh = scan.gh[0, :n, :r]
             for i in range(1, len(walks)):
@@ -365,16 +380,19 @@ def scan_backward(delta, a, b_t, c_t, x, mode, checkpoints, gy, orders=(None,)):
                 gh *= scan.factor[:n, :r]
             # gh is now d loss / d (delta x B) elementwise
             s = np.matmul(scan.seg_b[:, :, None, :], gh)[:, :, 0, :]
+            g_delta_b = np.multiply(scan.seg_x, s, out=dst[1])
+            g_delta_b += np.einsum("lbnd,nd->lbd", g_da, scan.a_t)
             parts = (
-                (g_x_s, scan.seg_delta * s),
-                (g_delta_s, scan.seg_x * s + np.einsum("lbnd,nd->lbd", g_da, scan.a_t)),
-                (g_b_s, np.matmul(gh, scan.dx[:n, :r, :, None])[..., 0]),
-                (g_c_s, g_c_b),
+                np.multiply(scan.seg_delta, s, out=dst[0]),
+                g_delta_b,
+                _matvec(gh, scan.dx[:n, :r], dst[2]),
+                g_c_b,
             )
-            for g, part in parts:
-                if walks[0][0] == writer:
-                    g[tokens, tile] = part
-                else:
-                    g[tokens, tile] += part
+            if not direct:
+                for g, part in zip(grads_s, parts):
+                    if walks[0][0] == writer:
+                        g[tokens, tile] = part
+                    else:
+                        g[tokens, tile] += part
             g_a_t += np.einsum("lbnd,lbd->nd", g_da, scan.seg_delta)
     return g_delta, np.ascontiguousarray(g_a_t.T), g_b, g_c, g_x

@@ -43,7 +43,7 @@ from .autodiff import (
     needs_grad,
     neg,
     reshape,
-    softplus,
+    softplus_proj,
     unstack,
 )
 
@@ -158,9 +158,15 @@ def _check_mode(mode: str) -> None:
 
 def projections(x: Tensor, params: SSMParams) -> tuple[Tensor, Tensor, Tensor]:
     """delta [B,S,dim], b_t [B,S,state], c_t [B,S,state] from the input,
-    token by token."""
+    token by token.
+
+    delta is softplus(x @ w_dt_down @ w_dt_up + b_dt): the rank-r ``low``
+    is a plain ``matmul``, and the rest one fused op
+    (``autodiff.softplus_proj``) that keeps nothing but delta and
+    recomputes its rank-r GEMM, bias add and sigmoid in the backward.
+    """
     low = matmul(x, params.w_dt_down)
-    delta = softplus(matmul(low, params.w_dt_up) + params.b_dt)
+    delta = softplus_proj(low, params.w_dt_up, params.b_dt)
     b_t = matmul(x, params.w_b)
     c_t = matmul(x, params.w_c)
     return delta, b_t, c_t

@@ -1,9 +1,10 @@
 """The fused per-token ops against the composed graphs they replace.
 
-Each fused op (``layer_norm``, ``skip_gate_proj``, ``gelu_mlp``) must give
-the composed graph's value and every gradient bit for bit, and keep less
-of the forward alive for its backward. The composed graphs are written out
-here from the primitive ops, as the reference.
+Each fused op (``layer_norm``, ``skip_gate_proj``, ``gelu_mlp``,
+``silu_proj``, ``softplus_proj``) must give the composed graph's value and
+every gradient bit for bit, and keep less of the forward alive for its
+backward. The composed graphs are written out here from the primitive ops,
+as the reference.
 """
 
 import itertools
@@ -15,6 +16,7 @@ import pytest
 from sormamba import autodiff as ad
 from sormamba import blocks
 from sormamba import model as md
+from sormamba import ssm
 from sormamba.autodiff import Tensor
 
 # (batch, tokens, d_model) of train-etth1, train-solar and analyze-weather
@@ -37,26 +39,46 @@ def composed_gelu_mlp(h, w1, b1, w2, b2):
     return ad.matmul(ad.gelu(ad.matmul(h, w1) + b1), w2) + b2
 
 
+def composed_silu_proj(x, w):
+    return ad.silu(ad.matmul(x, w))
+
+
+def composed_softplus_proj(x, w, b):
+    return ad.softplus(ad.matmul(x, w) + b)
+
+
 def _inputs(op: str, shape, seed=0):
     """The op's parents as arrays, and its output shape, at a token shape
-    (batch, tokens, d_model); the scan width is 2 * d_model, as in the model."""
+    (batch, tokens, d_model); the scan width is 2 * d_model and the step
+    size's rank ceil(d_model / 16), as in the model."""
     rng = np.random.default_rng(seed)
     b, c, d = shape
+    out_shape = (b, c, d)
     if op == "layer_norm":
         arrays = [rng.normal(size=shape), rng.uniform(0.5, 1.5, size=d), rng.normal(size=d)]
     elif op == "skip_gate_proj":
         arrays = [rng.normal(size=(b, c, 2 * d)) for _ in range(3)]
         arrays += [rng.normal(size=2 * d), rng.normal(size=(2 * d, d)) / d]
-    else:
+    elif op == "gelu_mlp":
         arrays = [rng.normal(size=shape), rng.normal(size=(d, 2 * d)) / d]
         arrays += [rng.normal(size=2 * d), rng.normal(size=(2 * d, d)) / d, rng.normal(size=d)]
-    return arrays, (b, c, d)
+    elif op == "silu_proj":
+        arrays = [rng.normal(size=shape), rng.normal(size=(d, 2 * d)) / np.sqrt(d)]
+        out_shape = (b, c, 2 * d)
+    else:
+        rank = -(-d // 16)
+        arrays = [rng.normal(size=(b, c, rank)), rng.normal(size=(rank, 2 * d))]
+        arrays.append(rng.normal(size=2 * d))
+        out_shape = (b, c, 2 * d)
+    return arrays, out_shape
 
 
 OPS = {
     "layer_norm": (ad.layer_norm, composed_layer_norm),
     "skip_gate_proj": (ad.skip_gate_proj, composed_skip_gate_proj),
     "gelu_mlp": (ad.gelu_mlp, composed_gelu_mlp),
+    "silu_proj": (ad.silu_proj, composed_silu_proj),
+    "softplus_proj": (ad.softplus_proj, composed_softplus_proj),
 }
 
 
@@ -114,11 +136,16 @@ class TestSameBitsAsComposed:
         assert _bits(got[0]) == _bits(want[0])
         assert [_bits(t) for t in got[1]] == [_bits(t) for t in want[1]]
 
-    @pytest.mark.parametrize("direction", ["uni", "bi"])
-    def test_model_gradients_equal_the_composed_model(self, direction, monkeypatch):
-        # two views share u and gate through two post stages, and each layer
-        # chains LayerNorm, MLP, LayerNorm: every parameter's gradient must
-        # equal the composed model's
+    @pytest.mark.parametrize(
+        "direction, conv",
+        [("uni", False), ("bi", False), ("uni", True)],
+        ids=["uni", "bi", "uni-conv"],
+    )
+    def test_model_gradients_equal_the_composed_model(self, direction, conv, monkeypatch):
+        # two views share u and gate through two post stages, pre feeds u to
+        # the scan, its projections and the skip term, and each layer chains
+        # LayerNorm, MLP, LayerNorm: every parameter's gradient must equal the
+        # composed model's. With the conv, u's projection stays a plain matmul
         def grads(model):
             rng = np.random.default_rng(7)
             x = Tensor(rng.normal(size=(3, 8, 5)))
@@ -132,12 +159,14 @@ class TestSameBitsAsComposed:
 
         cfg = md.ModelConfig(
             lookback=8, horizon=4, n_channels=5, d_model=6, n_layers=2, d_state=4,
-            direction=direction,
+            direction=direction, conv=conv,
         )
         fused = grads(md.SORMambaModel(cfg, seed=3))
         monkeypatch.setattr(md, "layer_norm", composed_layer_norm)
         monkeypatch.setattr(md, "gelu_mlp", composed_gelu_mlp)
         monkeypatch.setattr(blocks, "skip_gate_proj", composed_skip_gate_proj)
+        monkeypatch.setattr(blocks, "silu_proj", composed_silu_proj)
+        monkeypatch.setattr(ssm, "softplus_proj", composed_softplus_proj)
         assert fused == grads(md.SORMambaModel(cfg, seed=3))
 
 
@@ -177,16 +206,17 @@ OBJECT_SLACK = 8 * 1024
 
 class TestKeptMemory:
     """After a recorded forward, a fused op holds its output and only what
-    its vjp is documented to keep: layer_norm x - mean and two [..., 1]
-    arrays, skip_gate_proj nothing more, gelu_mlp the pre-activation."""
+    its vjp is documented to keep: layer_norm two [..., 1] arrays,
+    skip_gate_proj and softplus_proj nothing more, gelu_mlp and silu_proj
+    the pre-activation."""
 
     SHAPE = (8, 137, 64)
 
     def _extra(self, op, parents):
         rows = self.SHAPE[0] * self.SHAPE[1]
         if op == "layer_norm":
-            return parents[0].data.nbytes + 2 * rows * 8
-        if op == "gelu_mlp":
+            return 2 * rows * 8
+        if op in ("gelu_mlp", "silu_proj"):
             return rows * parents[1].shape[1] * 8
         return 0
 
@@ -208,3 +238,23 @@ class TestKeptMemory:
             kept, out = _kept_bytes(fused, parents)
         assert not out.requires_grad
         assert kept <= out.data.nbytes + OBJECT_SLACK
+
+    def test_recorded_pre_keeps_its_outputs_and_two_pre_activations(self):
+        # a block's pre at train-solar's token shape: u, gate and delta, the
+        # narrow b_t, c_t and low-rank input of delta, and the SiLUs'
+        # pre-activations; no sigmoid and no step-size pre-activation
+        batch, tokens, d_model = self.SHAPE
+        cfg = md.ModelConfig(lookback=8, horizon=4, n_channels=tokens, d_model=d_model)
+        block = blocks.CDMambaBlock(
+            d_model, cfg.d_inner, cfg.d_state, cfg.resolved_dt_rank, np.random.default_rng(0)
+        )
+        z = Tensor(np.random.default_rng(1).normal(size=self.SHAPE), requires_grad=True)
+        kept, out = _kept_bytes(block.pre, [z])
+        delta, b_t, c_t = out.scan_in
+        wide = batch * tokens * cfg.d_inner * 8
+        low = batch * tokens * cfg.resolved_dt_rank * 8
+        # A = -exp(a_log) and the exp it was taken from, [d_inner, d_state]
+        a = 2 * out.a.data.nbytes
+        assert delta.requires_grad and out.u.requires_grad and out.gate.requires_grad
+        allowed = 3 * wide + b_t.data.nbytes + c_t.data.nbytes + low + 2 * wide + a
+        assert kept <= allowed + 8 * OBJECT_SLACK
