@@ -98,6 +98,14 @@ def _section(cfg: dict, key: str, required: bool = False) -> dict:
     return dict(section)
 
 
+def _flag(section: dict, where: str, key: str) -> bool:
+    """``section[key]`` (default true), which must be a YAML boolean."""
+    value = section.get(key, True)
+    if not isinstance(value, bool):
+        raise ConfigError(f"{where}.{key} must be true or false, got {value!r}")
+    return value
+
+
 def build_series(cfg: dict) -> tuple[dt.RawSeries, str]:
     """Returns the raw series and its split family."""
     dcfg = _section(cfg, "dataset", required=True)
@@ -110,7 +118,8 @@ def build_series(cfg: dict) -> tuple[dt.RawSeries, str]:
             raise ConfigError("dataset.kind=csv requires dataset.path")
         if not os.path.exists(path):
             raise ConfigError(f"dataset file does not exist: {path}")
-        series = dt.load_csv(path, has_timestamp=dcfg.get("has_timestamp", True), name=name)
+        has_timestamp = _flag(dcfg, "dataset", "has_timestamp")
+        series = dt.load_csv(path, has_timestamp=has_timestamp, name=name)
         if family is None and name in dt.DATASETS:
             family = dt.DATASETS[name].family
     elif kind in ("synthetic-seasonal", "synthetic-correlated"):
@@ -174,7 +183,7 @@ class RunContext:
         self.series, self.family = build_series(cfg)
         self.model_config = build_model_config(cfg, self.series.n_channels)
         self.train_config = build_train_config(cfg)
-        self.denormalize = bool(_section(cfg, "eval").get("denormalize", True))
+        self.denormalize = _flag(_section(cfg, "eval"), "eval", "denormalize")
         self.bundle = (
             dt.build_splits(
                 self.series, self.family, self.model_config.lookback, self.model_config.horizon

@@ -71,6 +71,9 @@ class ModelConfig:
                 continue
             if isinstance(v, bool) or not isinstance(v, int) or v < 1:
                 raise ValueError(f"{name} must be a positive integer, got {v!r}")
+        for name in ("conv", "two_view", "instance_norm"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be true or false, got {getattr(self, name)!r}")
         w = self.reg_weight
         if isinstance(w, bool) or not isinstance(w, (int, float)) or not 0.0 <= w < math.inf:
             raise ValueError(f"reg_weight must be a finite number >= 0, got {w!r}")

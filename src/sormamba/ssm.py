@@ -14,9 +14,9 @@ magnitude, so every discrete transition factor lies in (0, 1).
 
 On the model's path the discretization never becomes part of the graph:
 :func:`scan_core` is one differentiable op that takes (delta, A, B_t, C_t, x)
-and builds the per-step factors inside the recurrence, keeping at most a
-checkpoint state every ~sqrt(S) steps for its backward, which recomputes the
-states in between (see ``scan_kernels``). Its inputs are per token, read
+and builds the per-step factors inside the recurrence, keeping nothing but
+its inputs for its backward, which recomputes the factors and states from
+the zero state (see ``scan_kernels``). Its inputs are per token, read
 off x by :func:`projections`; only the scan itself reads the order of the
 steps, and ``scan_core(..., orders=(u, v))`` walks them once in each order
 without reordering any input. :func:`discretize` gives the same factors as
@@ -40,7 +40,6 @@ from .autodiff import (
     from_op,
     matmul,
     mul,
-    needs_grad,
     neg,
     reshape,
     softplus_proj,
@@ -185,16 +184,14 @@ def scan_core(
 
     delta [B, S, dim], a [dim, state], b_t and c_t [B, S, state],
     x [B, S, dim]; returns one y [B, S, dim] per entry of ``orders``, without
-    the skip term. The backward recomputes states from checkpoints and
-    returns gradients for all five inputs; nothing is kept for it when no
-    gradient will be taken.
+    the skip term. The backward recomputes the factors and states from the
+    zero state and returns gradients for all five inputs.
 
     Each order, a permutation of the S steps (None: the steps in turn),
     scans them in that order: its y equals gathering every input with the
     order, scanning, and putting y back with ``argsort(order)``, without the
-    gathers. The outputs are views of one [V, B, S, dim] array; when a
-    batch row of the sequence fits the kernels' memory budget, the orders
-    share each token's discretized factors (see ``scan_kernels``).
+    gathers. The outputs are views of one [V, B, S, dim] array, and the
+    orders share each token's discretized factors (see ``scan_kernels``).
     """
     _check_mode(mode)
     steps = x.shape[1]
@@ -205,15 +202,11 @@ def scan_core(
         if order is not None and not np.array_equal(np.sort(order), np.arange(steps)):
             raise ValueError(f"scan_core: order is not a permutation of {steps} steps")
     parents = (delta, a, b_t, c_t, x)
-    y, checkpoints = scan_kernels.scan_forward(
-        *(p.data for p in parents), mode, needs_grad(parents), orders
-    )
+    y = scan_kernels.scan_forward(*(p.data for p in parents), mode, orders)
     _raise_on_nonfinite(y, "scan output", orders)
 
     def vjp(g):
-        grads = scan_kernels.scan_backward(
-            *(p.data for p in parents), mode, checkpoints, g, orders
-        )
+        grads = scan_kernels.scan_backward(*(p.data for p in parents), mode, g, orders)
         for p, gp in zip(parents, grads):
             accumulate(p, gp)
 

@@ -54,6 +54,8 @@ class TrainConfig:
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, int) or v < low:
                 raise ValueError(f"{name} must be an integer >= {low}, got {v!r}")
+        if not isinstance(self.restore_best, bool):
+            raise ValueError(f"restore_best must be true or false, got {self.restore_best!r}")
         if not (_is_number(self.lr) and 0.0 < self.lr < math.inf):
             raise ValueError(f"lr must be a positive finite number, got {self.lr!r}")
         if not (_is_number(self.mask_ratio) and 0.0 < self.mask_ratio < 1.0):

@@ -422,6 +422,12 @@ def test_checkpoint_commands_reject_a_mismatched_model(trained, tmp_path, capsys
         ("model.reg_weight=.nan", "reg_weight"),
         ("model.reg_weight=.inf", "reg_weight"),
         ("model.reg_weight=true", "reg_weight"),
+        ("model.conv='false'", "conv"),
+        ("model.two_view='no'", "two_view"),
+        ("model.instance_norm=0", "instance_norm"),
+        ("train.restore_best='no'", "restore_best"),
+        ("eval.denormalize='false'", "eval.denormalize"),
+        ("eval.denormalize=0", "eval.denormalize"),
     ],
 )
 def test_bad_config_value_is_usage_error_and_writes_nothing(tmp_path, capsys, override, field):
@@ -430,6 +436,22 @@ def test_bad_config_value_is_usage_error_and_writes_nothing(tmp_path, capsys, ov
     rc = cli.main(["train", "--config", config, "--set", override, "--out-root", str(out_root)])
     assert rc == 2
     assert field in capsys.readouterr().err
+    assert not out_root.exists()
+
+
+@pytest.mark.parametrize("value", ["false", 0, "yes"])
+def test_csv_has_timestamp_must_be_a_bool(tmp_path, capsys, value):
+    # a quoted "false" would otherwise keep dropping the first column
+    csv_path = tmp_path / "series.csv"
+    csv_path.write_text("".join(f"{i},{i % 7}.0,{i % 5}.0\n" for i in range(300)))
+
+    def mutate(c):
+        c["dataset"] = {"kind": "csv", "path": str(csv_path), "has_timestamp": value}
+
+    config = write_config(tmp_path / "exp.yaml", mutate)
+    out_root = tmp_path / "o"
+    assert cli.main(["prepare-data", "--config", config, "--out-root", str(out_root)]) == 2
+    assert "dataset.has_timestamp must be true or false" in capsys.readouterr().err
     assert not out_root.exists()
 
 

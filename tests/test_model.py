@@ -155,6 +155,15 @@ def test_size_fields_must_be_positive_ints(field, value):
         md.ModelConfig(lookback=8, horizon=3, n_channels=2, d_model=4, **{field: value})
 
 
+@pytest.mark.parametrize("field", ["conv", "two_view", "instance_norm"])
+@pytest.mark.parametrize("value", ["false", "no", 0, 1, None])
+def test_switches_must_be_bools(field, value):
+    # a quoted "false" from a config file is truthy: it must not turn a
+    # switch on
+    with pytest.raises(ValueError, match=f"{field} must be true or false"):
+        md.ModelConfig(lookback=8, horizon=3, n_channels=2, **{field: value})
+
+
 def test_bi_direction_needs_two_views():
     # one view runs only the first block, so the second would never train
     with pytest.raises(ValueError, match="direction='bi' needs two_view=True"):

@@ -3,7 +3,6 @@ agreement with the naive per-step scan."""
 
 import itertools
 import math
-import re
 import threading
 import tracemalloc
 
@@ -110,8 +109,7 @@ class TestScanCore:
         np.testing.assert_allclose(y.data.reshape(-1), [1.0, 2.5], atol=1e-15)
 
     def test_gradient_against_finite_differences(self):
-        # wrt each of delta, A, B_t, C_t and x; 7 and 10 steps leave a short
-        # last segment (checkpoint intervals 3 and 4)
+        # wrt each of delta, A, B_t, C_t and x, from one step to ten
         for mode, steps in itertools.product(DISCRETIZATIONS, (1, 2, 7, 10)):
             inputs = _scan_inputs(np.random.default_rng(5 + steps), 2, steps, 3, 2)
             weights = Tensor(np.random.default_rng(6).normal(size=(2, steps, 3)))
@@ -125,33 +123,6 @@ class TestScanCore:
                 err = ad.check_gradients(f, target)
                 assert err < 1e-6, (mode, steps, i, err)
 
-    @pytest.mark.parametrize("steps", [1, 7, 137])
-    def test_checkpoints_only_when_a_gradient_is_taken(self, steps):
-        inputs = [t.data for t in _scan_inputs(np.random.default_rng(7), 2, steps, 3, 2)]
-        y_kept, kept = scan_kernels.scan_forward(*inputs, "euler-b", True)
-        y_none, none = scan_kernels.scan_forward(*inputs, "euler-b", False)
-        np.testing.assert_array_equal(y_kept, y_none)
-        interval = math.ceil(math.sqrt(steps))
-        assert kept.shape == (math.ceil(steps / interval), 2, 2, 3)
-        assert none.size == 0
-
-    def test_backward_rejects_checkpoints_of_another_layout(self):
-        # 2 rows, 7 steps in segments of 3: checkpoints [3, 2, 2, 3]
-        inputs = [t.data for t in _scan_inputs(np.random.default_rng(7), 2, 7, 3, 2)]
-        gy = np.ones((1, 2, 7, 3))
-        _, kept = scan_kernels.scan_forward(*inputs, "euler-b", True)
-        _, none = scan_kernels.scan_forward(*inputs, "euler-b", False)
-        for checkpoints in (none, kept[:, :1]):
-            message = re.escape(str(checkpoints.shape)) + r".*\(3, 2, 2, 3\)"
-            with pytest.raises(ValueError, match=message):
-                scan_kernels.scan_backward(*inputs, "euler-b", checkpoints, gy)
-        # two orders sharing one block start from the zero state
-        orders = (None, np.arange(7)[::-1])
-        _, shared = scan_kernels.scan_forward(*inputs, "euler-b", True, orders)
-        assert shared.shape == (0, 2, 2, 3)
-        with pytest.raises(ValueError, match=r"\(3, 2, 2, 3\).*\(0, 2, 2, 3\)"):
-            scan_kernels.scan_backward(*inputs, "euler-b", kept, np.ones((2, 2, 7, 3)), orders)
-
     def test_unknown_mode_rejected(self):
         inputs = _scan_inputs(np.random.default_rng(8), 1, 2, 1, 1)
         with pytest.raises(ValueError, match="discretization"):
@@ -159,32 +130,33 @@ class TestScanCore:
 
 
 def _scan_results(inputs, mode):
-    """Forward (with checkpoints) and backward of the kernels, as arrays."""
-    y, checkpoints = scan_kernels.scan_forward(*inputs, mode, True)
+    """Forward and backward of the kernels, as arrays: y and the five
+    gradients."""
+    y = scan_kernels.scan_forward(*inputs, mode)
     gy = np.random.default_rng(9).normal(size=y.shape)
-    return (y, checkpoints) + scan_kernels.scan_backward(*inputs, mode, checkpoints, gy)
+    return (y,) + scan_kernels.scan_backward(*inputs, mode, gy)
 
 
 class TestScanTiles:
-    # 7 rows, 10 steps (segments of 4), dim 3, state 2: 24 elements per row
-    # of a segment buffer, so the cap sets the rows per tile
+    # 7 rows, 10 steps, dim 3, state 2: 60 elements per row of the states
+    # of one walk, so the cap sets the rows per tile
     SHAPE = (7, 10, 3, 2)
-    TILINGS = {1: 1 << 40, 2: 24 * 4, 3: 24 * 3, 7: 1}  # tiles: cap
+    TILINGS = {1: 1 << 40, 2: 60 * 4, 3: 60 * 3, 7: 1}  # tiles: cap
 
     def test_tile_rows_follow_the_shapes(self):
-        # weather, etth1 and solar scans with one order: (batch, segment *
-        # N * D) -> rows; 64 rows in 11 tiles of 5-6, 32 in 7 of 4-5, 8 in 4
-        assert scan_kernels._tile_rows(64, 5 * 16 * 128) == 6
-        assert scan_kernels._tile_rows(32, 3 * 16 * 256) == 5
-        assert scan_kernels._tile_rows(8, 12 * 16 * 128) == 2
-        # with two orders, each in one shared block of the whole sequence:
-        # one row per tile
+        # weather, etth1 and solar scans: (batch, walks * S * N * D) ->
+        # rows; with one order, 32 etth1 rows run in 16 tiles of 2, and the
+        # others in one-row tiles
+        assert scan_kernels._tile_rows(64, 21 * 16 * 128) == 1
+        assert scan_kernels._tile_rows(32, 7 * 16 * 256) == 2
+        assert scan_kernels._tile_rows(8, 137 * 16 * 128) == 1
+        # with two orders: one row per tile
         for batch, steps, dim in ((64, 21, 128), (32, 7, 256), (8, 137, 128)):
             assert scan_kernels._tile_rows(batch, 2 * steps * 16 * dim) == 1
         for tiles, cap in self.TILINGS.items():
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(scan_kernels, "_TILE_ELEMS", cap)
-                rows = scan_kernels._tile_rows(7, 24)
+                rows = scan_kernels._tile_rows(7, 60)
             assert math.ceil(7 / rows) == tiles  # 7 | 3+4 | 2+2+3 | 1 x 7
 
     @pytest.mark.parametrize("mode", DISCRETIZATIONS)
@@ -196,17 +168,17 @@ class TestScanTiles:
         for tiles in (2, 3, 7):
             monkeypatch.setattr(scan_kernels, "_TILE_ELEMS", self.TILINGS[tiles])
             got = _scan_results(inputs, mode)
-            # y, checkpoints and the gradients wrt delta, B_t, C_t and x
-            for i in (0, 1, 2, 4, 5, 6):
+            # y and the gradients wrt delta, B_t, C_t and x
+            for i in (0, 1, 3, 4, 5):
                 assert got[i].shape == want[i].shape
                 assert got[i].tobytes() == want[i].tobytes(), (tiles, i)
             # the gradient wrt A sums over the batch, tile by tile
-            g_a, want_a = got[3], want[3]
+            g_a, want_a = got[2], want[2]
             assert np.max(np.abs(g_a - want_a)) <= 1e-14 * np.max(np.abs(want_a)), tiles
 
     @pytest.mark.parametrize("mode", DISCRETIZATIONS)
     def test_gradient_against_finite_differences_in_tiles(self, mode, monkeypatch):
-        # one-row tiles over a batch of 3, with a short last segment
+        # one-row tiles over a batch of 3
         monkeypatch.setattr(scan_kernels, "_TILE_ELEMS", 1)
         inputs = _scan_inputs(np.random.default_rng(11), 3, 7, 3, 2)
         weights = Tensor(np.random.default_rng(12).normal(size=(3, 7, 3)))
@@ -225,20 +197,19 @@ class TestScanTiles:
         # 5 rows in tiles of 1, 2 and 2
         params = make_params(mode=mode, seed=13)
         x = Tensor(np.random.default_rng(14).normal(size=(5, 9, 6)))
-        monkeypatch.setattr(scan_kernels, "_TILE_ELEMS", 3 * 4 * 6 * 2)
+        monkeypatch.setattr(scan_kernels, "_TILE_ELEMS", 2 * 9 * 4 * 6)
         fused = selective_scan(x, params).data
         np.testing.assert_allclose(fused, naive_scan(x, params), atol=1e-12, rtol=0)
 
     def test_workspace_memory_at_the_weather_shape(self):
         # [B, S, D, N] = [64, 21, 128, 16], zoh-exact: one call's traced peak,
-        # inputs and checkpoints excluded
+        # inputs excluded
         inputs = [t.data for t in _scan_inputs(np.random.default_rng(15), 64, 21, 128, 16)]
-        _, checkpoints = scan_kernels.scan_forward(*inputs, "zoh-exact", True)
         gy = np.ones((64, 21, 128))
         peaks = []
         for call in (
-            lambda: scan_kernels.scan_forward(*inputs, "zoh-exact", False),
-            lambda: scan_kernels.scan_backward(*inputs, "zoh-exact", checkpoints, (gy,)),
+            lambda: scan_kernels.scan_forward(*inputs, "zoh-exact"),
+            lambda: scan_kernels.scan_backward(*inputs, "zoh-exact", (gy,)),
         ):
             tracemalloc.start()
             try:
@@ -266,10 +237,10 @@ def _workspace_buffers():
 
 
 class TestScanWorkspace:
-    # with a cap of 512 elements per segment buffer, SMALL runs in one tile
-    # of 7 rows and segments 4+4+2, LARGE in tiles of 5+4 rows and segments
-    # 5+5+5+2; every LARGE buffer is bigger than the SMALL one of its role
-    CAP = 512
+    # with a cap of 1024 elements per tile of states, SMALL runs in one tile
+    # of 7 rows of 10 steps and LARGE in three tiles of 3 rows of 17 steps;
+    # every LARGE buffer is bigger than the SMALL one of its role
+    CAP = 1024
     SMALL = (7, 10, 3, 2)
     LARGE = (9, 17, 5, 4)
 
@@ -293,9 +264,9 @@ class TestScanWorkspace:
     @pytest.mark.parametrize("mode", DISCRETIZATIONS)
     def test_outputs_share_no_memory_with_the_workspace(self, mode, monkeypatch):
         monkeypatch.setattr(scan_kernels, "_TILE_ELEMS", self.CAP)
-        # y, the checkpoints and the five gradients
+        # y and the five gradients
         results = _scan_results(self._inputs(self.LARGE, 32), mode)
-        assert len(results) == 7
+        assert len(results) == 6
         buffers = _workspace_buffers()
         assert buffers
         for i, r in enumerate(results):
@@ -325,41 +296,47 @@ class TestScanWorkspace:
         assert len(set(offsets)) == len(offsets), offsets
 
     @pytest.mark.parametrize(
-        "shape, mode, train, expected",
+        "shape, mode, train, walks, expected",
         [
             # train-etth1: one-row tiles of 7 steps, N * D = 4096; da,
             # a_bar, bx and g_da [7, 1, 16, 256], hs [2, 8, 1, 16, 256], gh
             # [2, 7, 1, 16, 256] and dx [7, 1, 256]
             (
-                (32, 7, 256, 16), "euler-b", True,
+                (32, 7, 256, 16), "euler-b", True, 2,
                 8 * (4 * 7 * 4096 + 2 * 8 * 4096 + 2 * 7 * 4096 + 7 * 256),
             ),
             # train-solar: the same roles at 137 steps, N * D = 2048
             (
-                (8, 137, 128, 16), "euler-b", True,
+                (8, 137, 128, 16), "euler-b", True, 2,
                 8 * (4 * 137 * 2048 + 2 * 138 * 2048 + 2 * 137 * 2048 + 137 * 128),
+            ),
+            # the solar shape with one order (two_view: false): still
+            # one-row tiles, with one walk's hs and gh
+            (
+                (8, 137, 128, 16), "euler-b", True, 1,
+                8 * (4 * 137 * 2048 + 138 * 2048 + 137 * 2048 + 137 * 128),
             ),
             # analyze-weather, forward only: da, a_bar, bx and the zoh factor
             # [21, 1, 16, 128], hs [1, 22, 1, 16, 128] and dx [21, 1, 128]
             (
-                (64, 21, 128, 16), "zoh-exact", False,
+                (64, 21, 128, 16), "zoh-exact", False, 2,
                 8 * (4 * 21 * 2048 + 22 * 2048 + 21 * 128),
             ),
         ],
-        ids=["train-etth1", "train-solar", "analyze-weather"],
+        ids=["train-etth1", "train-solar", "solar-one-order", "analyze-weather"],
     )
-    def test_two_order_workspace_at_the_workload_shapes(self, shape, mode, train, expected):
-        # one two-order call in a fresh thread, forward and, for a training
-        # step, backward: the workspace holds exactly what the layout needs
-        # (1.83, 17.29 and 1.68 MiB), each role with a 4 KiB margin for its
-        # page offset
+    def test_workspace_at_the_workload_shapes(self, shape, mode, train, walks, expected):
+        # one call with ``walks`` orders in a fresh thread, forward and, for
+        # a training step, backward: the workspace holds exactly what the
+        # layout needs (1.83, 17.29, 12.99 and 1.68 MiB), each role with a
+        # 4 KiB margin for its page offset
         inputs = self._inputs(shape, 35)
-        orders = (None, np.arange(shape[1])[::-1])
+        orders = (None, np.arange(shape[1])[::-1])[:walks]
 
         def step():
-            y, checkpoints = scan_kernels.scan_forward(*inputs, mode, train, orders)
+            y = scan_kernels.scan_forward(*inputs, mode, orders)
             if train:
-                scan_kernels.scan_backward(*inputs, mode, checkpoints, y, orders)
+                scan_kernels.scan_backward(*inputs, mode, y, orders)
             return [(b.nbytes, b.base.nbytes) for b in _workspace_buffers()]
 
         sizes = _in_thread(step)
@@ -369,20 +346,20 @@ class TestScanWorkspace:
     def test_a_warm_call_allocates_no_workspace(self):
         # the weather shape of test_workspace_memory_at_the_weather_shape;
         # after one forward and backward, a call's traced peak is its outputs
-        # plus at most four [rows, N, D] arrays per tile (the carried state
-        # and the gathered slices), less than one [segment, rows, N, D] buffer
+        # plus at most four [rows, N, D] arrays per tile (the readout and the
+        # contractions' temporaries), less than one [S, rows, N, D] buffer,
+        # and the buffers numpy's ufuncs take for strided operands
         batch, steps, dim, state = 64, 21, 128, 16
         rng = np.random.default_rng(15)
         inputs = [t.data for t in _scan_inputs(rng, batch, steps, dim, state)]
-        _, checkpoints = scan_kernels.scan_forward(*inputs, "zoh-exact", True)
         gy = np.ones((batch, steps, dim))
-        scan_kernels.scan_backward(*inputs, "zoh-exact", checkpoints, (gy,))
-        rows = scan_kernels._tile_rows(batch, 5 * state * dim)
-        per_tile = 4 * rows * state * dim * 8
+        scan_kernels.scan_forward(*inputs, "zoh-exact")
+        scan_kernels.scan_backward(*inputs, "zoh-exact", (gy,))
+        rows = scan_kernels._tile_rows(batch, steps * state * dim)
+        per_tile = 4 * rows * state * dim * 8 + 3 * np.getbufsize() * 8
         for call in (
-            lambda: scan_kernels.scan_forward(*inputs, "zoh-exact", False),
-            lambda: scan_kernels.scan_forward(*inputs, "zoh-exact", True),
-            lambda: scan_kernels.scan_backward(*inputs, "zoh-exact", checkpoints, (gy,)),
+            lambda: (scan_kernels.scan_forward(*inputs, "zoh-exact"),),
+            lambda: scan_kernels.scan_backward(*inputs, "zoh-exact", (gy,)),
         ):
             tracemalloc.start()
             try:
@@ -396,31 +373,25 @@ class TestScanWorkspace:
 class TestScanOrder:
     @pytest.mark.parametrize("mode", DISCRETIZATIONS)
     def test_order_matches_gather_scan_scatter(self, mode, monkeypatch):
-        # 7 rows in tiles of 2, 2 and 3; 10 steps in segments of 4, 4 and 2
-        monkeypatch.setattr(scan_kernels, "_TILE_ELEMS", 24 * 3)
-        assert scan_kernels._tile_rows(7, 4 * 3 * 2) == 3
+        # 7 rows in tiles of 2, 2 and 3
+        monkeypatch.setattr(scan_kernels, "_TILE_ELEMS", 60 * 3)
+        assert scan_kernels._tile_rows(7, 10 * 3 * 2) == 3
         delta, a, b_t, c_t, x = (t.data for t in _scan_inputs(np.random.default_rng(20), 7, 10, 3, 2))
         gy = np.random.default_rng(21).normal(size=x.shape)
         for order in (np.arange(10)[::-1], np.random.default_rng(22).permutation(10)):
             inverse = np.argsort(order)
-            y, checkpoints = scan_kernels.scan_forward(delta, a, b_t, c_t, x, mode, True, (order,))
-            got = scan_kernels.scan_backward(
-                delta, a, b_t, c_t, x, mode, checkpoints, (gy,), (order,)
-            )
-            gathered = [v[:, order] for v in (delta, b_t, c_t, x)]
-            g_delta, g_b, g_c, g_x = gathered
-            want_y, want_checkpoints = scan_kernels.scan_forward(
-                g_delta, a, g_b, g_c, g_x, mode, True
-            )
-            want = scan_kernels.scan_backward(
-                g_delta, a, g_b, g_c, g_x, mode, want_checkpoints, (gy[:, order],)
-            )
+            y = scan_kernels.scan_forward(delta, a, b_t, c_t, x, mode, (order,))
+            got = scan_kernels.scan_backward(delta, a, b_t, c_t, x, mode, (gy,), (order,))
+            g_delta, g_b, g_c, g_x = (v[:, order] for v in (delta, b_t, c_t, x))
+            want_y = scan_kernels.scan_forward(g_delta, a, g_b, g_c, g_x, mode)
+            want = scan_kernels.scan_backward(g_delta, a, g_b, g_c, g_x, mode, (gy[:, order],))
             assert y[0].tobytes() == want_y[0][:, inverse].tobytes()
-            assert checkpoints.tobytes() == want_checkpoints.tobytes()
-            # delta, B_t, C_t and x are put back in token order; A is shared
+            # delta, B_t, C_t and x are put back in token order
             for i in (0, 2, 3, 4):
                 assert got[i].tobytes() == want[i][:, inverse].tobytes(), i
-            assert got[1].tobytes() == want[1].tobytes()
+            # A is shared: its gradient sums over the tokens, in token order
+            # here and in scan order there
+            assert np.max(np.abs(got[1] - want[1])) <= 1e-14 * np.max(np.abs(want[1]))
 
     @pytest.mark.parametrize("mode", DISCRETIZATIONS)
     def test_gradient_against_finite_differences_with_order(self, mode, monkeypatch):
@@ -440,8 +411,8 @@ class TestScanOrder:
 
     @pytest.mark.parametrize("mode", DISCRETIZATIONS)
     def test_ordered_scan_matches_naive_reference(self, mode, monkeypatch):
-        # the per-segment delta * x of the fused scan against the per-step loop
-        monkeypatch.setattr(scan_kernels, "_TILE_ELEMS", 3 * 4 * 6 * 2)
+        # the per-tile delta * x of the fused scan against the per-step loop
+        monkeypatch.setattr(scan_kernels, "_TILE_ELEMS", 2 * 9 * 4 * 6)
         params = make_params(mode=mode, seed=26)
         x = Tensor(np.random.default_rng(27).normal(size=(5, 9, 6)))
         order = np.random.default_rng(28).permutation(9)
@@ -483,22 +454,14 @@ def _two_orders(name, steps, seed):
     }[name]
 
 
-def _set_budgets(monkeypatch, cap):
-    """Both kernel budgets, the tile's and the shared row's, set to ``cap``."""
-    monkeypatch.setattr(scan_kernels, "_TILE_ELEMS", cap)
-    monkeypatch.setattr(scan_kernels, "_SHARED_ELEMS", cap)
-
-
 class TestScanOrders:
-    """Several orders in one kernel call: one block of all the tokens shared
-    by every order when a row of the sequence fits the shared budget, else
-    each order's own segments."""
+    """Several orders in one kernel call: the factors of all the tokens are
+    computed once and walked by every order."""
 
     # 7 rows, 10 steps, dim 3, state 2: a row of the sequence holds 60
-    # elements, 120 for the two walks' buffers. Both budgets at cap ->
-    # (shared, tiles)
+    # elements, 120 for the two walks' states. Tile budget -> tiles
     SHAPE = (7, 10, 3, 2)
-    CAPS = {1 << 40: (True, 1), 360: (True, 3), 60: (True, 7), 59: (False, 4)}
+    CAPS = {1 << 40: 1, 240: 4, 360: 3, 1: 7}
     ORDERS = ("fixed-reverse", "random-pair", "random-reverse")
 
     @pytest.mark.parametrize("mode", DISCRETIZATIONS)
@@ -510,28 +473,26 @@ class TestScanOrders:
         gy = np.random.default_rng(42).normal(size=(2, batch, steps, dim))
         want_y, want = [], None
         for v, order in enumerate(orders):
-            y, checkpoints = scan_kernels.scan_forward(*inputs, mode, True, (order,))
-            grads = scan_kernels.scan_backward(*inputs, mode, checkpoints, gy[v : v + 1], (order,))
+            y = scan_kernels.scan_forward(*inputs, mode, (order,))
+            grads = scan_kernels.scan_backward(*inputs, mode, gy[v : v + 1], (order,))
             want_y.append(y[0])
             want = grads if want is None else [w + g for w, g in zip(want, grads)]
-        for cap, (shared, tiles) in self.CAPS.items():
-            _set_budgets(monkeypatch, cap)
-            assert scan_kernels._shares_block(2, steps, dim * state) is shared
-            row = (2 * steps if shared else 4) * dim * state  # sequence or segment
+        for cap, tiles in self.CAPS.items():
+            monkeypatch.setattr(scan_kernels, "_TILE_ELEMS", cap)
+            row = 2 * steps * dim * state
             assert math.ceil(batch / scan_kernels._tile_rows(batch, row)) == tiles
-            y, checkpoints = scan_kernels.scan_forward(*inputs, mode, True, orders)
-            got = scan_kernels.scan_backward(*inputs, mode, checkpoints, gy, orders)
+            y = scan_kernels.scan_forward(*inputs, mode, orders)
+            got = scan_kernels.scan_backward(*inputs, mode, gy, orders)
             assert [v.tobytes() for v in y] == [v.tobytes() for v in want_y], cap
-            assert len(checkpoints) == (0 if shared else 2 * 3)
             for i, (g, w) in enumerate(zip(got, want, strict=True)):
                 assert np.max(np.abs(g - w)) <= 1e-14 * np.max(np.abs(w)), (cap, i)
 
     @pytest.mark.parametrize("mode", DISCRETIZATIONS)
     @pytest.mark.parametrize("cap", [2 * 432, 215])
     def test_each_order_matches_naive_reference(self, mode, cap, monkeypatch):
-        # 5 rows, 9 steps, dim 6, state 4: shared in tiles of 1, 2 and 2 rows,
-        # or segments of 3 steps in tiles of 1, 2 and 2
-        _set_budgets(monkeypatch, cap)
+        # 5 rows, 9 steps, dim 6, state 4: tiles of 1, 2 and 2 rows, or of
+        # one row
+        monkeypatch.setattr(scan_kernels, "_TILE_ELEMS", cap)
         params = make_params(mode=mode, seed=43)
         x = Tensor(np.random.default_rng(44).normal(size=(5, 9, 6)))
         delta, b_t, c_t = projections(x, params)
@@ -547,11 +508,11 @@ class TestScanOrders:
                 np.testing.assert_allclose(got, want, atol=1e-12, rtol=0)
 
     @pytest.mark.parametrize("mode", DISCRETIZATIONS)
-    @pytest.mark.parametrize("cap", [1 << 40, 42, 1])
+    @pytest.mark.parametrize("cap", [1 << 40, 2 * 84, 1])
     def test_gradient_against_finite_differences_with_two_orders(self, mode, cap, monkeypatch):
-        # two random orders (random-pair); one shared tile, one-row shared
-        # tiles, and one-row tiles of segments
-        _set_budgets(monkeypatch, cap)
+        # two random orders (random-pair); one tile, tiles of 1 and 2 rows,
+        # and one-row tiles
+        monkeypatch.setattr(scan_kernels, "_TILE_ELEMS", cap)
         inputs = _scan_inputs(np.random.default_rng(46), 3, 7, 3, 2)
         weights = [Tensor(np.random.default_rng(seed).normal(size=(3, 7, 3))) for seed in (47, 48)]
         orders = _two_orders("random-pair", 7, 49)
@@ -566,38 +527,18 @@ class TestScanOrders:
             err = ad.check_gradients(f, target)
             assert err < 1e-6, (mode, cap, i, err)
 
-    def test_layout_follows_the_shapes(self):
-        # [B, S, D, N] of the weather, etth1 and solar scans with two orders
-        # share one block in one-row tiles and keep no checkpoints; rows of
-        # Traffic's 862 tokens do not fit and walk segments with checkpoints
-        assert not scan_kernels._shares_block(2, 862, 128 * 16)
-        for (batch, steps, dim, state), shared in (
-            ((64, 21, 128, 16), True),
-            ((32, 7, 256, 16), True),
-            ((8, 137, 128, 16), True),
-            ((2, 40, 512, 32), False),
-        ):
-            assert scan_kernels._shares_block(2, steps, dim * state) is shared
-            assert not scan_kernels._shares_block(1, steps, dim * state)
-            rng = np.random.default_rng(50)
-            inputs = [t.data for t in _scan_inputs(rng, batch, steps, dim, state)]
-            orders = (None, np.arange(steps)[::-1])
-            _, checkpoints = scan_kernels.scan_forward(*inputs, "euler-b", True, orders)
-            segments = math.ceil(steps / math.ceil(math.sqrt(steps)))
-            assert len(checkpoints) == (0 if shared else 2 * segments)
-
     def test_tiles_split_the_batch_evenly_at_the_weather_shape(self, monkeypatch):
         batch, steps, dim, state = 64, 21, 128, 16
         delta, x = np.zeros((batch, steps, dim)), np.zeros((batch, steps, dim))
         a, b_t = np.zeros((dim, state)), np.zeros((batch, steps, state))
         orders = (None, np.arange(steps)[::-1])
         scan = scan_kernels._Scan(delta, a, b_t, x, "zoh-exact", orders)
-        assert scan.shared and scan.tiles == [slice(i, i + 1) for i in range(batch)]
+        assert scan.tiles == [slice(i, i + 1) for i in range(batch)]
         # a budget of 3 rows per tile: 22 tiles of 3 or 2 rows, not 21 of 3
         # and 1 of 1
         monkeypatch.setattr(scan_kernels, "_TILE_ELEMS", 1 << 18)
         scan = scan_kernels._Scan(delta, a, b_t, x, "zoh-exact", orders)
-        assert scan.shared and len(scan.tiles) == 22
+        assert len(scan.tiles) == 22
         sizes = [t.stop - t.start for t in scan.tiles]
         assert sorted(sizes) == [2] * 2 + [3] * 20
         assert [t.start for t in scan.tiles[1:]] == [t.stop for t in scan.tiles[:-1]]
@@ -617,7 +558,7 @@ class TestScanOrders:
             for _ in range(2):
                 tracemalloc.start()
                 try:
-                    y, _ = scan_kernels.scan_forward(*inputs, "zoh-exact", False, orders)
+                    y = scan_kernels.scan_forward(*inputs, "zoh-exact", orders)
                     found.append(tracemalloc.get_traced_memory()[1])
                 finally:
                     tracemalloc.stop()
@@ -639,9 +580,9 @@ class TestScanOrders:
     def test_output_gradients_must_match_the_orders(self):
         inputs = [t.data for t in _scan_inputs(np.random.default_rng(52), 2, 4, 3, 2)]
         orders = (None, np.arange(4)[::-1])
-        y, checkpoints = scan_kernels.scan_forward(*inputs, "euler-b", True, orders)
+        y = scan_kernels.scan_forward(*inputs, "euler-b", orders)
         with pytest.raises(ValueError, match="2 orders"):
-            scan_kernels.scan_backward(*inputs, "euler-b", checkpoints, y[:1], orders)
+            scan_kernels.scan_backward(*inputs, "euler-b", y[:1], orders)
 
     def test_overflow_in_one_view_names_that_view(self):
         # A > 0 so the factors grow: token 2's exp(705) overflows the large

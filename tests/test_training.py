@@ -59,6 +59,9 @@ class TestTrainConfig:
             ("patience", "3"),
             ("mask_ratio", "half"),
             ("mask_ratio", 1.0),
+            ("restore_best", "no"),
+            ("restore_best", "false"),
+            ("restore_best", 0),
         ],
     )
     def test_rejects_bad_value_naming_the_field(self, field, value):

@@ -10,11 +10,11 @@ each workload's ``setup`` and ``make_run`` at seed 3 with one BLAS thread:
 
 * first, before anything else has scanned, the scan kernels alone on two
   shapes in turn, a small one ([B, S, D, N] = [5, 9, 6, 4]) and the weather
-  shape ([64, 21, 128, 16], eleven batch tiles), alternating the two
+  shape ([64, 21, 128, 16], 64 one-row batch tiles), alternating the two
   discretizations and the token order (natural, reversed, a seeded
   permutation), so that calls grow and shrink into what earlier calls left:
-  per call, a sha256 of y, of the checkpoints and of each of the five
-  gradients of ``scan_forward`` and ``scan_backward``, one order per call;
+  per call, a sha256 of y and of each of the five gradients of
+  ``scan_forward`` and ``scan_backward``, one order per call;
 * then two orders per call at the weather, etth1, small and solar shapes
   ([8, 137, 128, 16]): a sha256 of each order's y, and of each of the five
   gradients of the objective summed over the orders;
@@ -169,8 +169,7 @@ SCAN_CALLS = (
     ("weather", "zoh-exact", "reversed"),
     ("small", "euler-b", "natural"),
 )
-# (shape, discretization, two orders) scanned in one call: the first three
-# share one block, solar walks each order's segments
+# (shape, discretization, two orders) scanned in one call
 SCAN_PAIRS = (
     ("weather", "zoh-exact", ("natural", "reversed")),
     ("etth1", "euler-b", ("natural", "reversed")),
@@ -203,11 +202,11 @@ def _scan_case(shape_name, order_names):
 
 
 def _scan(scan_kernels, inputs, mode, orders, gy):
-    """Each order's y, the checkpoints and the five gradients of the summed
-    objective, from one call over the tuple of ``orders``."""
-    y, checkpoints = scan_kernels.scan_forward(*inputs, mode, True, orders)
-    grads = scan_kernels.scan_backward(*inputs, mode, checkpoints, gy, orders)
-    return list(y), checkpoints, grads
+    """Each order's y and the five gradients of the summed objective, from
+    one call over the tuple of ``orders``."""
+    y = scan_kernels.scan_forward(*inputs, mode, orders)
+    grads = scan_kernels.scan_backward(*inputs, mode, gy, orders)
+    return list(y), grads
 
 
 def _print_scan_reuse(grads: dict[str, dict]) -> None:
@@ -215,11 +214,11 @@ def _print_scan_reuse(grads: dict[str, dict]) -> None:
 
     for shape_name, mode, order_name in SCAN_CALLS:
         inputs, gy, orders = _scan_case(shape_name, (order_name,))
-        (y,), checkpoints, one = _scan(scan_kernels, inputs, mode, orders, gy)
-        print("scan", shape_name, mode, order_name, *(_digest(v) for v in (y, checkpoints, *one)))
+        (y,), one = _scan(scan_kernels, inputs, mode, orders, gy)
+        print("scan", shape_name, mode, order_name, *(_digest(v) for v in (y, *one)))
     for shape_name, mode, order_names in SCAN_PAIRS:
         inputs, gy, orders = _scan_case(shape_name, order_names)
-        ys, _, pair_grads = _scan(scan_kernels, inputs, mode, orders, gy)
+        ys, pair_grads = _scan(scan_kernels, inputs, mode, orders, gy)
         tag = ("scan-pair", shape_name, mode, "+".join(order_names))
         print(*tag, "y", *(_digest(y) for y in ys))
         print(*tag, "grads", *(_digest(g) for g in pair_grads))
