@@ -413,18 +413,24 @@ def _series_near_zero(x: np.ndarray, out: np.ndarray, tol: float, series) -> Non
         out[small] = series(x[small])
 
 
-def exprel(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def exprel(
+    x: np.ndarray, out: np.ndarray | None = None, abs_min: float | None = None
+) -> np.ndarray:
     """(e^x - 1) / x elementwise, with the series limit at small |x|.
 
     With ``out`` (shaped like ``x``) the result is written there and
     ``out`` is returned, so a caller can reuse one buffer across calls.
+    ``abs_min``, a caller's lower bound on |x|, skips the search for
+    entries that need the series when it proves there are none; a NaN
+    bound proves nothing.
     """
     if out is None:  # a 0-d input would otherwise come back as a scalar
         out = np.empty_like(x)
     with np.errstate(invalid="ignore"):  # 0/0 at x = 0, replaced below
         np.expm1(x, out=out)
         out /= x
-    _series_near_zero(x, out, 1e-8, lambda xs: 1.0 + 0.5 * xs + xs * xs / 6.0)
+    if abs_min is None or not abs_min >= 1e-8:
+        _series_near_zero(x, out, 1e-8, lambda xs: 1.0 + 0.5 * xs + xs * xs / 6.0)
     return out
 
 

@@ -26,7 +26,9 @@ the tokens:
 ``DirectionalEncoderCD`` is built from a ``ModelConfig``. It runs one block
 over two views of the token axis (or two independent blocks, for the
 bidirectional variant) and returns both view outputs so the caller can fuse
-them and penalize their disagreement. A view is only an order for ``core``:
+them and penalize their disagreement; ``forward_orderings`` runs the views
+under several orderings of the tokens at once, each block's ``pre`` once and
+each distinct scan order once. A view is only an order for ``core``:
 with one shared block (``uni``) both views share one ``pre`` and every
 tensor it made, both views are one ``core`` call and so one ``scan_core``
 call (which computes each token's discretized factors once for both
@@ -119,13 +121,17 @@ class CDMambaBlock:
         return out
 
     def forward_orders(
-        self, z: Tensor, orders: tuple[np.ndarray | None, ...] = (None,)
+        self,
+        z: Tensor,
+        orders: tuple[np.ndarray | None, ...] = (None,),
+        labels: tuple[str, ...] | None = None,
     ) -> list[Tensor]:
         """The block's output on z once per order of its tokens, each in the
         tokens' own order: ``pre`` once, ``core`` once for all the orders,
-        then ``post`` per order."""
+        then ``post`` per order. ``labels`` name the orders in a non-finite
+        scan's error."""
         tokens = self.pre(z)
-        scanned = self.core(tokens, orders)
+        scanned = self.core(tokens, orders, labels)
         gate = tokens.gate
         # without a tape nothing else holds the scan's inputs; let them go
         # before the outputs are built
@@ -141,7 +147,10 @@ class CDMambaBlock:
         return Tokens(u, gate, neg(exp(self.ssm.a_log)), scan_in)
 
     def core(
-        self, tokens: Tokens, orders: tuple[np.ndarray | None, ...] = (None,)
+        self,
+        tokens: Tokens,
+        orders: tuple[np.ndarray | None, ...] = (None,),
+        labels: tuple[str, ...] | None = None,
     ) -> list[tuple[Tensor, Tensor]]:
         """Scan the tokens once in each of ``orders`` (None: as given).
         Returns, per order, (y before the skip term, the scan input), both in
@@ -149,15 +158,20 @@ class CDMambaBlock:
         ``scan_core`` call."""
         if not self.conv_kernel:
             delta, b_t, c_t = tokens.scan_in
-            ys = scan_core(delta, tokens.a, b_t, c_t, tokens.u, self.ssm.mode, orders)
+            ys = scan_core(delta, tokens.a, b_t, c_t, tokens.u, self.ssm.mode, orders, labels)
             return [(y, tokens.u) for y in ys]
-        return [self._conv_core(tokens, order) for order in orders]
+        return [
+            self._conv_core(tokens, order, None if labels is None else (labels[i],))
+            for i, order in enumerate(orders)
+        ]
 
-    def _conv_core(self, tokens: Tokens, order: np.ndarray | None) -> tuple[Tensor, Tensor]:
+    def _conv_core(
+        self, tokens: Tokens, order: np.ndarray | None, labels: tuple[str] | None
+    ) -> tuple[Tensor, Tensor]:
         u = tokens.u if order is None else take_axis(tokens.u, order, axis=1)
         u = silu(self._conv(u))
         delta, b_t, c_t = projections(u, self.ssm)
-        (y,) = scan_core(delta, tokens.a, b_t, c_t, u, self.ssm.mode)
+        (y,) = scan_core(delta, tokens.a, b_t, c_t, u, self.ssm.mode, labels=labels)
         if order is None:
             return y, u
         inverse = np.argsort(order)
@@ -246,6 +260,39 @@ class DirectionalEncoderCD:
         else:
             (z1,), (z2,) = (blk.forward_orders(z, (v,)) for blk, v in zip(self.blocks, views))
         return z1, z2
+
+    def forward_orderings(
+        self, z: Tensor, perms: dict[int, np.ndarray], two_view: bool
+    ) -> dict[int, list[Tensor]]:
+        """Each view's output on z under each ordering of its tokens, keyed
+        like ``perms``, for the views that ``forward_pair`` takes without an
+        rng (``two_view``) or the one view in z's order. For ordering
+        ``perm``, view order ``v`` becomes ``perm`` (v None) or ``perm[v]``,
+        and the outputs stay in z's token order. A block (``blocks[0]`` for
+        every view under ``uni``, block i for view i under ``bi``) runs
+        ``pre`` once and scans each distinct walk once; a non-finite scan
+        names the orderings (by key) and views that walk serves."""
+        views = self._views(None) if two_view else (None,)
+        outs = {k: [None] * len(views) for k in perms}
+        for b, blk in enumerate(self.blocks):
+            served = range(len(views)) if len(self.blocks) == 1 else (b,)
+            # order bytes -> (order, the (ordering, view) pairs it serves)
+            walks: dict[bytes, tuple[np.ndarray, list[tuple[int, int]]]] = {}
+            for k, perm in perms.items():
+                for i in served:
+                    order = perm if views[i] is None else perm[views[i]]
+                    walks.setdefault(order.tobytes(), (order, []))[1].append((k, i))
+            labels = tuple(
+                " and ".join(
+                    f"ordering {k}" + (f" view {i}" if len(views) > 1 else "") for k, i in users
+                )
+                for _, users in walks.values()
+            )
+            ys = blk.forward_orders(z, tuple(order for order, _ in walks.values()), labels)
+            for y, (_, users) in zip(ys, walks.values()):
+                for k, i in users:
+                    outs[k][i] = y
+        return outs
 
     def param_items(self) -> list[tuple[str, Tensor]]:
         items: list[tuple[str, Tensor]] = []

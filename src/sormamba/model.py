@@ -30,6 +30,7 @@ from .autodiff import (
     layer_norm,
     matmul,
     mul,
+    no_grad,
     sub,
     swapaxes,
 )
@@ -221,6 +222,13 @@ class SORMambaModel:
         # [B, L, C] -> [B, C, L] -> [B, C, D]
         return matmul(swapaxes(xn, 1, 2), self.w_embed) + self.b_embed
 
+    @staticmethod
+    def _refine(layer: _Layer, z: Tensor) -> Tensor:
+        """The LayerNorm/MLP/LayerNorm stage after a layer's residual."""
+        h = layer_norm(z, layer.g1, layer.c1)
+        h = gelu_mlp(h, layer.w_mlp1, layer.b_mlp1, layer.w_mlp2, layer.b_mlp2)
+        return layer_norm(h, layer.g2, layer.c2)
+
     def _encode_tokens(self, xn: Tensor, rng: np.random.Generator | None):
         z = self._tokens(xn)
         pairs: list[tuple[Tensor, Tensor]] = []
@@ -231,9 +239,7 @@ class SORMambaModel:
                 z = (z1 + z2) + z
             else:
                 z = layer.encoder.blocks[0](z) + z
-            h = layer_norm(z, layer.g1, layer.c1)
-            h = gelu_mlp(h, layer.w_mlp1, layer.b_mlp1, layer.w_mlp2, layer.b_mlp2)
-            z = layer_norm(h, layer.g2, layer.c2)
+            z = self._refine(layer, z)
         return z, pairs
 
     def encode(self, x: Tensor, rng: np.random.Generator | None = None):
@@ -250,15 +256,57 @@ class SORMambaModel:
         self._check_input(x)
         xn, stats = self.normalize_input(x)
         tokens, pairs = self._encode_tokens(xn, rng)
+        return self._head(tokens, stats, w, b), pairs
+
+    @staticmethod
+    def _head(tokens: Tensor, stats, w: Tensor, b: Tensor) -> Tensor:
+        """Channel tokens [B, C, D] through ``(w, b)``, [B, out, C] in the
+        input units that ``stats`` (from ``normalize_input``) record."""
         out = swapaxes(matmul(tokens, w) + b, 1, 2)
         if stats is not None:
             mu, sd = stats
             out = mul(out, Tensor(sd)) + Tensor(mu)
-        return out, pairs
+        return out
 
     def forecast(self, x: Tensor, rng: np.random.Generator | None = None):
         """[B, L, C] -> (forecast [B, H, C] in input units, view pairs)."""
         return self._through_head(x, rng, self.w_head, self.b_head)
+
+    def forecast_orderings(self, x: Tensor, perms) -> list[np.ndarray]:
+        """The forecast [B, H, C] of ``x`` [B, L, C] as if its channels were
+        fed in each of ``perms``' orders, put back in channel order, without
+        a tape. Each equals ``forecast`` of the contiguous permuted batch,
+        put back, bit for bit.
+
+        The batch keeps its own channel layout: an ordering ``perm`` changes
+        only the scan orders, each view order ``v`` becoming ``perm`` (v
+        None) or ``perm[v]``. So the instance norm, the embedding and layer
+        1's ``pre`` run once for all the orderings, and layer 1 scans each
+        distinct walk once (identity and reversed share both walks under
+        ``fixed-reverse``). Every later stage runs per ordering, each
+        ordering's activations held at once.
+        """
+        self._check_input(x)
+        perms = [np.asarray(p, dtype=np.intp) for p in perms]
+        two_view = self.config.two_view
+        with no_grad():
+            xn, stats = self.normalize_input(x)
+            zs = [self._tokens(xn)] * len(perms)
+            for layer in self.layers:
+                # orderings that share an input tensor share its pre and walks
+                groups: dict[int, dict[int, np.ndarray]] = {}
+                for k, perm in enumerate(perms):
+                    groups.setdefault(id(zs[k]), {})[k] = perm
+                for group in groups.values():
+                    outs = layer.encoder.forward_orderings(zs[next(iter(group))], group, two_view)
+                    for k in group:
+                        # popped and replaced, so each input and view output
+                        # goes once its last ordering is done with it
+                        ys = outs.pop(k)
+                        zs[k] = self._refine(
+                            layer, (ys[0] + ys[1] if len(ys) == 2 else ys[0]) + zs[k]
+                        )
+            return [self._head(z, stats, self.w_head, self.b_head).data for z in zs]
 
     def latent_for_ccm(self, x: Tensor, rng: np.random.Generator | None = None) -> Tensor:
         """Projected channel embeddings [B, C, D] for correlation matching."""

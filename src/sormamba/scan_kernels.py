@@ -146,6 +146,8 @@ class _Scan:
         self.hs = _buffer("hs", (kept, steps + 1) + shape[1:])
         self.dx = _buffer("dx", (steps, rows, dim))
         self.factor = _buffer("factor", shape) if self.zoh else None
+        # min |A|: times a tile's least step size, a lower bound on |delta A|
+        self.a_abs_min = np.min(np.abs(a), initial=np.inf) if self.zoh else None
         # the input term before the zero-order-hold factor: the forward
         # scales it in place, the backward reads it again
         self.dxb = _buffer("dxb", shape) if self.zoh and backward else self.bx
@@ -164,7 +166,11 @@ class _Scan:
         np.exp(da, out=a_bar)
         np.multiply(dx[:, :, None, :], self.t_b[:, :, :, None], out=self.dxb[:, :r])
         if self.zoh:
-            np.multiply(self.dxb[:, :r], exprel(da, out=self.factor[:, :r]), out=bx)
+            # a bound clear of exprel's series range spares it two reductions
+            # over da; a NaN or underflowed step size leaves the full search
+            bound = np.min(self.t_delta, initial=np.inf) * self.a_abs_min
+            factor = exprel(da, out=self.factor[:, :r], abs_min=bound)
+            np.multiply(self.dxb[:, :r], factor, out=bx)
         return r
 
     def recur(self, steps, hs):

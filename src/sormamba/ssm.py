@@ -179,6 +179,7 @@ def scan_core(
     x: Tensor,
     mode: str,
     orders: tuple[np.ndarray | None, ...] = (None,),
+    labels: tuple[str, ...] | None = None,
 ) -> tuple[Tensor, ...]:
     """Fused discretize-and-scan as one differentiable op, run once per order.
 
@@ -192,6 +193,9 @@ def scan_core(
     order, scanning, and putting y back with ``argsort(order)``, without the
     gathers. The outputs are views of one [V, B, S, dim] array, and the
     orders share each token's discretized factors (see ``scan_kernels``).
+    A non-finite output raises ``FloatingPointError`` naming the step in
+    scan order and, with several orders, ``view i``, or ``labels[i]`` when
+    given.
     """
     _check_mode(mode)
     steps = x.shape[1]
@@ -203,7 +207,9 @@ def scan_core(
             raise ValueError(f"scan_core: order is not a permutation of {steps} steps")
     parents = (delta, a, b_t, c_t, x)
     y = scan_kernels.scan_forward(*(p.data for p in parents), mode, orders)
-    _raise_on_nonfinite(y, "scan output", orders)
+    if labels is None and len(orders) > 1:
+        labels = tuple(f"view {i}" for i in range(len(orders)))
+    _raise_on_nonfinite(y, "scan output", orders, labels)
 
     def vjp(g):
         grads = scan_kernels.scan_backward(*(p.data for p in parents), mode, g, orders)
@@ -213,19 +219,19 @@ def scan_core(
     return unstack(from_op(y, parents, vjp))
 
 
-def _raise_on_nonfinite(ys: np.ndarray, what: str, orders) -> None:
+def _raise_on_nonfinite(ys: np.ndarray, what: str, orders, labels) -> None:
     """Name the step, in scan order, where one of ``ys`` [V, B, S, ...] (the
-    output of each of ``orders``) is first non-finite, and with several
-    orders the view."""
+    output of each of ``orders``) is first non-finite, and that output's
+    entry of ``labels`` (None: no name)."""
     if np.all(np.isfinite(ys)):
         return
-    for view, (arr, order) in enumerate(zip(ys, orders, strict=True)):
+    for i, (arr, order) in enumerate(zip(ys, orders, strict=True)):
         if order is not None:
             arr = arr[:, order]  # steps in the order they were scanned
         bad = ~np.isfinite(arr).reshape(arr.shape[0], arr.shape[1], -1).all(axis=(0, 2))
         if bad.any():
             step = int(np.argmax(bad))
-            where = f" in view {view}" if len(orders) > 1 else ""
+            where = f" in {labels[i]}" if labels else ""
             raise FloatingPointError(f"{what}{where} became non-finite at step {step}")
 
 

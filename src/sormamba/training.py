@@ -243,18 +243,38 @@ def _errors(
     """MSE and MAE of ``predict`` over ``ds``, in input units with
     ``denormalize``. The squared and absolute errors are summed batch by
     batch, so no more than one batch of forecasts is held at a time."""
+    (metrics,) = errors_each(ds, lambda x: [predict(x)], normalizer, denormalize, batch_size)
+    return metrics
+
+
+def errors_each(
+    ds: WindowedDataset,
+    predict,  # x batch Tensor -> list of forecast arrays for its targets
+    normalizer: Normalizer | None = None,
+    denormalize: bool = False,
+    batch_size: int = EVAL_BATCH,
+) -> list[dict]:
+    """MSE and MAE, as ``_errors`` gives them, of each forecast in the list
+    that ``predict`` returns per batch, in its order."""
     if denormalize and normalizer is None:
         raise ValueError("denormalize=True requires a normalizer")
 
     def sums(x: Tensor, idx: np.ndarray) -> np.ndarray:
-        pred, target = predict(x), ds.y[idx]
+        preds, target = predict(x), ds.y[idx]
         if denormalize:
-            pred, target = normalizer.inverse(pred), normalizer.inverse(target)
-        d = pred - target
-        return np.array([np.sum(d * d), np.sum(np.abs(d))])
+            target = normalizer.inverse(target)
+        rows = []
+        while preds:
+            # popped, so a forecast is let go once its inverse exists
+            pred = preds.pop(0)
+            if denormalize:
+                pred = normalizer.inverse(pred)
+            d = pred - target
+            rows.append([np.sum(d * d), np.sum(np.abs(d))])
+        return np.array(rows)
 
-    mse, mae = sum_batches(ds, sums, batch_size) / ds.y.size
-    return {"mse": float(mse), "mae": float(mae)}
+    totals = sum_batches(ds, sums, batch_size) / ds.y.size
+    return [{"mse": float(mse), "mae": float(mae)} for mse, mae in totals]
 
 
 def _forecast(model: SORMambaModel):

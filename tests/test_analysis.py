@@ -1,14 +1,19 @@
 """Diagnostic-function tests on small trained and untrained models."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from sormamba import analysis as an
+from sormamba import blocks
 from sormamba import data as dt
 from sormamba import losses as ls
 from sormamba import model as md
+from sormamba import scan_kernels
 from sormamba import synthetic as syn
 from sormamba import training as tr
+from sormamba.autodiff import Tensor, no_grad
 
 
 def bundle_and_model(two_view=True, direction="uni", seed=0, c=4):
@@ -79,14 +84,19 @@ class TestOrderEvaluation:
 
     @pytest.mark.parametrize(
         "kwargs, got",
-        [(dict(n_perms=0), 0), (dict(n_perms=-2), -2), (dict(perms=[]), 0)],
-        ids=["0", "-2", "perms-empty"],
+        [
+            (dict(n_perms=0), "n_perms .* got 0"),
+            (dict(n_perms=-2), "n_perms .* got -2"),
+            (dict(n_perms=True), "n_perms .* got True"),
+            (dict(n_perms=2.0), r"n_perms .* got 2\.0"),
+            (dict(perms=[]), "got 0"),
+        ],
+        ids=["0", "-2", "bool", "float", "perms-empty"],
     )
     def test_robustness_rejects_fewer_than_one_permutation(self, kwargs, got):
         bundle, model = bundle_and_model()
-        with pytest.raises(ValueError, match=f"got {got}"):
+        with pytest.raises(ValueError, match=got):
             an.permutation_robustness(model, bundle.test, bundle.normalizer, **kwargs)
-
 
     @pytest.mark.parametrize(
         "perm", [[0, 0, 2, 3], [2, 0, 1], [0.0, 1.0, 2.0, 3.0]], ids=["repeat", "short", "float"]
@@ -96,6 +106,105 @@ class TestOrderEvaluation:
         perms = [np.arange(4), np.asarray(perm)]
         with pytest.raises(ValueError, match=r"perms\[1\] is not a permutation of 4 channels"):
             an.permutation_robustness(model, bundle.test, bundle.normalizer, perms=perms)
+
+
+def _permuted_forecast(model, x: np.ndarray, perm: np.ndarray) -> np.ndarray:
+    """The forecast of ``x`` fed in ``perm`` channel order, put back in
+    channel order: the contiguous permuted batch through ``forecast``, as
+    the orderings were once scored one by one."""
+    if np.array_equal(perm, np.arange(len(perm))):
+        return model.forecast(Tensor(x))[0].data
+    pred, _ = model.forecast(Tensor(np.ascontiguousarray(x[..., perm])))
+    return pred.data[..., np.argsort(perm)]
+
+
+# uni/bi x conv x the four order modes x both discretizations x one or two
+# views (bi needs two)
+VARIANTS = [
+    dict(direction=d, conv=conv, order_mode=mode, discretization=disc, two_view=tv)
+    for d, conv, mode, disc, tv in itertools.product(
+        blocks.DIRECTIONS, (False, True), blocks.ORDER_MODES, ("euler-b", "zoh-exact"),
+        (True, False),
+    )
+    if d == "uni" or tv
+]
+
+
+def _variant_model(c=5, n_layers=2, **kwargs):
+    cfg = md.ModelConfig(
+        lookback=16, horizon=4, n_channels=c, d_model=8, n_layers=n_layers, d_state=4,
+        dt_rank=2, **kwargs,
+    )
+    return md.SORMambaModel(cfg, seed=7)
+
+
+class TestOrderingPass:
+    @pytest.mark.parametrize(
+        "variant", VARIANTS, ids=["-".join(map(str, v.values())) for v in VARIANTS]
+    )
+    def test_each_ordering_equals_the_permuted_batch_put_back(self, variant):
+        model = _variant_model(**variant)
+        rng = np.random.default_rng(3)
+        perms = [np.arange(5), np.arange(5)[::-1], rng.permutation(5), rng.permutation(5)]
+        for batch in (64, 9, 1):
+            x = rng.normal(size=(batch, 16, 5))
+            with no_grad():
+                got = model.forecast_orderings(Tensor(x), perms)
+                for perm, pred in zip(perms, got, strict=True):
+                    assert pred.tobytes() == _permuted_forecast(model, x, perm).tobytes()
+
+    def test_reversal_bias_walks_layer_one_once(self, monkeypatch):
+        # identity and reversed walk the same two orders in layer 1 under
+        # fixed-reverse: one two-walk call there, then one per ordering
+        bundle, _ = bundle_and_model()
+        model = _variant_model(c=4, order_mode="fixed-reverse")
+        ds = dt.WindowedDataset("test", bundle.test.x[:9], bundle.test.y[:9])
+        walks = []
+        scan_forward = scan_kernels.scan_forward
+
+        def counting(*args):
+            walks.append(len(args[-1]))
+            return scan_forward(*args)
+
+        monkeypatch.setattr(scan_kernels, "scan_forward", counting)
+        an.reversal_bias(model, ds, bundle.normalizer)
+        assert walks == [2, 2, 2]
+
+    def test_robustness_in_pairs_equals_each_ordering_alone(self):
+        bundle, model = bundle_and_model()
+        rep = an.permutation_robustness(model, bundle.test, bundle.normalizer, n_perms=5)
+        alone = [
+            an.permutation_robustness(model, bundle.test, bundle.normalizer, perms=[p])
+            for p in rep["permutations"]
+        ]
+        assert rep["mse_values"] == [a["mse_values"][0] for a in alone]
+
+    @pytest.mark.parametrize("layer", [0, 1])
+    def test_non_finite_scan_names_orderings_and_views(self, layer):
+        # layer 1's walks are shared: its first walk (identity) is ordering
+        # 0's view 0 and the reversed ordering's view 1; later layers scan
+        # each ordering on its own, ordering 0 first
+        model = _variant_model(c=4)
+        model.layers[layer].encoder.blocks[0].ssm.w_b.data[0, 0] = np.inf
+        x = np.random.default_rng(4).normal(size=(3, 16, 4))
+        where = "ordering 0 view 0 and ordering 1 view 1" if layer == 0 else "ordering 0 view 0"
+        with np.errstate(all="ignore"), pytest.raises(
+            FloatingPointError, match=f"in {where} became non-finite at step 0$"
+        ):
+            model.forecast_orderings(Tensor(x), [np.arange(4), np.arange(4)[::-1]])
+
+    def test_non_finite_step_is_in_the_walk_order(self):
+        # a NaN in channel 2 of one window reaches a walk from the step that
+        # reads channel 2: step 0 of [2, 0, 1, 3], step 3 of [1, 3, 0, 2]
+        model = _variant_model(c=4, two_view=False)
+        x = np.random.default_rng(4).normal(size=(3, 16, 4))
+        x[1, 5, 2] = np.nan
+        perms = [np.array([2, 0, 1, 3]), np.array([1, 3, 0, 2])]
+        for first, step in ((perms, 0), (perms[::-1], 3)):
+            with np.errstate(all="ignore"), pytest.raises(
+                FloatingPointError, match=f"in ordering 0 became non-finite at step {step}$"
+            ):
+                model.forecast_orderings(Tensor(x), first)
 
 
 def test_order_mses_of_window_views_match_copies():

@@ -138,6 +138,9 @@ class TestHotPathBitIdentity:
             got = ad.exprel(x, out=buf)
             assert got is buf
             assert _same_bits(got, ad.exprel(x))
+            # a bound that proves nothing keeps the search; a true one skips it
+            for bound in (0.0, np.nan, np.nanmin(np.abs(x))):
+                assert _same_bits(got, ad.exprel(x, abs_min=bound))
             small = np.abs(x) < 1e-8
             xs = x[small]
             np.testing.assert_array_equal(got[small], 1.0 + 0.5 * xs + xs * xs / 6.0)

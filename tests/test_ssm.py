@@ -123,6 +123,26 @@ class TestScanCore:
                 err = ad.check_gradients(f, target)
                 assert err < 1e-6, (mode, steps, i, err)
 
+    def test_zero_step_size_takes_the_zoh_series_value(self):
+        # delta = 0 makes delta A exactly 0, where (e^x - 1) / x is 0 / 0 and
+        # the series gives 1; a tile's bound min(delta) min|A| is then 0 (or
+        # underflows), so the kernel must still search it for small entries
+        delta, a, b_t, c_t, x = (t.data for t in _scan_inputs(np.random.default_rng(12), 3, 5, 4, 2))
+        delta[:, 2] = 0.0
+        delta[:, 3] = 5e-324
+        delta[1] = 0.0
+        y = scan_kernels.scan_forward(delta, a, b_t, c_t, x, "zoh-exact")[0]
+        a_bar, b_bar = (
+            t.data for t in discretize(Tensor(delta), Tensor(a), Tensor(b_t), "zoh-exact")
+        )
+        h = np.zeros(a_bar.shape[:1] + a_bar.shape[2:])
+        want = np.empty_like(y)
+        for k in range(delta.shape[1]):
+            h = a_bar[:, k] * h + b_bar[:, k] * x[:, k, :, None]
+            want[:, k] = np.einsum("bdn,bn->bd", h, c_t[:, k])
+        assert np.all(y[1] == 0.0)
+        np.testing.assert_allclose(y, want, rtol=1e-12, atol=1e-300)
+
     def test_unknown_mode_rejected(self):
         inputs = _scan_inputs(np.random.default_rng(8), 1, 2, 1, 1)
         with pytest.raises(ValueError, match="discretization"):

@@ -43,7 +43,8 @@ each workload's ``setup`` and ``make_run`` at seed 3 with one BLAS thread:
   ``view_embeddings`` for a one-view and a two-view model,
   ``consistency_gap``, ``correlation_preservation``'s ``gap_mse`` and a
   sha256 of its ``r_z``, the ``reversal_bias`` MSEs and the
-  ``permutation_robustness(n_perms=2, seed=7)`` MSEs of the trained model
+  ``permutation_robustness(n_perms=2, seed=7)`` and ``(n_perms=5, seed=7)``
+  MSEs (an odd count scores one ordering on its own) of the trained model
   as ``float.hex()``, which pin the per-batch channel reordering, the
   validation losses of a 2-epoch ``pretrain`` in each pretext mode, and the
   best epoch and validation losses of a 2-epoch ``linear_probe`` started
@@ -335,10 +336,11 @@ def _print_read_paths() -> None:
     print("read correlation_preservation", corr["gap_mse"].hex(), _digest(corr["r_z"]))
     bias = analysis.reversal_bias(model, bundle.test, bundle.normalizer)
     print("read reversal_bias", bias.mse_fwd.hex(), bias.mse_rev.hex())
-    robust = analysis.permutation_robustness(
-        model, bundle.test, bundle.normalizer, n_perms=2, seed=VARIANT_SEED
-    )
-    print("read permutation_robustness", *(v.hex() for v in robust["mse_values"]))
+    for n_perms in (2, 5):
+        robust = analysis.permutation_robustness(
+            model, bundle.test, bundle.normalizer, n_perms=n_perms, seed=VARIANT_SEED
+        )
+        print("read permutation_robustness", *(v.hex() for v in robust["mse_values"]))
     for mode in training.PRETEXT_MODES:
         pretrained = small_model()
         fit = training.pretrain(pretrained, bundle.train, bundle.val, cfg, mode=mode)
