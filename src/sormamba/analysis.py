@@ -7,21 +7,27 @@ the parameters sit, and how forecast error degrades as the input series
 loses observations.
 
 ``reversal_bias`` and ``permutation_robustness`` score the same windows
-under several channel orderings, two orderings per forward pass
+under several channel orderings, each distinct ordering once. Orderings
+that share a ``SORMambaModel.ordering_key`` scan the same orders in the same
+blocks in every layer, and then their forecasts are equal bit for bit: a
+view's output depends only on its block and its scan order, and the views'
+outputs are summed, which IEEE addition does to the same bits in either
+order. Under a shared (``uni``) block and ``fixed-reverse`` the identity and
+the reversed ordering are such a pair, so ``reversal_bias`` runs one
+forecast. The distinct orderings go two per forward pass
 (``SORMambaModel.forecast_orderings``). The batch keeps its channel layout
 and an ordering changes only the scan orders, so the instance norm, the
 embedding, layer 1's pre-scan projections and its discretized factors are
-computed once per pass, and layer 1 walks each distinct scan order once:
-under ``fixed-reverse`` the identity and the reversed ordering walk the same
-two orders. The LayerNorm/MLP after the scan and every later layer run per
-ordering. Each ordering's error is bit for bit what feeding the batch in
-that order, and putting the forecast back, gives.
+computed once per pass, and layer 1 walks each distinct scan order once.
+The LayerNorm/MLP after the scan and every later layer run per ordering.
+Each ordering's error is bit for bit what feeding the batch in that order,
+and putting the forecast back, gives.
 
 A pass holds all its orderings' activations at once. At the analyze-weather
 shape (21 channels, width 64, two layers, batch 64) the traced peak of one
-pass was 10.86 MiB for one ordering (as one ``forecast``), 11.52 MiB for
-identity and reversed, 13.49 MiB for two random orderings, and 21.37 MiB
-for five at once.
+pass was 10.86 MiB for one ordering (as one ``forecast``), 11.51 MiB for
+identity and reversed (under ``bi`` or one view, where their keys differ),
+13.48 MiB for two random orderings, and 25.30 MiB for five at once.
 """
 
 from __future__ import annotations
@@ -73,10 +79,11 @@ def bias_metric(mse_fwd: float, mse_rev: float) -> BiasReport:
 
 
 # Orderings scored per forward pass. A pass holds every ordering's
-# activations at once, so its peak grows with the count: a pair keeps the
-# sharing that reversal_bias needs (identity and reversed) for +6% over one
-# ordering, where all five of a default robustness call would take +97%
-# (figures in the module docstring).
+# activations at once, so its peak grows with the count: a pair shares
+# layer 1's pre-scan work and factors for +6% (identity and reversed) to
+# +24% (two random orderings) over one ordering, where all five of a
+# default robustness call would take +133% (figures in the module
+# docstring).
 _ORDERINGS_PER_PASS = 2
 
 
@@ -90,19 +97,28 @@ def _order_mses(
     """Test MSE of the same windows under each channel ordering, each what
     scoring the batches fed in that order (and put back) gives, bit for bit.
 
-    The orderings are scored in passes of ``_ORDERINGS_PER_PASS``, each one
-    ``model.forecast_orderings`` per batch: the instance norm, the embedding
-    and layer 1's pre-scan work run once per pass, layer 1 walks each
-    distinct scan order once, and the rest runs per ordering.
+    Orderings that share a ``model.ordering_key`` get the same forecast bit
+    for bit, so only the first of each key is scored and the others take
+    its MSE. The distinct ones are scored in passes of
+    ``_ORDERINGS_PER_PASS``, each one ``model.forecast_orderings`` per
+    batch: the instance norm, the embedding and layer 1's pre-scan work run
+    once per pass, layer 1 walks each distinct scan order once, and the
+    rest runs per ordering.
     """
+    keys = [model.ordering_key(p) for p in perms]
+    first: dict[tuple, np.ndarray] = {}
+    for key, perm in zip(keys, perms):
+        first.setdefault(key, perm)
+    distinct = list(first.values())
     mses: list[float] = []
-    for start in range(0, len(perms), _ORDERINGS_PER_PASS):
-        group = perms[start : start + _ORDERINGS_PER_PASS]
+    for start in range(0, len(distinct), _ORDERINGS_PER_PASS):
+        group = distinct[start : start + _ORDERINGS_PER_PASS]
         errors = errors_each(
             ds, lambda x: model.forecast_orderings(x, group), normalizer, denormalize
         )
         mses += [e["mse"] for e in errors]
-    return mses
+    by_key = dict(zip(first, mses))
+    return [by_key[key] for key in keys]
 
 
 def reversal_bias(

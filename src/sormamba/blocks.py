@@ -28,7 +28,9 @@ over two views of the token axis (or two independent blocks, for the
 bidirectional variant) and returns both view outputs so the caller can fuse
 them and penalize their disagreement; ``forward_orderings`` runs the views
 under several orderings of the tokens at once, each block's ``pre`` once and
-each distinct scan order once. A view is only an order for ``core``:
+each distinct scan order once. ``view_walks`` maps an ordering to the
+(block, scan order) of each view, and ``ordering_key`` reads from it which
+orderings give the same sum of views. A view is only an order for ``core``:
 with one shared block (``uni``) both views share one ``pre`` and every
 tensor it made, both views are one ``core`` call and so one ``scan_core``
 call (which computes each token's discretized factors once for both
@@ -261,30 +263,45 @@ class DirectionalEncoderCD:
             (z1,), (z2,) = (blk.forward_orders(z, (v,)) for blk, v in zip(self.blocks, views))
         return z1, z2
 
+    def view_walks(self, perm: np.ndarray, two_view: bool) -> list[tuple[int, np.ndarray]]:
+        """(block index, scan order) of each view under ordering ``perm``,
+        for the views that ``forward_pair`` takes without an rng
+        (``two_view``) or the one view in z's order: view order ``v``
+        becomes ``perm`` (v None) or ``perm[v]``, scanned by ``blocks[0]``
+        for every view under ``uni`` and by block i for view i under ``bi``."""
+        views = self._views(None) if two_view else (None,)
+        shared = len(self.blocks) == 1
+        return [
+            (0 if shared else i, perm if v is None else perm[v]) for i, v in enumerate(views)
+        ]
+
+    def ordering_key(self, perm: np.ndarray, two_view: bool) -> tuple[tuple[int, bytes], ...]:
+        """The sorted multiset of ``view_walks``' (block index, order bytes)
+        pairs. Orderings with equal keys scan the same orders in the same
+        blocks and differ at most in which view gets which walk, which the
+        views' sum does not see (IEEE addition is commutative)."""
+        return tuple(sorted((b, order.tobytes()) for b, order in self.view_walks(perm, two_view)))
+
     def forward_orderings(
         self, z: Tensor, perms: dict[int, np.ndarray], two_view: bool
     ) -> dict[int, list[Tensor]]:
         """Each view's output on z under each ordering of its tokens, keyed
-        like ``perms``, for the views that ``forward_pair`` takes without an
-        rng (``two_view``) or the one view in z's order. For ordering
-        ``perm``, view order ``v`` becomes ``perm`` (v None) or ``perm[v]``,
-        and the outputs stay in z's token order. A block (``blocks[0]`` for
-        every view under ``uni``, block i for view i under ``bi``) runs
-        ``pre`` once and scans each distinct walk once; a non-finite scan
-        names the orderings (by key) and views that walk serves."""
-        views = self._views(None) if two_view else (None,)
-        outs = {k: [None] * len(views) for k in perms}
+        like ``perms``, views and walks as ``view_walks`` maps them; the
+        outputs stay in z's token order. A block runs ``pre`` once and scans
+        each distinct walk once; a non-finite scan names the orderings (by
+        key) and views that walk serves."""
+        walks_of = {k: self.view_walks(perm, two_view) for k, perm in perms.items()}
+        outs = {k: [None] * len(views) for k, views in walks_of.items()}
         for b, blk in enumerate(self.blocks):
-            served = range(len(views)) if len(self.blocks) == 1 else (b,)
             # order bytes -> (order, the (ordering, view) pairs it serves)
             walks: dict[bytes, tuple[np.ndarray, list[tuple[int, int]]]] = {}
-            for k, perm in perms.items():
-                for i in served:
-                    order = perm if views[i] is None else perm[views[i]]
-                    walks.setdefault(order.tobytes(), (order, []))[1].append((k, i))
+            for k, views in walks_of.items():
+                for i, (block, order) in enumerate(views):
+                    if block == b:
+                        walks.setdefault(order.tobytes(), (order, []))[1].append((k, i))
             labels = tuple(
                 " and ".join(
-                    f"ordering {k}" + (f" view {i}" if len(views) > 1 else "") for k, i in users
+                    f"ordering {k}" + (f" view {i}" if two_view else "") for k, i in users
                 )
                 for _, users in walks.values()
             )

@@ -16,7 +16,9 @@ import numpy as np
 from .autodiff import (
     Tensor,
     absolute,
+    accumulate,
     div,
+    from_op,
     matmul,
     mul,
     reshape,
@@ -36,9 +38,29 @@ REG_METRICS = ("l2", "l1", "cosine")
 
 
 def mse(pred: Tensor, target) -> Tensor:
-    """Mean squared difference; ``sub`` coerces and broadcasts ``target``."""
-    d = sub(pred, target)
-    return tmean(mul(d, d))
+    """Mean squared difference, ``target`` (a Tensor, or data) broadcast
+    against ``pred``, as one op that keeps only d = pred - target for its
+    backward. Value and gradients are those of ``tmean(mul(d, d))`` over
+    ``sub(pred, target)``, bit for bit."""
+    t = target.data if isinstance(target, Tensor) else np.asarray(target, dtype=np.float64)
+    try:
+        d = pred.data - t
+    except ValueError:
+        raise ValueError(f"mse: shapes {pred.shape} and {t.shape} do not broadcast") from None
+
+    def vjp(g):
+        # tmean hands every element 0 + g / n (-0 to +0), and mul(d, d)
+        # hands d its product p with d twice, as (0 + p) + p: that is
+        # q + q for q = 0 + p
+        g_d = np.multiply(d, 0.0 + g / d.size)
+        g_d += 0.0
+        g_d += g_d
+        accumulate(pred, g_d)
+        if isinstance(target, Tensor) and target.requires_grad:
+            accumulate(target, np.negative(g_d, out=g_d))
+
+    parents = (pred, target) if isinstance(target, Tensor) else (pred,)
+    return from_op(np.mean(d * d), parents, vjp)
 
 
 def mse_np(pred: np.ndarray, target: np.ndarray) -> float:

@@ -279,12 +279,12 @@ class SORMambaModel:
         put back, bit for bit.
 
         The batch keeps its own channel layout: an ordering ``perm`` changes
-        only the scan orders, each view order ``v`` becoming ``perm`` (v
-        None) or ``perm[v]``. So the instance norm, the embedding and layer
-        1's ``pre`` run once for all the orderings, and layer 1 scans each
-        distinct walk once (identity and reversed share both walks under
-        ``fixed-reverse``). Every later stage runs per ordering, each
-        ordering's activations held at once.
+        only the scan orders (``DirectionalEncoderCD.view_walks``). So the
+        instance norm, the embedding and layer 1's ``pre`` run once for all
+        the orderings, and layer 1 scans each distinct walk once. Every
+        later stage runs per ordering, each ordering's activations held at
+        once, so orderings that share an ``ordering_key`` (identity and
+        reversed under ``uni`` and ``fixed-reverse``) are best passed once.
         """
         self._check_input(x)
         perms = [np.asarray(p, dtype=np.intp) for p in perms]
@@ -307,6 +307,17 @@ class SORMambaModel:
                             layer, (ys[0] + ys[1] if len(ys) == 2 else ys[0]) + zs[k]
                         )
             return [self._head(z, stats, self.w_head, self.b_head).data for z in zs]
+
+    def ordering_key(self, perm) -> tuple:
+        """What ``forecast_orderings`` reads of ordering ``perm``: each
+        layer's ``DirectionalEncoderCD.ordering_key``. Orderings with equal
+        keys get the same forecast, bit for bit: their layers see the same
+        input, scan the same orders in the same blocks and sum the same view
+        outputs, perhaps with the views swapped, and IEEE addition is
+        commutative, so ``(y_rev + y_fwd) + z`` is ``(y_fwd + y_rev) + z``."""
+        perm = np.asarray(perm, dtype=np.intp)
+        two_view = self.config.two_view
+        return tuple(layer.encoder.ordering_key(perm, two_view) for layer in self.layers)
 
     def latent_for_ccm(self, x: Tensor, rng: np.random.Generator | None = None) -> Tensor:
         """Projected channel embeddings [B, C, D] for correlation matching."""

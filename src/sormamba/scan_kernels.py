@@ -162,9 +162,9 @@ class _Scan:
         r = tile.stop - tile.start
         da, a_bar, bx = self.da[:, :r], self.a_bar[:, :r], self.bx[:, :r]
         dx = np.multiply(self.t_delta, self.t_x, out=self.dx[:, :r])
-        np.multiply(self.t_delta[:, :, None, :], self.a_t, out=da)
+        np.einsum("srd,nd->srnd", self.t_delta, self.a_t, out=da)
         np.exp(da, out=a_bar)
-        np.multiply(dx[:, :, None, :], self.t_b[:, :, :, None], out=self.dxb[:, :r])
+        np.einsum("srd,srn->srnd", dx, self.t_b, out=self.dxb[:, :r])
         if self.zoh:
             # a bound clear of exprel's series range spares it two reductions
             # over da; a NaN or underflowed step size leaves the full search
@@ -246,7 +246,7 @@ def scan_backward(delta, a, b_t, c_t, x, mode, gy, orders=(None,)):
             # k+1, a_bar[k+1] * gh[k+1]; times the state entering step k+1,
             # that product is step k+1's d loss / d (delta A). Walk 0 writes
             # it into g_da, the others add theirs through term
-            np.multiply(t_gy[:, :, None, :], c_b[:, :, :, None], out=gh)
+            np.einsum("srd,srn->srnd", t_gy, c_b, out=gh)
             for k in range(len(steps) - 2, -1, -1):
                 s0, s1 = steps[k], steps[k + 1]
                 prod = g_da[s1] if i == 0 else term[:r]

@@ -153,11 +153,45 @@ class TestOrderingPass:
                 for perm, pred in zip(perms, got, strict=True):
                     assert pred.tobytes() == _permuted_forecast(model, x, perm).tobytes()
 
-    def test_reversal_bias_walks_layer_one_once(self, monkeypatch):
-        # identity and reversed walk the same two orders in layer 1 under
-        # fixed-reverse: one two-walk call there, then one per ordering
+    @pytest.mark.parametrize(
+        "variant", VARIANTS, ids=["-".join(map(str, v.values())) for v in VARIANTS]
+    )
+    def test_orderings_of_one_key_score_once_and_each_equals_its_own(
+        self, variant, monkeypatch
+    ):
+        # identity, reversed, p, p reversed and identity again: each MSE is
+        # the one its ordering alone gives, and only one ordering of each
+        # ordering_key is scored (the 61 test windows are one batch)
+        bundle, _ = bundle_and_model(c=5)
+        model = _variant_model(**variant)
+        p = np.random.default_rng(5).permutation(5)
+        perms = [np.arange(5), np.arange(5)[::-1], p, p[::-1], np.arange(5)]
+        with no_grad():
+            alone = tr.errors_each(
+                bundle.test,
+                lambda x: [_permuted_forecast(model, x.data, q) for q in perms],
+                bundle.normalizer,
+                denormalize=True,
+            )
+        scored = []
+        forecast_orderings = model.forecast_orderings
+
+        def counting(x, group):
+            scored.extend(group)
+            return forecast_orderings(x, group)
+
+        monkeypatch.setattr(model, "forecast_orderings", counting)
+        rep = an.permutation_robustness(model, bundle.test, bundle.normalizer, perms=perms)
+        assert [v.hex() for v in rep["mse_values"]] == [e["mse"].hex() for e in alone]
+        assert len(scored) == len({model.ordering_key(q) for q in perms})
+        if variant["direction"] == "uni" and variant["order_mode"] == "fixed-reverse":
+            assert len(scored) == (2 if variant["two_view"] else 4)
+
+    @staticmethod
+    def _reversal_bias_walks(monkeypatch, **variant):
+        """Walks per scan_forward call of a reversal_bias on 9 windows."""
         bundle, _ = bundle_and_model()
-        model = _variant_model(c=4, order_mode="fixed-reverse")
+        model = _variant_model(c=4, **variant)
         ds = dt.WindowedDataset("test", bundle.test.x[:9], bundle.test.y[:9])
         walks = []
         scan_forward = scan_kernels.scan_forward
@@ -168,7 +202,20 @@ class TestOrderingPass:
 
         monkeypatch.setattr(scan_kernels, "scan_forward", counting)
         an.reversal_bias(model, ds, bundle.normalizer)
-        assert walks == [2, 2, 2]
+        return walks
+
+    def test_reversal_bias_walks_layer_one_once(self, monkeypatch):
+        # under uni and fixed-reverse, identity and reversed walk the same
+        # two orders in every layer: one ordering is scored, one two-walk
+        # call per layer
+        assert self._reversal_bias_walks(monkeypatch, order_mode="fixed-reverse") == [2, 2]
+
+    def test_reversal_bias_under_bi_scores_both_orderings(self, monkeypatch):
+        # block 0 walks the identity in one ordering and the reverse in the
+        # other, so the keys differ: layer 1 scans two walks per block, then
+        # each ordering's layer 2 one per block
+        walks = self._reversal_bias_walks(monkeypatch, direction="bi")
+        assert walks == [2, 2, 1, 1, 1, 1]
 
     def test_robustness_in_pairs_equals_each_ordering_alone(self):
         bundle, model = bundle_and_model()

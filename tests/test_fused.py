@@ -1,7 +1,8 @@
 """The fused per-token ops against the composed graphs they replace.
 
 Each fused op (``layer_norm``, ``skip_gate_proj``, ``gelu_mlp``,
-``silu_proj``, ``softplus_proj``) must give the composed graph's value and
+``silu_proj``, ``softplus_proj`` and ``losses.mse``) must give the composed
+graph's value and
 every gradient bit for bit, and keep less of the forward alive for its
 backward. The composed graphs are written out here from the primitive ops,
 as the reference.
@@ -15,6 +16,7 @@ import pytest
 
 from sormamba import autodiff as ad
 from sormamba import blocks
+from sormamba import losses as ls
 from sormamba import model as md
 from sormamba import ssm
 from sormamba.autodiff import Tensor
@@ -47,6 +49,11 @@ def composed_softplus_proj(x, w, b):
     return ad.softplus(ad.matmul(x, w) + b)
 
 
+def composed_mse(pred, target):
+    d = ad.sub(pred, target)
+    return ad.tmean(ad.mul(d, d))
+
+
 def _inputs(op: str, shape, seed=0):
     """The op's parents as arrays, and its output shape, at a token shape
     (batch, tokens, d_model); the scan width is 2 * d_model and the step
@@ -62,6 +69,9 @@ def _inputs(op: str, shape, seed=0):
     elif op == "gelu_mlp":
         arrays = [rng.normal(size=shape), rng.normal(size=(d, 2 * d)) / d]
         arrays += [rng.normal(size=2 * d), rng.normal(size=(2 * d, d)) / d, rng.normal(size=d)]
+    elif op == "mse":
+        arrays = [rng.normal(size=shape), rng.normal(size=shape)]
+        out_shape = ()
     elif op == "silu_proj":
         arrays = [rng.normal(size=shape), rng.normal(size=(d, 2 * d)) / np.sqrt(d)]
         out_shape = (b, c, 2 * d)
@@ -79,6 +89,7 @@ OPS = {
     "gelu_mlp": (ad.gelu_mlp, composed_gelu_mlp),
     "silu_proj": (ad.silu_proj, composed_silu_proj),
     "softplus_proj": (ad.softplus_proj, composed_softplus_proj),
+    "mse": (ls.mse, composed_mse),
 }
 
 
@@ -135,6 +146,18 @@ class TestSameBitsAsComposed:
         want = _run(composed_layer_norm, arrays, flags, g)
         assert _bits(got[0]) == _bits(want[0])
         assert [_bits(t) for t in got[1]] == [_bits(t) for t in want[1]]
+
+    def test_mse_with_zero_differences_and_a_zero_upstream_gradient(self):
+        # d = +0 where pred equals target and -0 where -0 meets +0; a -0
+        # upstream gradient makes every product a signed zero
+        pred, target = _inputs("mse", (4, 3, 6), seed=8)[0]
+        pred[0] = target[0]
+        pred[1, 0], target[1, 0] = -0.0, 0.0
+        for g in (np.random.default_rng(9).normal(), 0.0, -0.0):
+            got = _run(ls.mse, [pred, target], [True, True], np.array(g))
+            want = _run(composed_mse, [pred, target], [True, True], np.array(g))
+            assert _bits(got[0]) == _bits(want[0])
+            assert [_bits(t) for t in got[1]] == [_bits(t) for t in want[1]], g
 
     @pytest.mark.parametrize(
         "direction, conv",
@@ -208,7 +231,7 @@ class TestKeptMemory:
     """After a recorded forward, a fused op holds its output and only what
     its vjp is documented to keep: layer_norm two [..., 1] arrays,
     skip_gate_proj and softplus_proj nothing more, gelu_mlp and silu_proj
-    the pre-activation."""
+    the pre-activation, mse the difference."""
 
     SHAPE = (8, 137, 64)
 
@@ -218,6 +241,8 @@ class TestKeptMemory:
             return 2 * rows * 8
         if op in ("gelu_mlp", "silu_proj"):
             return rows * parents[1].shape[1] * 8
+        if op == "mse":
+            return parents[0].data.nbytes
         return 0
 
     @pytest.mark.parametrize("op", OPS)

@@ -143,6 +143,61 @@ class TestScanCore:
         assert np.all(y[1] == 0.0)
         np.testing.assert_allclose(y, want, rtol=1e-12, atol=1e-300)
 
+    @pytest.mark.parametrize("mode", DISCRETIZATIONS)
+    def test_exact_zeros_keep_the_broadcast_multiply_bits(self, mode, monkeypatch):
+        # the kernels build delta A, the input term dx B and the seed gy C of
+        # the gradient wrt the states as einsum outer products, which write a
+        # -0 product as +0; broadcast multiplies keep the sign. With exact
+        # zeros (of both signs) in delta, x, B_t and gy, y and all five
+        # gradients keep the broadcast multiplies' bits
+        delta, a, b_t, c_t, x = (
+            t.data for t in _scan_inputs(np.random.default_rng(13), 3, 6, 4, 3)
+        )
+        delta[0, 1] = 0.0
+        delta[1, :, 2] = 0.0
+        x[0, 2] = 0.0
+        x[1] = -0.0
+        x[2, :, 1] = -0.0
+        b_t[0, 4] = 0.0
+        b_t[2, 1, 0] = -0.0
+        gy = np.random.default_rng(14).normal(size=(2,) + x.shape)
+        gy[0, 0] = 0.0
+        gy[1, 1, :, 3] = -0.0
+        gy[:, 2] = -0.0
+        outer = []
+
+        class BroadcastOuter:
+            """numpy, with the kernels' outer-product einsums done as the
+            broadcast multiplies they replaced."""
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def einsum(subscripts, p, q, out=None):
+                if subscripts == "srd,nd->srnd":
+                    outer.append(subscripts)
+                    return np.multiply(p[:, :, None, :], q, out=out)
+                if subscripts == "srd,srn->srnd":
+                    outer.append(subscripts)
+                    return np.multiply(p[:, :, None, :], q[:, :, :, None], out=out)
+                return np.einsum(subscripts, p, q, out=out)
+
+        def results(orders):
+            y = scan_kernels.scan_forward(delta, a, b_t, c_t, x, mode, orders)
+            g = gy[: len(orders)]
+            grads = scan_kernels.scan_backward(delta, a, b_t, c_t, x, mode, g, orders)
+            return [v.tobytes() for v in (y, *grads)]
+
+        for orders in ((None,), (None, np.arange(6)[::-1])):
+            got = results(orders)
+            with monkeypatch.context() as mp:
+                mp.setattr(scan_kernels, "np", BroadcastOuter())
+                want = results(orders)
+            assert got == want, orders
+        # the reference did run both kinds of broadcast multiply
+        assert set(outer) == {"srd,nd->srnd", "srd,srn->srnd"}
+
     def test_unknown_mode_rejected(self):
         inputs = _scan_inputs(np.random.default_rng(8), 1, 2, 1, 1)
         with pytest.raises(ValueError, match="discretization"):

@@ -29,9 +29,11 @@ each workload's ``setup`` and ``make_run`` at seed 3 with one BLAS thread:
   number of nodes on the tape of one training loss (the first batch's,
   ``autodiff._ordered_tape``) and the ``tracemalloc`` peak of one more,
   warmed-up ``step()`` in MiB. These two are the lines that a change to what
-  the tape keeps is meant to move; every other line is a value;
+  the tape keeps is meant to move;
 * analyze-weather: the ``reversal_bias`` MSEs and the
-  ``permutation_robustness(n_perms=2, seed=3)`` MSEs as ``float.hex()``;
+  ``permutation_robustness(n_perms=2, seed=3)`` MSEs as ``float.hex()``,
+  then ``scan-walks``: the number of walks (orders) of each
+  ``scan_forward`` call over one ``step()``, counted by wrapping the kernel;
 * 32 small model variants that no workload runs (uni/bi x conv on/off x the
   four order modes x both discretizations, two layers, seed 7): after one
   ``forecast``, ``total_loss`` and ``backward``, the loss as ``float.hex()``
@@ -44,7 +46,8 @@ each workload's ``setup`` and ``make_run`` at seed 3 with one BLAS thread:
   ``consistency_gap``, ``correlation_preservation``'s ``gap_mse`` and a
   sha256 of its ``r_z``, the ``reversal_bias`` MSEs and the
   ``permutation_robustness(n_perms=2, seed=7)`` and ``(n_perms=5, seed=7)``
-  MSEs (an odd count scores one ordering on its own) of the trained model
+  MSEs (the fifth ordering is the first reversed, which shares its
+  ordering key, so four are scored, in two pairs) of the trained model
   as ``float.hex()``, which pin the per-batch channel reordering, the
   validation losses of a 2-epoch ``pretrain`` in each pretext mode, and the
   best epoch and validation losses of a 2-epoch ``linear_probe`` started
@@ -60,8 +63,10 @@ each workload's ``setup`` and ``make_run`` at seed 3 with one BLAS thread:
 
 Two checkouts that compute the same numbers print the same lines, apart
 from the ``tape-nodes`` and ``step-peak-mib`` lines when they keep
-different things on the tape; ``diff`` the outputs to see which parameters,
-errors or memory figures moved.
+different things on the tape and the ``scan-walks`` line when they scan
+differently; these three are structure, every other line is a value.
+``diff`` the outputs to see which parameters, errors, memory figures or
+scans moved.
 
 A hash only says that a gradient moved, not by how much. ``--grads PATH``
 saves every gradient hashed above (the two-order scans, the train
@@ -143,6 +148,7 @@ def main(argv=None) -> int:
         run.model, run.ds, run.normalizer, n_perms=2, seed=SEED
     )
     print(name, "permutation_robustness", *(v.hex() for v in robust["mse_values"]))
+    print(name, "scan-walks", _step_scan_walks(run))
 
     _print_variants(grads)
     _print_read_paths()
@@ -265,6 +271,26 @@ def _print_step_memory(name: str, run) -> None:
     finally:
         tracemalloc.stop()
     print(name, "step-peak-mib", f"{(peak - base) / 2**20:.3f}")
+
+
+def _step_scan_walks(run) -> str:
+    """The walks (orders) of each ``scan_forward`` call over one ``step()``,
+    counted by wrapping the kernel for that step."""
+    from sormamba import scan_kernels
+
+    walks = []
+    scan_forward = scan_kernels.scan_forward
+
+    def counting(*args):
+        walks.append(len(args[-1]))
+        return scan_forward(*args)
+
+    scan_kernels.scan_forward = counting
+    try:
+        run.step()
+    finally:
+        scan_kernels.scan_forward = scan_forward
+    return str(walks)
 
 
 def _print_variants(grads: dict[str, dict]) -> None:
