@@ -26,10 +26,12 @@ Design points:
 * a custom fused op (e.g. the selective-scan kernel) plugs in through
   ``from_op`` with a hand-derived vector-Jacobian product. LayerNorm, the
   SiLU and softplus input projections before a scan, the
-  skip/gate/out-projection after it and the GELU MLP are such ops: each
-  keeps only its output, its parents and what its backward reads, recomputes
-  the cheap intermediates there, and gives the composed graph's value and
-  gradients bit for bit
+  skip/gate/out-projection after it, the GELU MLP, a linear map with its
+  bias, the forecast head and the views' sum with the residual are such
+  ops: each keeps only its output, its parents and what its backward reads
+  (no pre-activation: a vjp rebuilds one with the forward's GEMM),
+  recomputes the cheap intermediates there, and gives the composed graph's
+  value and gradients bit for bit
 """
 
 from __future__ import annotations
@@ -74,6 +76,9 @@ __all__ = [
     "gelu_mlp",
     "silu_proj",
     "softplus_proj",
+    "linear",
+    "head_proj",
+    "residual_sum",
     "check_gradients",
 ]
 
@@ -369,13 +374,16 @@ def silu(a: Tensor) -> Tensor:
     return from_op(a.data * sig, (a,), vjp)
 
 
-def _silu_grad(g: np.ndarray, x: np.ndarray, sig: np.ndarray) -> np.ndarray:
+def _silu_grad(
+    g: np.ndarray, x: np.ndarray, sig: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """g times d/dx x * sigmoid(x), given sigmoid(x):
-    g * sig * (1 + x * (1 - sig)), rounded in that order."""
+    g * sig * (1 + x * (1 - sig)), rounded in that order, into ``out``
+    (fresh when None); ``out`` may be ``sig``."""
     t = np.subtract(1.0, sig)
     t *= x
     t += 1.0
-    out = g * sig
+    out = np.multiply(g, sig, out=out)
     out *= t
     return out
 
@@ -395,14 +403,26 @@ def gelu(a: Tensor) -> Tensor:
 
 
 def _phi(x: np.ndarray) -> np.ndarray:
-    """The standard normal CDF."""
-    return 0.5 * (1.0 + _sp.erf(x * _INV_SQRT2))
+    """The standard normal CDF, 0.5 * (1 + erf(x / sqrt(2))), in one fresh
+    array."""
+    t = np.multiply(x, _INV_SQRT2, out=np.empty_like(x))
+    _sp.erf(t, out=t)
+    t += 1.0
+    t *= 0.5
+    return t
 
 
 def _gelu_grad(g: np.ndarray, x: np.ndarray, phi_cdf: np.ndarray) -> np.ndarray:
-    """g times d/dx x * Phi(x), given Phi(x)."""
-    pdf = _INV_SQRT2PI * np.exp(-0.5 * x * x)
-    return g * (phi_cdf + x * pdf)
+    """g times d/dx x * Phi(x), given Phi(x): g * (Phi + x * pdf) for
+    pdf = exp(-0.5 * x * x) / sqrt(2 pi), in one fresh array."""
+    t = np.multiply(x, -0.5, out=np.empty_like(x))
+    t *= x
+    np.exp(t, out=t)
+    t *= _INV_SQRT2PI
+    t *= x
+    t += phi_cdf
+    t *= g
+    return t
 
 
 def _series_near_zero(x: np.ndarray, out: np.ndarray, tol: float, series) -> None:
@@ -640,17 +660,18 @@ def _axis_index(idx, axis: int, ndim: int):
 
 # ---------------------------------------------------------------------------
 # fused per-token ops: layer norm, the gated skip-and-project after the scan,
-# the GELU MLP, and the SiLU and softplus projections before the scan
+# the GELU MLP, the SiLU and softplus projections before the scan, a linear
+# map with its bias, the forecast head, and the views' sum with the residual
 #
 # Each is one node whose closure keeps its parents and at most what is named
-# below: layer_norm two [..., 1] arrays, gelu_mlp and silu_proj their
-# pre-activation, skip_gate_proj and softplus_proj nothing. Its forward runs
-# the ops of the composed graph (the primitives above) in their order, so
-# the value is bit-identical. Its vjp recomputes the cheap intermediates
-# (elementwise ones, and softplus_proj's rank-r GEMM) from its parents and
-# what it kept, then runs the composed graph's vjp arithmetic in reverse
-# tape order, building a gradient only for what requires one, so every
-# gradient is bit-identical too. The composed graph also copies each
+# below: layer_norm two [..., 1] arrays, head_proj its [B, 1, C] scale, the
+# others nothing. Its forward runs the ops of the composed graph (the
+# primitives above) in their order, so the value is bit-identical. Its vjp
+# recomputes the cheap intermediates from its parents and what it kept: the
+# elementwise ones, and each pre-activation with the forward's GEMM and bias
+# add (``pre_activation``). It then runs the composed graph's vjp arithmetic
+# in reverse tape order, building a gradient only for what requires one, so
+# every gradient is bit-identical too. The composed graph also copies each
 # interior node's first gradient (``0 + g``, which maps -0 to +0); that copy
 # is left out here. A vjp is linear in g, through products and sums only,
 # and the sign of a zero operand changes neither the magnitude of such a
@@ -658,9 +679,9 @@ def _axis_index(idx, axis: int, ndim: int):
 # ``accumulate``, which maps -0 to +0 in the same way.
 # A train step's memory peaks in the backward of the last layer's post and
 # scan, while the rest of the tape is still alive (tracemalloc, seed 0:
-# train-solar 45.8 MiB, of which the tape at the loss is 35.8 MiB;
-# train-etth1 19.2 of 13.2), so the vjps drop full-size temporaries as soon
-# as they have been used.
+# train-solar 32.6 MiB, of which the tape at the loss keeps 21.2 MiB of
+# arrays; train-etth1 14.6 of 8.3), so the vjps drop full-size temporaries
+# as soon as they have been used.
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -759,17 +780,21 @@ def skip_gate_proj(y: Tensor, u: Tensor, gate: Tensor, d_skip: Tensor, w: Tensor
 def gelu_mlp(h: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     """``gelu(h @ w1 + b1) @ w2 + b2`` with 2-D weights.
 
-    Keeps only the pre-activation ``h @ w1 + b1``; the vjp recomputes
-    Phi and the GELU from it.
+    Keeps nothing but its output; the vjp recomputes the pre-activation
+    ``h @ w1 + b1`` with the same GEMM and bias add, then Phi and the GELU.
     """
-    pre = _flat(h.data, w1.data)
-    pre += b1.data
+
+    def pre_activation():
+        pre = _flat(h.data, w1.data)
+        pre += b1.data
+        return pre
 
     def vjp(g):
         need_h = h.requires_grad or w1.requires_grad
         need_pre = need_h or b1.requires_grad
         # add(., b2), then matmul(gelu(pre), w2)
         accumulate(b2, g)
+        pre = pre_activation()
         phi_cdf = _phi(pre)
         g_act, gw2 = _flat_grads(g, pre * phi_cdf, w2.data, need_pre, w2.requires_grad)
         accumulate(w2, gw2)
@@ -777,13 +802,14 @@ def gelu_mlp(h: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tenso
             return
         # gelu(pre), add(., b1), matmul(h, w1)
         g_pre = _gelu_grad(g_act, pre, phi_cdf)
-        del g_act, phi_cdf
+        del g_act, phi_cdf, pre
         accumulate(b1, g_pre)
         if need_h:
             gh, gw1 = _flat_grads(g_pre, h.data, w1.data, h.requires_grad, w1.requires_grad)
             accumulate(h, gh)
             accumulate(w1, gw1)
 
+    pre = pre_activation()
     out = _flat(pre * _phi(pre), w2.data)
     out += b2.data
     return from_op(out, (h, w1, b1, w2, b2), vjp)
@@ -792,20 +818,26 @@ def gelu_mlp(h: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tenso
 def silu_proj(x: Tensor, w: Tensor) -> Tensor:
     """``silu(x @ w)`` with a 2-D weight.
 
-    Keeps only the pre-activation ``x @ w``; the vjp recomputes the sigmoid
-    from it.
+    Keeps nothing but its output; the vjp recomputes the pre-activation
+    ``x @ w`` with the same GEMM, then the sigmoid.
     """
-    pre = _flat(x.data, w.data)
+
+    def pre_activation():
+        return _flat(x.data, w.data)
 
     def vjp(g):
-        g_pre = _silu_grad(g, pre, _sigmoid_val(pre))
+        pre = pre_activation()
+        sig = _sigmoid_val(pre)
+        g_pre = _silu_grad(g, pre, sig, out=sig)
+        del pre, sig
         gx, gw = _flat_grads(g_pre, x.data, w.data, x.requires_grad, w.requires_grad)
         accumulate(x, gx)
         accumulate(w, gw)
 
-    # sig is freed on return, with pre under no_grad: freeing it before
-    # from_op measured 13.4k minor page faults per analyze-weather step
-    # against 7.9k, as glibc trimmed and re-faulted the heap
+    # pre and sig are freed on return: freeing sig before from_op measured
+    # 13.4k minor page faults per analyze-weather step against 7.9k, as
+    # glibc trimmed and re-faulted the heap
+    pre = pre_activation()
     sig = _sigmoid_val(pre)
     return from_op(pre * sig, (x, w), vjp)
 
@@ -833,6 +865,75 @@ def softplus_proj(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
     pre = pre_activation()
     return from_op(_softplus_val(pre, out=pre), (x, w, b), vjp)
+
+
+def _linear_vjp(g: np.ndarray, x: Tensor, w: Tensor, b: Tensor) -> None:
+    """Hands ``x``, ``w`` and ``b`` their gradients of ``x @ w + b`` for a
+    contiguous upstream ``g``, in the composed graph's order: add, then
+    matmul."""
+    accumulate(b, g)
+    gx, gw = _flat_grads(g, x.data, w.data, x.requires_grad, w.requires_grad)
+    accumulate(x, gx)
+    accumulate(w, gw)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w + b`` with a 2-D weight: one GEMM, the bias added in place.
+
+    Keeps nothing but its output; the vjp reads only its parents.
+    """
+    out = _flat(x.data, w.data)
+    out += b.data
+    return from_op(out, (x, w, b), lambda g: _linear_vjp(g, x, w, b))
+
+
+def head_proj(
+    x: Tensor, w: Tensor, b: Tensor, affine: tuple[np.ndarray, np.ndarray] | None = None
+) -> Tensor:
+    """``swapaxes(x @ w + b, 1, 2)`` for ``x`` [B, C, K] and ``w`` [K, N]:
+    [B, N, C]. With ``affine = (shift, scale)``, constant arrays that
+    broadcast against [B, N, C], that value times scale plus shift.
+
+    Keeps nothing but its output and the scale; the vjp reads its parents.
+    """
+    scale = None if affine is None else affine[1]
+
+    def vjp(g):
+        # add(., shift), mul(., scale), then swapaxes into a fresh array
+        if scale is not None:
+            g = g * scale
+        _linear_vjp(np.ascontiguousarray(np.swapaxes(g, 1, 2)), x, w, b)
+
+    pre = _flat(x.data, w.data)
+    pre += b.data
+    out = np.ascontiguousarray(np.swapaxes(pre, 1, 2))
+    if affine is not None:
+        out *= scale
+        out += affine[0]
+    return from_op(out, (x, w, b), vjp)
+
+
+def residual_sum(views: Sequence[Tensor], z: Tensor) -> Tensor:
+    """The views' sum plus the residual, ``(v1 + v2) + z``, or ``v1 + z``
+    for one view, all of one shape.
+
+    Keeps nothing but its output; the vjp hands g to every parent.
+    """
+    parents = (*views, z)
+    for v in views:
+        if v.data.shape != z.data.shape:
+            raise ValueError(
+                f"residual_sum: view {v.data.shape} is not shaped like {z.data.shape}"
+            )
+    out = np.add(parents[0].data, parents[1].data)
+    for p in parents[2:]:
+        out += p.data
+
+    def vjp(g):
+        for p in parents:
+            accumulate(p, g)
+
+    return from_op(out, parents, vjp)
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,8 @@ A block runs in three stages, and only the middle one reads the order of
 the tokens:
 
 * ``pre`` works token by token: both input projections with their SiLUs,
-  each one fused op (``autodiff.silu_proj``) that keeps only its
-  pre-activation for the backward, the scan's step sizes, B_t and C_t
+  each one fused op (``autodiff.silu_proj``) that keeps nothing but its
+  output for the backward, the scan's step sizes, B_t and C_t
   (``ssm.projections``), and A = -exp(a_log). With the conv on, u's
   projection is a plain ``matmul``: its SiLU comes after the conv;
 * ``core`` scans the tokens once in each of the given orders

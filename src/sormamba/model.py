@@ -1,14 +1,17 @@
 """The channel-dependency selective-scan forecaster.
 
 Input windows are [batch, lookback, channels]. Each channel's history is
-embedded into one token, so the token axis is the channel axis; stacked
-layers then run a directional encoder over those tokens (returning both view
-outputs for the order-consistency penalty), add a residual around that
-sublayer only, and refine tokens with a LayerNorm/MLP/LayerNorm stage (three
-fused ops, ``autodiff.layer_norm`` and ``autodiff.gelu_mlp``, that keep only
-what their backward reads: two [..., 1] arrays per LayerNorm and the MLP's
-pre-activation). The encoder's blocks are fused ops around the scan too
-(see ``blocks``). A linear head maps each channel token to its horizon.
+embedded into one token (``autodiff.linear``), so the token axis is the
+channel axis; stacked layers then run a directional encoder over those
+tokens (returning both view outputs for the order-consistency penalty), add
+the views' sum and a residual around that sublayer only
+(``autodiff.residual_sum``), and refine tokens with a LayerNorm/MLP/LayerNorm
+stage (``autodiff.layer_norm`` and ``autodiff.gelu_mlp``). A linear head
+(``autodiff.head_proj``) maps each channel token to its horizon. Each of
+these is one fused op that keeps only what its backward reads: two [..., 1]
+arrays per LayerNorm, the head's [B, 1, C] scale, and nothing for the
+others. The encoder's blocks are fused ops around the scan too (see
+``blocks``).
 
 Instance normalization (per window, per channel) is applied on the way in
 and inverted on the way out, so forecasts are always in input units. The
@@ -27,10 +30,12 @@ import numpy as np
 from .autodiff import (
     Tensor,
     gelu_mlp,
+    head_proj,
     layer_norm,
-    matmul,
+    linear,
     mul,
     no_grad,
+    residual_sum,
     sub,
     swapaxes,
 )
@@ -220,7 +225,7 @@ class SORMambaModel:
 
     def _tokens(self, xn: Tensor) -> Tensor:
         # [B, L, C] -> [B, C, L] -> [B, C, D]
-        return matmul(swapaxes(xn, 1, 2), self.w_embed) + self.b_embed
+        return linear(swapaxes(xn, 1, 2), self.w_embed, self.b_embed)
 
     @staticmethod
     def _refine(layer: _Layer, z: Tensor) -> Tensor:
@@ -234,12 +239,11 @@ class SORMambaModel:
         pairs: list[tuple[Tensor, Tensor]] = []
         for layer in self.layers:
             if self.config.two_view:
-                z1, z2 = layer.encoder.forward_pair(z, rng)
-                pairs.append((z1, z2))
-                z = (z1 + z2) + z
+                views = layer.encoder.forward_pair(z, rng)
+                pairs.append(views)
             else:
-                z = layer.encoder.blocks[0](z) + z
-            z = self._refine(layer, z)
+                views = (layer.encoder.blocks[0](z),)
+            z = self._refine(layer, residual_sum(views, z))
         return z, pairs
 
     def encode(self, x: Tensor, rng: np.random.Generator | None = None):
@@ -256,17 +260,7 @@ class SORMambaModel:
         self._check_input(x)
         xn, stats = self.normalize_input(x)
         tokens, pairs = self._encode_tokens(xn, rng)
-        return self._head(tokens, stats, w, b), pairs
-
-    @staticmethod
-    def _head(tokens: Tensor, stats, w: Tensor, b: Tensor) -> Tensor:
-        """Channel tokens [B, C, D] through ``(w, b)``, [B, out, C] in the
-        input units that ``stats`` (from ``normalize_input``) record."""
-        out = swapaxes(matmul(tokens, w) + b, 1, 2)
-        if stats is not None:
-            mu, sd = stats
-            out = mul(out, Tensor(sd)) + Tensor(mu)
-        return out
+        return head_proj(tokens, w, b, stats), pairs
 
     def forecast(self, x: Tensor, rng: np.random.Generator | None = None):
         """[B, L, C] -> (forecast [B, H, C] in input units, view pairs)."""
@@ -303,10 +297,8 @@ class SORMambaModel:
                         # popped and replaced, so each input and view output
                         # goes once its last ordering is done with it
                         ys = outs.pop(k)
-                        zs[k] = self._refine(
-                            layer, (ys[0] + ys[1] if len(ys) == 2 else ys[0]) + zs[k]
-                        )
-            return [self._head(z, stats, self.w_head, self.b_head).data for z in zs]
+                        zs[k] = self._refine(layer, residual_sum(ys, zs[k]))
+            return [head_proj(z, self.w_head, self.b_head, stats).data for z in zs]
 
     def ordering_key(self, perm) -> tuple:
         """What ``forecast_orderings`` reads of ordering ``perm``: each
@@ -322,7 +314,7 @@ class SORMambaModel:
     def latent_for_ccm(self, x: Tensor, rng: np.random.Generator | None = None) -> Tensor:
         """Projected channel embeddings [B, C, D] for correlation matching."""
         tokens, _ = self.encode(x, rng)
-        return matmul(tokens, self.w_ccm) + self.b_ccm
+        return linear(tokens, self.w_ccm, self.b_ccm)
 
     def reconstruct(self, x: Tensor, rng: np.random.Generator | None = None) -> Tensor:
         """[B, L, C] -> reconstruction [B, L, C] in input units.

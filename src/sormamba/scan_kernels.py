@@ -70,6 +70,7 @@ from __future__ import annotations
 
 import math
 import threading
+from typing import NamedTuple
 
 import numpy as np
 
@@ -119,12 +120,27 @@ def _buffer(role, shape):
     return flat[:need].reshape(shape)
 
 
+class _StepViews(NamedTuple):
+    """Per-step [rows, N, D] slabs of the workspace at one tile height:
+    ``a_bar``, ``bx`` and ``g_da`` hold one per position, ``hs`` one list
+    of S + 1 per kept walk and ``gh`` one list of S per walk; ``g_da`` and
+    ``gh`` are None in a forward."""
+
+    a_bar: list
+    bx: list
+    hs: list
+    gh: list | None
+    g_da: list | None
+
+
 class _Scan:
     """Step-major views of the inputs, the batch tiles, each order's steps,
     and views of the workspace for one call: buffers [S, tile rows, N, D].
 
     ``walks`` lists each order's positions in step order; walk v's step k
-    reads position ``walks[v][k]`` of the factors.
+    reads position ``walks[v][k]`` of the factors. The step loops index
+    lists of per-step slabs (``step_views``), built once per call and tile
+    height, instead of slicing the buffers at every step.
     """
 
     def __init__(self, delta, a, b_t, x, mode, orders, backward=False):
@@ -153,6 +169,25 @@ class _Scan:
         self.dxb = _buffer("dxb", shape) if self.zoh and backward else self.bx
         self.gh = _buffer("gh", (len(orders),) + shape) if backward else None
         self.g_da = _buffer("g_da", shape) if backward else None
+        self._step_views = {}
+
+    def step_views(self, r):
+        """The workspace's per-step slabs at tile height ``r``, built on the
+        first tile of that height."""
+        views = self._step_views.get(r)
+        if views is None:
+
+            def slabs(buf):
+                return None if buf is None else list(buf[:, :r])
+
+            views = self._step_views[r] = _StepViews(
+                slabs(self.a_bar),
+                slabs(self.bx),
+                [slabs(h) for h in self.hs],
+                None if self.gh is None else [slabs(g) for g in self.gh],
+                slabs(self.g_da),
+            )
+        return views
 
     def factors(self, tile):
         """The factors of every token for the rows in ``tile``, into the
@@ -173,18 +208,18 @@ class _Scan:
             np.multiply(self.dxb[:, :r], factor, out=bx)
         return r
 
-    def recur(self, steps, hs):
+    def recur(self, steps, views, i=0):
         """States of one walk over ``steps`` (positions in step order) from
-        the zero state: hs [S + 1, rows, N, D] holds zero in slot 0 and the
-        state after position j in slot j + 1."""
-        r = hs.shape[1]
-        a_bar, bx = self.a_bar[:, :r], self.bx[:, :r]
-        hs[0] = 0.0
-        prev = 0
+        the zero state, into kept walk ``i``'s slabs of ``views``: zero in
+        slot 0 and the state after position j in slot j + 1."""
+        a_bar, bx, hs = views.a_bar, views.bx, views.hs[i]
+        prev = hs[0]
+        prev.fill(0.0)
         for j in steps:
-            np.multiply(a_bar[j], hs[prev], out=hs[j + 1])
-            hs[j + 1] += bx[j]
-            prev = j + 1
+            h = hs[j + 1]
+            np.multiply(a_bar[j], prev, out=h)
+            h += bx[j]
+            prev = h
 
 
 def _matvec(m, v, out=None):
@@ -206,9 +241,10 @@ def scan_forward(delta, a, b_t, c_t, x, mode, orders=(None,)):
     y_steps = np.swapaxes(y, 1, 2)
     for tile in scan.tiles:
         r = scan.factors(tile)
+        views = scan.step_views(r)
         hs = scan.hs[0, :, :r]
         for v, steps in enumerate(scan.walks):
-            scan.recur(steps, hs)
+            scan.recur(steps, views)
             readout = np.matmul(c_t[:, tile][:, :, None, :], hs[1:])
             y_steps[v, :, tile] = readout[:, :, 0, :]
     return y
@@ -236,33 +272,37 @@ def scan_backward(delta, a, b_t, c_t, x, mode, gy, orders=(None,)):
     term = np.empty(scan.gh.shape[2:]) if len(orders) > 1 else None
     for tile in scan.tiles:
         r = scan.factors(tile)
-        a_bar, g_da = scan.a_bar[:, :r], scan.g_da[:, :r]
+        views = scan.step_views(r)
+        # per-step slabs (lists) of a_bar, g_da and the walk's hs and gh
+        a_bar_s, g_da_s = views.a_bar, views.g_da
         c_b = c_t[:, tile]
+        term_r = None if term is None else term[:r]
         for i, steps in enumerate(scan.walks):
-            hs, gh = scan.hs[i, :, :r], scan.gh[i, :, :r]
-            scan.recur(steps, hs)
+            hs_s, gh_s = views.hs[i], views.gh[i]
+            scan.recur(steps, views, i)
             t_gy = gy[i][:, tile]
             # d loss / d h_k: its own readout plus what flows back from step
             # k+1, a_bar[k+1] * gh[k+1]; times the state entering step k+1,
             # that product is step k+1's d loss / d (delta A). Walk 0 writes
             # it into g_da, the others add theirs through term
-            np.einsum("srd,srn->srnd", t_gy, c_b, out=gh)
+            np.einsum("srd,srn->srnd", t_gy, c_b, out=scan.gh[i, :, :r])
             for k in range(len(steps) - 2, -1, -1):
                 s0, s1 = steps[k], steps[k + 1]
-                prod = g_da[s1] if i == 0 else term[:r]
-                np.multiply(a_bar[s1], gh[s1], out=prod)
-                gh[s0] += prod
-                prod *= hs[s0 + 1]
+                prod = g_da_s[s1] if i == 0 else term_r
+                np.multiply(a_bar_s[s1], gh_s[s1], out=prod)
+                np.add(gh_s[s0], prod, out=gh_s[s0])
+                prod *= hs_s[s0 + 1]
                 if i:
-                    g_da[s1] += prod
+                    np.add(g_da_s[s1], prod, out=g_da_s[s1])
             # the first step enters from the zero state
+            states = scan.hs[i, 1:, :r]
             if i == 0:
-                g_da[steps[0]] = 0.0
-                g_c_b = _matvec(hs[1:], t_gy, g_c_s[:, tile])
+                g_da_s[steps[0]].fill(0.0)
+                g_c_b = _matvec(states, t_gy, g_c_s[:, tile])
             else:
-                g_c_b += _matvec(hs[1:], t_gy)
+                g_c_b += _matvec(states, t_gy)
+        a_bar, g_da, gh = scan.a_bar[:, :r], scan.g_da[:, :r], scan.gh[0, :, :r]
         # the walks' gradients wrt the states, summed into walk 0's
-        gh = scan.gh[0, :, :r]
         for i in range(1, len(scan.walks)):
             gh += scan.gh[i, :, :r]
         if scan.zoh:

@@ -1,9 +1,9 @@
 """The fused per-token ops against the composed graphs they replace.
 
 Each fused op (``layer_norm``, ``skip_gate_proj``, ``gelu_mlp``,
-``silu_proj``, ``softplus_proj`` and ``losses.mse``) must give the composed
-graph's value and
-every gradient bit for bit, and keep less of the forward alive for its
+``silu_proj``, ``softplus_proj``, ``linear``, ``head_proj``,
+``residual_sum`` and ``losses.mse``) must give the composed graph's value
+and every gradient bit for bit, and keep less of the forward alive for its
 backward. The composed graphs are written out here from the primitive ops,
 as the reference.
 """
@@ -23,6 +23,8 @@ from sormamba.autodiff import Tensor
 
 # (batch, tokens, d_model) of train-etth1, train-solar and analyze-weather
 WORKLOAD_SHAPES = [(32, 7, 128), (8, 137, 64), (64, 21, 64)]
+# the workloads' forecast horizon, the head's width
+HORIZON = 96
 
 
 def composed_layer_norm(x, gain, bias, eps=1e-5):
@@ -47,6 +49,25 @@ def composed_silu_proj(x, w):
 
 def composed_softplus_proj(x, w, b):
     return ad.softplus(ad.matmul(x, w) + b)
+
+
+def composed_linear(x, w, b):
+    return ad.matmul(x, w) + b
+
+
+def composed_head_proj(x, w, b, affine=None):
+    out = ad.swapaxes(ad.matmul(x, w) + b, 1, 2)
+    if affine is not None:
+        shift, scale = affine
+        out = ad.mul(out, Tensor(scale)) + Tensor(shift)
+    return out
+
+
+def composed_residual_sum(views, z):
+    total = views[0]
+    for v in views[1:]:
+        total = total + v
+    return total + z
 
 
 def composed_mse(pred, target):
@@ -75,6 +96,15 @@ def _inputs(op: str, shape, seed=0):
     elif op == "silu_proj":
         arrays = [rng.normal(size=shape), rng.normal(size=(d, 2 * d)) / np.sqrt(d)]
         out_shape = (b, c, 2 * d)
+    elif op == "linear":
+        arrays = [rng.normal(size=shape), rng.normal(size=(d, d)) / np.sqrt(d), rng.normal(size=d)]
+    elif op.startswith("head_proj"):
+        arrays = [rng.normal(size=shape), rng.normal(size=(d, HORIZON)) / np.sqrt(d)]
+        arrays.append(rng.normal(size=HORIZON))
+        out_shape = (b, HORIZON, c)
+    elif op.startswith("residual_sum"):
+        # two views and the residual, or one view and the residual
+        arrays = [rng.normal(size=shape) for _ in range(3 if op == "residual_sum" else 2)]
     else:
         rank = -(-d // 16)
         arrays = [rng.normal(size=(b, c, rank)), rng.normal(size=(rank, 2 * d))]
@@ -83,12 +113,34 @@ def _inputs(op: str, shape, seed=0):
     return arrays, out_shape
 
 
+def _affine(x):
+    """The instance norm's (mu, sd) for tokens ``x`` [B, C, K]: [B, 1, C]
+    constants, drawn from ``x``'s shape alone."""
+    b, c, _ = x.shape
+    rng = np.random.default_rng(11)
+    return rng.normal(size=(b, 1, c)), rng.uniform(0.5, 2.0, size=(b, 1, c))
+
+
 OPS = {
     "layer_norm": (ad.layer_norm, composed_layer_norm),
     "skip_gate_proj": (ad.skip_gate_proj, composed_skip_gate_proj),
     "gelu_mlp": (ad.gelu_mlp, composed_gelu_mlp),
     "silu_proj": (ad.silu_proj, composed_silu_proj),
     "softplus_proj": (ad.softplus_proj, composed_softplus_proj),
+    "linear": (ad.linear, composed_linear),
+    "head_proj": (
+        lambda x, w, b: ad.head_proj(x, w, b, _affine(x.data)),
+        lambda x, w, b: composed_head_proj(x, w, b, _affine(x.data)),
+    ),
+    "head_proj_no_affine": (ad.head_proj, composed_head_proj),
+    "residual_sum": (
+        lambda v1, v2, z: ad.residual_sum((v1, v2), z),
+        lambda v1, v2, z: composed_residual_sum((v1, v2), z),
+    ),
+    "residual_sum_one": (
+        lambda v, z: ad.residual_sum((v,), z),
+        lambda v, z: composed_residual_sum((v,), z),
+    ),
     "mse": (ls.mse, composed_mse),
 }
 
@@ -187,6 +239,9 @@ class TestSameBitsAsComposed:
         fused = grads(md.SORMambaModel(cfg, seed=3))
         monkeypatch.setattr(md, "layer_norm", composed_layer_norm)
         monkeypatch.setattr(md, "gelu_mlp", composed_gelu_mlp)
+        monkeypatch.setattr(md, "linear", composed_linear)
+        monkeypatch.setattr(md, "head_proj", composed_head_proj)
+        monkeypatch.setattr(md, "residual_sum", composed_residual_sum)
         monkeypatch.setattr(blocks, "skip_gate_proj", composed_skip_gate_proj)
         monkeypatch.setattr(blocks, "silu_proj", composed_silu_proj)
         monkeypatch.setattr(ssm, "softplus_proj", composed_softplus_proj)
@@ -229,9 +284,8 @@ OBJECT_SLACK = 8 * 1024
 
 class TestKeptMemory:
     """After a recorded forward, a fused op holds its output and only what
-    its vjp is documented to keep: layer_norm two [..., 1] arrays,
-    skip_gate_proj and softplus_proj nothing more, gelu_mlp and silu_proj
-    the pre-activation, mse the difference."""
+    its vjp is documented to keep: layer_norm two [..., 1] arrays, head_proj
+    its [B, 1, C] scale, mse the difference, every other op nothing more."""
 
     SHAPE = (8, 137, 64)
 
@@ -239,8 +293,8 @@ class TestKeptMemory:
         rows = self.SHAPE[0] * self.SHAPE[1]
         if op == "layer_norm":
             return 2 * rows * 8
-        if op in ("gelu_mlp", "silu_proj"):
-            return rows * parents[1].shape[1] * 8
+        if op == "head_proj":
+            return rows * 8
         if op == "mse":
             return parents[0].data.nbytes
         return 0
@@ -264,10 +318,10 @@ class TestKeptMemory:
         assert not out.requires_grad
         assert kept <= out.data.nbytes + OBJECT_SLACK
 
-    def test_recorded_pre_keeps_its_outputs_and_two_pre_activations(self):
-        # a block's pre at train-solar's token shape: u, gate and delta, the
-        # narrow b_t, c_t and low-rank input of delta, and the SiLUs'
-        # pre-activations; no sigmoid and no step-size pre-activation
+    def test_recorded_pre_keeps_its_outputs_and_no_pre_activation(self):
+        # a block's pre at train-solar's token shape: u, gate and delta, and
+        # the narrow b_t, c_t and low-rank input of delta; no sigmoid and no
+        # pre-activation
         batch, tokens, d_model = self.SHAPE
         cfg = md.ModelConfig(lookback=8, horizon=4, n_channels=tokens, d_model=d_model)
         block = blocks.CDMambaBlock(
@@ -281,5 +335,5 @@ class TestKeptMemory:
         # A = -exp(a_log) and the exp it was taken from, [d_inner, d_state]
         a = 2 * out.a.data.nbytes
         assert delta.requires_grad and out.u.requires_grad and out.gate.requires_grad
-        allowed = 3 * wide + b_t.data.nbytes + c_t.data.nbytes + low + 2 * wide + a
+        allowed = 3 * wide + b_t.data.nbytes + c_t.data.nbytes + low + a
         assert kept <= allowed + 8 * OBJECT_SLACK

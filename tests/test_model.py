@@ -1,8 +1,13 @@
-"""Model-level tests: shapes, symmetry, accounting, checkpoints."""
+"""Model-level tests: shapes, symmetry, accounting, tape size, checkpoints."""
+
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from sormamba import autodiff as ad
+from sormamba import losses
 from sormamba import model as md
 from sormamba.autodiff import Tensor, backward, tmean, mul, sub
 
@@ -189,6 +194,33 @@ class TestGradients:
             assert named[name].grad is not None and np.any(named[name].grad != 0), name
         for name in ("ccm.w", "ccm.b", "rec.w", "rec.b"):
             assert named[name].grad is None, name
+
+
+def _bitcheck():
+    """``tools/bitcheck.py`` as a module, for the measures it prints."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "bitcheck.py"
+    spec = importlib.util.spec_from_file_location("bitcheck", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestTapeMemory:
+    def test_recorded_loss_tape_at_train_solar_shape_holds_at_most_22_mib(self):
+        # C=137, D=64, L=H=96, two layers, batch 8: the fused ops keep no
+        # pre-activation, the views' sum keeps nothing and the embedding and
+        # head keep no matmul output (33.1 MiB when they did)
+        cfg = md.ModelConfig(
+            lookback=96, horizon=96, n_channels=137, d_model=64, n_layers=2, reg_weight=0.1
+        )
+        model = md.SORMambaModel(cfg, seed=0)
+        rng = np.random.default_rng(0)
+        pred, pairs = model.forecast(Tensor(rng.normal(size=(8, 96, 137))))
+        target = rng.normal(size=pred.shape)
+        loss = losses.total_loss(pred, target, pairs, cfg.reg_weight, cfg.reg_metric).total
+        # bitcheck's tape-mib line: each recorded node's value and the
+        # arrays its vjp closes over, each byte counted once
+        assert _bitcheck().tape_mib(ad._ordered_tape(loss)) <= 22
 
 
 class TestCheckpoint:

@@ -27,9 +27,11 @@ each workload's ``setup`` and ``make_run`` at seed 3 with one BLAS thread:
 * train-solar, train-etth1: a sha256 of each parameter's gradient after one
   ``step()``, then ``parameter_fingerprint`` after three steps; then the
   number of nodes on the tape of one training loss (the first batch's,
-  ``autodiff._ordered_tape``) and the ``tracemalloc`` peak of one more,
-  warmed-up ``step()`` in MiB. These two are the lines that a change to what
-  the tape keeps is meant to move;
+  ``autodiff._ordered_tape``), the MiB of arrays that tape keeps for the
+  backward (each recorded node's value and the arrays its vjp closes over,
+  each byte counted once) and the ``tracemalloc`` peak of one more,
+  warmed-up ``step()`` in MiB. These three are the lines that a change to
+  what the tape keeps is meant to move;
 * analyze-weather: the ``reversal_bias`` MSEs and the
   ``permutation_robustness(n_perms=2, seed=3)`` MSEs as ``float.hex()``,
   then ``scan-walks``: the number of walks (orders) of each
@@ -62,9 +64,9 @@ each workload's ``setup`` and ``make_run`` at seed 3 with one BLAS thread:
   path, only ``source_sha256`` and ``produced``.
 
 Two checkouts that compute the same numbers print the same lines, apart
-from the ``tape-nodes`` and ``step-peak-mib`` lines when they keep
-different things on the tape and the ``scan-walks`` line when they scan
-differently; these three are structure, every other line is a value.
+from the ``tape-nodes``, ``tape-mib`` and ``step-peak-mib`` lines when they
+keep different things on the tape and the ``scan-walks`` line when they
+scan differently; these four are structure, every other line is a value.
 ``diff`` the outputs to see which parameters, errors, memory figures or
 scans moved.
 
@@ -249,10 +251,47 @@ def _print_forward(runs: dict) -> None:
         print(name, "forward", _digest(pred.data), "reversed-equal", same)
 
 
+def tape_mib(tape) -> float:
+    """MiB of the arrays that ``tape`` (``autodiff._ordered_tape``'s nodes)
+    keeps for a backward: each recorded node's value and the arrays its vjp
+    closes over (through tuples, lists and nested functions), each byte
+    counted once."""
+    import types
+
+    import numpy as np
+
+    spans, seen = set(), set()
+
+    def visit(obj):
+        if isinstance(obj, np.ndarray) and obj.size:
+            # the bytes between the array's first and last element
+            start = obj.__array_interface__["data"][0]
+            reach = [(n - 1) * stride for n, stride in zip(obj.shape, obj.strides)]
+            lo = start + sum(r for r in reach if r < 0)
+            spans.add((lo, start + sum(r for r in reach if r > 0) + obj.itemsize))
+        elif isinstance(obj, (tuple, list)):
+            for item in obj:
+                visit(item)
+        elif isinstance(obj, types.FunctionType) and id(obj) not in seen:
+            seen.add(id(obj))
+            for cell in obj.__closure__ or ():
+                visit(cell.cell_contents)
+
+    for node in tape:
+        if node._vjp is not None:
+            visit(node.data)
+            visit(node._vjp)
+    total = end = 0
+    for lo, hi in sorted(spans):
+        total += max(0, hi - max(lo, end))
+        end = max(end, hi)
+    return total / 2**20
+
+
 def _print_step_memory(name: str, run) -> None:
-    """The tape's node count for the loss of a training forward on the first
-    batch, then the tracemalloc peak of one more ``step()``, in MiB above the
-    traced level when it starts."""
+    """The tape's node count and kept MiB for the loss of a training forward
+    on the first batch, then the tracemalloc peak of one more ``step()``, in
+    MiB above the traced level when it starts."""
     import tracemalloc
 
     from sormamba import autodiff, losses
@@ -261,7 +300,10 @@ def _print_step_memory(name: str, run) -> None:
     x = run.first_batch()
     pred, pairs = run.model.forecast(autodiff.Tensor(x))
     loss = losses.total_loss(pred, run.y[: len(x)], pairs, cfg.reg_weight, cfg.reg_metric)
-    print(name, "tape-nodes", len(autodiff._ordered_tape(loss.total)))
+    tape = autodiff._ordered_tape(loss.total)
+    print(name, "tape-nodes", len(tape))
+    print(name, "tape-mib", f"{tape_mib(tape):.3f}")
+    del tape
     del pred, pairs, loss
     tracemalloc.start()
     try:
