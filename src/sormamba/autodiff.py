@@ -302,10 +302,9 @@ def sqrt(a: Tensor) -> Tensor:
 
 
 def absolute(a: Tensor) -> Tensor:
-    sign = np.sign(a.data)
-
     def vjp(g):
-        accumulate(a, g * sign)
+        # rebuilt from the parent so that the tape keeps no sign array
+        accumulate(a, g * np.sign(a.data))
 
     return from_op(np.abs(a.data), (a,), vjp)
 

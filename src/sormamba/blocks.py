@@ -25,19 +25,20 @@ the tokens:
 
 ``DirectionalEncoderCD`` is built from a ``ModelConfig``. It runs one block
 over two views of the token axis (or two independent blocks, for the
-bidirectional variant) and returns both view outputs so the caller can fuse
-them and penalize their disagreement; ``forward_orderings`` runs the views
-under several orderings of the tokens at once, each block's ``pre`` once and
-each distinct scan order once. ``view_walks`` maps an ordering to the
-(block, scan order) of each view, and ``ordering_key`` reads from it which
-orderings give the same sum of views. A view is only an order for ``core``:
-with one shared block (``uni``) both views share one ``pre`` and every
-tensor it made, both views are one ``core`` call and so one ``scan_core``
-call (which computes each token's discretized factors once for both
-orders, see ``scan_kernels``), and no token is gathered or put back. With the conv on,
-the conv and the projections after it are order-dependent too, so they move
-into ``core``, which then gathers the tokens, scans each view on its own
-and puts y back.
+bidirectional variant; one view in the tokens' order without ``two_view``)
+and returns each view's output so the caller can fuse them and penalize
+their disagreement. Its one entry, ``forward_orderings``, runs the views
+under one ordering of the tokens (training, evaluation) or several (the
+ordering analysis) at once, each block's ``pre`` once and each distinct
+scan order once; ``view_walks`` maps an ordering to the (block, scan order)
+of each view, and ``ordering_key`` reads from it which orderings give the
+same sum of views. A view is only an order for ``core``: with one shared
+block (``uni``) the views share one ``pre`` and one ``scan_core`` call
+(which computes each token's discretized factors once for all orders, see
+``scan_kernels``), and no token is gathered. With the conv on, the conv and
+the projections after it depend on the order too, so they move into
+``core``, which gathers the tokens of each walk but the given order, scans
+it on its own and puts y back.
 """
 
 from __future__ import annotations
@@ -149,10 +150,7 @@ class CDMambaBlock:
         return Tokens(u, gate, neg(exp(self.ssm.a_log)), scan_in)
 
     def core(
-        self,
-        tokens: Tokens,
-        orders: tuple[np.ndarray | None, ...] = (None,),
-        labels: tuple[str, ...] | None = None,
+        self, tokens: Tokens, orders: tuple[np.ndarray | None, ...], labels: tuple[str, ...] | None
     ) -> list[tuple[Tensor, Tensor]]:
         """Scan the tokens once in each of ``orders`` (None: as given).
         Returns, per order, (y before the skip term, the scan input), both in
@@ -206,12 +204,13 @@ class DirectionalEncoderCD:
     ``uni`` shares a single block between the direct view and the reordered
     view, and with it the block's ``pre`` stage and one ``core`` call for
     both views; ``bi`` gives each view its own block (exactly doubling the
-    parameter count). ``forward_pair`` returns both view outputs aligned to
-    the original token order.
+    parameter count). Without ``two_view`` one block reads the tokens as
+    given. Every view's output is aligned to the original token order.
     """
 
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
         self.order_mode = cfg.order_mode
+        self.two_view = cfg.two_view
         self.n_tokens = cfg.n_channels
         self.blocks = [
             CDMambaBlock(
@@ -235,8 +234,10 @@ class DirectionalEncoderCD:
         )
 
     def _views(self, rng: np.random.Generator | None):
-        """The two token orderings for this pass as index permutations;
-        None means the identity."""
+        """The token orderings of this pass's views as index permutations,
+        None meaning the identity; the one view ``(None,)`` without ``two_view``."""
+        if not self.two_view:
+            return (None,)
         if self.order_mode == "fixed-reverse":
             return None, self._reverse
         if self.order_mode == "fixed-random":
@@ -249,62 +250,57 @@ class DirectionalEncoderCD:
         perm = self._fixed_pair[0] if rng is None else rng.permutation(self.n_tokens)
         return perm, perm[::-1].copy()
 
-    def forward_pair(
-        self, z: Tensor, rng: np.random.Generator | None = None
-    ) -> tuple[Tensor, Tensor]:
-        if z.ndim != 3 or z.shape[1] != self.n_tokens:
-            raise ValueError(
-                f"forward_pair: expected [batch, {self.n_tokens}, d_model], got {z.shape}"
-            )
-        views = self._views(rng)
-        if len(self.blocks) == 1:  # uni: one block scans both views
-            z1, z2 = self.blocks[0].forward_orders(z, views)
-        else:
-            (z1,), (z2,) = (blk.forward_orders(z, (v,)) for blk, v in zip(self.blocks, views))
-        return z1, z2
-
-    def view_walks(self, perm: np.ndarray, two_view: bool) -> list[tuple[int, np.ndarray]]:
-        """(block index, scan order) of each view under ordering ``perm``,
-        for the views that ``forward_pair`` takes without an rng
-        (``two_view``) or the one view in z's order: view order ``v``
-        becomes ``perm`` (v None) or ``perm[v]``, scanned by ``blocks[0]``
-        for every view under ``uni`` and by block i for view i under ``bi``."""
-        views = self._views(None) if two_view else (None,)
+    def view_walks(self, perm: np.ndarray | None, views: tuple) -> list[tuple[int, np.ndarray]]:
+        """(block index, scan order) of each of ``views`` under ordering
+        ``perm``: view order ``v`` becomes ``perm`` (v None) or ``perm[v]``,
+        or stays ``v`` under the given order (perm None, whose identity view
+        stays None, never gathered), scanned by ``blocks[0]`` under ``uni``
+        and by block i for view i under ``bi``."""
         shared = len(self.blocks) == 1
         return [
-            (0 if shared else i, perm if v is None else perm[v]) for i, v in enumerate(views)
+            (0 if shared else i, v if perm is None else perm if v is None else perm[v])
+            for i, v in enumerate(views)
         ]
 
-    def ordering_key(self, perm: np.ndarray, two_view: bool) -> tuple[tuple[int, bytes], ...]:
+    def ordering_key(self, perm: np.ndarray) -> tuple[tuple[int, bytes], ...]:
         """The sorted multiset of ``view_walks``' (block index, order bytes)
-        pairs. Orderings with equal keys scan the same orders in the same
-        blocks and differ at most in which view gets which walk, which the
-        views' sum does not see (IEEE addition is commutative)."""
-        return tuple(sorted((b, order.tobytes()) for b, order in self.view_walks(perm, two_view)))
+        pairs for ``perm`` and the rng-free views. Orderings with equal keys
+        scan the same orders in the same blocks and differ at most in which
+        view gets which walk, which the views' sum does not see (IEEE
+        addition is commutative)."""
+        walks = self.view_walks(perm, self._views(None))
+        return tuple(sorted((b, order.tobytes()) for b, order in walks))
 
     def forward_orderings(
-        self, z: Tensor, perms: dict[int, np.ndarray], two_view: bool
+        self, z: Tensor, perms: dict[int, np.ndarray | None], rng: np.random.Generator | None = None
     ) -> dict[int, list[Tensor]]:
-        """Each view's output on z under each ordering of its tokens, keyed
-        like ``perms``, views and walks as ``view_walks`` maps them; the
-        outputs stay in z's token order. A block runs ``pre`` once and scans
-        each distinct walk once; a non-finite scan names the orderings (by
-        key) and views that walk serves."""
-        walks_of = {k: self.view_walks(perm, two_view) for k, perm in perms.items()}
-        outs = {k: [None] * len(views) for k, views in walks_of.items()}
-        for b, blk in enumerate(self.blocks):
-            # order bytes -> (order, the (ordering, view) pairs it serves)
-            walks: dict[bytes, tuple[np.ndarray, list[tuple[int, int]]]] = {}
-            for k, views in walks_of.items():
-                for i, (block, order) in enumerate(views):
-                    if block == b:
-                        walks.setdefault(order.tobytes(), (order, []))[1].append((k, i))
-            labels = tuple(
-                " and ".join(
-                    f"ordering {k}" + (f" view {i}" if two_view else "") for k, i in users
-                )
-                for _, users in walks.values()
+        """Each view's output on z [batch, tokens, d_model], in z's token
+        order, under each ordering of ``perms`` (keyed alike): the views are
+        drawn once (from ``rng`` in the random modes) and walked as
+        ``view_walks`` maps them, each block's ``pre`` once and each distinct
+        walk once. A non-finite scan names the walk's orderings and views."""
+        if z.ndim != 3 or z.shape[1] != self.n_tokens:
+            raise ValueError(
+                f"forward_orderings: expected [batch, {self.n_tokens}, d_model], got {z.shape}"
             )
+        views = self._views(rng)
+        walks_of = {k: self.view_walks(perm, views) for k, perm in perms.items()}
+        outs = {k: [None] * len(views) for k in perms}
+
+        def name(k: int, i: int) -> str:
+            ordering = "" if perms[k] is None else f"ordering {k}"
+            view = f"view {i}" if len(views) > 1 else ""
+            return " ".join(filter(None, (ordering, view)))
+
+        for b, blk in enumerate(self.blocks):
+            # order bytes (None: as given) -> (order, the (ordering, view)s it serves)
+            walks: dict[bytes | None, tuple[np.ndarray | None, list[tuple[int, int]]]] = {}
+            for k, walks_k in walks_of.items():
+                for i, (block, order) in enumerate(walks_k):
+                    if block == b:
+                        key = None if order is None else order.tobytes()
+                        walks.setdefault(key, (order, []))[1].append((k, i))
+            labels = tuple(" and ".join(name(*u) for u in users) for _, users in walks.values())
             ys = blk.forward_orders(z, tuple(order for order, _ in walks.values()), labels)
             for y, (_, users) in zip(ys, walks.values()):
                 for k, i in users:

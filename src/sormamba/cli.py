@@ -106,6 +106,14 @@ def _flag(section: dict, where: str, key: str) -> bool:
     return value
 
 
+def _integer(section: dict, where: str, key: str, default: int, low: int) -> int:
+    """``section[key]`` (``default`` when absent), an integer >= ``low``."""
+    value = section.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise ConfigError(f"{where}.{key} must be an integer >= {low}, got {value!r}")
+    return value
+
+
 def build_series(cfg: dict) -> tuple[dt.RawSeries, str]:
     """Returns the raw series and its split family."""
     dcfg = _section(cfg, "dataset", required=True)
@@ -123,15 +131,17 @@ def build_series(cfg: dict) -> tuple[dt.RawSeries, str]:
         if family is None and name in dt.DATASETS:
             family = dt.DATASETS[name].family
     elif kind in ("synthetic-seasonal", "synthetic-correlated"):
-        channels = int(dcfg.get("channels", 4))
-        length = int(dcfg.get("length", 800))
-        seed = int(dcfg.get("seed", 0))
+        channels = _integer(dcfg, "dataset", "channels", 4, 1)
+        length = _integer(dcfg, "dataset", "length", 800, 1)
+        seed = _integer(dcfg, "dataset", "seed", 0, 0)
         if kind == "synthetic-seasonal":
             values = syn.seasonal_series(channels, length, seed=seed)
         else:
-            values = syn.correlated_series(
-                channels, length, strength=float(dcfg.get("strength", 0.7)), seed=seed
-            )
+            strength = dcfg.get("strength", 0.7)
+            number = isinstance(strength, (int, float)) and not isinstance(strength, bool)
+            if not (number and 0.0 <= strength <= 1.0):
+                raise ConfigError(f"dataset.strength must be a number in [0, 1], got {strength!r}")
+            values = syn.correlated_series(channels, length, strength=strength, seed=seed)
         series = dt.RawSeries(
             name=name, values=values, channel_names=[f"ch{i}" for i in range(channels)]
         )

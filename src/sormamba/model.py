@@ -3,15 +3,16 @@
 Input windows are [batch, lookback, channels]. Each channel's history is
 embedded into one token (``autodiff.linear``), so the token axis is the
 channel axis; stacked layers then run a directional encoder over those
-tokens (returning both view outputs for the order-consistency penalty), add
-the views' sum and a residual around that sublayer only
-(``autodiff.residual_sum``), and refine tokens with a LayerNorm/MLP/LayerNorm
-stage (``autodiff.layer_norm`` and ``autodiff.gelu_mlp``). A linear head
-(``autodiff.head_proj``) maps each channel token to its horizon. Each of
-these is one fused op that keeps only what its backward reads: two [..., 1]
-arrays per LayerNorm, the head's [B, 1, C] scale, and nothing for the
-others. The encoder's blocks are fused ops around the scan too (see
-``blocks``).
+tokens (returning each view's output, the pair kept per layer for the
+order-consistency penalty), add the views' sum and a residual around that
+sublayer only (``autodiff.residual_sum``), and refine tokens with a
+LayerNorm/MLP/LayerNorm stage (``autodiff.layer_norm`` and
+``autodiff.gelu_mlp``). A linear head (``autodiff.head_proj``) maps each
+channel token to its horizon. Each of these is one fused op that keeps only
+what its backward reads: two [..., 1] arrays per LayerNorm, the head's
+[B, 1, C] scale, and nothing for the others. The encoder's blocks are fused
+ops around the scan too (see ``blocks``). One layer loop serves the
+forecast, the side heads and the ordering analysis (``forecast_orderings``).
 
 Instance normalization (per window, per channel) is applied on the way in
 and inverted on the way out, so forecasts are always in input units. The
@@ -234,32 +235,40 @@ class SORMambaModel:
         h = gelu_mlp(h, layer.w_mlp1, layer.b_mlp1, layer.w_mlp2, layer.b_mlp2)
         return layer_norm(h, layer.g2, layer.c2)
 
-    def _encode_tokens(self, xn: Tensor, rng: np.random.Generator | None):
-        z = self._tokens(xn)
+    def _encode_tokens(self, x: Tensor, rng: np.random.Generator | None, perms=(None,)):
+        """The channel tokens [B, C, D] of ``x`` [B, L, C] under each of
+        ``perms`` (None: as given), each layer's view pair for one ordering
+        of two views (else []) and the instance-norm stats. Orderings that
+        share a layer's input share its ``forward_orderings`` call."""
+        self._check_input(x)
+        xn, stats = self.normalize_input(x)
+        zs = [self._tokens(xn)] * len(perms)
         pairs: list[tuple[Tensor, Tensor]] = []
         for layer in self.layers:
-            if self.config.two_view:
-                views = layer.encoder.forward_pair(z, rng)
-                pairs.append(views)
-            else:
-                views = (layer.encoder.blocks[0](z),)
-            z = self._refine(layer, residual_sum(views, z))
-        return z, pairs
+            # orderings that share an input tensor share its pre and walks
+            groups: dict[int, dict[int, np.ndarray | None]] = {}
+            for k, perm in enumerate(perms):
+                groups.setdefault(id(zs[k]), {})[k] = perm
+            for group in groups.values():
+                outs = layer.encoder.forward_orderings(zs[next(iter(group))], group, rng)
+                for k in group:
+                    # popped and replaced, so each input and view output
+                    # goes once its last ordering is done with it
+                    ys = outs.pop(k)
+                    zs[k] = self._refine(layer, residual_sum(ys, zs[k]))
+            if len(perms) == 1 and len(ys) == 2:
+                pairs.append(tuple(ys))
+        return zs, pairs, stats
 
     def encode(self, x: Tensor, rng: np.random.Generator | None = None):
         """[B, L, C] -> (channel tokens [B, C, D], per-layer view pairs)."""
-        self._check_input(x)
-        xn, _ = self.normalize_input(x)
-        return self._encode_tokens(xn, rng)
+        (tokens,), pairs, _ = self._encode_tokens(x, rng)
+        return tokens, pairs
 
-    def _through_head(
-        self, x: Tensor, rng: np.random.Generator | None, w: Tensor, b: Tensor
-    ):
+    def _through_head(self, x: Tensor, rng: np.random.Generator | None, w: Tensor, b: Tensor):
         """Encode ``x`` [B, L, C], map each channel token through ``(w, b)``
         and return ([B, out, C] in input units, view pairs)."""
-        self._check_input(x)
-        xn, stats = self.normalize_input(x)
-        tokens, pairs = self._encode_tokens(xn, rng)
+        (tokens,), pairs, stats = self._encode_tokens(x, rng)
         return head_proj(tokens, w, b, stats), pairs
 
     def forecast(self, x: Tensor, rng: np.random.Generator | None = None):
@@ -273,31 +282,17 @@ class SORMambaModel:
         put back, bit for bit.
 
         The batch keeps its own channel layout: an ordering ``perm`` changes
-        only the scan orders (``DirectionalEncoderCD.view_walks``). So the
-        instance norm, the embedding and layer 1's ``pre`` run once for all
-        the orderings, and layer 1 scans each distinct walk once. Every
-        later stage runs per ordering, each ordering's activations held at
-        once, so orderings that share an ``ordering_key`` (identity and
-        reversed under ``uni`` and ``fixed-reverse``) are best passed once.
+        only the scan orders (``DirectionalEncoderCD.view_walks``), in the
+        layer loop ``forecast`` runs. So the instance norm, the embedding
+        and layer 1's ``pre`` run once for all the orderings, and layer 1
+        scans each distinct walk once. Every later stage runs per ordering,
+        each ordering's activations held at once, so orderings that share an
+        ``ordering_key`` (identity and reversed under ``uni`` and
+        ``fixed-reverse``) are best passed once.
         """
-        self._check_input(x)
-        perms = [np.asarray(p, dtype=np.intp) for p in perms]
-        two_view = self.config.two_view
+        perms = tuple(np.asarray(p, dtype=np.intp) for p in perms)
         with no_grad():
-            xn, stats = self.normalize_input(x)
-            zs = [self._tokens(xn)] * len(perms)
-            for layer in self.layers:
-                # orderings that share an input tensor share its pre and walks
-                groups: dict[int, dict[int, np.ndarray]] = {}
-                for k, perm in enumerate(perms):
-                    groups.setdefault(id(zs[k]), {})[k] = perm
-                for group in groups.values():
-                    outs = layer.encoder.forward_orderings(zs[next(iter(group))], group, two_view)
-                    for k in group:
-                        # popped and replaced, so each input and view output
-                        # goes once its last ordering is done with it
-                        ys = outs.pop(k)
-                        zs[k] = self._refine(layer, residual_sum(ys, zs[k]))
+            zs, _, stats = self._encode_tokens(x, None, perms)
             return [head_proj(z, self.w_head, self.b_head, stats).data for z in zs]
 
     def ordering_key(self, perm) -> tuple:
@@ -308,8 +303,7 @@ class SORMambaModel:
         outputs, perhaps with the views swapped, and IEEE addition is
         commutative, so ``(y_rev + y_fwd) + z`` is ``(y_fwd + y_rev) + z``."""
         perm = np.asarray(perm, dtype=np.intp)
-        two_view = self.config.two_view
-        return tuple(layer.encoder.ordering_key(perm, two_view) for layer in self.layers)
+        return tuple(layer.encoder.ordering_key(perm) for layer in self.layers)
 
     def latent_for_ccm(self, x: Tensor, rng: np.random.Generator | None = None) -> Tensor:
         """Projected channel embeddings [B, C, D] for correlation matching."""

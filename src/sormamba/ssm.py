@@ -222,7 +222,7 @@ def scan_core(
 def _raise_on_nonfinite(ys: np.ndarray, what: str, orders, labels) -> None:
     """Name the step, in scan order, where one of ``ys`` [V, B, S, ...] (the
     output of each of ``orders``) is first non-finite, and that output's
-    entry of ``labels`` (None: no name)."""
+    entry of ``labels`` (None or empty: no name)."""
     if np.all(np.isfinite(ys)):
         return
     for i, (arr, order) in enumerate(zip(ys, orders, strict=True)):
@@ -231,7 +231,7 @@ def _raise_on_nonfinite(ys: np.ndarray, what: str, orders, labels) -> None:
         bad = ~np.isfinite(arr).reshape(arr.shape[0], arr.shape[1], -1).all(axis=(0, 2))
         if bad.any():
             step = int(np.argmax(bad))
-            where = f" in {labels[i]}" if labels else ""
+            where = f" in {labels[i]}" if labels and labels[i] else ""
             raise FloatingPointError(f"{what}{where} became non-finite at step {step}")
 
 

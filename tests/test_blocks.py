@@ -174,6 +174,11 @@ def test_param_items_names_shapes_and_order(direction, conv):
     assert got == want
 
 
+def _pair(enc, z, rng=None):
+    """Both views' outputs on z in its own token order."""
+    return enc.forward_orderings(z, {0: None}, rng)[0]
+
+
 def _two_call_pair(enc, z, rng):
     """Each view as its own block call on gathered tokens, put back after."""
     outs = []
@@ -186,26 +191,18 @@ def _two_call_pair(enc, z, rng):
     return outs
 
 
-@pytest.mark.parametrize("direction", ["uni", "bi"])
-@pytest.mark.parametrize("conv", [False, True])
-@pytest.mark.parametrize("order_mode", bl.ORDER_MODES)
-@pytest.mark.parametrize("discretization", ["euler-b", "zoh-exact"])
-def test_shared_stages_match_two_block_calls(direction, conv, order_mode, discretization):
-    # forward_pair shares the per-token stages between the views; values match
-    # the two-call composition bit for bit, gradients up to reduction order
-    cfg = make_config(
-        n_channels=7, direction=direction, conv=conv, conv_kernel=3,
-        order_mode=order_mode, discretization=discretization,
-    )
-    enc = bl.DirectionalEncoderCD(cfg, _rng(0))
-    z = Tensor(_rng(1).normal(size=(3, 7, 6)), requires_grad=True)
-    weights = [Tensor(_rng(seed).normal(size=(3, 7, 6))) for seed in (2, 3)]
+def _assert_pair_matches_two_calls(enc, n_tokens, rng_seed, weight_seeds=(2, 3)):
+    """``_pair`` against ``_two_call_pair`` under the views ``_rng(rng_seed)``
+    draws, each view's output weighted by ``_rng(seed)`` of ``weight_seeds``
+    in the objective: values bit for bit, gradients up to reduction order."""
+    z = Tensor(_rng(1).normal(size=(3, n_tokens, 6)), requires_grad=True)
+    weights = [Tensor(_rng(seed).normal(size=(3, n_tokens, 6))) for seed in weight_seeds]
     tensors = [t for _, t in enc.param_items()] + [z]
     results = []
-    for pair in (enc.forward_pair, lambda t, rng: _two_call_pair(enc, t, rng)):
+    for pair in (_pair, _two_call_pair):
         for t in tensors:
             t.grad = None
-        outs = pair(z, _rng(4))
+        outs = pair(enc, z, _rng(rng_seed))
         backward(tsum(mul(outs[0], weights[0])) + tsum(mul(outs[1], weights[1])))
         results.append(([o.data for o in outs], [t.grad.copy() for t in tensors]))
     (shared, shared_grads), (ref, ref_grads) = results
@@ -216,6 +213,69 @@ def test_shared_stages_match_two_block_calls(direction, conv, order_mode, discre
         assert np.max(np.abs(got - want)) <= 4e-15 * np.max(np.abs(want)), name
 
 
+@pytest.mark.parametrize("direction", ["uni", "bi"])
+@pytest.mark.parametrize("conv", [False, True])
+@pytest.mark.parametrize("order_mode", bl.ORDER_MODES)
+@pytest.mark.parametrize("discretization", ["euler-b", "zoh-exact"])
+def test_shared_stages_match_two_block_calls(direction, conv, order_mode, discretization):
+    # forward_orderings shares the per-token stages between the views
+    cfg = make_config(
+        n_channels=7, direction=direction, conv=conv, conv_kernel=3,
+        order_mode=order_mode, discretization=discretization,
+    )
+    _assert_pair_matches_two_calls(bl.DirectionalEncoderCD(cfg, _rng(0)), 7, 4)
+
+
+@pytest.mark.parametrize("direction", ["uni", "bi"])
+@pytest.mark.parametrize("conv", [False, True])
+@pytest.mark.parametrize(
+    "n_tokens, order_mode, rng_seed",
+    [
+        (2, "random-pair", 0),  # draws [0, 1] twice
+        (2, "random-pair", 5),  # draws [1, 0] twice
+        (1, "random-reverse", 4),  # [0] and its mirror [0]
+    ],
+)
+def test_coinciding_views_match_two_block_calls(direction, conv, n_tokens, order_mode, rng_seed):
+    # views with equal orders are one walk under uni: one scan, one output
+    # that both views share; under bi each view still has its own block.
+    # Both views get one weight: the shared output's backward then starts
+    # from w + w = 2w, exact, where distinct weights would add a rounding
+    # the two block calls never make
+    cfg = make_config(
+        n_channels=n_tokens, direction=direction, conv=conv, conv_kernel=3, order_mode=order_mode
+    )
+    enc = bl.DirectionalEncoderCD(cfg, _rng(0))
+    v1, v2 = enc._views(_rng(rng_seed))
+    assert np.array_equal(v1, v2)
+    z = Tensor(_rng(1).normal(size=(3, n_tokens, 6)))
+    y1, y2 = _pair(enc, z, _rng(rng_seed))
+    assert (y1 is y2) == (direction == "uni")
+    _assert_pair_matches_two_calls(enc, n_tokens, rng_seed, weight_seeds=(2, 2))
+
+
+@pytest.mark.parametrize("two_view", [True, False])
+def test_the_given_order_is_never_gathered(monkeypatch, two_view):
+    # with the conv on, only a reordered walk gathers tokens and puts them
+    # back: under fixed-reverse the reversed walk does, and the identity
+    # view, and the one view of a one-view model, gather nothing
+    cfg = make_config(n_channels=5, conv=True, conv_kernel=3, n_layers=2, two_view=two_view)
+    model = SORMambaModel(cfg, seed=0)
+    gathered = []
+    take_axis = bl.take_axis
+
+    def recording(a, indices, axis):
+        if axis == 1:  # token gathers; axis 0 picks the conv's filter rows
+            gathered.append(np.asarray(indices).tolist())
+        return take_axis(a, indices, axis)
+
+    monkeypatch.setattr(bl, "take_axis", recording)
+    model.forecast(Tensor(_rng(2).normal(size=(3, 8, 5))))
+    # per layer: u gathered, then y and u put back
+    reverse = [4, 3, 2, 1, 0]
+    assert gathered == ([reverse] * 3 * cfg.n_layers if two_view else [])
+
+
 class TestDirectionalEncoder:
     def make(self, direction="uni", order_mode="fixed-reverse", seed=0, n_tokens=5):
         cfg = make_config(n_channels=n_tokens, direction=direction, order_mode=order_mode)
@@ -224,7 +284,7 @@ class TestDirectionalEncoder:
     def test_fixed_reverse_views(self):
         enc = self.make()
         z = Tensor(_rng(1).normal(size=(2, 5, 6)))
-        z1, z2 = enc.forward_pair(z)
+        z1, z2 = _pair(enc, z)
         np.testing.assert_array_equal(z1.data, enc.blocks[0](z).data)
         rev = np.arange(5)[::-1]
         manual = ad.take_axis(enc.blocks[0](ad.take_axis(z, rev, 1)), rev, 1)
@@ -234,16 +294,16 @@ class TestDirectionalEncoder:
         for mode in ("fixed-random", "random-pair", "random-reverse"):
             enc = self.make(order_mode=mode)
             z = Tensor(_rng(4).normal(size=(2, 5, 6)))
-            a1, a2 = enc.forward_pair(z)
-            b1, b2 = enc.forward_pair(z)
+            a1, a2 = _pair(enc, z)
+            b1, b2 = _pair(enc, z)
             np.testing.assert_array_equal(a1.data, b1.data)
             np.testing.assert_array_equal(a2.data, b2.data)
 
     def test_random_pair_uses_rng_when_given(self):
         enc = self.make(order_mode="random-pair", n_tokens=16)
         z = Tensor(_rng(5).normal(size=(1, 16, 6)))
-        a1, _ = enc.forward_pair(z, rng=_rng(10))
-        b1, _ = enc.forward_pair(z, rng=_rng(11))
+        a1, _ = _pair(enc, z, _rng(10))
+        b1, _ = _pair(enc, z, _rng(11))
         assert not np.array_equal(a1.data, b1.data)
 
     def test_random_reverse_views_are_mirrors(self):
@@ -255,7 +315,7 @@ class TestDirectionalEncoder:
     def test_bi_uses_independent_blocks(self):
         enc = self.make(direction="bi")
         z = Tensor(_rng(7).normal(size=(2, 5, 6)))
-        z1, z2 = enc.forward_pair(z)
+        z1, z2 = _pair(enc, z)
         backward(tsum(z1 + z2))
         for name, t in enc.param_items():
             assert t.grad is not None, f"no gradient for {name}"
@@ -271,4 +331,4 @@ class TestDirectionalEncoder:
             self.make(order_mode="sorted")
         enc = self.make()
         with pytest.raises(ValueError, match="expected"):
-            enc.forward_pair(Tensor(np.zeros((2, 4, 6))))
+            _pair(enc, Tensor(np.zeros((2, 4, 6))))

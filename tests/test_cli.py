@@ -455,6 +455,46 @@ def test_csv_has_timestamp_must_be_a_bool(tmp_path, capsys, value):
     assert not out_root.exists()
 
 
+@pytest.mark.parametrize(
+    "kind, field, value",
+    [
+        ("synthetic-correlated", "channels", 2.7),  # would prepare 2 channels
+        ("synthetic-correlated", "channels", True),  # would prepare 1
+        ("synthetic-seasonal", "channels", 0),
+        ("synthetic-seasonal", "length", 400.9),  # would be cut to 400
+        ("synthetic-seasonal", "length", "800"),
+        ("synthetic-seasonal", "seed", -1),
+        ("synthetic-seasonal", "seed", 3.0),
+        ("synthetic-correlated", "strength", True),  # would become 1.0
+        ("synthetic-correlated", "strength", "0.5"),
+        ("synthetic-correlated", "strength", 1.5),
+        ("synthetic-correlated", "strength", float("nan")),
+    ],
+)
+def test_bad_synthetic_field_is_usage_error_and_writes_nothing(
+    tmp_path, capsys, kind, field, value
+):
+    config = write_config(
+        tmp_path / "exp.yaml", lambda c: c["dataset"].update({"kind": kind, field: value})
+    )
+    out_root = tmp_path / "o"
+    assert cli.main(["prepare-data", "--config", config, "--out-root", str(out_root)]) == 2
+    assert f"dataset.{field} must be" in capsys.readouterr().err
+    assert not out_root.exists()
+
+
+@pytest.mark.parametrize("strength", [0, 1, 0.25])
+def test_synthetic_strength_takes_integers_and_floats_in_range(tmp_path, strength):
+    config = write_config(
+        tmp_path / "exp.yaml",
+        lambda c: c["dataset"].update(kind="synthetic-correlated", strength=strength),
+    )
+    out_root = tmp_path / "o"
+    assert cli.main(["prepare-data", "--config", config, "--out-root", str(out_root)]) == 0
+    report = json.loads((out_root / "run" / "dataset_report.json").read_text())
+    assert report["n_channels"] == 4
+
+
 def test_out_root_flag_beats_env(tmp_path, monkeypatch):
     monkeypatch.setenv("SORMAMBA_OUT", str(tmp_path / "env_root"))
     config = write_config(tmp_path / "exp.yaml")

@@ -337,3 +337,11 @@ class TestKeptMemory:
         assert delta.requires_grad and out.u.requires_grad and out.gate.requires_grad
         allowed = 3 * wide + b_t.data.nbytes + c_t.data.nbytes + low + a
         assert kept <= allowed + 8 * OBJECT_SLACK
+
+    def test_recorded_absolute_keeps_only_its_output(self):
+        # the l1 consistency term's |z1 - z2|: the vjp rebuilds the sign from
+        # its parent, so the forward keeps no sign array
+        z = Tensor(np.random.default_rng(2).normal(size=self.SHAPE), requires_grad=True)
+        kept, out = _kept_bytes(ad.absolute, [z])
+        assert out.requires_grad
+        assert kept <= out.data.nbytes + OBJECT_SLACK

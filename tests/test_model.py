@@ -85,6 +85,27 @@ class TestForward:
         assert not np.allclose(y_on, y_off)
 
 
+@pytest.mark.parametrize(
+    "overrides, where",
+    [
+        (dict(direction="uni", conv=False), " in view 0"),
+        (dict(direction="uni", conv=True), " in view 0"),
+        (dict(direction="bi", conv=False), " in view 0"),
+        (dict(direction="bi", conv=True), " in view 0"),
+        (dict(two_view=False), ""),
+    ],
+)
+def test_non_finite_training_scan_names_its_view(overrides, where):
+    # block 0 scans view 0 first under uni and only view 0 under bi; a
+    # one-view model has no view to name
+    model = make_model(**overrides)
+    model.layers[0].encoder.blocks[0].ssm.w_b.data[0, 0] = np.inf
+    with np.errstate(all="ignore"), pytest.raises(
+        FloatingPointError, match=f"^scan output{where} became non-finite at step 0$"
+    ):
+        model.forecast(make_batch(model), rng=np.random.default_rng(1))
+
+
 class TestReversalSymmetry:
     def test_uni_two_view_is_exactly_reversal_equivariant(self):
         model = make_model(direction="uni", n_layers=2)

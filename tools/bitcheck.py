@@ -39,7 +39,9 @@ each workload's ``setup`` and ``make_run`` at seed 3 with one BLAS thread:
 * 32 small model variants that no workload runs (uni/bi x conv on/off x the
   four order modes x both discretizations, two layers, seed 7): after one
   ``forecast``, ``total_loss`` and ``backward``, the loss as ``float.hex()``
-  and a sha256 over every parameter's name, value and gradient;
+  and a sha256 over every parameter's name, value and gradient, then the
+  number of nodes on that loss's tape (``tape-nodes``), which moves when
+  a variant gathers or scans differently, the conv variants' most of all;
 * the read paths over a small synthetic split (5 channels, seed 7; its
   73 test windows are a batch of 64 and a partial one of 9): the
   validation losses and best epoch of a 2-epoch ``train_supervised``,
@@ -361,6 +363,7 @@ def _print_variants(grads: dict[str, dict]) -> None:
         y = rng.normal(size=(3, cfg.horizon, cfg.n_channels))
         pred, pairs = model.forecast(x, rng=rng)
         loss = losses.total_loss(pred, y, pairs, cfg.reg_weight, cfg.reg_metric).total
+        tape_nodes = len(autodiff._ordered_tape(loss))
         autodiff.backward(loss)
         h = hashlib.sha256()
         for param, t in model.param_items():
@@ -371,6 +374,7 @@ def _print_variants(grads: dict[str, dict]) -> None:
         tag = " ".join(("variant", direction, conv_tag, order_mode, discretization))
         grads[tag] = {p: t.grad for p, t in model.param_items() if t.grad is not None}
         print(tag, float(loss.data).hex(), h.hexdigest())
+        print(tag, "tape-nodes", tape_nodes)
 
 
 def _print_read_paths() -> None:
