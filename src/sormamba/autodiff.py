@@ -15,7 +15,8 @@ Design points:
 * every gradient enters a node through ``accumulate`` (``backward``'s seed
   too), which sums it over the node's broadcast axes and rejects one that
   does not reduce to the node's shape; only ``unstack`` writes into slots of
-  its parent's gradient. A vjp builds a parent's gradient only when that
+  its parent's gradient, and the outputs of ``from_ops`` into their op's
+  list of gradients. A vjp builds a parent's gradient only when that
   parent requires one
 * a product with a 2-D weight, ``[..., K] @ [K, N]``, is one GEMM over the
   flattened leading axes, and so are both of its gradients: the weight's
@@ -23,6 +24,15 @@ Design points:
 * leaf gradients accumulate additively across uses and across repeated
   ``backward`` calls; callers zero them explicitly between steps. An
   interior node's gradient is dropped once it has been passed on
+* ``backward_from`` is the second entry: it starts from several outputs
+  with given gradients and walks only the nodes recorded after a
+  ``tape_mark``. An op with several outputs (``from_ops``) can so recompute
+  part of its forward in its vjp, recorded (``enable_grad``) on its real
+  parents, and back-propagate through that sub-tape: the parents receive
+  their shares in the order one tape of the recomputed ops would give
+  them, and the outer walk passes them on. A scan block is such an op
+  (``blocks``), so the tape holds no block's interior, only its input, its
+  scans' outputs and its own outputs
 * a custom fused op (e.g. the selective-scan kernel) plugs in through
   ``from_op`` with a hand-derived vector-Jacobian product. LayerNorm, the
   SiLU and softplus input projections before a scan, the
@@ -47,8 +57,12 @@ from scipy import special as _sp
 __all__ = [
     "Tensor",
     "no_grad",
+    "enable_grad",
     "backward",
+    "backward_from",
+    "tape_mark",
     "from_op",
+    "from_ops",
     "add",
     "sub",
     "mul",
@@ -94,14 +108,23 @@ def _recording() -> bool:
 class no_grad:
     """Context manager that disables graph recording (evaluation paths)."""
 
+    _on = False
+
     def __enter__(self):
         self._prev = _recording()
-        _state.recording = False
+        _state.recording = self._on
         return self
 
     def __exit__(self, *exc):
         _state.recording = self._prev
         return False
+
+
+class enable_grad(no_grad):
+    """Context manager that enables graph recording, inside ``no_grad`` too:
+    for a vjp that records what it recomputes."""
+
+    _on = True
 
 
 class Tensor:
@@ -167,6 +190,34 @@ def from_op(
         out._parents = tuple(parents)
         out._vjp = vjp
     return out
+
+
+def from_ops(
+    values: Sequence[np.ndarray],
+    parents: Sequence[Tensor],
+    vjp: Callable[[list[np.ndarray | None]], None],
+) -> tuple[Tensor, ...]:
+    """Wrap ``values`` as the outputs of one differentiable op.
+
+    ``vjp`` runs once per backward, after every output's gradient is
+    complete, and receives them as a list, None for an output that no
+    gradient reached. The outputs hand their gradients to one node that
+    holds no value and has ``parents`` as its own.
+    """
+    node = from_op(np.empty(0), parents, vjp)
+    if not node.requires_grad:
+        return tuple(Tensor(v) for v in values)
+    n = len(values)
+
+    def output(i: int, value: np.ndarray) -> Tensor:
+        def vjp(g):
+            if node.grad is None:
+                node.grad = [None] * n
+            node.grad[i] = g
+
+        return from_op(value, (node,), vjp)
+
+    return tuple(output(i, v) for i, v in enumerate(values))
 
 
 def needs_grad(parents: Sequence[Tensor]) -> bool:
@@ -676,11 +727,11 @@ def _axis_index(idx, axis: int, ndim: int):
 # and the sign of a zero operand changes neither the magnitude of such a
 # result nor any nonzero result. Every value that leaves the op goes through
 # ``accumulate``, which maps -0 to +0 in the same way.
-# A train step's memory peaks in the backward of the last layer's post and
-# scan, while the rest of the tape is still alive (tracemalloc, seed 0:
-# train-solar 32.6 MiB, of which the tape at the loss keeps 21.2 MiB of
-# arrays; train-etth1 14.6 of 8.3), so the vjps drop full-size temporaries
-# as soon as they have been used.
+# A train step's memory peaks inside the last layer's block backward, with
+# that block's recomputed pre and the rest of the tape alive (tracemalloc,
+# seed 0: train-solar 29.1 MiB, of which the tape at the loss keeps 14.1 MiB
+# of arrays; train-etth1 13.2 of 5.4), so the vjps drop full-size
+# temporaries as soon as they have been used.
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -735,12 +786,21 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return from_op(out, (x, gain, bias), vjp)
 
 
-def skip_gate_proj(y: Tensor, u: Tensor, gate: Tensor, d_skip: Tensor, w: Tensor) -> Tensor:
+def skip_gate_proj(
+    y: Tensor,
+    u: Tensor,
+    gate: Tensor,
+    d_skip: Tensor,
+    w: Tensor,
+    out: np.ndarray | None = None,
+) -> Tensor:
     """``((y + u * d_skip) * gate) @ w``: the skip term, the gate and the
     output projection after a scan, for ``y``, ``u`` and ``gate`` of one
     shape ``[..., K]``, ``d_skip`` [K] and ``w`` [K, N].
 
-    Keeps nothing but its output; the vjp recomputes the gated value.
+    Keeps nothing but its output; the vjp recomputes the gated value. With
+    ``out``, the value of an earlier call on these inputs, the node is
+    built around it and nothing is computed.
     """
 
     def skipped():
@@ -771,9 +831,11 @@ def skip_gate_proj(y: Tensor, u: Tensor, gate: Tensor, d_skip: Tensor, w: Tensor
         if d_skip.requires_grad:
             accumulate(d_skip, g_s * u.data)
 
-    gated = skipped()
-    gated *= gate.data
-    return from_op(_flat(gated, w.data), (y, u, gate, d_skip, w), vjp)
+    if out is None:
+        gated = skipped()
+        gated *= gate.data
+        out = _flat(gated, w.data)
+    return from_op(out, (y, u, gate, d_skip, w), vjp)
 
 
 def gelu_mlp(h: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
@@ -939,20 +1001,31 @@ def residual_sum(views: Sequence[Tensor], z: Tensor) -> Tensor:
 # backward and the finite-difference checker
 
 
-def _ordered_tape(loss: Tensor) -> list[Tensor]:
-    """Nodes reachable from ``loss`` in execution order (ascending seq)."""
+def _ordered_tape(*roots: Tensor, since: int = -1) -> list[Tensor]:
+    """Nodes reachable from ``roots`` in execution order (ascending seq),
+    among those recorded after seq ``since``."""
     seen: set[int] = set()
     nodes: list[Tensor] = []
-    stack = [loss]
+    stack = list(roots)
     while stack:
         node = stack.pop()
-        if id(node) in seen:
+        if id(node) in seen or node._seq <= since:
             continue
         seen.add(id(node))
         nodes.append(node)
         stack.extend(node._parents)
     nodes.sort(key=lambda t: t._seq)
     return nodes
+
+
+def _walk(tape: list[Tensor]) -> None:
+    """Run each node's backward rule on its gradient, newest first, and
+    release an interior node's gradient once it has been passed on."""
+    for node in reversed(tape):
+        if node._vjp is not None and node.grad is not None:
+            node._vjp(node.grad)
+        if node._parents:
+            node.grad = None
 
 
 def backward(loss: Tensor) -> None:
@@ -972,11 +1045,36 @@ def backward(loss: Tensor) -> None:
         raise ValueError("backward: loss does not depend on any tracked tensor")
     tape = _ordered_tape(loss)
     accumulate(loss, np.ones_like(loss.data))
-    for node in reversed(tape):
-        if node._vjp is not None and node.grad is not None:
-            node._vjp(node.grad)
-        if node._parents:
-            node.grad = None
+    _walk(tape)
+
+
+def tape_mark() -> int:
+    """A sequence number below that of every node recorded from now on:
+    ``backward_from``'s ``since``."""
+    return next(_SEQ)
+
+
+def backward_from(
+    outputs: Sequence[Tensor], grads: list[np.ndarray | None], since: int
+) -> None:
+    """Propagate ``grads``, the gradients of ``outputs`` (None: none), back
+    through the nodes that were recorded after ``since`` (``tape_mark``)
+    and that the outputs reach.
+
+    Each gradient is seeded through ``accumulate``, and its entry of
+    ``grads`` set to None, so that the walk holds no second copy of it. An
+    older node is not walked: it only receives its gradient, and keeps it
+    for the walk that recorded it, so a vjp can record a sub-tape on its
+    op's parents and back-propagate through it into them. Interior
+    gradients are released as in ``backward``.
+    """
+    if len(grads) != len(outputs):
+        raise ValueError(f"backward_from: {len(grads)} gradients for {len(outputs)} outputs")
+    for i, out in enumerate(outputs):
+        if grads[i] is not None:
+            accumulate(out, grads[i])
+            grads[i] = None
+    _walk(_ordered_tape(*outputs, since=since))
 
 
 def check_gradients(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5) -> float:

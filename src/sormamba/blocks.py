@@ -20,8 +20,17 @@ the tokens:
   (``ssm.scan_core`` with ``orders``) and returns each order's y in the
   tokens' own order;
 * ``post`` works token by token again: the ``d_skip`` term, the gate and
-  the output projection, as one fused op (``autodiff.skip_gate_proj``) that
-  keeps nothing but its output for the backward.
+  the output projection, as one fused op (``autodiff.skip_gate_proj``).
+
+Recorded, the three stages are one op (activation checkpointing at the
+level of a block, Chen et al. 2016, arXiv 1604.06174): its forward runs them
+without a tape and keeps only its input z, each scan's y and its own
+outputs. Its backward runs ``pre`` again, recorded, rebuilds the scans' and
+``post``'s nodes around the kept values (the scans' forward and the output
+projection do not run again), and back-propagates through that sub-tape
+into z and the parameters themselves, so every gradient is the one a tape
+of the three stages would give, bit for bit. Without a tape the stages run
+as they are.
 
 ``DirectionalEncoderCD`` is built from a ``ModelConfig``. It runs one block
 over two views of the token axis (or two independent blocks, for the
@@ -37,8 +46,8 @@ block (``uni``) the views share one ``pre`` and one ``scan_core`` call
 (which computes each token's discretized factors once for all orders, see
 ``scan_kernels``), and no token is gathered. With the conv on, the conv and
 the projections after it depend on the order too, so they move into
-``core``, which gathers the tokens of each walk but the given order, scans
-it on its own and puts y back.
+``core``, which gathers the tokens of each walk but the given order (None,
+or the identity permutation), scans it on its own and puts y back.
 """
 
 from __future__ import annotations
@@ -50,17 +59,23 @@ import numpy as np
 
 from .autodiff import (
     Tensor,
+    backward_from,
+    enable_grad,
     exp,
+    from_ops,
     matmul,
     mul,
+    needs_grad,
     neg,
+    no_grad,
     shift_axis,
     silu,
     silu_proj,
     skip_gate_proj,
     take_axis,
+    tape_mark,
 )
-from .ssm import init_ssm_params, projections, scan_core, uniform_weight
+from .ssm import init_ssm_params, projections, scan_core, scan_output, uniform_weight
 
 if TYPE_CHECKING:
     from .model import ModelConfig
@@ -132,14 +147,49 @@ class CDMambaBlock:
         """The block's output on z once per order of its tokens, each in the
         tokens' own order: ``pre`` once, ``core`` once for all the orders,
         then ``post`` per order. ``labels`` name the orders in a non-finite
-        scan's error."""
+        scan's error.
+
+        Recorded, the stages are one op (``autodiff.from_ops``) that keeps
+        z, the scans' y and its outputs; its vjp records ``pre`` again and
+        the scans and ``post`` around the kept values, and back-propagates
+        through that sub-tape (``autodiff.backward_from``)."""
+        parents = (z, *(t for _, t in self.param_items()))
+        if not needs_grad(parents):
+            return self._stages(z, orders, labels)[0]
+        with no_grad():
+            outs, ys = self._stages(z, orders, labels)
+        values = [out.data for out in outs]
+
+        def vjp(grads):
+            since = tape_mark()
+            with enable_grad():
+                rebuilt, _ = self._stages(z, orders, labels, (ys, values))
+            backward_from(rebuilt, grads, since)
+
+        return list(from_ops(values, parents, vjp))
+
+    def _stages(
+        self,
+        z: Tensor,
+        orders: tuple[np.ndarray | None, ...],
+        labels: tuple[str, ...] | None,
+        kept: tuple[list[np.ndarray], list[np.ndarray]] | None = None,
+    ) -> tuple[list[Tensor], list[np.ndarray]]:
+        """``pre``, ``core`` and ``post`` on z: per order the output, and the
+        scans' outputs. With ``kept``, (the scans' outputs, the outputs) of
+        an earlier run on z, the scans and ``post`` are built around them."""
+        ys, values = (None, None) if kept is None else kept
         tokens = self.pre(z)
-        scanned = self.core(tokens, orders, labels)
+        scanned, ys = self.core(tokens, orders, labels, ys)
         gate = tokens.gate
         # without a tape nothing else holds the scan's inputs; let them go
         # before the outputs are built
         del tokens
-        return [self.post(gate, y, u) for y, u in scanned]
+        outs = [
+            self.post(gate, y, u, None if values is None else values[i])
+            for i, (y, u) in enumerate(scanned)
+        ]
+        return outs, ys
 
     def pre(self, z: Tensor) -> Tokens:
         """The token-by-token work before the scan, on z [batch, tokens, d_model]."""
@@ -150,37 +200,57 @@ class CDMambaBlock:
         return Tokens(u, gate, neg(exp(self.ssm.a_log)), scan_in)
 
     def core(
-        self, tokens: Tokens, orders: tuple[np.ndarray | None, ...], labels: tuple[str, ...] | None
-    ) -> list[tuple[Tensor, Tensor]]:
+        self,
+        tokens: Tokens,
+        orders: tuple[np.ndarray | None, ...],
+        labels: tuple[str, ...] | None,
+        ys: list[np.ndarray] | None = None,
+    ) -> tuple[list[tuple[Tensor, Tensor]], list[np.ndarray]]:
         """Scan the tokens once in each of ``orders`` (None: as given).
         Returns, per order, (y before the skip term, the scan input), both in
-        the tokens' own order. Without a conv, all the orders are one
-        ``scan_core`` call."""
+        the tokens' own order, and the value of each ``scan_core`` call
+        (``ssm.scan_output``). With ``ys``, those values from an earlier
+        call on these tokens, the scans are built around them instead of
+        run. Without a conv, all the orders are one ``scan_core`` call."""
         if not self.conv_kernel:
             delta, b_t, c_t = tokens.scan_in
-            ys = scan_core(delta, tokens.a, b_t, c_t, tokens.u, self.ssm.mode, orders, labels)
-            return [(y, tokens.u) for y in ys]
-        return [
-            self._conv_core(tokens, order, None if labels is None else (labels[i],))
+            inputs = (delta, tokens.a, b_t, c_t, tokens.u, self.ssm.mode, orders)
+            y = scan_output(*inputs, labels) if ys is None else ys[0]
+            return [(v, tokens.u) for v in scan_core(*inputs, y=y)], [y]
+        walks = [
+            self._conv_core(
+                tokens, order, None if labels is None else (labels[i],), None if ys is None else ys[i]
+            )
             for i, order in enumerate(orders)
         ]
+        return [walk[:2] for walk in walks], [walk[2] for walk in walks]
 
     def _conv_core(
-        self, tokens: Tokens, order: np.ndarray | None, labels: tuple[str] | None
-    ) -> tuple[Tensor, Tensor]:
+        self,
+        tokens: Tokens,
+        order: np.ndarray | None,
+        labels: tuple[str] | None,
+        y: np.ndarray | None,
+    ) -> tuple[Tensor, Tensor, np.ndarray]:
+        if order is not None and np.array_equal(order, np.arange(len(order))):
+            order = None  # the identity: nothing to gather or put back
         u = tokens.u if order is None else take_axis(tokens.u, order, axis=1)
         u = silu(self._conv(u))
         delta, b_t, c_t = projections(u, self.ssm)
-        (y,) = scan_core(delta, tokens.a, b_t, c_t, u, self.ssm.mode, labels=labels)
+        inputs = (delta, tokens.a, b_t, c_t, u, self.ssm.mode)
+        if y is None:
+            y = scan_output(*inputs, labels=labels)
+        (out,) = scan_core(*inputs, y=y)
         if order is None:
-            return y, u
+            return out, u, y
         inverse = np.argsort(order)
-        return take_axis(y, inverse, axis=1), take_axis(u, inverse, axis=1)
+        return take_axis(out, inverse, axis=1), take_axis(u, inverse, axis=1), y
 
-    def post(self, gate: Tensor, y: Tensor, u: Tensor) -> Tensor:
+    def post(self, gate: Tensor, y: Tensor, u: Tensor, out: np.ndarray | None = None) -> Tensor:
         """The token-by-token work after the scan: skip term, gate, out_proj,
-        as one fused op that keeps nothing but its output."""
-        return skip_gate_proj(y, u, gate, self.ssm.d_skip, self.w_out)
+        as one fused op that keeps nothing but its output (given as ``out``
+        when it was computed before)."""
+        return skip_gate_proj(y, u, gate, self.ssm.d_skip, self.w_out, out)
 
     def param_items(self) -> list[tuple[str, Tensor]]:
         items = [

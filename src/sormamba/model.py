@@ -10,9 +10,10 @@ LayerNorm/MLP/LayerNorm stage (``autodiff.layer_norm`` and
 ``autodiff.gelu_mlp``). A linear head (``autodiff.head_proj``) maps each
 channel token to its horizon. Each of these is one fused op that keeps only
 what its backward reads: two [..., 1] arrays per LayerNorm, the head's
-[B, 1, C] scale, and nothing for the others. The encoder's blocks are fused
-ops around the scan too (see ``blocks``). One layer loop serves the
-forecast, the side heads and the ordering analysis (``forecast_orderings``).
+[B, 1, C] scale, and nothing for the others. Each encoder block is one op
+that keeps its input, its scans' y and its outputs, and recomputes the rest
+in its backward (see ``blocks``). One layer loop serves the forecast, the
+side heads and the ordering analysis (``forecast_orderings``).
 
 Instance normalization (per window, per channel) is applied on the way in
 and inverted on the way out, so forecasts are always in input units. The

@@ -171,6 +171,27 @@ def projections(x: Tensor, params: SSMParams) -> tuple[Tensor, Tensor, Tensor]:
     return delta, b_t, c_t
 
 
+def scan_output(
+    delta: Tensor,
+    a: Tensor,
+    b_t: Tensor,
+    c_t: Tensor,
+    x: Tensor,
+    mode: str,
+    orders: tuple[np.ndarray | None, ...] = (None,),
+    labels: tuple[str, ...] | None = None,
+) -> np.ndarray:
+    """The value of ``scan_core`` on the same arguments, one y per order
+    stacked as [V, B, S, dim], without recording a node."""
+    _check_mode(mode)
+    orders = _check_orders(orders, x.shape[1])
+    y = scan_kernels.scan_forward(*(p.data for p in (delta, a, b_t, c_t, x)), mode, orders)
+    if labels is None and len(orders) > 1:
+        labels = tuple(f"view {i}" for i in range(len(orders)))
+    _raise_on_nonfinite(y, "scan output", orders, labels)
+    return y
+
+
 def scan_core(
     delta: Tensor,
     a: Tensor,
@@ -180,6 +201,7 @@ def scan_core(
     mode: str,
     orders: tuple[np.ndarray | None, ...] = (None,),
     labels: tuple[str, ...] | None = None,
+    y: np.ndarray | None = None,
 ) -> tuple[Tensor, ...]:
     """Fused discretize-and-scan as one differentiable op, run once per order.
 
@@ -196,20 +218,15 @@ def scan_core(
     A non-finite output raises ``FloatingPointError`` naming the step in
     scan order and, with several orders, ``view i``, or ``labels[i]`` when
     given.
+
+    With ``y``, ``scan_output``'s value on these inputs and orders, the
+    node is built around it and the scan's forward does not run again: a
+    block's backward rebuilds its scan this way (``blocks``).
     """
-    _check_mode(mode)
-    steps = x.shape[1]
-    orders = tuple(None if o is None else np.asarray(o, dtype=np.intp) for o in orders)
-    if not orders:
-        raise ValueError("scan_core: no order to scan in")
-    for order in orders:
-        if order is not None and not np.array_equal(np.sort(order), np.arange(steps)):
-            raise ValueError(f"scan_core: order is not a permutation of {steps} steps")
+    if y is None:
+        y = scan_output(delta, a, b_t, c_t, x, mode, orders, labels)
+    orders = _check_orders(orders, x.shape[1])
     parents = (delta, a, b_t, c_t, x)
-    y = scan_kernels.scan_forward(*(p.data for p in parents), mode, orders)
-    if labels is None and len(orders) > 1:
-        labels = tuple(f"view {i}" for i in range(len(orders)))
-    _raise_on_nonfinite(y, "scan output", orders, labels)
 
     def vjp(g):
         grads = scan_kernels.scan_backward(*(p.data for p in parents), mode, g, orders)
@@ -217,6 +234,18 @@ def scan_core(
             accumulate(p, gp)
 
     return unstack(from_op(y, parents, vjp))
+
+
+def _check_orders(orders, steps: int) -> tuple[np.ndarray | None, ...]:
+    """``orders`` as index arrays, each checked to be a permutation of the
+    steps."""
+    orders = tuple(None if o is None else np.asarray(o, dtype=np.intp) for o in orders)
+    if not orders:
+        raise ValueError("scan_core: no order to scan in")
+    for order in orders:
+        if order is not None and not np.array_equal(np.sort(order), np.arange(steps)):
+            raise ValueError(f"scan_core: order is not a permutation of {steps} steps")
+    return orders
 
 
 def _raise_on_nonfinite(ys: np.ndarray, what: str, orders, labels) -> None:

@@ -240,6 +240,18 @@ class TestOrderingPass:
         ):
             model.forecast_orderings(Tensor(x), [np.arange(4), np.arange(4)[::-1]])
 
+    def test_non_finite_conv_scan_names_the_identity_ordering(self):
+        # with the conv, the identity ordering's walk is scanned without a
+        # gather, and its error still names the orderings and views it serves
+        model = _variant_model(c=4, conv=True)
+        model.layers[0].encoder.blocks[0].ssm.w_b.data[0, 0] = np.inf
+        x = np.random.default_rng(4).normal(size=(3, 16, 4))
+        where = "ordering 0 view 0 and ordering 1 view 1"
+        with np.errstate(all="ignore"), pytest.raises(
+            FloatingPointError, match=f"in {where} became non-finite at step 0$"
+        ):
+            model.forecast_orderings(Tensor(x), [np.arange(4), np.arange(4)[::-1]])
+
     def test_non_finite_step_is_in_the_walk_order(self):
         # a NaN in channel 2 of one window reaches a walk from the step that
         # reads channel 2: step 0 of [2, 0, 1, 3], step 3 of [1, 3, 0, 2]

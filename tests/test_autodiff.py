@@ -205,6 +205,71 @@ class TestHotPathBitIdentity:
         assert not np.signbit(t.grad[0])
 
 
+def _sub_tape_op(a: Tensor, weights=(2.0, 3.0)):
+    """``a * w`` per weight as one op whose vjp records the products again
+    on ``a`` and back-propagates through them with ``backward_from``."""
+    seen = []
+
+    def vjp(grads):
+        seen.append([g is not None for g in grads])
+        since = ad.tape_mark()
+        with ad.enable_grad():
+            rebuilt = [ad.mul(a, Tensor(w)) for w in weights]
+        ad.backward_from(rebuilt, grads, since)
+        assert grads == [None] * len(weights)  # seeded, and not held
+        assert all(r.grad is None for r in rebuilt)
+
+    values = [a.data * w for w in weights]
+    return ad.from_ops(values, (a,), vjp), seen
+
+
+class TestSubTape:
+    def test_a_recomputing_op_gives_the_one_tape_gradient(self):
+        # a, an interior node of the outer tape, takes the op's shares
+        # (second product first) and then the earlier square's, as on one
+        # tape, and is walked only by the outer walk, once its gradient is
+        # whole. A backward run inside no_grad too: the vjp records what it
+        # recomputes
+        x0 = _rng(3).normal(size=4)
+
+        def one_tape():
+            x = Tensor(x0, requires_grad=True)
+            a = ad.exp(x)
+            square = ad.mul(a, a)
+            outs = [ad.mul(a, Tensor(w)) for w in (2.0, 3.0)]
+            ad.backward(ad.tsum(outs[0]) + ad.tsum(outs[1]) + ad.tsum(square))
+            return x.grad
+
+        def with_op(recording):
+            x = Tensor(x0, requires_grad=True)
+            a = ad.exp(x)
+            square = ad.mul(a, a)
+            (o1, o2), seen = _sub_tape_op(a)
+            loss = ad.tsum(o1) + ad.tsum(o2) + ad.tsum(square)
+            with ad.enable_grad() if recording else ad.no_grad():
+                ad.backward(loss)
+            assert seen == [[True, True]] and a.grad is None
+            return x.grad
+
+        want = one_tape()
+        for recording in (True, False):
+            assert with_op(recording).tobytes() == want.tobytes()
+
+    def test_an_output_no_gradient_reached_is_handed_none(self):
+        a = Tensor(_rng(4).normal(size=3), requires_grad=True)
+        (o1, o2), seen = _sub_tape_op(a)
+        ad.backward(ad.tsum(o2))
+        assert seen == [[False, True]]
+        assert a.grad.tobytes() == np.full(3, 3.0).tobytes()
+
+    def test_not_recorded_without_a_gradient_to_take(self):
+        outs, seen = _sub_tape_op(Tensor(np.ones(3)))
+        assert not any(o.requires_grad or o._parents for o in outs)
+        with ad.no_grad():
+            outs, seen = _sub_tape_op(Tensor(np.ones(3), requires_grad=True))
+        assert not any(o.requires_grad or o._parents for o in outs)
+
+
 class TestAccumulate:
     """``accumulate`` is the one entry of every gradient: it sums a broadcast
     gradient down to its node's shape, leading axes first, then each

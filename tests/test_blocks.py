@@ -254,13 +254,8 @@ def test_coinciding_views_match_two_block_calls(direction, conv, n_tokens, order
     _assert_pair_matches_two_calls(enc, n_tokens, rng_seed, weight_seeds=(2, 2))
 
 
-@pytest.mark.parametrize("two_view", [True, False])
-def test_the_given_order_is_never_gathered(monkeypatch, two_view):
-    # with the conv on, only a reordered walk gathers tokens and puts them
-    # back: under fixed-reverse the reversed walk does, and the identity
-    # view, and the one view of a one-view model, gather nothing
-    cfg = make_config(n_channels=5, conv=True, conv_kernel=3, n_layers=2, two_view=two_view)
-    model = SORMambaModel(cfg, seed=0)
+def _token_gathers(monkeypatch) -> list:
+    """The index lists of the blocks' token gathers from now on."""
     gathered = []
     take_axis = bl.take_axis
 
@@ -270,10 +265,31 @@ def test_the_given_order_is_never_gathered(monkeypatch, two_view):
         return take_axis(a, indices, axis)
 
     monkeypatch.setattr(bl, "take_axis", recording)
+    return gathered
+
+
+@pytest.mark.parametrize("two_view", [True, False])
+def test_the_given_order_is_never_gathered(monkeypatch, two_view):
+    # with the conv on, only a reordered walk gathers tokens and puts them
+    # back: under fixed-reverse the reversed walk does, and the identity
+    # view, and the one view of a one-view model, gather nothing
+    cfg = make_config(n_channels=5, conv=True, conv_kernel=3, n_layers=2, two_view=two_view)
+    model = SORMambaModel(cfg, seed=0)
+    gathered = _token_gathers(monkeypatch)
     model.forecast(Tensor(_rng(2).normal(size=(3, 8, 5))))
     # per layer: u gathered, then y and u put back
     reverse = [4, 3, 2, 1, 0]
     assert gathered == ([reverse] * 3 * cfg.n_layers if two_view else [])
+
+
+def test_an_identity_ordering_is_never_gathered(monkeypatch):
+    # the analysis passes the given order as np.arange(C); its identity walk
+    # gathers nothing either, and only the reversed walk does
+    cfg = make_config(n_channels=5, conv=True, conv_kernel=3, n_layers=2)
+    model = SORMambaModel(cfg, seed=0)
+    gathered = _token_gathers(monkeypatch)
+    model.forecast_orderings(Tensor(_rng(2).normal(size=(3, 8, 5))), [np.arange(5)])
+    assert gathered == [[4, 3, 2, 1, 0]] * 3 * cfg.n_layers
 
 
 class TestDirectionalEncoder:

@@ -5,7 +5,8 @@ Each fused op (``layer_norm``, ``skip_gate_proj``, ``gelu_mlp``,
 ``residual_sum`` and ``losses.mse``) must give the composed graph's value
 and every gradient bit for bit, and keep less of the forward alive for its
 backward. The composed graphs are written out here from the primitive ops,
-as the reference.
+as the reference. So is the checkpointed scan block's: its three stages
+recorded one node after another (``recorded_block``).
 """
 
 import itertools
@@ -73,6 +74,17 @@ def composed_residual_sum(views, z):
 def composed_mse(pred, target):
     d = ad.sub(pred, target)
     return ad.tmean(ad.mul(d, d))
+
+
+def recorded_block(block, z, orders=(None,), labels=None):
+    """``CDMambaBlock.forward_orders`` without the checkpoint: ``pre``,
+    ``core`` and ``post`` recorded on the tape, node by node."""
+    tokens = block.pre(z)
+    scanned, _ = block.core(tokens, orders, labels)
+    return [
+        blocks.skip_gate_proj(y, u, tokens.gate, block.ssm.d_skip, block.w_out)
+        for y, u in scanned
+    ]
 
 
 def _inputs(op: str, shape, seed=0):
@@ -237,6 +249,7 @@ class TestSameBitsAsComposed:
             direction=direction, conv=conv,
         )
         fused = grads(md.SORMambaModel(cfg, seed=3))
+        monkeypatch.setattr(blocks.CDMambaBlock, "forward_orders", recorded_block)
         monkeypatch.setattr(md, "layer_norm", composed_layer_norm)
         monkeypatch.setattr(md, "gelu_mlp", composed_gelu_mlp)
         monkeypatch.setattr(md, "linear", composed_linear)
@@ -345,3 +358,103 @@ class TestKeptMemory:
         kept, out = _kept_bytes(ad.absolute, [z])
         assert out.requires_grad
         assert kept <= out.data.nbytes + OBJECT_SLACK
+
+    @pytest.mark.parametrize("conv", [False, True], ids=["no-conv", "conv"])
+    @pytest.mark.parametrize("orders", [1, 2], ids=["one-walk", "two-walks"])
+    def test_recorded_block_keeps_only_z_the_scans_and_its_outputs(self, conv, orders):
+        # z is the op's parent and already held; the op keeps each walk's y
+        # and its outputs, and none of pre's outputs or the conv's taps
+        batch, tokens, d_model = self.SHAPE
+        block = blocks.CDMambaBlock(
+            d_model, 2 * d_model, 16, 4, np.random.default_rng(0), conv_kernel=4 if conv else 0
+        )
+        z = Tensor(np.random.default_rng(1).normal(size=self.SHAPE), requires_grad=True)
+        walks = (None, np.arange(tokens)[::-1])[:orders]
+        with ad.no_grad():  # the scan kernels' workspace lives on
+            block.forward_orders(z, walks)
+        kept, outs = _kept_bytes(lambda z: block.forward_orders(z, walks), [z])
+        assert all(out.requires_grad for out in outs)
+        ys = orders * batch * tokens * 2 * d_model * 8
+        assert kept <= ys + sum(out.data.nbytes for out in outs) + 4 * OBJECT_SLACK
+
+
+def _model_grads(cfg, twice=False, rng_seed=7):
+    """The forecast, the training loss and every gradient (the parameters'
+    and the input's) of one ``forecast`` and ``total_loss`` on seeded data,
+    the views drawn from ``rng_seed``, after one ``backward`` or two."""
+    model = md.SORMambaModel(cfg, seed=7)
+    rng = np.random.default_rng(7)
+    x = Tensor(rng.normal(size=(3, cfg.lookback, cfg.n_channels)), requires_grad=True)
+    target = rng.normal(size=(3, cfg.horizon, cfg.n_channels))
+    pred, pairs = model.forecast(x, rng=np.random.default_rng(rng_seed))
+    loss = ls.total_loss(pred, target, pairs, cfg.reg_weight, cfg.reg_metric).total
+    for _ in range(2 if twice else 1):
+        ad.backward(loss)
+    assert pred.grad is None and all(z.grad is None for pair in pairs for z in pair)
+    grads = [(n, _bits(t.grad)) for n, t in model.param_items()] + [("x", _bits(x.grad))]
+    return _bits(pred.data), _bits(loss.data), grads, pairs
+
+
+def _variant_config(**overrides):
+    kw = dict(
+        lookback=16, horizon=8, n_channels=5, d_model=8, n_layers=2, d_state=4,
+        reg_weight=0.1, conv_kernel=3,
+    )
+    kw.update(overrides)
+    return md.ModelConfig(**kw)
+
+
+class TestCheckpointedBlock:
+    """A recorded block is one op that keeps z, the scans' y and its outputs,
+    and rebuilds the rest in its backward: the model's value and every
+    gradient must equal those of the three stages recorded node by node."""
+
+    @pytest.mark.parametrize("direction", blocks.DIRECTIONS)
+    @pytest.mark.parametrize("conv", [False, True], ids=["no-conv", "conv"])
+    @pytest.mark.parametrize("order_mode", blocks.ORDER_MODES)
+    @pytest.mark.parametrize("discretization", ssm.DISCRETIZATIONS)
+    def test_model_value_and_every_gradient_equal_the_recorded_stages(
+        self, direction, conv, order_mode, discretization, monkeypatch
+    ):
+        cfg = _variant_config(
+            direction=direction, conv=conv, order_mode=order_mode, discretization=discretization
+        )
+        got = _model_grads(cfg)[:3]
+        monkeypatch.setattr(blocks.CDMambaBlock, "forward_orders", recorded_block)
+        assert got == _model_grads(cfg)[:3]
+
+    @pytest.mark.parametrize("direction", blocks.DIRECTIONS)
+    @pytest.mark.parametrize("conv", [False, True], ids=["no-conv", "conv"])
+    @pytest.mark.parametrize("rng_seed", [0, 5], ids=["identity-twice", "swap-twice"])
+    def test_merged_walks_equal_the_recorded_stages(self, direction, conv, rng_seed, monkeypatch):
+        # random-pair at two channels draws [0, 1] twice from seed 0 and
+        # [1, 0] twice from seed 5: one walk serves both views, and under
+        # uni both views are its one output
+        cfg = _variant_config(
+            n_channels=2, n_layers=1, direction=direction, conv=conv, order_mode="random-pair"
+        )
+        *got, pairs = _model_grads(cfg, rng_seed=rng_seed)
+        ((z1, z2),) = pairs
+        assert (z1 is z2) == (direction == "uni")
+        monkeypatch.setattr(blocks.CDMambaBlock, "forward_orders", recorded_block)
+        assert got == list(_model_grads(cfg, rng_seed=rng_seed)[:3])
+
+    @pytest.mark.parametrize("direction", blocks.DIRECTIONS)
+    @pytest.mark.parametrize("conv", [False, True], ids=["no-conv", "conv"])
+    def test_second_backward_adds_the_same_gradients_again(self, direction, conv, monkeypatch):
+        # the op's backward rebuilds its sub-tape on every call, so a second
+        # backward on one loss adds each leaf's shares again, in the same
+        # order as the recorded stages. Under bi every parameter and the
+        # input take one share per backward, which doubles exactly; under
+        # uni a shared block's parameters take one share per view, and
+        # (s + c1) + c2 need not be 2 s, so there the recorded stages' bits
+        # are the reference
+        cfg = _variant_config(direction=direction, conv=conv)
+        once = _model_grads(cfg)[2]
+        twice = _model_grads(cfg, twice=True)[2]
+        monkeypatch.setattr(blocks.CDMambaBlock, "forward_orders", recorded_block)
+        assert twice == _model_grads(cfg, twice=True)[2]
+        if direction == "bi":
+            for (name, one), (_, two) in zip(once, twice):
+                if one is not None:  # the side heads take no gradient
+                    assert (2 * np.frombuffer(one[1])).tobytes() == two[1], name

@@ -243,6 +243,29 @@ class TestTapeMemory:
         # arrays its vjp closes over, each byte counted once
         assert _bitcheck().tape_mib(ad._ordered_tape(loss)) <= 22
 
+    @staticmethod
+    def _tape_mib(batch, **overrides):
+        cfg = md.ModelConfig(
+            lookback=96, horizon=96, d_model=64, n_layers=2, reg_weight=0.1, **overrides
+        )
+        model = md.SORMambaModel(cfg, seed=0)
+        rng = np.random.default_rng(0)
+        pred, pairs = model.forecast(Tensor(rng.normal(size=(batch, 96, cfg.n_channels))))
+        target = rng.normal(size=pred.shape)
+        loss = losses.total_loss(pred, target, pairs, cfg.reg_weight, cfg.reg_metric).total
+        return _bitcheck().tape_mib(ad._ordered_tape(loss))
+
+    def test_train_solar_tape_keeps_no_block_interior(self):
+        # each block keeps only its input, the scans' y and its outputs:
+        # 14.1 MiB at train-solar's shape, 21.2 when pre's outputs were kept
+        assert self._tape_mib(8, n_channels=137) <= 16
+
+    def test_conv_tape_keeps_no_tap(self):
+        # C=21, batch 16: the conv's gathers, taps and SiLU live only in the
+        # block's backward, 4.5 MiB as without the conv (28.0 when they were
+        # kept)
+        assert self._tape_mib(16, n_channels=21, conv=True) <= 8
+
 
 class TestCheckpoint:
     def test_round_trip_is_bitwise(self, tmp_path):

@@ -41,7 +41,9 @@ each workload's ``setup`` and ``make_run`` at seed 3 with one BLAS thread:
   ``forecast``, ``total_loss`` and ``backward``, the loss as ``float.hex()``
   and a sha256 over every parameter's name, value and gradient, then the
   number of nodes on that loss's tape (``tape-nodes``), which moves when
-  a variant gathers or scans differently, the conv variants' most of all;
+  a variant gathers or scans differently, the conv variants' most of all,
+  and the MiB of arrays it keeps (``tape-mib``, as for the train
+  workloads), which moves with what each block keeps for its backward;
 * the read paths over a small synthetic split (5 channels, seed 7; its
   73 test windows are a batch of 64 and a partial one of 9): the
   validation losses and best epoch of a 2-epoch ``train_supervised``,
@@ -66,9 +68,10 @@ each workload's ``setup`` and ``make_run`` at seed 3 with one BLAS thread:
   path, only ``source_sha256`` and ``produced``.
 
 Two checkouts that compute the same numbers print the same lines, apart
-from the ``tape-nodes``, ``tape-mib`` and ``step-peak-mib`` lines when they
-keep different things on the tape and the ``scan-walks`` line when they
-scan differently; these four are structure, every other line is a value.
+from the ``tape-nodes``, ``tape-mib`` and ``step-peak-mib`` lines (the
+workloads' and the variants') when they keep different things on the tape
+and the ``scan-walks`` line when they scan differently; these four are
+structure, every other line is a value.
 ``diff`` the outputs to see which parameters, errors, memory figures or
 scans moved.
 
@@ -363,7 +366,9 @@ def _print_variants(grads: dict[str, dict]) -> None:
         y = rng.normal(size=(3, cfg.horizon, cfg.n_channels))
         pred, pairs = model.forecast(x, rng=rng)
         loss = losses.total_loss(pred, y, pairs, cfg.reg_weight, cfg.reg_metric).total
-        tape_nodes = len(autodiff._ordered_tape(loss))
+        tape = autodiff._ordered_tape(loss)
+        tape_nodes, kept = len(tape), tape_mib(tape)
+        del tape
         autodiff.backward(loss)
         h = hashlib.sha256()
         for param, t in model.param_items():
@@ -375,6 +380,7 @@ def _print_variants(grads: dict[str, dict]) -> None:
         grads[tag] = {p: t.grad for p, t in model.param_items() if t.grad is not None}
         print(tag, float(loss.data).hex(), h.hexdigest())
         print(tag, "tape-nodes", tape_nodes)
+        print(tag, "tape-mib", f"{kept:.3f}")
 
 
 def _print_read_paths() -> None:
