@@ -26,13 +26,16 @@ Design points:
   interior node's gradient is dropped once it has been passed on
 * ``backward_from`` is the second entry: it starts from several outputs
   with given gradients and walks only the nodes recorded after a
-  ``tape_mark``. An op with several outputs (``from_ops``) can so recompute
-  part of its forward in its vjp, recorded (``enable_grad``) on its real
-  parents, and back-propagate through that sub-tape: the parents receive
-  their shares in the order one tape of the recomputed ops would give
-  them, and the outer walk passes them on. A scan block is such an op
-  (``blocks``), so the tape holds no block's interior, only its input, its
-  scans' outputs and its own outputs
+  ``tape_mark``. ``checkpoint`` builds on it: it runs a computation
+  without a tape and records it as one op (``from_ops``) that keeps only
+  what the computation names, and its vjp runs the computation again,
+  recorded (``enable_grad``) on the real parents, and back-propagates
+  through that sub-tape: the parents receive their shares in the order one
+  tape of the recomputed ops would give them, and the outer walk passes
+  them on. A scan block and a layer's tail (the views' sum with the
+  residual, LayerNorm, the MLP, LayerNorm) are such ops (``blocks``,
+  ``model``), so per layer the tape holds only the block's input, its
+  scans' outputs, the view outputs and the layer's output
 * a custom fused op (e.g. the selective-scan kernel) plugs in through
   ``from_op`` with a hand-derived vector-Jacobian product. LayerNorm, the
   SiLU and softplus input projections before a scan, the
@@ -61,6 +64,7 @@ __all__ = [
     "backward",
     "backward_from",
     "tape_mark",
+    "checkpoint",
     "from_op",
     "from_ops",
     "add",
@@ -728,10 +732,12 @@ def _axis_index(idx, axis: int, ndim: int):
 # result nor any nonzero result. Every value that leaves the op goes through
 # ``accumulate``, which maps -0 to +0 in the same way.
 # A train step's memory peaks inside the last layer's block backward, with
-# that block's recomputed pre and the rest of the tape alive (tracemalloc,
-# seed 0: train-solar 29.1 MiB, of which the tape at the loss keeps 14.1 MiB
-# of arrays; train-etth1 13.2 of 5.4), so the vjps drop full-size
-# temporaries as soon as they have been used.
+# that block's recomputed pre and the rest of the tape alive, in its second
+# skip_gate_proj vjp and in the scan_core vjp, within 0.02 MiB of each other
+# (tracemalloc, seed 0: train-solar 24.1 MiB, of which the tape at the loss
+# keeps 10.7 MiB of arrays; train-etth1 11.3 of 4.0), so the vjps write into
+# buffers they already hold and drop full-size temporaries as soon as they
+# have been used.
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -818,13 +824,15 @@ def skip_gate_proj(
         accumulate(w, gw)
         if not need_gated:
             return
-        # mul(sum, gate), add(y, skip), mul(u, d_skip)
-        g_s = g_sg * gate.data if need_sum else None
+        # mul(sum, gate), add(y, skip), mul(u, d_skip): the gate's gradient
+        # g_sg * s is written into s and g_s into g_sg, so no third
+        # full-size array is live
         if gate.requires_grad:
-            accumulate(gate, g_sg * s)
-        del g_sg, s
+            accumulate(gate, np.multiply(s, g_sg, out=s))
+        del s
         if not need_sum:
             return
+        g_s = np.multiply(g_sg, gate.data, out=g_sg)
         accumulate(y, g_s)
         if u.requires_grad:
             accumulate(u, g_s * d_skip.data)
@@ -1075,6 +1083,37 @@ def backward_from(
             accumulate(out, grads[i])
             grads[i] = None
     _walk(_ordered_tape(*outputs, since=since))
+
+
+def checkpoint(parents: Sequence[Tensor], run: Callable) -> list[Tensor]:
+    """The outputs of ``run``, a computation on ``parents``, as one op that
+    keeps none of its interior on the tape (activation checkpointing, Chen
+    et al. 2016, arXiv 1604.06174).
+
+    ``run(kept)`` returns (outputs, keep). The forward calls ``run(None)``
+    under ``no_grad`` and holds ``keep`` for the backward. The vjp calls
+    ``run(keep)`` recorded (``enable_grad``) on the real parents, which must
+    give the same outputs (it may build them around what it kept instead of
+    computing them again), and back-propagates the outputs' gradients
+    through that sub-tape (``backward_from``): the parents receive their
+    shares in the order the recorded computation would hand them, so every
+    gradient is that computation's, bit for bit. When nothing is recorded
+    (no parent needs a gradient, or ``no_grad``), ``run(None)`` runs as it
+    is.
+    """
+    if not needs_grad(parents):
+        return run(None)[0]
+    with no_grad():
+        outs, keep = run(None)
+    values = [out.data for out in outs]
+
+    def vjp(grads):
+        since = tape_mark()
+        with enable_grad():
+            rebuilt, _ = run(keep)
+        backward_from(rebuilt, grads, since)
+
+    return list(from_ops(values, parents, vjp))
 
 
 def check_gradients(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5) -> float:

@@ -22,15 +22,15 @@ the tokens:
 * ``post`` works token by token again: the ``d_skip`` term, the gate and
   the output projection, as one fused op (``autodiff.skip_gate_proj``).
 
-Recorded, the three stages are one op (activation checkpointing at the
-level of a block, Chen et al. 2016, arXiv 1604.06174): its forward runs them
-without a tape and keeps only its input z, each scan's y and its own
-outputs. Its backward runs ``pre`` again, recorded, rebuilds the scans' and
-``post``'s nodes around the kept values (the scans' forward and the output
-projection do not run again), and back-propagates through that sub-tape
-into z and the parameters themselves, so every gradient is the one a tape
-of the three stages would give, bit for bit. Without a tape the stages run
-as they are.
+Recorded, the three stages are one op (``autodiff.checkpoint``, activation
+checkpointing at the level of a block, Chen et al. 2016, arXiv 1604.06174):
+its forward runs them without a tape and keeps only its input z, each
+scan's y and its own outputs. Its backward runs ``pre`` again, recorded,
+rebuilds the scans' and ``post``'s nodes around the kept values (the scans'
+forward and the output projection do not run again), and back-propagates
+through that sub-tape into z and the parameters themselves, so every
+gradient is the one a tape of the three stages would give, bit for bit.
+Without a tape the stages run as they are.
 
 ``DirectionalEncoderCD`` is built from a ``ModelConfig``. It runs one block
 over two views of the token axis (or two independent blocks, for the
@@ -59,21 +59,16 @@ import numpy as np
 
 from .autodiff import (
     Tensor,
-    backward_from,
-    enable_grad,
+    checkpoint,
     exp,
-    from_ops,
     matmul,
     mul,
-    needs_grad,
     neg,
-    no_grad,
     shift_axis,
     silu,
     silu_proj,
     skip_gate_proj,
     take_axis,
-    tape_mark,
 )
 from .ssm import init_ssm_params, projections, scan_core, scan_output, uniform_weight
 
@@ -149,24 +144,16 @@ class CDMambaBlock:
         then ``post`` per order. ``labels`` name the orders in a non-finite
         scan's error.
 
-        Recorded, the stages are one op (``autodiff.from_ops``) that keeps
-        z, the scans' y and its outputs; its vjp records ``pre`` again and
-        the scans and ``post`` around the kept values, and back-propagates
-        through that sub-tape (``autodiff.backward_from``)."""
-        parents = (z, *(t for _, t in self.param_items()))
-        if not needs_grad(parents):
-            return self._stages(z, orders, labels)[0]
-        with no_grad():
-            outs, ys = self._stages(z, orders, labels)
-        values = [out.data for out in outs]
+        Recorded, the stages are one op (``autodiff.checkpoint``) that keeps
+        z, the scans' y and its outputs; its backward records ``pre`` again
+        and the scans and ``post`` around the kept values, and
+        back-propagates through that sub-tape."""
 
-        def vjp(grads):
-            since = tape_mark()
-            with enable_grad():
-                rebuilt, _ = self._stages(z, orders, labels, (ys, values))
-            backward_from(rebuilt, grads, since)
+        def run(kept):
+            outs, ys = self._stages(z, orders, labels, kept)
+            return outs, (ys, [out.data for out in outs])
 
-        return list(from_ops(values, parents, vjp))
+        return checkpoint((z, *(t for _, t in self.param_items())), run)
 
     def _stages(
         self,

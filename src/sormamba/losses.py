@@ -47,6 +47,8 @@ def mse(pred: Tensor, target) -> Tensor:
         d = pred.data - t
     except ValueError:
         raise ValueError(f"mse: shapes {pred.shape} and {t.shape} do not broadcast") from None
+    # resolved here, so that the vjp holds d and no data target
+    other = target if isinstance(target, Tensor) else None
 
     def vjp(g):
         # tmean hands every element 0 + g / n (-0 to +0), and mul(d, d)
@@ -56,10 +58,10 @@ def mse(pred: Tensor, target) -> Tensor:
         g_d += 0.0
         g_d += g_d
         accumulate(pred, g_d)
-        if isinstance(target, Tensor) and target.requires_grad:
-            accumulate(target, np.negative(g_d, out=g_d))
+        if other is not None and other.requires_grad:
+            accumulate(other, np.negative(g_d, out=g_d))
 
-    parents = (pred, target) if isinstance(target, Tensor) else (pred,)
+    parents = (pred,) if other is None else (pred, other)
     return from_op(np.mean(d * d), parents, vjp)
 
 

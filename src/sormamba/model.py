@@ -10,10 +10,14 @@ LayerNorm/MLP/LayerNorm stage (``autodiff.layer_norm`` and
 ``autodiff.gelu_mlp``). A linear head (``autodiff.head_proj``) maps each
 channel token to its horizon. Each of these is one fused op that keeps only
 what its backward reads: two [..., 1] arrays per LayerNorm, the head's
-[B, 1, C] scale, and nothing for the others. Each encoder block is one op
-that keeps its input, its scans' y and its outputs, and recomputes the rest
-in its backward (see ``blocks``). One layer loop serves the forecast, the
-side heads and the ordering analysis (``forecast_orderings``).
+[B, 1, C] scale, and nothing for the others. Recorded, two parts of a layer
+are checkpointed ops (``autodiff.checkpoint``) that recompute their interior
+in the backward: each encoder block keeps its input, its scans' y and its
+outputs (see ``blocks``), and the layer's tail, from the views' sum to the
+second LayerNorm, keeps nothing. So per layer the tape holds z, the scans'
+y, the view outputs and the layer's output. One layer loop serves the
+forecast, the side heads and the ordering analysis
+(``forecast_orderings``).
 
 Instance normalization (per window, per channel) is applied on the way in
 and inverted on the way out, so forecasts are always in input units. The
@@ -31,6 +35,7 @@ import numpy as np
 
 from .autodiff import (
     Tensor,
+    checkpoint,
     gelu_mlp,
     head_proj,
     layer_norm,
@@ -230,11 +235,21 @@ class SORMambaModel:
         return linear(swapaxes(xn, 1, 2), self.w_embed, self.b_embed)
 
     @staticmethod
-    def _refine(layer: _Layer, z: Tensor) -> Tensor:
-        """The LayerNorm/MLP/LayerNorm stage after a layer's residual."""
-        h = layer_norm(z, layer.g1, layer.c1)
-        h = gelu_mlp(h, layer.w_mlp1, layer.b_mlp1, layer.w_mlp2, layer.b_mlp2)
-        return layer_norm(h, layer.g2, layer.c2)
+    def _tail(layer: _Layer, views: list[Tensor], z: Tensor) -> Tensor:
+        """A layer's work after its encoder: the views' sum with the
+        residual z, then LayerNorm/MLP/LayerNorm. Recorded, it is one op
+        (``autodiff.checkpoint``) that keeps nothing; its backward records
+        the four ops again on the views, z and the layer's eight parameters."""
+
+        def run(_):
+            h = layer_norm(residual_sum(views, z), layer.g1, layer.c1)
+            h = gelu_mlp(h, layer.w_mlp1, layer.b_mlp1, layer.w_mlp2, layer.b_mlp2)
+            return [layer_norm(h, layer.g2, layer.c2)], None
+
+        params = (layer.g1, layer.c1, layer.w_mlp1, layer.b_mlp1, layer.w_mlp2, layer.b_mlp2,
+                  layer.g2, layer.c2)
+        (out,) = checkpoint((*views, z, *params), run)
+        return out
 
     def _encode_tokens(self, x: Tensor, rng: np.random.Generator | None, perms=(None,)):
         """The channel tokens [B, C, D] of ``x`` [B, L, C] under each of
@@ -256,7 +271,7 @@ class SORMambaModel:
                     # popped and replaced, so each input and view output
                     # goes once its last ordering is done with it
                     ys = outs.pop(k)
-                    zs[k] = self._refine(layer, residual_sum(ys, zs[k]))
+                    zs[k] = self._tail(layer, ys, zs[k])
             if len(perms) == 1 and len(ys) == 2:
                 pairs.append(tuple(ys))
         return zs, pairs, stats

@@ -229,9 +229,12 @@ def scan_core(
     parents = (delta, a, b_t, c_t, x)
 
     def vjp(g):
-        grads = scan_kernels.scan_backward(*(p.data for p in parents), mode, g, orders)
-        for p, gp in zip(parents, grads):
-            accumulate(p, gp)
+        grads = list(scan_kernels.scan_backward(*(p.data for p in parents), mode, g, orders))
+        # x first: in a block it already holds the skip term's gradient, so
+        # its share adds in place; each share is dropped once handed on
+        for i in (4, 0, 1, 2, 3):
+            accumulate(parents[i], grads[i])
+            grads[i] = None
 
     return unstack(from_op(y, parents, vjp))
 

@@ -5,8 +5,9 @@ Each fused op (``layer_norm``, ``skip_gate_proj``, ``gelu_mlp``,
 ``residual_sum`` and ``losses.mse``) must give the composed graph's value
 and every gradient bit for bit, and keep less of the forward alive for its
 backward. The composed graphs are written out here from the primitive ops,
-as the reference. So is the checkpointed scan block's: its three stages
-recorded one node after another (``recorded_block``).
+as the reference. So are the checkpointed ops' (``autodiff.checkpoint``):
+a scan block's three stages recorded one node after another
+(``recorded_block``), and a layer's tail recorded op by op (``recorded``).
 """
 
 import itertools
@@ -85,6 +86,12 @@ def recorded_block(block, z, orders=(None,), labels=None):
         blocks.skip_gate_proj(y, u, tokens.gate, block.ssm.d_skip, block.w_out)
         for y, u in scanned
     ]
+
+
+def recorded(parents, run):
+    """``autodiff.checkpoint`` without the checkpoint: ``run``'s ops recorded
+    on the tape, node by node."""
+    return run(None)[0]
 
 
 def _inputs(op: str, shape, seed=0):
@@ -250,6 +257,7 @@ class TestSameBitsAsComposed:
         )
         fused = grads(md.SORMambaModel(cfg, seed=3))
         monkeypatch.setattr(blocks.CDMambaBlock, "forward_orders", recorded_block)
+        monkeypatch.setattr(md, "checkpoint", recorded)
         monkeypatch.setattr(md, "layer_norm", composed_layer_norm)
         monkeypatch.setattr(md, "gelu_mlp", composed_gelu_mlp)
         monkeypatch.setattr(md, "linear", composed_linear)
@@ -377,6 +385,68 @@ class TestKeptMemory:
         ys = orders * batch * tokens * 2 * d_model * 8
         assert kept <= ys + sum(out.data.nbytes for out in outs) + 4 * OBJECT_SLACK
 
+    def test_recorded_tail_keeps_nothing_but_its_output(self):
+        # the views and z are the op's parents and already held; the views'
+        # sum, both LayerNorms and the MLP live only in its backward
+        batch, tokens, d_model = self.SHAPE
+        cfg = md.ModelConfig(lookback=8, horizon=4, n_channels=tokens, d_model=d_model)
+        layer = md._Layer(cfg, np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        parents = [Tensor(rng.normal(size=self.SHAPE), requires_grad=True) for _ in range(3)]
+        kept, out = _kept_bytes(
+            lambda v1, v2, z: md.SORMambaModel._tail(layer, [v1, v2], z), parents
+        )
+        assert out.requires_grad
+        assert kept <= out.data.nbytes + 4 * OBJECT_SLACK
+
+
+MIB = 2**20
+
+
+class TestVjpMemory:
+    """What a vjp allocates on top of what it is handed, and what the loss
+    keeps for its vjp."""
+
+    def test_second_skip_gate_proj_vjp_holds_at_most_three_full_size_arrays(self):
+        # two views' post stages share u, the gate, d_skip and w, so the
+        # second vjp adds into their gradients. The skipped sum, its gated
+        # product and the gated product's gradient are live at once; the
+        # gate's gradient and g_s are written into two of them (4.34 MiB
+        # when each was a fresh array, 3.27 now)
+        rng = np.random.default_rng(12)
+        shape, d_out = (8, 137, 128), 64
+        y1, y2, u, gate = (
+            Tensor(rng.normal(size=shape), requires_grad=True) for _ in range(4)
+        )
+        d_skip = Tensor(rng.normal(size=shape[-1]), requires_grad=True)
+        w = Tensor(rng.normal(size=(shape[-1], d_out)) / shape[-1], requires_grad=True)
+        out1 = ad.skip_gate_proj(y1, u, gate, d_skip, w)
+        out2 = ad.skip_gate_proj(y2, u, gate, d_skip, w)
+        g = rng.normal(size=out1.shape)
+        out2._vjp(g)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out1._vjp(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - base) / MIB <= 3.5
+
+    def test_mse_against_data_keeps_only_the_difference(self):
+        # a data target (the batch's y) is read in the forward only
+        rng = np.random.default_rng(13)
+        pred = Tensor(rng.normal(size=(4, 3, 5)), requires_grad=True)
+        target = rng.normal(size=(4, 3, 5))
+        out = ls.mse(pred, target)
+        held = [
+            c.cell_contents
+            for c in out._vjp.__closure__
+            if isinstance(c.cell_contents, np.ndarray)
+        ]
+        assert len(held) == 1
+        np.testing.assert_array_equal(held[0], pred.data - target)
+
 
 def _model_grads(cfg, twice=False, rng_seed=7):
     """The forecast, the training loss and every gradient (the parameters'
@@ -458,3 +528,44 @@ class TestCheckpointedBlock:
             for (name, one), (_, two) in zip(once, twice):
                 if one is not None:  # the side heads take no gradient
                     assert (2 * np.frombuffer(one[1])).tobytes() == two[1], name
+
+
+class TestCheckpointedTail:
+    """A recorded layer tail (the views' sum with the residual, LayerNorm,
+    the MLP, LayerNorm) is one op that keeps nothing and records its ops
+    again in its backward: the model's value and every gradient must equal
+    those of the tail recorded op by op."""
+
+    @pytest.mark.parametrize("reg_metric", ls.REG_METRICS)
+    @pytest.mark.parametrize("direction", blocks.DIRECTIONS)
+    @pytest.mark.parametrize("conv", [False, True], ids=["no-conv", "conv"])
+    @pytest.mark.parametrize("order_mode", blocks.ORDER_MODES)
+    @pytest.mark.parametrize("discretization", ssm.DISCRETIZATIONS)
+    def test_model_value_and_every_gradient_equal_the_recorded_tail(
+        self, direction, conv, order_mode, discretization, reg_metric, monkeypatch
+    ):
+        cfg = _variant_config(
+            direction=direction, conv=conv, order_mode=order_mode,
+            discretization=discretization, reg_metric=reg_metric,
+        )
+        got = _model_grads(cfg)[:3]
+        monkeypatch.setattr(md, "checkpoint", recorded)
+        assert got == _model_grads(cfg)[:3]
+
+    @pytest.mark.parametrize("reg_weight", [0.0, 0.1])
+    @pytest.mark.parametrize("two_view", [True, False], ids=["two-view", "one-view"])
+    def test_with_and_without_the_penalty_and_with_one_view(self, reg_weight, two_view, monkeypatch):
+        # without the penalty the views take gradient through the tail
+        # alone; with one view the tail sums one view and z
+        cfg = _variant_config(reg_weight=reg_weight, two_view=two_view)
+        got = _model_grads(cfg)[:3]
+        monkeypatch.setattr(md, "checkpoint", recorded)
+        assert got == _model_grads(cfg)[:3]
+
+    @pytest.mark.parametrize("direction", blocks.DIRECTIONS)
+    def test_second_backward_adds_the_same_gradients_again(self, direction, monkeypatch):
+        # the tail's backward records its ops again on every call
+        cfg = _variant_config(direction=direction)
+        twice = _model_grads(cfg, twice=True)[2]
+        monkeypatch.setattr(md, "checkpoint", recorded)
+        assert twice == _model_grads(cfg, twice=True)[2]

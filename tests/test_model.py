@@ -260,6 +260,12 @@ class TestTapeMemory:
         # 14.1 MiB at train-solar's shape, 21.2 when pre's outputs were kept
         assert self._tape_mib(8, n_channels=137) <= 16
 
+    def test_train_solar_tape_keeps_no_layer_tail(self):
+        # each layer keeps z, the scans' y, the view outputs and its output:
+        # 10.7 MiB at train-solar's shape, 14.1 when the views' sum, the
+        # first LayerNorm and the MLP were kept, and the loss no target
+        assert self._tape_mib(8, n_channels=137) <= 11.5
+
     def test_conv_tape_keeps_no_tap(self):
         # C=21, batch 16: the conv's gathers, taps and SiLU live only in the
         # block's backward, 4.5 MiB as without the conv (28.0 when they were

@@ -29,9 +29,12 @@ each workload's ``setup`` and ``make_run`` at seed 3 with one BLAS thread:
   number of nodes on the tape of one training loss (the first batch's,
   ``autodiff._ordered_tape``), the MiB of arrays that tape keeps for the
   backward (each recorded node's value and the arrays its vjp closes over,
-  each byte counted once) and the ``tracemalloc`` peak of one more,
-  warmed-up ``step()`` in MiB. These three are the lines that a change to
-  what the tape keeps is meant to move;
+  each byte counted once), the ``tracemalloc`` peak of one more,
+  warmed-up ``step()`` in MiB and ``step-peak-at``: the qualname of the vjp
+  that was running when the peak of a further step was reached (the
+  innermost, when a checkpointed op's vjp walks its sub-tape; ``-`` when
+  the peak fell outside every vjp). These four are the lines that a change
+  to what the tape keeps is meant to move;
 * analyze-weather: the ``reversal_bias`` MSEs and the
   ``permutation_robustness(n_perms=2, seed=3)`` MSEs as ``float.hex()``,
   then ``scan-walks``: the number of walks (orders) of each
@@ -68,10 +71,10 @@ each workload's ``setup`` and ``make_run`` at seed 3 with one BLAS thread:
   path, only ``source_sha256`` and ``produced``.
 
 Two checkouts that compute the same numbers print the same lines, apart
-from the ``tape-nodes``, ``tape-mib`` and ``step-peak-mib`` lines (the
-workloads' and the variants') when they keep different things on the tape
-and the ``scan-walks`` line when they scan differently; these four are
-structure, every other line is a value.
+from the ``tape-nodes``, ``tape-mib``, ``step-peak-mib`` and
+``step-peak-at`` lines (the workloads' and the variants') when they keep
+different things on the tape and the ``scan-walks`` line when they scan
+differently; these five are structure, every other line is a value.
 ``diff`` the outputs to see which parameters, errors, memory figures or
 scans moved.
 
@@ -318,6 +321,48 @@ def _print_step_memory(name: str, run) -> None:
     finally:
         tracemalloc.stop()
     print(name, "step-peak-mib", f"{(peak - base) / 2**20:.3f}")
+    print(name, "step-peak-at", _step_peak_at(run))
+
+
+def _step_peak_at(run) -> str:
+    """The qualname of the vjp that was running when the ``tracemalloc``
+    peak of one more ``step()`` was reached, the innermost one when a vjp
+    walks a sub-tape, or ``-`` when the peak fell outside every vjp. Each
+    node's vjp is wrapped as ``autodiff._walk`` reaches it; the wrappers are
+    allocations of their own, so this step is not the one measured above."""
+    import tracemalloc
+
+    from sormamba import autodiff
+
+    walk = autodiff._walk
+    where = {"peak": 0, "at": "-"}
+
+    def measured(vjp):
+        def call(g):
+            before = tracemalloc.get_traced_memory()[1]
+            vjp(g)
+            after = tracemalloc.get_traced_memory()[1]
+            # an inner vjp that raised the peak has already claimed it
+            if after > max(before, where["peak"]):
+                where.update(peak=after, at=vjp.__qualname__)
+
+        return call
+
+    def measured_walk(tape):
+        for node in tape:
+            if node._vjp is not None:
+                node._vjp = measured(node._vjp)
+        walk(tape)
+
+    autodiff._walk = measured_walk
+    tracemalloc.start()
+    try:
+        run.step()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        autodiff._walk = walk
+    return where["at"] if where["peak"] == peak else "-"
 
 
 def _step_scan_walks(run) -> str:
@@ -340,7 +385,11 @@ def _step_scan_walks(run) -> str:
     return str(walks)
 
 
-def _print_variants(grads: dict[str, dict]) -> None:
+def variant_losses():
+    """The 32 small model variants that no workload runs (uni/bi x conv
+    on/off x the four order modes x both discretizations, two layers, seed
+    7): per variant its tag, the model and its training loss after one
+    ``forecast`` and ``total_loss``, not yet back-propagated."""
     import itertools
 
     import numpy as np
@@ -366,6 +415,16 @@ def _print_variants(grads: dict[str, dict]) -> None:
         y = rng.normal(size=(3, cfg.horizon, cfg.n_channels))
         pred, pairs = model.forecast(x, rng=rng)
         loss = losses.total_loss(pred, y, pairs, cfg.reg_weight, cfg.reg_metric).total
+        conv_tag = "conv" if conv else "noconv"
+        yield " ".join(("variant", direction, conv_tag, order_mode, discretization)), model, loss
+
+
+def _print_variants(grads: dict[str, dict]) -> None:
+    import numpy as np
+
+    from sormamba import autodiff
+
+    for tag, model, loss in variant_losses():
         tape = autodiff._ordered_tape(loss)
         tape_nodes, kept = len(tape), tape_mib(tape)
         del tape
@@ -375,15 +434,16 @@ def _print_variants(grads: dict[str, dict]) -> None:
             h.update(param.encode())
             h.update(np.ascontiguousarray(t.data).tobytes())
             h.update(b"none" if t.grad is None else np.ascontiguousarray(t.grad).tobytes())
-        conv_tag = "conv" if conv else "noconv"
-        tag = " ".join(("variant", direction, conv_tag, order_mode, discretization))
         grads[tag] = {p: t.grad for p, t in model.param_items() if t.grad is not None}
         print(tag, float(loss.data).hex(), h.hexdigest())
         print(tag, "tape-nodes", tape_nodes)
         print(tag, "tape-mib", f"{kept:.3f}")
 
 
-def _print_read_paths() -> None:
+def read_path_values():
+    """The read paths over a small synthetic split (5 channels, seed 7), in
+    turn: per path a label and its values, ints (best epochs), floats
+    (errors and losses) and arrays, or (name, array) pairs."""
     from sormamba import analysis, data, synthetic, training
     from sormamba.model import ModelConfig, SORMambaModel
 
@@ -401,32 +461,47 @@ def _print_read_paths() -> None:
         )
         return SORMambaModel(mcfg, seed=VARIANT_SEED)
 
+    def losses_of(fit):
+        return [e.val_loss for e in fit.epochs]
+
     model = small_model()
     fit = training.train_supervised(model, bundle.train, bundle.val, cfg)
-    print("read train_supervised", fit.best_epoch, *(e.val_loss.hex() for e in fit.epochs))
+    yield "read train_supervised", [fit.best_epoch, *losses_of(fit)]
     metrics = training.evaluate(model, bundle.test, bundle.normalizer)
-    print("read evaluate", metrics["mse"].hex(), metrics["mae"].hex())
+    yield "read evaluate", [metrics["mse"], metrics["mae"]]
     for tag, m in (("one-view", small_model(two_view=False)), ("two-view", model)):
         embeds = analysis.view_embeddings(m, bundle.test)
-        print("read view_embeddings", tag, *(f"{k}={_digest(v)}" for k, v in embeds.items()))
-    print("read consistency_gap", analysis.consistency_gap(model, bundle.test).hex())
+        yield f"read view_embeddings {tag}", list(embeds.items())
+    yield "read consistency_gap", [analysis.consistency_gap(model, bundle.test)]
     corr = analysis.correlation_preservation(model, bundle.test)
-    print("read correlation_preservation", corr["gap_mse"].hex(), _digest(corr["r_z"]))
+    yield "read correlation_preservation", [corr["gap_mse"], corr["r_z"]]
     bias = analysis.reversal_bias(model, bundle.test, bundle.normalizer)
-    print("read reversal_bias", bias.mse_fwd.hex(), bias.mse_rev.hex())
+    yield "read reversal_bias", [bias.mse_fwd, bias.mse_rev]
     for n_perms in (2, 5):
         robust = analysis.permutation_robustness(
             model, bundle.test, bundle.normalizer, n_perms=n_perms, seed=VARIANT_SEED
         )
-        print("read permutation_robustness", *(v.hex() for v in robust["mse_values"]))
+        yield "read permutation_robustness", list(robust["mse_values"])
     for mode in training.PRETEXT_MODES:
         pretrained = small_model()
         fit = training.pretrain(pretrained, bundle.train, bundle.val, cfg, mode=mode)
-        print("read pretrain", mode, *(e.val_loss.hex() for e in fit.epochs))
+        yield f"read pretrain {mode}", losses_of(fit)
         if mode == "ccm":
             ccm_model = pretrained
     fit = training.linear_probe(ccm_model, bundle.train, bundle.val, cfg)
-    print("read linear_probe", fit.best_epoch, *(e.val_loss.hex() for e in fit.epochs))
+    yield "read linear_probe", [fit.best_epoch, *losses_of(fit)]
+
+
+def _print_read_paths() -> None:
+    def text(v) -> str:
+        if isinstance(v, tuple):
+            return f"{v[0]}={_digest(v[1])}"
+        if isinstance(v, float):
+            return v.hex()
+        return str(v) if isinstance(v, int) else _digest(v)
+
+    for label, values in read_path_values():
+        print(label, *(text(v) for v in values))
 
 
 CLI_CONFIG = {
