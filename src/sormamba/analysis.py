@@ -23,11 +23,13 @@ The LayerNorm/MLP after the scan and every later layer run per ordering.
 Each ordering's error is bit for bit what feeding the batch in that order,
 and putting the forecast back, gives.
 
-A pass holds all its orderings' activations at once. At the analyze-weather
-shape (21 channels, width 64, two layers, batch 64) the traced peak of one
-pass was 10.86 MiB for one ordering (as one ``forecast``), 11.51 MiB for
-identity and reversed (under ``bi`` or one view, where their keys differ),
-13.48 MiB for two random orderings, and 25.30 MiB for five at once.
+A pass holds all its orderings' activations at once, and nothing that no
+later op reads: no view pairs, and each walk's y only until its ``post``.
+At the analyze-weather shape (21 channels, width 64, two layers, batch 64)
+the traced peak of one pass was 7.92 MiB for one ordering (as one
+``evaluate`` batch), 8.57 MiB for identity and reversed (under ``bi`` or one
+view, where their keys differ), 10.54 MiB for two random orderings, and
+18.42 MiB for five at once.
 """
 
 from __future__ import annotations
@@ -80,8 +82,8 @@ def bias_metric(mse_fwd: float, mse_rev: float) -> BiasReport:
 
 # Orderings scored per forward pass. A pass holds every ordering's
 # activations at once, so its peak grows with the count: a pair shares
-# layer 1's pre-scan work and factors for +6% (identity and reversed) to
-# +24% (two random orderings) over one ordering, where all five of a
+# layer 1's pre-scan work and factors for +8% (identity and reversed) to
+# +33% (two random orderings) over one ordering, where all five of a
 # default robustness call would take +133% (figures in the module
 # docstring).
 _ORDERINGS_PER_PASS = 2
@@ -170,7 +172,7 @@ def view_embeddings(model: SORMambaModel, ds: WindowedDataset) -> dict[str, np.n
     """
     keys = ("view1", "view2") if model.config.two_view else ("tokens",)
 
-    def batch_sum(x, idx) -> np.ndarray:
+    def batch_sum(x, _) -> np.ndarray:
         """[views, C, d_model] summed over the batch's windows."""
         tokens, pairs = model.encode(x)
         views = pairs[-1] if model.config.two_view else (tokens,)
@@ -183,14 +185,14 @@ def consistency_gap(model: SORMambaModel, ds: WindowedDataset) -> float:
     """Mean view disagreement per layer over a dataset (fixed views), in the
     model's ``reg_metric``."""
 
-    def layer_mean_sum(x, idx) -> float:
+    def layer_mean_sum(x, _) -> float:
         """The batch's per-layer mean, weighted by its window count."""
         _, pairs = model.encode(x)
         if not pairs:
             raise ValueError("consistency_gap needs a two-view model")
         metric = model.config.reg_metric
         gaps = [float(reg_distance(z1, z2, metric).data) for z1, z2 in pairs]
-        return len(idx) * float(np.mean(gaps))
+        return x.shape[0] * float(np.mean(gaps))
 
     return sum_batches(ds, layer_mean_sum) / len(ds)
 
@@ -204,7 +206,7 @@ def correlation_preservation(model: SORMambaModel, ds: WindowedDataset) -> dict:
     """
     r_x = global_corr(series_from_windows(ds.x))
     r_z = sum_batches(
-        ds, lambda x, idx: pearson_matrix(model.latent_for_ccm(x)).data.sum(axis=0)
+        ds, lambda x, _: pearson_matrix(model.latent_for_ccm(x)).data.sum(axis=0)
     ) / len(ds)
     return {
         "r_x": r_x,

@@ -9,15 +9,14 @@ feeds each node's accumulated gradient into its backward rule.
 Design points:
 
 * everything is float64, row-major; op outputs are fresh arrays, except
-  that ``reshape`` and ``unstack`` give views of their input's value
+  that ``reshape`` gives a view of its input's value
 * binary ops broadcast with numpy trailing-axis rules. ``Tensor`` has only
   the ``+`` and ``-`` operators; every other op is called by name
 * every gradient enters a node through ``accumulate`` (``backward``'s seed
   too), which sums it over the node's broadcast axes and rejects one that
-  does not reduce to the node's shape; only ``unstack`` writes into slots of
-  its parent's gradient, and the outputs of ``from_ops`` into their op's
-  list of gradients. A vjp builds a parent's gradient only when that
-  parent requires one
+  does not reduce to the node's shape; only the outputs of ``from_ops``
+  write theirs straight into their op's list of gradients. A vjp builds a
+  parent's gradient only when that parent requires one
 * a product with a 2-D weight, ``[..., K] @ [K, N]``, is one GEMM over the
   flattened leading axes, and so are both of its gradients: the weight's
   is one ``[K, rows] @ [rows, N]`` product, with no per-sample stack to sum
@@ -88,7 +87,6 @@ __all__ = [
     "swapaxes",
     "shift_axis",
     "take_axis",
-    "unstack",
     "layer_norm",
     "skip_gate_proj",
     "gelu_mlp",
@@ -185,8 +183,8 @@ def from_op(
     """Wrap ``value`` as the output of a differentiable op.
 
     ``vjp`` receives the upstream gradient and hands each parent's share to
-    ``accumulate`` (only ``unstack`` writes into its parent's gradient).
-    Recording is skipped when no parent needs a gradient or inside ``no_grad``.
+    ``accumulate``. Recording is skipped when no parent needs a gradient or
+    inside ``no_grad``.
     """
     out = Tensor(value)
     if needs_grad(parents):
@@ -194,6 +192,12 @@ def from_op(
         out._parents = tuple(parents)
         out._vjp = vjp
     return out
+
+
+# the value of every ``from_ops`` node: one shared empty array, so a node
+# costs no array of its own
+_NO_VALUE = np.empty(0)
+_NO_VALUE.flags.writeable = False
 
 
 def from_ops(
@@ -208,7 +212,7 @@ def from_ops(
     gradient reached. The outputs hand their gradients to one node that
     holds no value and has ``parents`` as its own.
     """
-    node = from_op(np.empty(0), parents, vjp)
+    node = from_op(_NO_VALUE, parents, vjp)
     if not node.requires_grad:
         return tuple(Tensor(v) for v in values)
     n = len(values)
@@ -691,21 +695,6 @@ def take_axis(a: Tensor, indices: np.ndarray, axis: int) -> Tensor:
     return from_op(np.take(a.data, idx, axis=axis), (a,), vjp)
 
 
-def unstack(a: Tensor) -> tuple[Tensor, ...]:
-    """One Tensor per entry along the first axis, each a view of ``a``'s
-    value (nothing is copied); their gradients go to ``a``'s slots."""
-
-    def part(i: int) -> Tensor:
-        def vjp(g):
-            if a.grad is None:
-                a.grad = np.zeros_like(a.data)
-            a.grad[i] += g
-
-        return from_op(a.data[i], (a,), vjp)
-
-    return tuple(part(i) for i in range(a.shape[0]))
-
-
 def _axis_index(idx, axis: int, ndim: int):
     sel: list = [slice(None)] * ndim
     sel[axis] = idx
@@ -1090,27 +1079,29 @@ def checkpoint(parents: Sequence[Tensor], run: Callable) -> list[Tensor]:
     keeps none of its interior on the tape (activation checkpointing, Chen
     et al. 2016, arXiv 1604.06174).
 
-    ``run(kept)`` returns (outputs, keep). The forward calls ``run(None)``
-    under ``no_grad`` and holds ``keep`` for the backward. The vjp calls
-    ``run(keep)`` recorded (``enable_grad``) on the real parents, which must
-    give the same outputs (it may build them around what it kept instead of
-    computing them again), and back-propagates the outputs' gradients
-    through that sub-tape (``backward_from``): the parents receive their
-    shares in the order the recorded computation would hand them, so every
-    gradient is that computation's, bit for bit. When nothing is recorded
-    (no parent needs a gradient, or ``no_grad``), ``run(None)`` runs as it
-    is.
+    ``run(kept, keeping)`` returns (outputs, keep). The forward calls
+    ``run(None, True)`` under ``no_grad`` and holds ``keep`` for the
+    backward. The vjp calls ``run(keep, False)`` recorded (``enable_grad``)
+    on the real parents, which must give the same outputs (it may build them
+    around what it kept instead of computing them again), and
+    back-propagates the outputs' gradients through that sub-tape
+    (``backward_from``): the parents receive their shares in the order the
+    recorded computation would hand them, so every gradient is that
+    computation's, bit for bit. When nothing is recorded (no parent needs a
+    gradient, or ``no_grad``), ``run(None, False)`` runs as it is. With
+    ``keeping`` False nothing holds the ``keep`` that ``run`` returns, so it
+    may let each value it would keep go once its own ops have read it.
     """
     if not needs_grad(parents):
-        return run(None)[0]
+        return run(None, False)[0]
     with no_grad():
-        outs, keep = run(None)
+        outs, keep = run(None, True)
     values = [out.data for out in outs]
 
     def vjp(grads):
         since = tape_mark()
         with enable_grad():
-            rebuilt, _ = run(keep)
+            rebuilt, _ = run(keep, False)
         backward_from(rebuilt, grads, since)
 
     return list(from_ops(values, parents, vjp))

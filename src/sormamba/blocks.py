@@ -30,7 +30,8 @@ rebuilds the scans' and ``post``'s nodes around the kept values (the scans'
 forward and the output projection do not run again), and back-propagates
 through that sub-tape into z and the parameters themselves, so every
 gradient is the one a tape of the three stages would give, bit for bit.
-Without a tape the stages run as they are.
+Without a tape the stages run as they are and keep nothing: each scan's y
+goes once its ``post`` has read it.
 
 ``DirectionalEncoderCD`` is built from a ``ModelConfig``. It runs one block
 over two views of the token axis (or two independent blocks, for the
@@ -147,10 +148,11 @@ class CDMambaBlock:
         Recorded, the stages are one op (``autodiff.checkpoint``) that keeps
         z, the scans' y and its outputs; its backward records ``pre`` again
         and the scans and ``post`` around the kept values, and
-        back-propagates through that sub-tape."""
+        back-propagates through that sub-tape. Without a tape nothing is
+        kept, and each scan's y goes once its ``post`` has read it."""
 
-        def run(kept):
-            outs, ys = self._stages(z, orders, labels, kept)
+        def run(kept, keeping):
+            outs, ys = self._stages(z, orders, labels, kept, keeping)
             return outs, (ys, [out.data for out in outs])
 
         return checkpoint((z, *(t for _, t in self.param_items())), run)
@@ -160,22 +162,30 @@ class CDMambaBlock:
         z: Tensor,
         orders: tuple[np.ndarray | None, ...],
         labels: tuple[str, ...] | None,
-        kept: tuple[list[np.ndarray], list[np.ndarray]] | None = None,
-    ) -> tuple[list[Tensor], list[np.ndarray]]:
+        kept: tuple[list[np.ndarray], list[np.ndarray]] | None,
+        keeping: bool,
+    ) -> tuple[list[Tensor], list[np.ndarray] | None]:
         """``pre``, ``core`` and ``post`` on z: per order the output, and the
-        scans' outputs. With ``kept``, (the scans' outputs, the outputs) of
-        an earlier run on z, the scans and ``post`` are built around them."""
+        scans' outputs (one y per order). With ``kept``, (the scans'
+        outputs, the outputs) of an earlier run on z, the scans and ``post``
+        are built around them. With ``keeping`` False
+        (``autodiff.checkpoint``'s ``run`` protocol) the scans' outputs are
+        not returned, and each y goes once its ``post`` has read it."""
         ys, values = (None, None) if kept is None else kept
         tokens = self.pre(z)
         scanned, ys = self.core(tokens, orders, labels, ys)
+        if not keeping:
+            ys = None
         gate = tokens.gate
         # without a tape nothing else holds the scan's inputs; let them go
         # before the outputs are built
         del tokens
-        outs = [
-            self.post(gate, y, u, None if values is None else values[i])
-            for i, (y, u) in enumerate(scanned)
-        ]
+        outs = []
+        for i in range(len(scanned)):
+            # taken out of the list, so without a tape each y is freed
+            # before the next post runs
+            (y, u), scanned[i] = scanned[i], None
+            outs.append(self.post(gate, y, u, None if values is None else values[i]))
         return outs, ys
 
     def pre(self, z: Tensor) -> Tokens:
@@ -195,15 +205,16 @@ class CDMambaBlock:
     ) -> tuple[list[tuple[Tensor, Tensor]], list[np.ndarray]]:
         """Scan the tokens once in each of ``orders`` (None: as given).
         Returns, per order, (y before the skip term, the scan input), both in
-        the tokens' own order, and the value of each ``scan_core`` call
-        (``ssm.scan_output``). With ``ys``, those values from an earlier
-        call on these tokens, the scans are built around them instead of
-        run. Without a conv, all the orders are one ``scan_core`` call."""
+        the tokens' own order, and the scan's value per order
+        (``ssm.scan_output``, one array each). With ``ys``, those values
+        from an earlier call on these tokens, the scans are built around
+        them instead of run. Without a conv, all the orders are one
+        ``scan_core`` call."""
         if not self.conv_kernel:
             delta, b_t, c_t = tokens.scan_in
             inputs = (delta, tokens.a, b_t, c_t, tokens.u, self.ssm.mode, orders)
-            y = scan_output(*inputs, labels) if ys is None else ys[0]
-            return [(v, tokens.u) for v in scan_core(*inputs, y=y)], [y]
+            ys = scan_output(*inputs, labels) if ys is None else ys
+            return [(v, tokens.u) for v in scan_core(*inputs, y=ys)], ys
         walks = [
             self._conv_core(
                 tokens, order, None if labels is None else (labels[i],), None if ys is None else ys[i]
@@ -226,8 +237,8 @@ class CDMambaBlock:
         delta, b_t, c_t = projections(u, self.ssm)
         inputs = (delta, tokens.a, b_t, c_t, u, self.ssm.mode)
         if y is None:
-            y = scan_output(*inputs, labels=labels)
-        (out,) = scan_core(*inputs, y=y)
+            (y,) = scan_output(*inputs, labels=labels)
+        (out,) = scan_core(*inputs, y=[y])
         if order is None:
             return out, u, y
         inverse = np.argsort(order)

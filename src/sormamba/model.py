@@ -17,7 +17,11 @@ outputs (see ``blocks``), and the layer's tail, from the views' sum to the
 second LayerNorm, keeps nothing. So per layer the tape holds z, the scans'
 y, the view outputs and the layer's output. One layer loop serves the
 forecast, the side heads and the ordering analysis
-(``forecast_orderings``).
+(``forecast_orderings``). Without a tape it holds only what a later op
+reads: the normalized input until the embedding, each layer's view outputs
+until its tail (unless the caller takes the view pairs, as ``forecast``
+does) and each scan's y until its ``post``. Evaluation reads the forecast
+through ``forecast_orderings``, which takes no view pairs.
 
 Instance normalization (per window, per channel) is applied on the way in
 and inverted on the way out, so forecasts are always in input units. The
@@ -241,7 +245,7 @@ class SORMambaModel:
         (``autodiff.checkpoint``) that keeps nothing; its backward records
         the four ops again on the views, z and the layer's eight parameters."""
 
-        def run(_):
+        def run(*_):
             h = layer_norm(residual_sum(views, z), layer.g1, layer.c1)
             h = gelu_mlp(h, layer.w_mlp1, layer.b_mlp1, layer.w_mlp2, layer.b_mlp2)
             return [layer_norm(h, layer.g2, layer.c2)], None
@@ -251,15 +255,24 @@ class SORMambaModel:
         (out,) = checkpoint((*views, z, *params), run)
         return out
 
-    def _encode_tokens(self, x: Tensor, rng: np.random.Generator | None, perms=(None,)):
+    def _encode_tokens(
+        self,
+        x: Tensor,
+        rng: np.random.Generator | None,
+        perms=(None,),
+        pairs: list[tuple[Tensor, Tensor]] | None = None,
+    ):
         """The channel tokens [B, C, D] of ``x`` [B, L, C] under each of
-        ``perms`` (None: as given), each layer's view pair for one ordering
-        of two views (else []) and the instance-norm stats. Orderings that
-        share a layer's input share its ``forward_orderings`` call."""
+        ``perms`` (None: as given), and the instance-norm stats. Orderings
+        that share a layer's input share its ``forward_orderings`` call.
+        With ``pairs``, a list (for one ordering), each layer's view pair of
+        a two-view model is appended to it; without, each layer's view
+        outputs go once its tail has read them."""
         self._check_input(x)
         xn, stats = self.normalize_input(x)
         zs = [self._tokens(xn)] * len(perms)
-        pairs: list[tuple[Tensor, Tensor]] = []
+        # read by the embedding alone
+        del xn
         for layer in self.layers:
             # orderings that share an input tensor share its pre and walks
             groups: dict[int, dict[int, np.ndarray | None]] = {}
@@ -270,21 +283,24 @@ class SORMambaModel:
                 for k in group:
                     # popped and replaced, so each input and view output
                     # goes once its last ordering is done with it
-                    ys = outs.pop(k)
-                    zs[k] = self._tail(layer, ys, zs[k])
-            if len(perms) == 1 and len(ys) == 2:
-                pairs.append(tuple(ys))
-        return zs, pairs, stats
+                    views = outs.pop(k)
+                    if pairs is not None and len(views) == 2:
+                        pairs.append(tuple(views))
+                    zs[k] = self._tail(layer, views, zs[k])
+                    del views
+        return zs, stats
 
     def encode(self, x: Tensor, rng: np.random.Generator | None = None):
         """[B, L, C] -> (channel tokens [B, C, D], per-layer view pairs)."""
-        (tokens,), pairs, _ = self._encode_tokens(x, rng)
+        pairs: list[tuple[Tensor, Tensor]] = []
+        (tokens,), _ = self._encode_tokens(x, rng, pairs=pairs)
         return tokens, pairs
 
     def _through_head(self, x: Tensor, rng: np.random.Generator | None, w: Tensor, b: Tensor):
         """Encode ``x`` [B, L, C], map each channel token through ``(w, b)``
         and return ([B, out, C] in input units, view pairs)."""
-        (tokens,), pairs, stats = self._encode_tokens(x, rng)
+        pairs: list[tuple[Tensor, Tensor]] = []
+        (tokens,), stats = self._encode_tokens(x, rng, pairs=pairs)
         return head_proj(tokens, w, b, stats), pairs
 
     def forecast(self, x: Tensor, rng: np.random.Generator | None = None):
@@ -293,9 +309,11 @@ class SORMambaModel:
 
     def forecast_orderings(self, x: Tensor, perms) -> list[np.ndarray]:
         """The forecast [B, H, C] of ``x`` [B, L, C] as if its channels were
-        fed in each of ``perms``' orders, put back in channel order, without
-        a tape. Each equals ``forecast`` of the contiguous permuted batch,
-        put back, bit for bit.
+        fed in each of ``perms``' orders (None: as given), put back in
+        channel order, without a tape. Each equals ``forecast`` of the
+        contiguous permuted batch, put back, bit for bit; it holds no view
+        pairs, and with ``(None,)`` it is the forecast that evaluation
+        reads.
 
         The batch keeps its own channel layout: an ordering ``perm`` changes
         only the scan orders (``DirectionalEncoderCD.view_walks``), in the
@@ -306,9 +324,9 @@ class SORMambaModel:
         ``ordering_key`` (identity and reversed under ``uni`` and
         ``fixed-reverse``) are best passed once.
         """
-        perms = tuple(np.asarray(p, dtype=np.intp) for p in perms)
+        perms = tuple(None if p is None else np.asarray(p, dtype=np.intp) for p in perms)
         with no_grad():
-            zs, _, stats = self._encode_tokens(x, None, perms)
+            zs, stats = self._encode_tokens(x, None, perms)
             return [head_proj(z, self.w_head, self.b_head, stats).data for z in zs]
 
     def ordering_key(self, perm) -> tuple:

@@ -11,11 +11,12 @@ k, elementwise over [batch, dim, state] slabs:
 
 A call scans the tokens once per order in a tuple of V orders. Each order
 is an index vector over the S tokens (None: the tokens in turn): step k of
-its recurrence reads token ``order[k]``, and its y (y[v] of a [V, B, S, D]
-result) and its share of every gradient are written back to that token, so
-results come out in the tokens' own order and no reordered copy of an input
-is made. The orders share every input; the scan is the one order-dependent
-part of a block.
+its recurrence reads token ``order[k]``, and its y (y[v], one [B, S, D]
+array per order) and its share of every gradient are written back to that
+token, so results come out in the tokens' own order and no reordered copy of
+an input is made. Each order's y is an array of its own, so a caller that
+reads them one at a time can drop each once read. The orders share every
+input; the scan is the one order-dependent part of a block.
 
 Every call has one layout. Per batch tile, the discretized factors of all S
 tokens (delta A, exp(delta A), the input term delta x B and, for zero-order
@@ -57,8 +58,8 @@ memory handed back to the OS after each call is faulted in again on the
 next. Each role starts at its own offset within a 4 KiB page (``_buffer``).
 The workspace holds 1.8 MiB after a train-etth1 step, 17.3 MiB after a
 train-solar step and 1.7 MiB after an analyze-weather step. Outputs are
-fresh arrays, written straight into the [V, B, ...] results, and never
-share memory with the workspace.
+fresh arrays, written straight into the results (one y per order), and
+never share memory with the workspace.
 Tiling leaves every value bit for bit as a single tile computes it, except
 the gradient wrt A, which sums over the batch and so depends on the tile
 count by reduction order. Each order's y is bit for bit what a call with
@@ -230,15 +231,17 @@ def _matvec(m, v, out=None):
 
 
 def scan_forward(delta, a, b_t, c_t, x, mode, orders=(None,)):
-    """Run the recurrence once per order; returns y [V, B, S, D].
+    """Run the recurrence once per order; returns a list of V arrays, y[v]
+    [B, S, D] for order v.
 
     ``orders`` holds V index vectors over S (None: the tokens in turn); for
-    order v, step k reads token ``orders[v][k]`` and writes y[v] there.
+    order v, step k reads token ``orders[v][k]`` and writes y[v] there. Each
+    y is its own array, so a caller can let one go while it keeps the others.
     """
     scan = _Scan(delta, a, b_t, x, mode, orders)
     c_t = np.swapaxes(c_t, 0, 1)
-    y = np.empty((len(orders),) + x.shape)
-    y_steps = np.swapaxes(y, 1, 2)
+    ys = [np.empty(x.shape) for _ in orders]
+    y_steps = [np.swapaxes(y, 0, 1) for y in ys]
     for tile in scan.tiles:
         r = scan.factors(tile)
         views = scan.step_views(r)
@@ -246,14 +249,15 @@ def scan_forward(delta, a, b_t, c_t, x, mode, orders=(None,)):
         for v, steps in enumerate(scan.walks):
             scan.recur(steps, views)
             readout = np.matmul(c_t[:, tile][:, :, None, :], hs[1:])
-            y_steps[v, :, tile] = readout[:, :, 0, :]
-    return y
+            y_steps[v][:, tile] = readout[:, :, 0, :]
+    return ys
 
 
 def scan_backward(delta, a, b_t, c_t, x, mode, gy, orders=(None,)):
     """Vector-Jacobian product wrt (delta, a, b_t, c_t, x), recomputing the
-    factors and states tile by tile from the zero state; ``gy`` [V, B, S, D]
-    and ``orders`` are the forward's y's gradient and orders.
+    factors and states tile by tile from the zero state; ``gy``, V arrays
+    [B, S, D], and ``orders`` are the gradients of the forward's ys and its
+    orders.
 
     The walks sum their per-token gradients wrt the states and wrt delta A
     in token order; the zero-order-hold chain and the contractions then run

@@ -19,9 +19,9 @@ its inputs for its backward, which recomputes the factors and states from
 the zero state (see ``scan_kernels``). Its inputs are per token, read
 off x by :func:`projections`; only the scan itself reads the order of the
 steps, and ``scan_core(..., orders=(u, v))`` walks them once in each order
-without reordering any input. :func:`discretize` gives the same factors as
-graph tensors for inspection; :func:`naive_scan` is the independent per-step
-reference.
+without reordering any input, giving each order's y as an array of its own.
+:func:`discretize` gives the same factors as graph tensors for inspection;
+:func:`naive_scan` is the independent per-step reference.
 """
 
 from __future__ import annotations
@@ -37,13 +37,12 @@ from .autodiff import (
     accumulate,
     expm1_over_x,
     exp,
-    from_op,
+    from_ops,
     matmul,
     mul,
     neg,
     reshape,
     softplus_proj,
-    unstack,
 )
 
 DISCRETIZATIONS = ("euler-b", "zoh-exact")
@@ -180,9 +179,9 @@ def scan_output(
     mode: str,
     orders: tuple[np.ndarray | None, ...] = (None,),
     labels: tuple[str, ...] | None = None,
-) -> np.ndarray:
-    """The value of ``scan_core`` on the same arguments, one y per order
-    stacked as [V, B, S, dim], without recording a node."""
+) -> list[np.ndarray]:
+    """The value of ``scan_core`` on the same arguments, a list of one
+    array y [B, S, dim] per order, without recording a node."""
     _check_mode(mode)
     orders = _check_orders(orders, x.shape[1])
     y = scan_kernels.scan_forward(*(p.data for p in (delta, a, b_t, c_t, x)), mode, orders)
@@ -201,7 +200,7 @@ def scan_core(
     mode: str,
     orders: tuple[np.ndarray | None, ...] = (None,),
     labels: tuple[str, ...] | None = None,
-    y: np.ndarray | None = None,
+    y: list[np.ndarray] | None = None,
 ) -> tuple[Tensor, ...]:
     """Fused discretize-and-scan as one differentiable op, run once per order.
 
@@ -213,8 +212,9 @@ def scan_core(
     Each order, a permutation of the S steps (None: the steps in turn),
     scans them in that order: its y equals gathering every input with the
     order, scanning, and putting y back with ``argsort(order)``, without the
-    gathers. The outputs are views of one [V, B, S, dim] array, and the
-    orders share each token's discretized factors (see ``scan_kernels``).
+    gathers. Each output is an array of its own (``from_ops``), so without
+    a tape a reader can let one go while it reads the next, and the orders
+    share each token's discretized factors (see ``scan_kernels``).
     A non-finite output raises ``FloatingPointError`` naming the step in
     scan order and, with several orders, ``view i``, or ``labels[i]`` when
     given.
@@ -228,15 +228,20 @@ def scan_core(
     orders = _check_orders(orders, x.shape[1])
     parents = (delta, a, b_t, c_t, x)
 
-    def vjp(g):
-        grads = list(scan_kernels.scan_backward(*(p.data for p in parents), mode, g, orders))
+    def vjp(gy):
+        # an output that no gradient reached contributes zeros. The others
+        # are their outputs' gradients as ``accumulate`` built them from
+        # 0 + g, so they hold no -0 and have the bits of a stacked y's
+        # gradient, whose slots were written as 0 + g
+        gy = [np.zeros(x.shape) if g is None else g for g in gy]
+        grads = list(scan_kernels.scan_backward(*(p.data for p in parents), mode, gy, orders))
         # x first: in a block it already holds the skip term's gradient, so
         # its share adds in place; each share is dropped once handed on
         for i in (4, 0, 1, 2, 3):
             accumulate(parents[i], grads[i])
             grads[i] = None
 
-    return unstack(from_op(y, parents, vjp))
+    return from_ops(y, parents, vjp)
 
 
 def _check_orders(orders, steps: int) -> tuple[np.ndarray | None, ...]:
@@ -251,13 +256,18 @@ def _check_orders(orders, steps: int) -> tuple[np.ndarray | None, ...]:
     return orders
 
 
-def _raise_on_nonfinite(ys: np.ndarray, what: str, orders, labels) -> None:
-    """Name the step, in scan order, where one of ``ys`` [V, B, S, ...] (the
-    output of each of ``orders``) is first non-finite, and that output's
-    entry of ``labels`` (None or empty: no name)."""
-    if np.all(np.isfinite(ys)):
-        return
+def _raise_on_nonfinite(ys: list[np.ndarray], what: str, orders, labels) -> None:
+    """Name the step, in scan order, where one of ``ys`` (the output [B, S,
+    ...] of each of ``orders``) is first non-finite, and that output's entry
+    of ``labels`` (None or empty: no name).
+
+    Each output is screened by its min and max (with 0, so that an empty one
+    passes), which a NaN or an infinity in it makes non-finite and which
+    allocate nothing of its size; only a non-finite one is searched step by
+    step."""
     for i, (arr, order) in enumerate(zip(ys, orders, strict=True)):
+        if np.isfinite(arr.min(initial=0.0)) and np.isfinite(arr.max(initial=0.0)):
+            continue
         if order is not None:
             arr = arr[:, order]  # steps in the order they were scanned
         bad = ~np.isfinite(arr).reshape(arr.shape[0], arr.shape[1], -1).all(axis=(0, 2))

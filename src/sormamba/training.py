@@ -111,13 +111,18 @@ def iterate_batches(n: int, batch_size: int, rng: np.random.Generator | None):
 
 
 def sum_batches(ds: WindowedDataset, fn, batch_size: int = EVAL_BATCH):
-    """``0.0 + fn(x, idx) + ...`` over the batches of ``ds`` in order under
-    ``no_grad``, with ``x = Tensor(ds.x[idx])``. Each ``fn`` returns its
+    """``0.0 + fn(x, rows) + ...`` over the batches of ``ds`` in order under
+    ``no_grad``: ``rows`` is the batch's slice of ``ds`` and ``x`` a Tensor
+    over ``ds.x[rows]``, a read-only view of the dataset (no copy of the
+    batch is made, and no reader can write into it). Each ``fn`` returns its
     batch's sum, so one batch of results is held at a time."""
     total = 0.0
     with no_grad():
-        for idx in iterate_batches(len(ds), batch_size, None):
-            total = total + fn(Tensor(ds.x[idx]), idx)
+        for start in range(0, len(ds), batch_size):
+            rows = slice(start, start + batch_size)
+            batch = ds.x[rows]
+            batch.flags.writeable = False
+            total = total + fn(Tensor(batch), rows)
     return total
 
 
@@ -259,8 +264,8 @@ def errors_each(
     if denormalize and normalizer is None:
         raise ValueError("denormalize=True requires a normalizer")
 
-    def sums(x: Tensor, idx: np.ndarray) -> np.ndarray:
-        preds, target = predict(x), ds.y[idx]
+    def sums(x: Tensor, rows: slice) -> np.ndarray:
+        preds, target = predict(x), ds.y[rows]
         if denormalize:
             target = normalizer.inverse(target)
         rows = []
@@ -278,7 +283,9 @@ def errors_each(
 
 
 def _forecast(model: SORMambaModel):
-    return lambda x: model.forecast(x)[0].data
+    """The forecast of a batch as evaluation reads it: no tape, no view
+    pairs (``SORMambaModel.forecast_orderings`` with the given order)."""
+    return lambda x: model.forecast_orderings(x, (None,))[0]
 
 
 def train_supervised(
@@ -372,7 +379,7 @@ def pretrain(
     def val_loss() -> float:
         rng_val_mask = np.random.default_rng(cfg.seed + 224737)
         return sum_batches(
-            val, lambda x, idx: len(idx) * float(pretext_loss(x, None, rng_val_mask).data),
+            val, lambda x, _: x.shape[0] * float(pretext_loss(x, None, rng_val_mask).data),
             cfg.batch_size,
         ) / len(val)
 

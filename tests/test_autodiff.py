@@ -525,20 +525,6 @@ class TestShapeOps:
             out._vjp(g)
             assert _same_bits(x.grad, 0.0 + want + want)
 
-    def test_unstack_gives_views_and_routes_gradients_to_slots(self):
-        x = Tensor(_rng(12).normal(size=(3, 2, 4)), requires_grad=True)
-        stacked = ad.mul(x, Tensor(np.full((3, 2, 4), 2.0)))
-        parts = ad.unstack(stacked)
-        assert len(parts) == 3
-        for i, part in enumerate(parts):
-            assert np.shares_memory(part.data, stacked.data)
-            np.testing.assert_array_equal(part.data, stacked.data[i])
-        # the middle part is unused: its slot of the gradient stays zero
-        weights = [Tensor(_rng(13 + i).normal(size=(2, 4))) for i in range(3)]
-        ad.backward(ad.tsum(ad.mul(parts[0], weights[0])) + ad.tsum(ad.mul(parts[2], weights[2])))
-        want = 2.0 * np.stack([weights[0].data, np.zeros((2, 4)), weights[2].data])
-        np.testing.assert_array_equal(x.grad, want)
-
     def test_take_axis_rejects_repeated_positions(self):
         x = Tensor(np.arange(12.0).reshape(3, 4))
         for idx in ([0, 0], [1, 2, 1], [-1, 3]):

@@ -91,7 +91,7 @@ def recorded_block(block, z, orders=(None,), labels=None):
 def recorded(parents, run):
     """``autodiff.checkpoint`` without the checkpoint: ``run``'s ops recorded
     on the tape, node by node."""
-    return run(None)[0]
+    return run(None, False)[0]
 
 
 def _inputs(op: str, shape, seed=0):

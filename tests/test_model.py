@@ -1,14 +1,18 @@
 """Model-level tests: shapes, symmetry, accounting, tape size, checkpoints."""
 
+import gc
 import importlib.util
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sormamba import autodiff as ad
+from sormamba import data as dt
 from sormamba import losses
 from sormamba import model as md
+from sormamba import training as tr
 from sormamba.autodiff import Tensor, backward, tmean, mul, sub
 
 
@@ -271,6 +275,62 @@ class TestTapeMemory:
         # block's backward, 4.5 MiB as without the conv (28.0 when they were
         # kept)
         assert self._tape_mib(16, n_channels=21, conv=True) <= 8
+
+
+class TestReadMemory:
+    """The read path at the analyze-weather shape (C=21, D=64, zoh-exact, two
+    layers, L=H=96, batch 64) holds, at each moment, only what its next op
+    reads: the batch as a view, no normalized input, no view pairs, and
+    each walk's y only until its ``post``."""
+
+    @staticmethod
+    def _weather():
+        cfg = md.ModelConfig(
+            lookback=96, horizon=96, n_channels=21, d_model=64, n_layers=2, reg_weight=0.1,
+            discretization="zoh-exact",
+        )
+        model = md.SORMambaModel(cfg, seed=0)
+        rng = np.random.default_rng(0)
+        x, y = (rng.normal(size=(64, 96, 21)) for _ in range(2))
+        ds = dt.WindowedDataset("test", x, y)
+        norm = dt.Normalizer(mean=rng.normal(size=21), std=rng.uniform(0.5, 2.0, size=21))
+        return model, ds, norm
+
+    @staticmethod
+    def _peak_mib(fn):
+        # as the benchmark traces a step: above the level when fn starts
+        fn()  # the scan workspace, kept across calls
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            fn()
+            return (tracemalloc.get_traced_memory()[1] - base) / 2**20
+        finally:
+            tracemalloc.stop()
+
+    def test_one_evaluate_batch_peaks_at_most_8_5_mib(self):
+        # 7.92 MiB; 11.86 when the batch was copied, the normalized input and
+        # the view pairs were kept through the layers and all walks' y until
+        # the last post
+        model, ds, norm = self._weather()
+        assert self._peak_mib(lambda: tr.evaluate(model, ds, norm)) <= 8.5
+
+    def test_two_orderings_in_one_pass_peak_at_most_11_5_mib(self):
+        # 10.54 MiB; 13.50 before
+        model, ds, _ = self._weather()
+        rng = np.random.default_rng(1)
+        perms = [rng.permutation(21), rng.permutation(21)]
+        x = Tensor(ds.x)
+        assert self._peak_mib(lambda: model.forecast_orderings(x, perms)) <= 11.5
+
+    def test_forecast_keeps_its_view_pairs_without_a_tape(self):
+        model = make_model()
+        with ad.no_grad():
+            pred, pairs = model.forecast(make_batch(model))
+        assert len(pairs) == model.config.n_layers
+        assert all(len(pair) == 2 and pair[0].shape == (3, 5, 6) for pair in pairs)
+        assert not pred.requires_grad
 
 
 class TestCheckpoint:

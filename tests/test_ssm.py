@@ -187,7 +187,7 @@ class TestScanCore:
             y = scan_kernels.scan_forward(delta, a, b_t, c_t, x, mode, orders)
             g = gy[: len(orders)]
             grads = scan_kernels.scan_backward(delta, a, b_t, c_t, x, mode, g, orders)
-            return [v.tobytes() for v in (y, *grads)]
+            return [v.tobytes() for v in (*y, *grads)]
 
         for orders in ((None,), (None, np.arange(6)[::-1])):
             got = results(orders)
@@ -207,9 +207,9 @@ class TestScanCore:
 def _scan_results(inputs, mode):
     """Forward and backward of the kernels, as arrays: y and the five
     gradients."""
-    y = scan_kernels.scan_forward(*inputs, mode)
+    (y,) = scan_kernels.scan_forward(*inputs, mode)
     gy = np.random.default_rng(9).normal(size=y.shape)
-    return (y,) + scan_kernels.scan_backward(*inputs, mode, gy)
+    return (y,) + scan_kernels.scan_backward(*inputs, mode, (gy,))
 
 
 class TestScanTiles:
@@ -433,7 +433,7 @@ class TestScanWorkspace:
         rows = scan_kernels._tile_rows(batch, steps * state * dim)
         per_tile = 4 * rows * state * dim * 8 + 3 * np.getbufsize() * 8
         for call in (
-            lambda: (scan_kernels.scan_forward(*inputs, "zoh-exact"),),
+            lambda: scan_kernels.scan_forward(*inputs, "zoh-exact"),
             lambda: scan_kernels.scan_backward(*inputs, "zoh-exact", (gy,)),
         ):
             tracemalloc.start()
@@ -637,7 +637,7 @@ class TestScanOrders:
                     found.append(tracemalloc.get_traced_memory()[1])
                 finally:
                     tracemalloc.stop()
-            return y.nbytes, found
+            return sum(v.nbytes for v in y), found
 
         y_bytes, (cold, warm) = _in_thread(peaks)
         rows = scan_kernels._tile_rows(batch, 2 * steps * state * dim)
@@ -658,6 +658,29 @@ class TestScanOrders:
         y = scan_kernels.scan_forward(*inputs, "euler-b", orders)
         with pytest.raises(ValueError, match="2 orders"):
             scan_kernels.scan_backward(*inputs, "euler-b", y[:1], orders)
+
+    @pytest.mark.parametrize("mode", DISCRETIZATIONS)
+    def test_outputs_are_arrays_of_their_own_and_an_unused_one_adds_zeros(self, mode):
+        # each order's y is an array of its own, so a reader can let one go
+        # and keep the other; an output that no gradient reaches scans back
+        # zeros, as one whose gradient is all zeros does
+        rng = np.random.default_rng(53)
+        inputs = [Tensor(t.data, requires_grad=True) for t in _scan_inputs(rng, 3, 6, 3, 2)]
+        orders = (None, np.arange(6)[::-1])
+        weights = Tensor(rng.normal(size=(3, 6, 3)))
+
+        def grads(second):
+            for t in inputs:
+                t.grad = None
+            y1, y2 = scan_core(*inputs, mode, orders)
+            assert not np.shares_memory(y1.data, y2.data)
+            loss = ad.tsum(ad.mul(y1, weights))
+            if second:
+                loss = loss + ad.tsum(ad.mul(y2, Tensor(np.zeros((3, 6, 3)))))
+            ad.backward(loss)
+            return [t.grad.tobytes() for t in inputs]
+
+        assert grads(False) == grads(True)
 
     def test_overflow_in_one_view_names_that_view(self):
         # A > 0 so the factors grow: token 2's exp(705) overflows the large

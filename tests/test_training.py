@@ -412,6 +412,54 @@ class TestEvaluate:
         assert metrics["mse"] == pytest.approx(np.mean(d * d), rel=1e-14, abs=0)
         assert metrics["mae"] == pytest.approx(np.mean(np.abs(d)), rel=1e-14, abs=0)
 
+    def test_batches_are_read_only_views_of_the_dataset(self):
+        # 73 windows: a batch of 64 and one of 9, each read in place
+        x = np.random.default_rng(6).normal(size=(73, 16, 3))
+        ds = dt.WindowedDataset("test", x, x[:, :4])
+        seen = []
+
+        def fn(batch, rows):
+            assert np.shares_memory(batch.data, ds.x)
+            np.testing.assert_array_equal(batch.data, ds.x[rows])
+            with pytest.raises(ValueError, match="read-only"):
+                batch.data[0, 0, 0] = 0.0
+            seen.append(batch.shape[0])
+            return 0.0
+
+        tr.sum_batches(ds, fn)
+        assert seen == [64, 9]
+        assert x.flags.writeable
+
+    def test_strided_windows_read_as_their_copy(self):
+        # make_windows' windows are overlapping strided views; evaluation
+        # reads them in place and must give what it gives on a copy
+        lookback, horizon, c = 16, 4, 3
+        values = syn.correlated_series(c, 73 + lookback + horizon - 1, strength=0.8, seed=2)
+        x, y = dt.make_windows(values, lookback, horizon)
+        strided = dt.WindowedDataset("test", x, y)
+        copied = dt.WindowedDataset("test", x.copy(), y.copy())
+        assert not strided.x.flags.c_contiguous and copied.x.flags.c_contiguous
+        norm = dt.Normalizer(mean=np.linspace(-1.0, 1.0, c), std=np.linspace(0.5, 2.0, c))
+        model = tiny_model(n_layers=2, reg_weight=0.1)
+
+        def reads(ds):
+            metrics = tr.evaluate(model, ds, norm)
+            gap = an.consistency_gap(model, ds)
+            return [v.hex() for v in (metrics["mse"], metrics["mae"], gap)]
+
+        assert reads(strided) == reads(copied)
+
+    def test_non_finite_evaluation_names_its_view_and_no_ordering(self):
+        # evaluation reads the forecast as given, so its error reads as
+        # forecast's does: the view, and no ordering
+        bundle = tiny_bundle()
+        model = tiny_model()
+        model.layers[0].encoder.blocks[0].ssm.w_b.data[0, 0] = np.inf
+        with np.errstate(all="ignore"), pytest.raises(
+            FloatingPointError, match="^scan output in view 0 became non-finite at step 0$"
+        ):
+            tr.evaluate(model, bundle.test, bundle.normalizer)
+
     def test_last_value_baseline_is_exact_on_constant_series(self):
         x = np.ones((5, 16, 2))
         y = np.ones((5, 4, 2))

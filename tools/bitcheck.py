@@ -39,6 +39,11 @@ each workload's ``setup`` and ``make_run`` at seed 3 with one BLAS thread:
   ``permutation_robustness(n_perms=2, seed=3)`` MSEs as ``float.hex()``,
   then ``scan-walks``: the number of walks (orders) of each
   ``scan_forward`` call over one ``step()``, counted by wrapping the kernel;
+  then ``read-peak-mib``: the ``tracemalloc`` peaks, in MiB above the
+  traced level when each starts, of one ``evaluate`` batch (``memory_step``,
+  which the benchmark's ``step_peak_mib`` traces) and of one whole
+  ``step()`` (``reversal_bias`` plus ``permutation_robustness``, which the
+  benchmark does not trace);
 * 32 small model variants that no workload runs (uni/bi x conv on/off x the
   four order modes x both discretizations, two layers, seed 7): after one
   ``forecast``, ``total_loss`` and ``backward``, the loss as ``float.hex()``
@@ -73,8 +78,9 @@ each workload's ``setup`` and ``make_run`` at seed 3 with one BLAS thread:
 Two checkouts that compute the same numbers print the same lines, apart
 from the ``tape-nodes``, ``tape-mib``, ``step-peak-mib`` and
 ``step-peak-at`` lines (the workloads' and the variants') when they keep
-different things on the tape and the ``scan-walks`` line when they scan
-differently; these five are structure, every other line is a value.
+different things on the tape, the ``read-peak-mib`` line when the read path
+holds different things and the ``scan-walks`` line when they scan
+differently; these six are structure, every other line is a value.
 ``diff`` the outputs to see which parameters, errors, memory figures or
 scans moved.
 
@@ -159,6 +165,8 @@ def main(argv=None) -> int:
     )
     print(name, "permutation_robustness", *(v.hex() for v in robust["mse_values"]))
     print(name, "scan-walks", _step_scan_walks(run))
+    peaks = (_traced_peak_mib(f) for f in (run.memory_step, run.step))
+    print(name, "read-peak-mib", *(f"{p:.3f}" for p in peaks))
 
     _print_variants(grads)
     _print_read_paths()
@@ -322,6 +330,24 @@ def _print_step_memory(name: str, run) -> None:
         tracemalloc.stop()
     print(name, "step-peak-mib", f"{(peak - base) / 2**20:.3f}")
     print(name, "step-peak-at", _step_peak_at(run))
+
+
+def _traced_peak_mib(fn) -> float:
+    """The ``tracemalloc`` peak of ``fn()`` in MiB above the traced level
+    when it starts, after a garbage collection, as the benchmark traces a
+    step."""
+    import gc
+    import tracemalloc
+
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (peak - base) / 2**20
 
 
 def _step_peak_at(run) -> str:
