@@ -7,28 +7,27 @@ the parameters sit, and how forecast error degrades as the input series
 loses observations.
 
 ``reversal_bias`` and ``permutation_robustness`` score the same windows
-under several channel orderings, each distinct ordering once. Orderings
-that share a ``SORMambaModel.ordering_key`` scan the same orders in the same
-blocks in every layer, and then their forecasts are equal bit for bit: a
-view's output depends only on its block and its scan order, and the views'
-outputs are summed, which IEEE addition does to the same bits in either
-order. Under a shared (``uni``) block and ``fixed-reverse`` the identity and
-the reversed ordering are such a pair, so ``reversal_bias`` runs one
-forecast. The distinct orderings go two per forward pass
+under several channel orderings, two per forward pass
 (``SORMambaModel.forecast_orderings``). The batch keeps its channel layout
 and an ordering changes only the scan orders, so the instance norm, the
 embedding, layer 1's pre-scan projections and its discretized factors are
 computed once per pass, and layer 1 walks each distinct scan order once.
-The LayerNorm/MLP after the scan and every later layer run per ordering.
-Each ordering's error is bit for bit what feeding the batch in that order,
-and putting the forecast back, gives.
+Orderings of a pass that walk the same orders in the same blocks share
+everything after that too, bit for bit: a view's output depends only on its
+block and its scan order, and the views' outputs are summed, which IEEE
+addition does to the same bits in either order. Under a shared (``uni``)
+block and ``fixed-reverse`` the identity and the reversed ordering are such
+a pair, so ``reversal_bias`` runs one forecast. Other orderings run the
+LayerNorm/MLP after the scan and every later layer apart. Each ordering's
+error is bit for bit what feeding the batch in that order, and putting the
+forecast back, gives.
 
 A pass holds all its orderings' activations at once, and nothing that no
 later op reads: no view pairs, and each walk's y only until its ``post``.
 At the analyze-weather shape (21 channels, width 64, two layers, batch 64)
 the traced peak of one pass was 7.92 MiB for one ordering (as one
 ``evaluate`` batch), 8.57 MiB for identity and reversed (under ``bi`` or one
-view, where their keys differ), 10.54 MiB for two random orderings, and
+view, where they share no walk), 10.54 MiB for two random orderings, and
 18.42 MiB for five at once.
 """
 
@@ -50,7 +49,7 @@ from .data import (
     series_from_windows,
 )
 from .losses import global_corr, mse_np, pearson_matrix, reg_distance
-from .model import ModelConfig, SORMambaModel, count_parameters
+from .model import ModelConfig, SORMambaModel, checked_ordering, count_parameters
 from .training import TrainConfig, errors_each, evaluate, sum_batches, train_supervised
 
 
@@ -99,28 +98,21 @@ def _order_mses(
     """Test MSE of the same windows under each channel ordering, each what
     scoring the batches fed in that order (and put back) gives, bit for bit.
 
-    Orderings that share a ``model.ordering_key`` get the same forecast bit
-    for bit, so only the first of each key is scored and the others take
-    its MSE. The distinct ones are scored in passes of
-    ``_ORDERINGS_PER_PASS``, each one ``model.forecast_orderings`` per
-    batch: the instance norm, the embedding and layer 1's pre-scan work run
-    once per pass, layer 1 walks each distinct scan order once, and the
-    rest runs per ordering.
+    The orderings are scored in passes of ``_ORDERINGS_PER_PASS``, each one
+    ``model.forecast_orderings`` per batch: the instance norm, the embedding
+    and layer 1's pre-scan work run once per pass, layer 1 walks each
+    distinct scan order once, and orderings of the pass with the same walks
+    share the rest. Sharing is found within a pass only: an ordering
+    repeated in another pass is scored again, to the same bits.
     """
-    keys = [model.ordering_key(p) for p in perms]
-    first: dict[tuple, np.ndarray] = {}
-    for key, perm in zip(keys, perms):
-        first.setdefault(key, perm)
-    distinct = list(first.values())
     mses: list[float] = []
-    for start in range(0, len(distinct), _ORDERINGS_PER_PASS):
-        group = distinct[start : start + _ORDERINGS_PER_PASS]
+    for start in range(0, len(perms), _ORDERINGS_PER_PASS):
+        group = perms[start : start + _ORDERINGS_PER_PASS]
         errors = errors_each(
             ds, lambda x: model.forecast_orderings(x, group), normalizer, denormalize
         )
         mses += [e["mse"] for e in errors]
-    by_key = dict(zip(first, mses))
-    return [by_key[key] for key in keys]
+    return mses
 
 
 def reversal_bias(
@@ -153,8 +145,8 @@ def permutation_robustness(
     elif len(perms) == 0:
         raise ValueError("perms must hold at least 1 permutation, got 0")
     for i, perm in enumerate(map(np.asarray, perms)):
-        if perm.dtype.kind not in "iu" or not np.array_equal(np.sort(perm), np.arange(c)):
-            raise ValueError(f"perms[{i}] is not a permutation of {c} channels: {perm.tolist()}")
+        # an array, so None is refused too
+        checked_ordering(perm, c, f"perms[{i}]")
     values = np.asarray(_order_mses(model, ds, normalizer, denormalize, perms))
     return {
         "mse_values": values.tolist(),

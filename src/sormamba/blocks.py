@@ -40,15 +40,15 @@ and returns each view's output so the caller can fuse them and penalize
 their disagreement. Its one entry, ``forward_orderings``, runs the views
 under one ordering of the tokens (training, evaluation) or several (the
 ordering analysis) at once, each block's ``pre`` once and each distinct
-scan order once; ``view_walks`` maps an ordering to the (block, scan order)
-of each view, and ``ordering_key`` reads from it which orderings give the
-same sum of views. A view is only an order for ``core``: with one shared
-block (``uni``) the views share one ``pre`` and one ``scan_core`` call
-(which computes each token's discretized factors once for all orders, see
-``scan_kernels``), and no token is gathered. With the conv on, the conv and
-the projections after it depend on the order too, so they move into
-``core``, which gathers the tokens of each walk but the given order (None,
-or the identity permutation), scans it on its own and puts y back.
+scan order once, and orderings that walk one order in a block share that
+walk's output tensor (the model's layer loop then shares their tails). A
+view is only an order for ``core``: with one shared block (``uni``) the
+views share one ``pre`` and one ``scan_core`` call (which computes each
+token's discretized factors once for all orders, see ``scan_kernels``), and
+no token is gathered. With the conv on, the conv and the projections after
+it depend on the order too, so they move into ``core``, which gathers the
+tokens of each walk but the given order (None, or the identity
+permutation), scans it on its own and puts y back.
 """
 
 from __future__ import annotations
@@ -318,41 +318,30 @@ class DirectionalEncoderCD:
         perm = self._fixed_pair[0] if rng is None else rng.permutation(self.n_tokens)
         return perm, perm[::-1].copy()
 
-    def view_walks(self, perm: np.ndarray | None, views: tuple) -> list[tuple[int, np.ndarray]]:
-        """(block index, scan order) of each of ``views`` under ordering
-        ``perm``: view order ``v`` becomes ``perm`` (v None) or ``perm[v]``,
-        or stays ``v`` under the given order (perm None, whose identity view
-        stays None, never gathered), scanned by ``blocks[0]`` under ``uni``
-        and by block i for view i under ``bi``."""
-        shared = len(self.blocks) == 1
-        return [
-            (0 if shared else i, v if perm is None else perm if v is None else perm[v])
-            for i, v in enumerate(views)
-        ]
-
-    def ordering_key(self, perm: np.ndarray) -> tuple[tuple[int, bytes], ...]:
-        """The sorted multiset of ``view_walks``' (block index, order bytes)
-        pairs for ``perm`` and the rng-free views. Orderings with equal keys
-        scan the same orders in the same blocks and differ at most in which
-        view gets which walk, which the views' sum does not see (IEEE
-        addition is commutative)."""
-        walks = self.view_walks(perm, self._views(None))
-        return tuple(sorted((b, order.tobytes()) for b, order in walks))
-
     def forward_orderings(
         self, z: Tensor, perms: dict[int, np.ndarray | None], rng: np.random.Generator | None = None
     ) -> dict[int, list[Tensor]]:
         """Each view's output on z [batch, tokens, d_model], in z's token
-        order, under each ordering of ``perms`` (keyed alike): the views are
-        drawn once (from ``rng`` in the random modes) and walked as
-        ``view_walks`` maps them, each block's ``pre`` once and each distinct
-        walk once. A non-finite scan names the walk's orderings and views."""
+        order, under each ordering of ``perms`` (keyed alike). The views are
+        drawn once (from ``rng`` in the random modes); under ``perm`` view
+        order ``v`` is walked as ``perm[v]`` (``perm`` for v None, and ``v``
+        for perm None, so the given order is never gathered), by block i for
+        view i under ``bi``. Each block's ``pre`` runs once and each distinct
+        walk once, its output shared by every view it serves. A non-finite
+        scan names the walk's orderings and views."""
         if z.ndim != 3 or z.shape[1] != self.n_tokens:
             raise ValueError(
                 f"forward_orderings: expected [batch, {self.n_tokens}, d_model], got {z.shape}"
             )
         views = self._views(rng)
-        walks_of = {k: self.view_walks(perm, views) for k, perm in perms.items()}
+        # per block: order bytes (None: as given) -> (order, the (ordering,
+        # view)s it serves)
+        walks: list[dict] = [{} for _ in self.blocks]
+        for k, perm in perms.items():
+            for i, v in enumerate(views):
+                order = v if perm is None else perm if v is None else perm[v]
+                key = None if order is None else order.tobytes()
+                walks[0 if len(walks) == 1 else i].setdefault(key, (order, []))[1].append((k, i))
         outs = {k: [None] * len(views) for k in perms}
 
         def name(k: int, i: int) -> str:
@@ -360,17 +349,10 @@ class DirectionalEncoderCD:
             view = f"view {i}" if len(views) > 1 else ""
             return " ".join(filter(None, (ordering, view)))
 
-        for b, blk in enumerate(self.blocks):
-            # order bytes (None: as given) -> (order, the (ordering, view)s it serves)
-            walks: dict[bytes | None, tuple[np.ndarray | None, list[tuple[int, int]]]] = {}
-            for k, walks_k in walks_of.items():
-                for i, (block, order) in enumerate(walks_k):
-                    if block == b:
-                        key = None if order is None else order.tobytes()
-                        walks.setdefault(key, (order, []))[1].append((k, i))
-            labels = tuple(" and ".join(name(*u) for u in users) for _, users in walks.values())
-            ys = blk.forward_orders(z, tuple(order for order, _ in walks.values()), labels)
-            for y, (_, users) in zip(ys, walks.values()):
+        for blk, served in zip(self.blocks, walks):
+            labels = tuple(" and ".join(name(*u) for u in users) for _, users in served.values())
+            ys = blk.forward_orders(z, tuple(order for order, _ in served.values()), labels)
+            for y, (_, users) in zip(ys, served.values()):
                 for k, i in users:
                     outs[k][i] = y
         return outs

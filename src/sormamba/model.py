@@ -169,6 +169,17 @@ class _Layer:
         return items
 
 
+def checked_ordering(perm, c: int, name: str) -> np.ndarray | None:
+    """``perm`` as an index array (None kept); anything but an integer
+    permutation of ``c`` channels is refused, naming it ``name``."""
+    if perm is None:
+        return None
+    perm = np.asarray(perm)
+    if perm.dtype.kind not in "iu" or not np.array_equal(np.sort(perm), np.arange(c)):
+        raise ValueError(f"{name} is not a permutation of {c} channels: {perm.tolist()}")
+    return perm.astype(np.intp, copy=False)
+
+
 class SORMambaModel:
     """Forecaster over multivariate windows with channel tokens."""
 
@@ -264,30 +275,39 @@ class SORMambaModel:
     ):
         """The channel tokens [B, C, D] of ``x`` [B, L, C] under each of
         ``perms`` (None: as given), and the instance-norm stats. Orderings
-        that share a layer's input share its ``forward_orderings`` call.
-        With ``pairs``, a list (for one ordering), each layer's view pair of
-        a two-view model is appended to it; without, each layer's view
-        outputs go once its tail has read them."""
+        with one input share a layer's ``forward_orderings`` call, and those
+        whose views are the same walk tensors, in any order, share its tail
+        and so the next layer's input, bit for bit: ``(v1 + v2) + z`` is
+        ``(v2 + v1) + z``. With ``pairs``, a list (for one ordering), each
+        layer's view pair of a two-view model is appended to it; without,
+        each layer's view outputs go once its tail has read them."""
         self._check_input(x)
         xn, stats = self.normalize_input(x)
         zs = [self._tokens(xn)] * len(perms)
         # read by the embedding alone
         del xn
         for layer in self.layers:
-            # orderings that share an input tensor share its pre and walks
             groups: dict[int, dict[int, np.ndarray | None]] = {}
             for k, perm in enumerate(perms):
                 groups.setdefault(id(zs[k]), {})[k] = perm
             for group in groups.values():
                 outs = layer.encoder.forward_orderings(zs[next(iter(group))], group, rng)
+                # sorted view ids -> tail output; every view of the group is
+                # alive until its ordering is popped, so no id is reused
+                tails: dict[tuple[int, ...], Tensor] = {}
                 for k in group:
                     # popped and replaced, so each input and view output
                     # goes once its last ordering is done with it
                     views = outs.pop(k)
                     if pairs is not None and len(views) == 2:
                         pairs.append(tuple(views))
-                    zs[k] = self._tail(layer, views, zs[k])
+                    key = tuple(sorted(map(id, views)))
+                    if key not in tails:
+                        tails[key] = self._tail(layer, views, zs[k])
+                    zs[k] = tails[key]
                     del views
+                # not held through the next layer's blocks
+                del tails, key
         return zs, stats
 
     def encode(self, x: Tensor, rng: np.random.Generator | None = None):
@@ -313,31 +333,26 @@ class SORMambaModel:
         channel order, without a tape. Each equals ``forecast`` of the
         contiguous permuted batch, put back, bit for bit; it holds no view
         pairs, and with ``(None,)`` it is the forecast that evaluation
-        reads.
+        reads. An ordering that is not an integer permutation of the
+        channels is refused.
 
         The batch keeps its own channel layout: an ordering ``perm`` changes
-        only the scan orders (``DirectionalEncoderCD.view_walks``), in the
-        layer loop ``forecast`` runs. So the instance norm, the embedding
-        and layer 1's ``pre`` run once for all the orderings, and layer 1
-        scans each distinct walk once. Every later stage runs per ordering,
-        each ordering's activations held at once, so orderings that share an
-        ``ordering_key`` (identity and reversed under ``uni`` and
-        ``fixed-reverse``) are best passed once.
+        only the scan orders, in the layer loop ``forecast`` runs. So the
+        instance norm, the embedding and layer 1's ``pre`` run once for all
+        the orderings, and layer 1 scans each distinct walk once. Orderings
+        that walk the same orders in the same blocks (identity and reversed
+        under ``uni`` and ``fixed-reverse``) share all the rest; the others
+        run it apart, their activations held at once.
         """
-        perms = tuple(None if p is None else np.asarray(p, dtype=np.intp) for p in perms)
+        c = self.config.n_channels
+        perms = tuple(checked_ordering(p, c, f"ordering {i}") for i, p in enumerate(perms))
         with no_grad():
             zs, stats = self._encode_tokens(x, None, perms)
-            return [head_proj(z, self.w_head, self.b_head, stats).data for z in zs]
-
-    def ordering_key(self, perm) -> tuple:
-        """What ``forecast_orderings`` reads of ordering ``perm``: each
-        layer's ``DirectionalEncoderCD.ordering_key``. Orderings with equal
-        keys get the same forecast, bit for bit: their layers see the same
-        input, scan the same orders in the same blocks and sum the same view
-        outputs, perhaps with the views swapped, and IEEE addition is
-        commutative, so ``(y_rev + y_fwd) + z`` is ``(y_fwd + y_rev) + z``."""
-        perm = np.asarray(perm, dtype=np.intp)
-        return tuple(layer.encoder.ordering_key(perm) for layer in self.layers)
+            heads: dict[int, np.ndarray] = {}
+            for z in zs:
+                if id(z) not in heads:
+                    heads[id(z)] = head_proj(z, self.w_head, self.b_head, stats).data
+            return [heads[id(z)] for z in zs]
 
     def latent_for_ccm(self, x: Tensor, rng: np.random.Generator | None = None) -> Tensor:
         """Projected channel embeddings [B, C, D] for correlation matching."""

@@ -260,7 +260,8 @@ def errors_each(
     batch_size: int = EVAL_BATCH,
 ) -> list[dict]:
     """MSE and MAE, as ``_errors`` gives them, of each forecast in the list
-    that ``predict`` returns per batch, in its order."""
+    that ``predict`` returns per batch, in its order. A forecast array the
+    list holds more than once (orderings that share it) is scored once."""
     if denormalize and normalizer is None:
         raise ValueError("denormalize=True requires a normalizer")
 
@@ -268,14 +269,18 @@ def errors_each(
         preds, target = predict(x), ds.y[rows]
         if denormalize:
             target = normalizer.inverse(target)
-        rows = []
+        rows, scored = [], {}
         while preds:
-            # popped, so a forecast is let go once its inverse exists
+            # popped, so a forecast is let go once its inverse exists; the
+            # ones left were alive with it, so no id is reused
             pred = preds.pop(0)
-            if denormalize:
-                pred = normalizer.inverse(pred)
-            d = pred - target
-            rows.append([np.sum(d * d), np.sum(np.abs(d))])
+            key = id(pred)
+            if key not in scored:
+                if denormalize:
+                    pred = normalizer.inverse(pred)
+                d = pred - target
+                scored[key] = [np.sum(d * d), np.sum(np.abs(d))]
+            rows.append(scored[key])
         return np.array(rows)
 
     totals = sum_batches(ds, sums, batch_size) / ds.y.size

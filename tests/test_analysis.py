@@ -160,8 +160,8 @@ class TestOrderingPass:
         self, variant, monkeypatch
     ):
         # identity, reversed, p, p reversed and identity again: each MSE is
-        # the one its ordering alone gives, and only one ordering of each
-        # ordering_key is scored (the 61 test windows are one batch)
+        # the one its ordering alone gives (the 61 test windows are one
+        # batch)
         bundle, _ = bundle_and_model(c=5)
         model = _variant_model(**variant)
         p = np.random.default_rng(5).permutation(5)
@@ -173,19 +173,26 @@ class TestOrderingPass:
                 bundle.normalizer,
                 denormalize=True,
             )
-        scored = []
-        forecast_orderings = model.forecast_orderings
-
-        def counting(x, group):
-            scored.extend(group)
-            return forecast_orderings(x, group)
-
-        monkeypatch.setattr(model, "forecast_orderings", counting)
         rep = an.permutation_robustness(model, bundle.test, bundle.normalizer, perms=perms)
         assert [v.hex() for v in rep["mse_values"]] == [e["mse"].hex() for e in alone]
-        assert len(scored) == len({model.ordering_key(q) for q in perms})
-        if variant["direction"] == "uni" and variant["order_mode"] == "fixed-reverse":
-            assert len(scored) == (2 if variant["two_view"] else 4)
+        # identity and reversed are of one key (the same walks in every
+        # layer) under uni and fixed-reverse with two views, so one pass
+        # scores them with one tail per layer; otherwise each ordering runs
+        # both layers' tails
+        tails = []
+        tail = md.SORMambaModel._tail
+
+        def counting(*args):
+            tails.append(1)
+            return tail(*args)
+
+        monkeypatch.setattr(md.SORMambaModel, "_tail", staticmethod(counting))
+        x = Tensor(bundle.test.x[:9])
+        model.forecast_orderings(x, [np.arange(5), np.arange(5)[::-1]])
+        shared = (variant["direction"], variant["order_mode"], variant["two_view"]) == (
+            "uni", "fixed-reverse", True
+        )
+        assert len(tails) == (2 if shared else 4)
 
     @staticmethod
     def _reversal_bias_walks(monkeypatch, **variant):
@@ -206,14 +213,14 @@ class TestOrderingPass:
 
     def test_reversal_bias_walks_layer_one_once(self, monkeypatch):
         # under uni and fixed-reverse, identity and reversed walk the same
-        # two orders in every layer: one ordering is scored, one two-walk
-        # call per layer
+        # two orders in every layer: they share each layer's walks and
+        # tail, one two-walk call per layer
         assert self._reversal_bias_walks(monkeypatch, order_mode="fixed-reverse") == [2, 2]
 
     def test_reversal_bias_under_bi_scores_both_orderings(self, monkeypatch):
         # block 0 walks the identity in one ordering and the reverse in the
-        # other, so the keys differ: layer 1 scans two walks per block, then
-        # each ordering's layer 2 one per block
+        # other, so they share no walk: layer 1 scans two walks per block,
+        # then each ordering's layer 2 one per block
         walks = self._reversal_bias_walks(monkeypatch, direction="bi")
         assert walks == [2, 2, 1, 1, 1, 1]
 
@@ -228,13 +235,13 @@ class TestOrderingPass:
 
     @pytest.mark.parametrize("layer", [0, 1])
     def test_non_finite_scan_names_orderings_and_views(self, layer):
-        # layer 1's walks are shared: its first walk (identity) is ordering
-        # 0's view 0 and the reversed ordering's view 1; later layers scan
-        # each ordering on its own, ordering 0 first
+        # each layer's walks are shared: its first walk (identity) is
+        # ordering 0's view 0 and the reversed ordering's view 1, and the
+        # two orderings share layer 1's tail and so layer 2's input
         model = _variant_model(c=4)
         model.layers[layer].encoder.blocks[0].ssm.w_b.data[0, 0] = np.inf
         x = np.random.default_rng(4).normal(size=(3, 16, 4))
-        where = "ordering 0 view 0 and ordering 1 view 1" if layer == 0 else "ordering 0 view 0"
+        where = "ordering 0 view 0 and ordering 1 view 1"
         with np.errstate(all="ignore"), pytest.raises(
             FloatingPointError, match=f"in {where} became non-finite at step 0$"
         ):
@@ -264,6 +271,21 @@ class TestOrderingPass:
                 FloatingPointError, match=f"in ordering 0 became non-finite at step {step}$"
             ):
                 model.forecast_orderings(Tensor(x), first)
+
+    @pytest.mark.parametrize("two_view", [True, False])
+    @pytest.mark.parametrize("conv", [False, True])
+    @pytest.mark.parametrize(
+        "perm",
+        [[0, 1], [0, 1, 2, 2], [0, 1, 2, 3, 4], [0.0, 1.0, 2.0, 3.0]],
+        ids=["short", "repeat", "long", "float"],
+    )
+    def test_a_non_permutation_is_refused_by_index(self, perm, conv, two_view):
+        # a prefix of the identity once passed the conv's identity test and
+        # was scored as the identity forecast
+        model = _variant_model(c=4, conv=conv, two_view=two_view)
+        x = Tensor(np.random.default_rng(4).normal(size=(3, 16, 4)))
+        with pytest.raises(ValueError, match=r"^ordering 1 is not a permutation of 4 channels"):
+            model.forecast_orderings(x, [np.arange(4), np.asarray(perm)])
 
 
 def test_order_mses_of_window_views_match_copies():

@@ -449,6 +449,30 @@ class TestEvaluate:
 
         assert reads(strided) == reads(copied)
 
+    def test_a_forecast_listed_twice_is_scored_once(self):
+        # orderings that share a forecast array share its errors too
+        x = np.random.default_rng(6).normal(size=(73, 16, 3))
+        ds = dt.WindowedDataset("test", x, x[:, :4])
+        norm = dt.Normalizer(mean=np.linspace(-1.0, 1.0, 3), std=np.linspace(0.5, 2.0, 3))
+        inverses = []
+        inverse = norm.inverse
+
+        def counting(values):
+            inverses.append(1)
+            return inverse(values)
+
+        norm.inverse = counting
+        shared = tr.errors_each(
+            ds, lambda b: [b.data[:, :4]] * 2 + [b.data[:, 1:5]], norm, denormalize=True
+        )
+        # per batch: the targets, the shared forecast and the other one
+        assert len(inverses) == 2 * 3
+        norm.inverse = inverse
+        apart = tr.errors_each(
+            ds, lambda b: [b.data[:, :4].copy(), b.data[:, :4], b.data[:, 1:5]], norm, True
+        )
+        assert shared == apart and shared[0] == shared[1] != shared[2]
+
     def test_non_finite_evaluation_names_its_view_and_no_ordering(self):
         # evaluation reads the forecast as given, so its error reads as
         # forecast's does: the view, and no ordering

@@ -39,6 +39,10 @@ each workload's ``setup`` and ``make_run`` at seed 3 with one BLAS thread:
   ``permutation_robustness(n_perms=2, seed=3)`` MSEs as ``float.hex()``,
   then ``scan-walks``: the number of walks (orders) of each
   ``scan_forward`` call over one ``step()``, counted by wrapping the kernel;
+  ``layer-tails``: the number of ``SORMambaModel._tail`` calls (a layer's
+  work after its encoder, once per layer and distinct layer input) over one
+  ``step()``, counted by wrapping the method, which shows whether orderings
+  that walk the same orders still share their tails;
   then ``read-peak-mib``: the ``tracemalloc`` peaks, in MiB above the
   traced level when each starts, of one ``evaluate`` batch (``memory_step``,
   which the benchmark's ``step_peak_mib`` traces) and of one whole
@@ -60,9 +64,9 @@ each workload's ``setup`` and ``make_run`` at seed 3 with one BLAS thread:
   ``consistency_gap``, ``correlation_preservation``'s ``gap_mse`` and a
   sha256 of its ``r_z``, the ``reversal_bias`` MSEs and the
   ``permutation_robustness(n_perms=2, seed=7)`` and ``(n_perms=5, seed=7)``
-  MSEs (the fifth ordering is the first reversed, which shares its
-  ordering key, so four are scored, in two pairs) of the trained model
-  as ``float.hex()``, which pin the per-batch channel reordering, the
+  MSEs (the fifth ordering is the first reversed, whose forecast under
+  ``uni`` and ``fixed-reverse`` is the first's, bit for bit) of the trained
+  model as ``float.hex()``, which pin the per-batch channel reordering, the
   validation losses of a 2-epoch ``pretrain`` in each pretext mode, and the
   best epoch and validation losses of a 2-epoch ``linear_probe`` started
   from the ccm-pretrained model;
@@ -79,8 +83,9 @@ Two checkouts that compute the same numbers print the same lines, apart
 from the ``tape-nodes``, ``tape-mib``, ``step-peak-mib`` and
 ``step-peak-at`` lines (the workloads' and the variants') when they keep
 different things on the tape, the ``read-peak-mib`` line when the read path
-holds different things and the ``scan-walks`` line when they scan
-differently; these six are structure, every other line is a value.
+holds different things, the ``scan-walks`` line when they scan differently
+and the ``layer-tails`` line when they share tails differently; these seven
+are structure, every other line is a value.
 ``diff`` the outputs to see which parameters, errors, memory figures or
 scans moved.
 
@@ -165,6 +170,7 @@ def main(argv=None) -> int:
     )
     print(name, "permutation_robustness", *(v.hex() for v in robust["mse_values"]))
     print(name, "scan-walks", _step_scan_walks(run))
+    print(name, "layer-tails", _step_layer_tails(run))
     peaks = (_traced_peak_mib(f) for f in (run.memory_step, run.step))
     print(name, "read-peak-mib", *(f"{p:.3f}" for p in peaks))
 
@@ -409,6 +415,26 @@ def _step_scan_walks(run) -> str:
     finally:
         scan_kernels.scan_forward = scan_forward
     return str(walks)
+
+
+def _step_layer_tails(run) -> int:
+    """The ``SORMambaModel._tail`` calls (one per layer and distinct input)
+    over one ``step()``, counted by wrapping the method for that step."""
+    from sormamba.model import SORMambaModel
+
+    calls = []
+    tail = SORMambaModel._tail
+
+    def counting(*args):
+        calls.append(1)
+        return tail(*args)
+
+    SORMambaModel._tail = staticmethod(counting)
+    try:
+        run.step()
+    finally:
+        SORMambaModel._tail = staticmethod(tail)
+    return len(calls)
 
 
 def variant_losses():
