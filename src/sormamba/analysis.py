@@ -49,7 +49,8 @@ from .data import (
     series_from_windows,
 )
 from .losses import global_corr, mse_np, pearson_matrix, reg_distance
-from .model import ModelConfig, SORMambaModel, checked_ordering, count_parameters
+from .model import ModelConfig, SORMambaModel, count_parameters
+from .ssm import checked_ordering
 from .training import TrainConfig, errors_each, evaluate, sum_batches, train_supervised
 
 

@@ -23,11 +23,12 @@ Design points:
 * leaf gradients accumulate additively across uses and across repeated
   ``backward`` calls; callers zero them explicitly between steps. An
   interior node's gradient is dropped once it has been passed on
-* ``backward_from`` is the second entry: it starts from several outputs
-  with given gradients and walks only the nodes recorded after a
-  ``tape_mark``. ``checkpoint`` builds on it: it runs a computation
-  without a tape and records it as one op (``from_ops``) that keeps only
-  what the computation names, and its vjp runs the computation again,
+* ``backward_from`` walks the tape: it starts from several outputs with
+  given gradients and walks only the nodes recorded after a ``tape_mark``;
+  ``backward`` is its call on one scalar loss and the whole tape.
+  ``checkpoint`` builds on it: it runs a computation without a tape and
+  records it as one op (``from_ops``) that keeps only what the
+  computation names, and its vjp runs the computation again,
   recorded (``enable_grad``) on the real parents, and back-propagates
   through that sub-tape: the parents receive their shares in the order one
   tape of the recomputed ops would give them, and the outer walk passes
@@ -566,13 +567,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         )
 
     if b.ndim == 2:
-
-        def vjp(g):
-            ga, gb = _flat_grads(g, a.data, b.data, a.requires_grad, b.requires_grad)
-            accumulate(a, ga)
-            accumulate(b, gb)
-
-        return from_op(_flat(a.data, b.data), (a, b), vjp)
+        return from_op(_affine(a.data, b.data), (a, b), lambda g: _linear_vjp(g, a, b))
 
     def vjp(g):
         if a.requires_grad:
@@ -596,6 +591,15 @@ def _flat(a: np.ndarray, w: np.ndarray) -> np.ndarray:
     k, n = w.shape
     out = np.empty((*a.shape[:-1], n))
     np.matmul(a.reshape(-1, k), w, out=out.reshape(-1, n))
+    return out
+
+
+def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """The value of ``x @ w + b`` (``x @ w`` without ``b``): ``_flat``, the
+    bias added in place."""
+    out = _flat(x, w)
+    if b is not None:
+        out += b
     return out
 
 
@@ -681,7 +685,10 @@ def take_axis(a: Tensor, indices: np.ndarray, axis: int) -> Tensor:
 
     Since no position is taken twice, the gradient is a plain scatter.
     """
-    idx = np.asarray(indices, dtype=np.intp)
+    idx = np.asarray(indices)
+    if idx.dtype.kind not in "iu":
+        raise ValueError(f"take_axis: indices must be integers, got {idx.dtype}: {idx}")
+    idx = idx.astype(np.intp, copy=False)
     n = a.data.shape[axis]
     if len(np.unique(idx % n)) != len(idx):
         raise ValueError(f"take_axis: indices repeat a position of axis {axis}: {idx}")
@@ -712,7 +719,7 @@ def _axis_index(idx, axis: int, ndim: int):
 # primitives above) in their order, so the value is bit-identical. Its vjp
 # recomputes the cheap intermediates from its parents and what it kept: the
 # elementwise ones, and each pre-activation with the forward's GEMM and bias
-# add (``pre_activation``). It then runs the composed graph's vjp arithmetic
+# add (``_affine``). It then runs the composed graph's vjp arithmetic
 # in reverse tape order, building a gradient only for what requires one, so
 # every gradient is bit-identical too. The composed graph also copies each
 # interior node's first gradient (``0 + g``, which maps -0 to +0); that copy
@@ -842,17 +849,11 @@ def gelu_mlp(h: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tenso
     ``h @ w1 + b1`` with the same GEMM and bias add, then Phi and the GELU.
     """
 
-    def pre_activation():
-        pre = _flat(h.data, w1.data)
-        pre += b1.data
-        return pre
-
     def vjp(g):
-        need_h = h.requires_grad or w1.requires_grad
-        need_pre = need_h or b1.requires_grad
+        need_pre = h.requires_grad or w1.requires_grad or b1.requires_grad
         # add(., b2), then matmul(gelu(pre), w2)
         accumulate(b2, g)
-        pre = pre_activation()
+        pre = _affine(h.data, w1.data, b1.data)
         phi_cdf = _phi(pre)
         g_act, gw2 = _flat_grads(g, pre * phi_cdf, w2.data, need_pre, w2.requires_grad)
         accumulate(w2, gw2)
@@ -861,15 +862,10 @@ def gelu_mlp(h: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tenso
         # gelu(pre), add(., b1), matmul(h, w1)
         g_pre = _gelu_grad(g_act, pre, phi_cdf)
         del g_act, phi_cdf, pre
-        accumulate(b1, g_pre)
-        if need_h:
-            gh, gw1 = _flat_grads(g_pre, h.data, w1.data, h.requires_grad, w1.requires_grad)
-            accumulate(h, gh)
-            accumulate(w1, gw1)
+        _linear_vjp(g_pre, h, w1, b1)
 
-    pre = pre_activation()
-    out = _flat(pre * _phi(pre), w2.data)
-    out += b2.data
+    pre = _affine(h.data, w1.data, b1.data)
+    out = _affine(pre * _phi(pre), w2.data, b2.data)
     return from_op(out, (h, w1, b1, w2, b2), vjp)
 
 
@@ -880,22 +876,17 @@ def silu_proj(x: Tensor, w: Tensor) -> Tensor:
     ``x @ w`` with the same GEMM, then the sigmoid.
     """
 
-    def pre_activation():
-        return _flat(x.data, w.data)
-
     def vjp(g):
-        pre = pre_activation()
+        pre = _affine(x.data, w.data)
         sig = _sigmoid_val(pre)
         g_pre = _silu_grad(g, pre, sig, out=sig)
         del pre, sig
-        gx, gw = _flat_grads(g_pre, x.data, w.data, x.requires_grad, w.requires_grad)
-        accumulate(x, gx)
-        accumulate(w, gw)
+        _linear_vjp(g_pre, x, w)
 
     # pre and sig are freed on return: freeing sig before from_op measured
     # 13.4k minor page faults per analyze-weather step against 7.9k, as
     # glibc trimmed and re-faulted the heap
-    pre = pre_activation()
+    pre = _affine(x.data, w.data)
     sig = _sigmoid_val(pre)
     return from_op(pre * sig, (x, w), vjp)
 
@@ -909,27 +900,19 @@ def softplus_proj(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     same GEMM and bias add, then the sigmoid.
     """
 
-    def pre_activation():
-        pre = _flat(x.data, w.data)
-        pre += b.data
-        return pre
-
     def vjp(g):
-        g_pre = _softplus_grad(g, pre_activation())
-        accumulate(b, g_pre)
-        gx, gw = _flat_grads(g_pre, x.data, w.data, x.requires_grad, w.requires_grad)
-        accumulate(x, gx)
-        accumulate(w, gw)
+        _linear_vjp(_softplus_grad(g, _affine(x.data, w.data, b.data)), x, w, b)
 
-    pre = pre_activation()
+    pre = _affine(x.data, w.data, b.data)
     return from_op(_softplus_val(pre, out=pre), (x, w, b), vjp)
 
 
-def _linear_vjp(g: np.ndarray, x: Tensor, w: Tensor, b: Tensor) -> None:
-    """Hands ``x``, ``w`` and ``b`` their gradients of ``x @ w + b`` for a
-    contiguous upstream ``g``, in the composed graph's order: add, then
-    matmul."""
-    accumulate(b, g)
+def _linear_vjp(g: np.ndarray, x: Tensor, w: Tensor, b: Tensor | None = None) -> None:
+    """Hands ``x``, ``w`` and ``b`` their gradients of ``x @ w + b`` (``x @
+    w`` without ``b``) for upstream ``g``, in the composed graph's order:
+    add, then matmul."""
+    if b is not None:
+        accumulate(b, g)
     gx, gw = _flat_grads(g, x.data, w.data, x.requires_grad, w.requires_grad)
     accumulate(x, gx)
     accumulate(w, gw)
@@ -940,9 +923,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
     Keeps nothing but its output; the vjp reads only its parents.
     """
-    out = _flat(x.data, w.data)
-    out += b.data
-    return from_op(out, (x, w, b), lambda g: _linear_vjp(g, x, w, b))
+    return from_op(_affine(x.data, w.data, b.data), (x, w, b), lambda g: _linear_vjp(g, x, w, b))
 
 
 def head_proj(
@@ -962,9 +943,7 @@ def head_proj(
             g = g * scale
         _linear_vjp(np.ascontiguousarray(np.swapaxes(g, 1, 2)), x, w, b)
 
-    pre = _flat(x.data, w.data)
-    pre += b.data
-    out = np.ascontiguousarray(np.swapaxes(pre, 1, 2))
+    out = np.ascontiguousarray(np.swapaxes(_affine(x.data, w.data, b.data), 1, 2))
     if affine is not None:
         out *= scale
         out += affine[0]
@@ -1040,9 +1019,7 @@ def backward(loss: Tensor) -> None:
         )
     if not loss.requires_grad:
         raise ValueError("backward: loss does not depend on any tracked tensor")
-    tape = _ordered_tape(loss)
-    accumulate(loss, np.ones_like(loss.data))
-    _walk(tape)
+    backward_from([loss], [np.ones_like(loss.data)], -1)
 
 
 def tape_mark() -> int:

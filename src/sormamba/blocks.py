@@ -71,7 +71,7 @@ from .autodiff import (
     skip_gate_proj,
     take_axis,
 )
-from .ssm import init_ssm_params, projections, scan_core, scan_output, uniform_weight
+from .ssm import init_ssm_params, projections, scan_core, uniform_weight
 
 if TYPE_CHECKING:
     from .model import ModelConfig
@@ -205,20 +205,16 @@ class CDMambaBlock:
     ) -> tuple[list[tuple[Tensor, Tensor]], list[np.ndarray]]:
         """Scan the tokens once in each of ``orders`` (None: as given).
         Returns, per order, (y before the skip term, the scan input), both in
-        the tokens' own order, and the scan's value per order
-        (``ssm.scan_output``, one array each). With ``ys``, those values
-        from an earlier call on these tokens, the scans are built around
-        them instead of run. Without a conv, all the orders are one
-        ``scan_core`` call."""
+        the tokens' own order, and the scan's value per order (one array
+        each). With ``ys``, those values from an earlier call on these
+        tokens, the scans are built around them instead of run. Without a
+        conv, all the orders are one ``scan_core`` call."""
         if not self.conv_kernel:
             delta, b_t, c_t = tokens.scan_in
-            inputs = (delta, tokens.a, b_t, c_t, tokens.u, self.ssm.mode, orders)
-            ys = scan_output(*inputs, labels) if ys is None else ys
-            return [(v, tokens.u) for v in scan_core(*inputs, y=ys)], ys
+            outs = scan_core(delta, tokens.a, b_t, c_t, tokens.u, self.ssm.mode, orders, labels, ys)
+            return [(v, tokens.u) for v in outs], [v.data for v in outs]
         walks = [
-            self._conv_core(
-                tokens, order, None if labels is None else (labels[i],), None if ys is None else ys[i]
-            )
+            self._conv_core(tokens, order, labels and labels[i : i + 1], ys and ys[i : i + 1])
             for i, order in enumerate(orders)
         ]
         return [walk[:2] for walk in walks], [walk[2] for walk in walks]
@@ -228,21 +224,18 @@ class CDMambaBlock:
         tokens: Tokens,
         order: np.ndarray | None,
         labels: tuple[str] | None,
-        y: np.ndarray | None,
+        y: list[np.ndarray] | None,
     ) -> tuple[Tensor, Tensor, np.ndarray]:
         if order is not None and np.array_equal(order, np.arange(len(order))):
             order = None  # the identity: nothing to gather or put back
         u = tokens.u if order is None else take_axis(tokens.u, order, axis=1)
         u = silu(self._conv(u))
         delta, b_t, c_t = projections(u, self.ssm)
-        inputs = (delta, tokens.a, b_t, c_t, u, self.ssm.mode)
-        if y is None:
-            (y,) = scan_output(*inputs, labels=labels)
-        (out,) = scan_core(*inputs, y=[y])
+        (out,) = scan_core(delta, tokens.a, b_t, c_t, u, self.ssm.mode, labels=labels, y=y)
         if order is None:
-            return out, u, y
+            return out, u, out.data
         inverse = np.argsort(order)
-        return take_axis(out, inverse, axis=1), take_axis(u, inverse, axis=1), y
+        return take_axis(out, inverse, axis=1), take_axis(u, inverse, axis=1), out.data
 
     def post(self, gate: Tensor, y: Tensor, u: Tensor, out: np.ndarray | None = None) -> Tensor:
         """The token-by-token work after the scan: skip term, gate, out_proj,

@@ -52,7 +52,7 @@ from .autodiff import (
 )
 from .blocks import DIRECTIONS, ORDER_MODES, DirectionalEncoderCD
 from .losses import REG_METRICS
-from .ssm import DISCRETIZATIONS, uniform_weight
+from .ssm import DISCRETIZATIONS, checked_ordering, uniform_weight
 
 CHECKPOINT_FORMAT = 1
 
@@ -167,17 +167,6 @@ class _Layer:
             ("ln2.bias", self.c2),
         ]
         return items
-
-
-def checked_ordering(perm, c: int, name: str) -> np.ndarray | None:
-    """``perm`` as an index array (None kept); anything but an integer
-    permutation of ``c`` channels is refused, naming it ``name``."""
-    if perm is None:
-        return None
-    perm = np.asarray(perm)
-    if perm.dtype.kind not in "iu" or not np.array_equal(np.sort(perm), np.arange(c)):
-        raise ValueError(f"{name} is not a permutation of {c} channels: {perm.tolist()}")
-    return perm.astype(np.intp, copy=False)
 
 
 class SORMambaModel:

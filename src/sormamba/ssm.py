@@ -170,27 +170,6 @@ def projections(x: Tensor, params: SSMParams) -> tuple[Tensor, Tensor, Tensor]:
     return delta, b_t, c_t
 
 
-def scan_output(
-    delta: Tensor,
-    a: Tensor,
-    b_t: Tensor,
-    c_t: Tensor,
-    x: Tensor,
-    mode: str,
-    orders: tuple[np.ndarray | None, ...] = (None,),
-    labels: tuple[str, ...] | None = None,
-) -> list[np.ndarray]:
-    """The value of ``scan_core`` on the same arguments, a list of one
-    array y [B, S, dim] per order, without recording a node."""
-    _check_mode(mode)
-    orders = _check_orders(orders, x.shape[1])
-    y = scan_kernels.scan_forward(*(p.data for p in (delta, a, b_t, c_t, x)), mode, orders)
-    if labels is None and len(orders) > 1:
-        labels = tuple(f"view {i}" for i in range(len(orders)))
-    _raise_on_nonfinite(y, "scan output", orders, labels)
-    return y
-
-
 def scan_core(
     delta: Tensor,
     a: Tensor,
@@ -219,14 +198,18 @@ def scan_core(
     scan order and, with several orders, ``view i``, or ``labels[i]`` when
     given.
 
-    With ``y``, ``scan_output``'s value on these inputs and orders, the
-    node is built around it and the scan's forward does not run again: a
-    block's backward rebuilds its scan this way (``blocks``).
+    With ``y``, the outputs' values from an earlier call on these inputs
+    and orders, the node is built around it and the scan's forward does not
+    run again: a block's backward rebuilds its scan this way (``blocks``).
     """
-    if y is None:
-        y = scan_output(delta, a, b_t, c_t, x, mode, orders, labels)
     orders = _check_orders(orders, x.shape[1])
     parents = (delta, a, b_t, c_t, x)
+    if y is None:
+        _check_mode(mode)
+        y = scan_kernels.scan_forward(*(p.data for p in parents), mode, orders)
+        if labels is None and len(orders) > 1:
+            labels = tuple(f"view {i}" for i in range(len(orders)))
+        _raise_on_nonfinite(y, "scan output", orders, labels)
 
     def vjp(gy):
         # an output that no gradient reached contributes zeros. The others
@@ -244,15 +227,23 @@ def scan_core(
     return from_ops(y, parents, vjp)
 
 
+def checked_ordering(perm, c: int, name: str, unit: str = "channels") -> np.ndarray | None:
+    """``perm`` as an index array (None kept); anything but an integer
+    permutation of ``c`` ``unit`` is refused, naming it ``name``."""
+    if perm is None:
+        return None
+    perm = np.asarray(perm)
+    if perm.dtype.kind not in "iu" or not np.array_equal(np.sort(perm), np.arange(c)):
+        raise ValueError(f"{name} is not a permutation of {c} {unit}: {perm.tolist()}")
+    return perm.astype(np.intp, copy=False)
+
+
 def _check_orders(orders, steps: int) -> tuple[np.ndarray | None, ...]:
-    """``orders`` as index arrays, each checked to be a permutation of the
-    steps."""
-    orders = tuple(None if o is None else np.asarray(o, dtype=np.intp) for o in orders)
+    """``orders`` as index arrays, each checked to be an integer permutation
+    of the steps."""
+    orders = tuple(checked_ordering(o, steps, "scan_core: order", "steps") for o in orders)
     if not orders:
         raise ValueError("scan_core: no order to scan in")
-    for order in orders:
-        if order is not None and not np.array_equal(np.sort(order), np.arange(steps)):
-            raise ValueError(f"scan_core: order is not a permutation of {steps} steps")
     return orders
 
 

@@ -238,20 +238,6 @@ def _fit(
     return FitResult(best_val=best, best_epoch=best_epoch, epochs=logs, stopped_early=stopped)
 
 
-def _errors(
-    ds: WindowedDataset,
-    predict,  # x batch Tensor -> forecast array for its targets
-    normalizer: Normalizer | None = None,
-    denormalize: bool = False,
-    batch_size: int = EVAL_BATCH,
-) -> dict:
-    """MSE and MAE of ``predict`` over ``ds``, in input units with
-    ``denormalize``. The squared and absolute errors are summed batch by
-    batch, so no more than one batch of forecasts is held at a time."""
-    (metrics,) = errors_each(ds, lambda x: [predict(x)], normalizer, denormalize, batch_size)
-    return metrics
-
-
 def errors_each(
     ds: WindowedDataset,
     predict,  # x batch Tensor -> list of forecast arrays for its targets
@@ -259,8 +245,10 @@ def errors_each(
     denormalize: bool = False,
     batch_size: int = EVAL_BATCH,
 ) -> list[dict]:
-    """MSE and MAE, as ``_errors`` gives them, of each forecast in the list
-    that ``predict`` returns per batch, in its order. A forecast array the
+    """MSE and MAE over ``ds``, in input units with ``denormalize``, of
+    each forecast in the list that ``predict`` returns per batch, in its
+    order. The squared and absolute errors are summed batch by batch, so no
+    more than one batch of forecasts is held at a time. A forecast array the
     list holds more than once (orderings that share it) is scored once."""
     if denormalize and normalizer is None:
         raise ValueError("denormalize=True requires a normalizer")
@@ -288,9 +276,10 @@ def errors_each(
 
 
 def _forecast(model: SORMambaModel):
-    """The forecast of a batch as evaluation reads it: no tape, no view
-    pairs (``SORMambaModel.forecast_orderings`` with the given order)."""
-    return lambda x: model.forecast_orderings(x, (None,))[0]
+    """The forecast of a batch as evaluation reads it, a list of one: no
+    tape, no view pairs (``SORMambaModel.forecast_orderings`` with the
+    given order)."""
+    return lambda x: model.forecast_orderings(x, (None,))
 
 
 def train_supervised(
@@ -324,7 +313,7 @@ def train_supervised(
         params,
         cfg,
         batch_loss,
-        lambda: _errors(val, _forecast(model), batch_size=cfg.batch_size)["mse"],
+        lambda: errors_each(val, _forecast(model), batch_size=cfg.batch_size)[0]["mse"],
         len(train),
     )
 
@@ -398,7 +387,7 @@ def evaluate(
     denormalize: bool = True,
 ) -> dict:
     """Test metrics, de-normalized back to input units by default."""
-    return _errors(ds, _forecast(model), normalizer, denormalize)
+    return errors_each(ds, _forecast(model), normalizer, denormalize)[0]
 
 
 def last_value_baseline(
@@ -406,9 +395,9 @@ def last_value_baseline(
 ) -> dict:
     """Repeat each window's final observation across the horizon."""
     horizon = ds.y.shape[1]
-    return _errors(
-        ds, lambda x: np.repeat(x.data[:, -1:, :], horizon, axis=1), normalizer, denormalize
-    )
+    return errors_each(
+        ds, lambda x: [np.repeat(x.data[:, -1:, :], horizon, axis=1)], normalizer, denormalize
+    )[0]
 
 
 # ---- reporting ------------------------------------------------------------

@@ -531,6 +531,13 @@ class TestShapeOps:
             with pytest.raises(ValueError, match="repeat"):
                 ad.take_axis(x, np.array(idx), axis=1)
 
+    def test_take_axis_rejects_non_integer_indices(self):
+        # converting to an index type once truncated [2.9, 0.2] to [2, 0]
+        x = Tensor(np.arange(12.0).reshape(3, 4))
+        for idx in (np.array([2.9, 0.2]), np.array([2.0, 0.0]), np.array([True, False])):
+            with pytest.raises(ValueError, match="integers"):
+                ad.take_axis(x, idx, axis=1)
+
     def test_shift_axis_forward(self):
         x = Tensor(np.array([[1.0, 2.0, 3.0]]))
         out = ad.shift_axis(x, 1, axis=1)

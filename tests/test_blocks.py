@@ -5,7 +5,9 @@ import pytest
 
 from sormamba import autodiff as ad
 from sormamba import blocks as bl
+from sormamba import scan_kernels
 from sormamba.autodiff import Tensor, backward, mul, tsum
+from sormamba.losses import total_loss
 from sormamba.model import ModelConfig, SORMambaModel
 
 
@@ -290,6 +292,38 @@ def test_an_identity_ordering_is_never_gathered(monkeypatch):
     gathered = _token_gathers(monkeypatch)
     model.forecast_orderings(Tensor(_rng(2).normal(size=(3, 8, 5))), [np.arange(5)])
     assert gathered == [[4, 3, 2, 1, 0]] * 3 * cfg.n_layers
+
+
+@pytest.mark.parametrize("direction", ["uni", "bi"])
+@pytest.mark.parametrize("conv", [False, True])
+def test_each_scan_runs_once_forward_and_once_backward(monkeypatch, direction, conv):
+    # a block's backward rebuilds its scans around the kept y, so it runs
+    # no scan forward: every walk is scanned once each way. Per layer, the
+    # one shared block scans both views in one call without a conv and one
+    # call per view with it; bi runs one call per view's block
+    calls = {"scan_forward": 0, "scan_backward": 0}
+
+    def counted(name, kernel):
+        def run(*args):
+            calls[name] += 1
+            return kernel(*args)
+
+        return run
+
+    for name in calls:
+        monkeypatch.setattr(scan_kernels, name, counted(name, getattr(scan_kernels, name)))
+    cfg = ModelConfig(
+        lookback=16, horizon=4, n_channels=5, d_model=8, n_layers=2, direction=direction,
+        conv=conv, reg_weight=0.1,
+    )
+    model = SORMambaModel(cfg, seed=0)
+    x = _rng(3).normal(size=(2, 16, 5))
+    pred, pairs = model.forecast(Tensor(x))
+    loss = total_loss(pred, _rng(4).normal(size=(2, 4, 5)), pairs, cfg.reg_weight, cfg.reg_metric)
+    want = 2 if direction == "uni" and not conv else 4
+    assert calls == {"scan_forward": want, "scan_backward": 0}
+    backward(loss.total)
+    assert calls == {"scan_forward": want, "scan_backward": want}
 
 
 class TestDirectionalEncoder:

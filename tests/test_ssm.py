@@ -503,6 +503,14 @@ class TestScanOrder:
             with pytest.raises(ValueError, match="permutation"):
                 scan_core(*inputs, "euler-b", (np.array(order),))
 
+    def test_non_integer_order_is_refused(self):
+        # converting to an index type once truncated [0.5, 1.7, 2.2, 3.9]
+        # to the identity and scanned it as such
+        inputs = _scan_inputs(np.random.default_rng(31), 1, 4, 2, 2)
+        for order in ([0.5, 1.7, 2.2, 3.9], [3.0, 2.0, 1.0, 0.0]):
+            with pytest.raises(ValueError, match="order is not a permutation of 4 steps"):
+                scan_core(*inputs, "euler-b", (np.array(order),))
+
     def test_nan_reports_the_scanned_step(self):
         inputs = _scan_inputs(np.random.default_rng(30), 1, 6, 2, 2)
         inputs[4].data[0, 3, 0] = np.nan
