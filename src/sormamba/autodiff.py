@@ -20,9 +20,11 @@ Design points:
 * a product with a 2-D weight, ``[..., K] @ [K, N]``, is one GEMM over the
   flattened leading axes, and so are both of its gradients: the weight's
   is one ``[K, rows] @ [rows, N]`` product, with no per-sample stack to sum
-* leaf gradients accumulate additively across uses and across repeated
-  ``backward`` calls; callers zero them explicitly between steps. An
-  interior node's gradient is dropped once it has been passed on
+* leaf gradients accumulate additively across uses and across the walks
+  of separately recorded graphs; callers zero them explicitly between
+  steps. A graph is walked once: as the walk passes an interior node it
+  drops the node's gradient, parents and rule, so the tape shrinks as the
+  walk runs, and a later walk that reaches the node raises
 * ``backward_from`` walks the tape: it starts from several outputs with
   given gradients and walks only the nodes recorded after a ``tape_mark``;
   ``backward`` is its call on one scalar loss and the whole tape.
@@ -32,10 +34,11 @@ Design points:
   recorded (``enable_grad``) on the real parents, and back-propagates
   through that sub-tape: the parents receive their shares in the order one
   tape of the recomputed ops would give them, and the outer walk passes
-  them on. A scan block and a layer's tail (the views' sum with the
-  residual, LayerNorm, the MLP, LayerNorm) are such ops (``blocks``,
-  ``model``), so per layer the tape holds only the block's input, its
-  scans' outputs, the view outputs and the layer's output
+  them on, releasing the sub-tape as it goes. A scan block is such an op
+  (``blocks``), so of a block the tape holds only its input, its scans'
+  outputs and its own outputs. A layer's tail (the views' sum with the
+  residual, LayerNorm, the MLP, LayerNorm) is four fused ops recorded in
+  turn, which the walk frees as it passes them
 * a custom fused op (e.g. the selective-scan kernel) plugs in through
   ``from_op`` with a hand-derived vector-Jacobian product. LayerNorm, the
   SiLU and softplus input projections before a scan, the
@@ -728,12 +731,12 @@ def _axis_index(idx, axis: int, ndim: int):
 # result nor any nonzero result. Every value that leaves the op goes through
 # ``accumulate``, which maps -0 to +0 in the same way.
 # A train step's memory peaks inside the last layer's block backward, with
-# that block's recomputed pre and the rest of the tape alive, in its second
-# skip_gate_proj vjp and in the scan_core vjp, within 0.02 MiB of each other
-# (tracemalloc, seed 0: train-solar 24.1 MiB, of which the tape at the loss
-# keeps 10.7 MiB of arrays; train-etth1 11.3 of 4.0), so the vjps write into
-# buffers they already hold and drop full-size temporaries as soon as they
-# have been used.
+# that block's recomputed pre and the part of the tape that the walk has not
+# yet released alive, in its second skip_gate_proj vjp (tracemalloc, seed 0:
+# train-solar 23.3 MiB, of which the tape at the loss keeps 14.0 MiB of
+# arrays; train-etth1 10.2 of 5.4), so the vjps write into buffers they
+# already hold and drop full-size temporaries as soon as they have been
+# used.
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -994,24 +997,36 @@ def _ordered_tape(*roots: Tensor, since: int = -1) -> list[Tensor]:
     return nodes
 
 
+def _walked(g) -> None:
+    """The rule of a node that a walk has released."""
+    raise RuntimeError("this graph was already walked; record the loss again")
+
+
 def _walk(tape: list[Tensor]) -> None:
-    """Run each node's backward rule on its gradient, newest first, and
-    release an interior node's gradient once it has been passed on."""
-    for node in reversed(tape):
+    """Pop each node off ``tape``, newest first, and run its backward rule
+    on its gradient; then release an interior node: its gradient, its
+    parents and its rule (replaced by ``_walked``) go, so neither the tape
+    nor the node keeps what the walk has passed."""
+    while tape:
+        node = tape.pop()
         if node._vjp is not None and node.grad is not None:
             node._vjp(node.grad)
         if node._parents:
             node.grad = None
+            node._parents = ()
+            node._vjp = _walked
 
 
 def backward(loss: Tensor) -> None:
     """Propagate d(loss)/d(node) through every reachable node.
 
     The loss must be scalar (a single element). Gradients accumulate into
-    the leaves' ``.grad``; repeated calls keep adding. An interior node's
-    gradient is released once its backward rule has run, so each call starts
-    the interior nodes from nothing and a node's gradient lives only until
-    it has been passed on.
+    the leaves' ``.grad``, so the walks of separately recorded losses add
+    up. The walk releases each interior node once its backward rule has
+    run (``_walk``): its gradient lives only until it has been passed on,
+    and the graph can be walked only once; a second call on the same loss,
+    or on a new loss recorded on top of a walked node, raises
+    ``RuntimeError``.
     """
     if loss.data.size != 1:
         raise ValueError(
@@ -1039,8 +1054,8 @@ def backward_from(
     ``grads`` set to None, so that the walk holds no second copy of it. An
     older node is not walked: it only receives its gradient, and keeps it
     for the walk that recorded it, so a vjp can record a sub-tape on its
-    op's parents and back-propagate through it into them. Interior
-    gradients are released as in ``backward``.
+    op's parents and back-propagate through it into them. The walked nodes
+    are released as in ``backward``.
     """
     if len(grads) != len(outputs):
         raise ValueError(f"backward_from: {len(grads)} gradients for {len(outputs)} outputs")

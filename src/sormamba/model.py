@@ -10,18 +10,20 @@ LayerNorm/MLP/LayerNorm stage (``autodiff.layer_norm`` and
 ``autodiff.gelu_mlp``). A linear head (``autodiff.head_proj``) maps each
 channel token to its horizon. Each of these is one fused op that keeps only
 what its backward reads: two [..., 1] arrays per LayerNorm, the head's
-[B, 1, C] scale, and nothing for the others. Recorded, two parts of a layer
-are checkpointed ops (``autodiff.checkpoint``) that recompute their interior
-in the backward: each encoder block keeps its input, its scans' y and its
-outputs (see ``blocks``), and the layer's tail, from the views' sum to the
-second LayerNorm, keeps nothing. So per layer the tape holds z, the scans'
-y, the view outputs and the layer's output. One layer loop serves the
-forecast, the side heads and the ordering analysis
-(``forecast_orderings``). Without a tape it holds only what a later op
-reads: the normalized input until the embedding, each layer's view outputs
-until its tail (unless the caller takes the view pairs, as ``forecast``
-does) and each scan's y until its ``post``. Evaluation reads the forecast
-through ``forecast_orderings``, which takes no view pairs.
+[B, 1, C] scale, and nothing for the others. Recorded, each encoder block
+is a checkpointed op (``autodiff.checkpoint``) that keeps its input, its
+scans' y and its outputs and recomputes the rest in its backward (see
+``blocks``); the layer's tail, from the views' sum to the second LayerNorm,
+is its four fused ops recorded in turn. So per layer the tape holds z, the
+scans' y, the view outputs, the views' sum and the outputs of both
+LayerNorms and the MLP, and the backward walk releases each op once it has
+passed it. One layer loop serves the forecast, the side heads and the
+ordering analysis (``forecast_orderings``). Without a tape it holds only
+what a later op reads: the normalized input until the embedding, each
+layer's view outputs until its tail (unless the caller takes the view
+pairs, as ``forecast`` does) and each scan's y until its ``post``.
+Evaluation reads the forecast through ``forecast_orderings``, which takes
+no view pairs.
 
 Instance normalization (per window, per channel) is applied on the way in
 and inverted on the way out, so forecasts are always in input units. The
@@ -39,7 +41,6 @@ import numpy as np
 
 from .autodiff import (
     Tensor,
-    checkpoint,
     gelu_mlp,
     head_proj,
     layer_norm,
@@ -241,19 +242,12 @@ class SORMambaModel:
     @staticmethod
     def _tail(layer: _Layer, views: list[Tensor], z: Tensor) -> Tensor:
         """A layer's work after its encoder: the views' sum with the
-        residual z, then LayerNorm/MLP/LayerNorm. Recorded, it is one op
-        (``autodiff.checkpoint``) that keeps nothing; its backward records
-        the four ops again on the views, z and the layer's eight parameters."""
-
-        def run(*_):
-            h = layer_norm(residual_sum(views, z), layer.g1, layer.c1)
-            h = gelu_mlp(h, layer.w_mlp1, layer.b_mlp1, layer.w_mlp2, layer.b_mlp2)
-            return [layer_norm(h, layer.g2, layer.c2)], None
-
-        params = (layer.g1, layer.c1, layer.w_mlp1, layer.b_mlp1, layer.w_mlp2, layer.b_mlp2,
-                  layer.g2, layer.c2)
-        (out,) = checkpoint((*views, z, *params), run)
-        return out
+        residual z, then LayerNorm/MLP/LayerNorm, four fused ops recorded
+        one after another; the backward walk releases each once it has
+        passed it."""
+        h = layer_norm(residual_sum(views, z), layer.g1, layer.c1)
+        h = gelu_mlp(h, layer.w_mlp1, layer.b_mlp1, layer.w_mlp2, layer.b_mlp2)
+        return layer_norm(h, layer.g2, layer.c2)
 
     def _encode_tokens(
         self,

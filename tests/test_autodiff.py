@@ -61,17 +61,38 @@ class TestElementwise:
         ad.backward(loss2)
         np.testing.assert_allclose(x.grad, 2.0 * first)
 
-    def test_second_backward_on_one_graph_doubles_the_leaf_gradient(self):
-        # interior gradients are released after use, so the second call does
-        # not add onto what the first left in them
+    def test_second_backward_on_one_graph_raises_and_keeps_the_leaf_gradient(self):
+        # the walk releases every interior node it passes: its gradient, its
+        # parents and its rule
         x = Tensor(np.array([0.3, -0.7, 1.1]), requires_grad=True)
         y = ad.exp(ad.mul(x, x))
         loss = ad.tsum(ad.mul(y, y))
         ad.backward(loss)
         first = x.grad.copy()
-        ad.backward(loss)
-        assert x.grad.tobytes() == (2.0 * first).tobytes()
         assert y.grad is None and loss.grad is None
+        assert y._parents == () and loss._parents == ()
+        with pytest.raises(RuntimeError, match="already walked"):
+            ad.backward(loss)
+        assert x.grad.tobytes() == first.tobytes()
+
+    def test_a_loss_recorded_on_a_walked_node_raises(self):
+        x = Tensor(np.array([0.3, -0.7, 1.1]), requires_grad=True)
+        y = ad.exp(ad.mul(x, x))
+        ad.backward(ad.tsum(y))
+        first = x.grad.copy()
+        with pytest.raises(RuntimeError, match="record the loss again"):
+            ad.backward(ad.tsum(ad.mul(y, y)))
+        assert x.grad.tobytes() == first.tobytes()
+
+    def test_graphs_recorded_before_either_walk_accumulate_into_a_shared_leaf(self):
+        # two graphs on one leaf share no interior node, so walking the first
+        # releases nothing the second needs
+        x = Tensor(np.array([0.3, -0.7, 1.1]), requires_grad=True)
+        first = ad.tsum(ad.exp(x))
+        second = ad.tsum(ad.mul(x, x))
+        ad.backward(first)
+        ad.backward(second)
+        np.testing.assert_allclose(x.grad, np.exp(x.data) + 2.0 * x.data, rtol=1e-15)
 
     @pytest.mark.parametrize("op", [ad.add, ad.sub, ad.mul, ad.div], ids=lambda f: f.__name__)
     def test_constant_operand_of_a_binary_op_takes_no_gradient(self, op):

@@ -5,9 +5,9 @@ Each fused op (``layer_norm``, ``skip_gate_proj``, ``gelu_mlp``,
 ``residual_sum`` and ``losses.mse``) must give the composed graph's value
 and every gradient bit for bit, and keep less of the forward alive for its
 backward. The composed graphs are written out here from the primitive ops,
-as the reference. So are the checkpointed ops' (``autodiff.checkpoint``):
-a scan block's three stages recorded one node after another
-(``recorded_block``), and a layer's tail recorded op by op (``recorded``).
+as the reference. So is the checkpointed op's (``autodiff.checkpoint``): a
+scan block's three stages recorded one node after another
+(``recorded_block``).
 """
 
 import itertools
@@ -86,12 +86,6 @@ def recorded_block(block, z, orders=(None,), labels=None):
         blocks.skip_gate_proj(y, u, tokens.gate, block.ssm.d_skip, block.w_out)
         for y, u in scanned
     ]
-
-
-def recorded(parents, run):
-    """``autodiff.checkpoint`` without the checkpoint: ``run``'s ops recorded
-    on the tape, node by node."""
-    return run(None, False)[0]
 
 
 def _inputs(op: str, shape, seed=0):
@@ -257,7 +251,6 @@ class TestSameBitsAsComposed:
         )
         fused = grads(md.SORMambaModel(cfg, seed=3))
         monkeypatch.setattr(blocks.CDMambaBlock, "forward_orders", recorded_block)
-        monkeypatch.setattr(md, "checkpoint", recorded)
         monkeypatch.setattr(md, "layer_norm", composed_layer_norm)
         monkeypatch.setattr(md, "gelu_mlp", composed_gelu_mlp)
         monkeypatch.setattr(md, "linear", composed_linear)
@@ -385,20 +378,6 @@ class TestKeptMemory:
         ys = orders * batch * tokens * 2 * d_model * 8
         assert kept <= ys + sum(out.data.nbytes for out in outs) + 4 * OBJECT_SLACK
 
-    def test_recorded_tail_keeps_nothing_but_its_output(self):
-        # the views and z are the op's parents and already held; the views'
-        # sum, both LayerNorms and the MLP live only in its backward
-        batch, tokens, d_model = self.SHAPE
-        cfg = md.ModelConfig(lookback=8, horizon=4, n_channels=tokens, d_model=d_model)
-        layer = md._Layer(cfg, np.random.default_rng(0))
-        rng = np.random.default_rng(1)
-        parents = [Tensor(rng.normal(size=self.SHAPE), requires_grad=True) for _ in range(3)]
-        kept, out = _kept_bytes(
-            lambda v1, v2, z: md.SORMambaModel._tail(layer, [v1, v2], z), parents
-        )
-        assert out.requires_grad
-        assert kept <= out.data.nbytes + 4 * OBJECT_SLACK
-
 
 MIB = 2**20
 
@@ -448,18 +427,17 @@ class TestVjpMemory:
         np.testing.assert_array_equal(held[0], pred.data - target)
 
 
-def _model_grads(cfg, twice=False, rng_seed=7):
+def _model_grads(cfg, rng_seed=7):
     """The forecast, the training loss and every gradient (the parameters'
-    and the input's) of one ``forecast`` and ``total_loss`` on seeded data,
-    the views drawn from ``rng_seed``, after one ``backward`` or two."""
+    and the input's) of one ``forecast``, ``total_loss`` and ``backward`` on
+    seeded data, the views drawn from ``rng_seed``."""
     model = md.SORMambaModel(cfg, seed=7)
     rng = np.random.default_rng(7)
     x = Tensor(rng.normal(size=(3, cfg.lookback, cfg.n_channels)), requires_grad=True)
     target = rng.normal(size=(3, cfg.horizon, cfg.n_channels))
     pred, pairs = model.forecast(x, rng=np.random.default_rng(rng_seed))
     loss = ls.total_loss(pred, target, pairs, cfg.reg_weight, cfg.reg_metric).total
-    for _ in range(2 if twice else 1):
-        ad.backward(loss)
+    ad.backward(loss)
     assert pred.grad is None and all(z.grad is None for pair in pairs for z in pair)
     grads = [(n, _bits(t.grad)) for n, t in model.param_items()] + [("x", _bits(x.grad))]
     return _bits(pred.data), _bits(loss.data), grads, pairs
@@ -509,63 +487,18 @@ class TestCheckpointedBlock:
         monkeypatch.setattr(blocks.CDMambaBlock, "forward_orders", recorded_block)
         assert got == list(_model_grads(cfg, rng_seed=rng_seed)[:3])
 
-    @pytest.mark.parametrize("direction", blocks.DIRECTIONS)
-    @pytest.mark.parametrize("conv", [False, True], ids=["no-conv", "conv"])
-    def test_second_backward_adds_the_same_gradients_again(self, direction, conv, monkeypatch):
-        # the op's backward rebuilds its sub-tape on every call, so a second
-        # backward on one loss adds each leaf's shares again, in the same
-        # order as the recorded stages. Under bi every parameter and the
-        # input take one share per backward, which doubles exactly; under
-        # uni a shared block's parameters take one share per view, and
-        # (s + c1) + c2 need not be 2 s, so there the recorded stages' bits
-        # are the reference
-        cfg = _variant_config(direction=direction, conv=conv)
-        once = _model_grads(cfg)[2]
-        twice = _model_grads(cfg, twice=True)[2]
-        monkeypatch.setattr(blocks.CDMambaBlock, "forward_orders", recorded_block)
-        assert twice == _model_grads(cfg, twice=True)[2]
-        if direction == "bi":
-            for (name, one), (_, two) in zip(once, twice):
-                if one is not None:  # the side heads take no gradient
-                    assert (2 * np.frombuffer(one[1])).tobytes() == two[1], name
-
-
-class TestCheckpointedTail:
-    """A recorded layer tail (the views' sum with the residual, LayerNorm,
-    the MLP, LayerNorm) is one op that keeps nothing and records its ops
-    again in its backward: the model's value and every gradient must equal
-    those of the tail recorded op by op."""
-
-    @pytest.mark.parametrize("reg_metric", ls.REG_METRICS)
-    @pytest.mark.parametrize("direction", blocks.DIRECTIONS)
-    @pytest.mark.parametrize("conv", [False, True], ids=["no-conv", "conv"])
-    @pytest.mark.parametrize("order_mode", blocks.ORDER_MODES)
-    @pytest.mark.parametrize("discretization", ssm.DISCRETIZATIONS)
-    def test_model_value_and_every_gradient_equal_the_recorded_tail(
-        self, direction, conv, order_mode, discretization, reg_metric, monkeypatch
-    ):
-        cfg = _variant_config(
-            direction=direction, conv=conv, order_mode=order_mode,
-            discretization=discretization, reg_metric=reg_metric,
-        )
-        got = _model_grads(cfg)[:3]
-        monkeypatch.setattr(md, "checkpoint", recorded)
-        assert got == _model_grads(cfg)[:3]
-
-    @pytest.mark.parametrize("reg_weight", [0.0, 0.1])
-    @pytest.mark.parametrize("two_view", [True, False], ids=["two-view", "one-view"])
-    def test_with_and_without_the_penalty_and_with_one_view(self, reg_weight, two_view, monkeypatch):
-        # without the penalty the views take gradient through the tail
-        # alone; with one view the tail sums one view and z
-        cfg = _variant_config(reg_weight=reg_weight, two_view=two_view)
-        got = _model_grads(cfg)[:3]
-        monkeypatch.setattr(md, "checkpoint", recorded)
-        assert got == _model_grads(cfg)[:3]
-
-    @pytest.mark.parametrize("direction", blocks.DIRECTIONS)
-    def test_second_backward_adds_the_same_gradients_again(self, direction, monkeypatch):
-        # the tail's backward records its ops again on every call
-        cfg = _variant_config(direction=direction)
-        twice = _model_grads(cfg, twice=True)[2]
-        monkeypatch.setattr(md, "checkpoint", recorded)
-        assert twice == _model_grads(cfg, twice=True)[2]
+    def test_second_backward_through_the_block_raises(self):
+        # the op's vjp walks the rebuilt sub-tape once and the outer walk
+        # releases the op, so neither the same loss nor a new one on the
+        # block's output can be walked again; z keeps its first gradient
+        block = blocks.CDMambaBlock(6, 12, 4, 2, np.random.default_rng(0), conv_kernel=3)
+        z = Tensor(np.random.default_rng(1).normal(size=(3, 5, 6)), requires_grad=True)
+        (out,) = block.forward_orders(z)
+        loss = ad.tsum(ad.mul(out, out))
+        ad.backward(loss)
+        first = z.grad.copy()
+        with pytest.raises(RuntimeError, match="already walked"):
+            ad.backward(loss)
+        with pytest.raises(RuntimeError, match="already walked"):
+            ad.backward(ad.tsum(out))
+        assert z.grad.tobytes() == first.tobytes()

@@ -1,4 +1,4 @@
-"""Model-level tests: shapes, symmetry, accounting, tape size, checkpoints."""
+"""Model-level tests: shapes, symmetry, accounting, tape size, step peak, checkpoints."""
 
 import gc
 import importlib.util
@@ -264,17 +264,62 @@ class TestTapeMemory:
         # 14.1 MiB at train-solar's shape, 21.2 when pre's outputs were kept
         assert self._tape_mib(8, n_channels=137) <= 16
 
-    def test_train_solar_tape_keeps_no_layer_tail(self):
-        # each layer keeps z, the scans' y, the view outputs and its output:
-        # 10.7 MiB at train-solar's shape, 14.1 when the views' sum, the
-        # first LayerNorm and the MLP were kept, and the loss no target
-        assert self._tape_mib(8, n_channels=137) <= 11.5
-
     def test_conv_tape_keeps_no_tap(self):
         # C=21, batch 16: the conv's gathers, taps and SiLU live only in the
         # block's backward, 4.5 MiB as without the conv (28.0 when they were
         # kept)
         assert self._tape_mib(16, n_channels=21, conv=True) <= 8
+
+
+def _traced_peak_mib(fn):
+    """The tracemalloc peak of ``fn()`` in MiB above the level when it
+    starts, as the benchmark traces a step: after one warm-up call, which
+    allocates the scan workspace kept across calls, and a collection."""
+    fn()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return (tracemalloc.get_traced_memory()[1] - base) / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+class TestStepMemory:
+    """One training step's forecast, loss and backward at the train
+    workloads' shapes (L=H=96, two layers, uni, fixed-reverse, batch as the
+    workload's). The walk releases each node once it has passed it, so the
+    peak in the last layer's block backward sees only the part of the tape
+    that the walk has not reached."""
+
+    @pytest.mark.parametrize(
+        "channels, d_model, batch, bound",
+        [
+            # 23.31 MiB; 24.09 when the tape lived until the walk ended and
+            # the layer tail was a checkpointed op
+            (137, 64, 8, 23.5),
+            # 10.20 MiB; 11.31 then
+            (7, 128, 32, 10.5),
+        ],
+        ids=["train-solar", "train-etth1"],
+    )
+    def test_released_step_peaks_under_the_bound(self, channels, d_model, batch, bound):
+        cfg = md.ModelConfig(
+            lookback=96, horizon=96, n_channels=channels, d_model=d_model, n_layers=2,
+            reg_weight=0.1, order_mode="fixed-reverse",
+        )
+        model = md.SORMambaModel(cfg, seed=0)
+        rng = np.random.default_rng(0)
+        x, y = (rng.normal(size=(batch, 96, channels)) for _ in range(2))
+
+        def step():
+            for p in model.parameters():
+                p.grad = None
+            pred, pairs = model.forecast(Tensor(x))
+            backward(losses.total_loss(pred, y, pairs, cfg.reg_weight, cfg.reg_metric).total)
+
+        assert _traced_peak_mib(step) <= bound
 
 
 class TestReadMemory:
@@ -296,25 +341,12 @@ class TestReadMemory:
         norm = dt.Normalizer(mean=rng.normal(size=21), std=rng.uniform(0.5, 2.0, size=21))
         return model, ds, norm
 
-    @staticmethod
-    def _peak_mib(fn):
-        # as the benchmark traces a step: above the level when fn starts
-        fn()  # the scan workspace, kept across calls
-        gc.collect()
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            fn()
-            return (tracemalloc.get_traced_memory()[1] - base) / 2**20
-        finally:
-            tracemalloc.stop()
-
     def test_one_evaluate_batch_peaks_at_most_8_5_mib(self):
         # 7.92 MiB; 11.86 when the batch was copied, the normalized input and
         # the view pairs were kept through the layers and all walks' y until
         # the last post
         model, ds, norm = self._weather()
-        assert self._peak_mib(lambda: tr.evaluate(model, ds, norm)) <= 8.5
+        assert _traced_peak_mib(lambda: tr.evaluate(model, ds, norm)) <= 8.5
 
     def test_two_orderings_in_one_pass_peak_at_most_11_5_mib(self):
         # 10.54 MiB; 13.50 before
@@ -322,7 +354,7 @@ class TestReadMemory:
         rng = np.random.default_rng(1)
         perms = [rng.permutation(21), rng.permutation(21)]
         x = Tensor(ds.x)
-        assert self._peak_mib(lambda: model.forecast_orderings(x, perms)) <= 11.5
+        assert _traced_peak_mib(lambda: model.forecast_orderings(x, perms)) <= 11.5
 
     def test_forecast_keeps_its_view_pairs_without_a_tape(self):
         model = make_model()
