@@ -7,7 +7,9 @@ and every gradient bit for bit, and keep less of the forward alive for its
 backward. The composed graphs are written out here from the primitive ops,
 as the reference. So is the checkpointed op's (``autodiff.checkpoint``): a
 scan block's three stages recorded one node after another
-(``recorded_block``).
+(``recorded_block``). A layer's tail, recorded op by op in the model, is
+checked against the same four ops as one checkpointed op
+(``checkpointed_tail``).
 """
 
 import itertools
@@ -86,6 +88,20 @@ def recorded_block(block, z, orders=(None,), labels=None):
         blocks.skip_gate_proj(y, u, tokens.gate, block.ssm.d_skip, block.w_out)
         for y, u in scanned
     ]
+
+
+_recorded_tail = md.SORMambaModel._tail
+
+
+def checkpointed_tail(layer, views, z):
+    """``SORMambaModel._tail`` as one op (``autodiff.checkpoint``) that keeps
+    nothing and records the four fused ops again in its backward."""
+    params = (layer.g1, layer.c1, layer.w_mlp1, layer.b_mlp1, layer.w_mlp2, layer.b_mlp2,
+              layer.g2, layer.c2)
+    (out,) = ad.checkpoint(
+        (*views, z, *params), lambda *_: ([_recorded_tail(layer, views, z)], None)
+    )
+    return out
 
 
 def _inputs(op: str, shape, seed=0):
@@ -427,18 +443,20 @@ class TestVjpMemory:
         np.testing.assert_array_equal(held[0], pred.data - target)
 
 
-def _model_grads(cfg, rng_seed=7):
+def _model_grads(cfg, twice=False, rng_seed=7):
     """The forecast, the training loss and every gradient (the parameters'
     and the input's) of one ``forecast``, ``total_loss`` and ``backward`` on
-    seeded data, the views drawn from ``rng_seed``."""
+    seeded data, the views drawn from ``rng_seed``; or of two, each recorded
+    anew, the second adding onto the gradients the first left."""
     model = md.SORMambaModel(cfg, seed=7)
     rng = np.random.default_rng(7)
     x = Tensor(rng.normal(size=(3, cfg.lookback, cfg.n_channels)), requires_grad=True)
     target = rng.normal(size=(3, cfg.horizon, cfg.n_channels))
-    pred, pairs = model.forecast(x, rng=np.random.default_rng(rng_seed))
-    loss = ls.total_loss(pred, target, pairs, cfg.reg_weight, cfg.reg_metric).total
-    ad.backward(loss)
-    assert pred.grad is None and all(z.grad is None for pair in pairs for z in pair)
+    for _ in range(2 if twice else 1):
+        pred, pairs = model.forecast(x, rng=np.random.default_rng(rng_seed))
+        loss = ls.total_loss(pred, target, pairs, cfg.reg_weight, cfg.reg_metric).total
+        ad.backward(loss)
+        assert pred.grad is None and all(z.grad is None for pair in pairs for z in pair)
     grads = [(n, _bits(t.grad)) for n, t in model.param_items()] + [("x", _bits(x.grad))]
     return _bits(pred.data), _bits(loss.data), grads, pairs
 
@@ -502,3 +520,66 @@ class TestCheckpointedBlock:
         with pytest.raises(RuntimeError, match="already walked"):
             ad.backward(ad.tsum(out))
         assert z.grad.tobytes() == first.tobytes()
+
+    @pytest.mark.parametrize("direction", blocks.DIRECTIONS)
+    @pytest.mark.parametrize("conv", [False, True], ids=["no-conv", "conv"])
+    def test_second_backward_adds_the_same_gradients_again(self, direction, conv, monkeypatch):
+        # a second step records its graph anew, so the op's backward rebuilds
+        # its sub-tape again and adds each leaf's shares onto what the first
+        # step left, in the same order as the recorded stages. Under bi every
+        # parameter and the input take one share per step, which doubles
+        # exactly; under uni a shared block's parameters take one share per
+        # view, and (s + c1) + c2 need not be 2 s, so there the recorded
+        # stages' bits are the reference
+        cfg = _variant_config(direction=direction, conv=conv)
+        once = _model_grads(cfg)[2]
+        twice = _model_grads(cfg, twice=True)[2]
+        monkeypatch.setattr(blocks.CDMambaBlock, "forward_orders", recorded_block)
+        assert twice == _model_grads(cfg, twice=True)[2]
+        if direction == "bi":
+            for (name, one), (_, two) in zip(once, twice):
+                if one is not None:  # the side heads take no gradient
+                    assert (2 * np.frombuffer(one[1])).tobytes() == two[1], name
+
+
+class TestCheckpointedTail:
+    """A layer's tail (the views' sum with the residual, LayerNorm, the MLP,
+    LayerNorm) is recorded op by op, and each op keeps what its backward
+    reads until the walk passes it: the model's value and every gradient
+    must equal those of the same tail as one checkpointed op that keeps
+    nothing and records its ops again in its backward."""
+
+    @pytest.mark.parametrize("reg_metric", ls.REG_METRICS)
+    @pytest.mark.parametrize("direction", blocks.DIRECTIONS)
+    @pytest.mark.parametrize("conv", [False, True], ids=["no-conv", "conv"])
+    @pytest.mark.parametrize("order_mode", blocks.ORDER_MODES)
+    @pytest.mark.parametrize("discretization", ssm.DISCRETIZATIONS)
+    def test_model_value_and_every_gradient_equal_the_recorded_tail(
+        self, direction, conv, order_mode, discretization, reg_metric, monkeypatch
+    ):
+        cfg = _variant_config(
+            direction=direction, conv=conv, order_mode=order_mode,
+            discretization=discretization, reg_metric=reg_metric,
+        )
+        got = _model_grads(cfg)[:3]
+        monkeypatch.setattr(md.SORMambaModel, "_tail", staticmethod(checkpointed_tail))
+        assert got == _model_grads(cfg)[:3]
+
+    @pytest.mark.parametrize("reg_weight", [0.0, 0.1])
+    @pytest.mark.parametrize("two_view", [True, False], ids=["two-view", "one-view"])
+    def test_with_and_without_the_penalty_and_with_one_view(self, reg_weight, two_view, monkeypatch):
+        # without the penalty the views take gradient through the tail
+        # alone; with one view the tail sums one view and z
+        cfg = _variant_config(reg_weight=reg_weight, two_view=two_view)
+        got = _model_grads(cfg)[:3]
+        monkeypatch.setattr(md.SORMambaModel, "_tail", staticmethod(checkpointed_tail))
+        assert got == _model_grads(cfg)[:3]
+
+    @pytest.mark.parametrize("direction", blocks.DIRECTIONS)
+    def test_second_backward_adds_the_same_gradients_again(self, direction, monkeypatch):
+        # each step records the tail anew; the checkpointed tail's backward
+        # records its ops again on every step
+        cfg = _variant_config(direction=direction)
+        twice = _model_grads(cfg, twice=True)[2]
+        monkeypatch.setattr(md.SORMambaModel, "_tail", staticmethod(checkpointed_tail))
+        assert twice == _model_grads(cfg, twice=True)[2]
